@@ -19,6 +19,7 @@ import gc
 import json
 import sys
 import time
+import traceback
 
 sys.setrecursionlimit(100_000)  # see tests/conftest.py
 
@@ -88,8 +89,10 @@ def pytest_sessionfinish(session, exitstatus):
         payload["single_op_tcp"] = _single_op_tcp_bench()
         payload["idle_subscribers"] = _idle_subscriber_bench()
         payload["notify_storm_10k"] = _notify_storm_bench()
-    except Exception as exc:  # never fail a bench run over the emission
-        print(f"\n[bench] BENCH_attrspace.json skipped: {exc!r}")
+    except Exception:  # a broken bench is a failed run, not a skipped one
+        print("\n[bench] BENCH_attrspace.json emission FAILED:")
+        traceback.print_exc()
+        session.exitstatus = 1
         return
     finally:
         gc.unfreeze()

@@ -109,8 +109,8 @@ WAIVERS: dict[str, str] = {
     "attrspace.server._Connection.member@attrspace.server.AttributeSpaceServer._op_attach": (
         "attach (re)binds the member before any later op on this "
         "connection can read it: the serving thread processes frames "
-        "serially, and cross-thread readers (writer_id on the fan-out "
-        "path) tolerate the pre-attach peer label"
+        "serially, and cross-thread readers (the writer_id property, "
+        "put attribution) tolerate the pre-attach peer label"
     ),
     "transport.eventloop._Conn.token@transport.eventloop.ServerSocketLoop._teardown_conn": (
         "teardown only runs on the loop thread: _close_conn dispatches "

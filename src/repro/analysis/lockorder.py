@@ -182,9 +182,6 @@ DEFAULT = LockHierarchy([
     LockDecl("paradyn.dyninst.TimerHandle._lock", 48, note="one timer's state"),
 
     # -- send locks (frame serialization; blocking sends sanctioned) ---------
-    # (attrspace server replies no longer take a send lock: each
-    # connection's frames are enqueued onto a bounded outbound
-    # WaitableQueue and serialized by a dedicated writer thread.)
     LockDecl("tdp.stdio.StdioCollector._lock", 60, blocking_ok=True,
              note="stdin backlog + channel handoff"),
     LockDecl("tdp.stdio.StdioRelay._send_lock", 60, blocking_ok=True,
@@ -202,14 +199,20 @@ DEFAULT = LockHierarchy([
     LockDecl("attrspace.server._SessionLease._lock", 64,
              note="one session's reply cache + inflight table; taken on "
                   "request threads (cache-before-enqueue, ahead of the "
-                  "outbound queue offer) and under _lease_lock (sweeper "
+                  "channel offer) and under _lease_lock (sweeper "
                   "expiry re-check)"),
     LockDecl("transport.eventloop.ServerSocketLoop._lock", 65,
              note="event-loop cross-thread state: per-conn outbound "
                   "buffers, dirty/close queues, stop latch; holds cover "
                   "deque bookkeeping only — all socket IO runs outside "
                   "the lock on the loop thread"),
-    LockDecl("transport.inmem._InMemChannel._lock", 62, note="queue pair state"),
+    LockDecl("transport.inmem._InMemListener._lock", 66,
+             note="inmem serving core: routes a connect to the accept "
+                  "backlog or the serve_loop dispatcher; the dispatcher "
+                  "itself is lock-free (one thread, one WaitableQueue)"),
+    LockDecl("transport.inmem._InMemChannel._lock", 62,
+             note="queue pair state; a served end's lock is held across "
+                  "the post onto the dispatcher's ready-queue"),
     LockDecl("transport.inmem.InMemoryTransport._lock", 62, note="listener table"),
     LockDecl("transport.tcp.TcpTransport._lock", 62, note="listener table"),
     LockDecl("transport.proxy.ProxyServer._lock", 62, note="tunnel table"),

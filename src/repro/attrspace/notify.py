@@ -8,10 +8,10 @@ names a context and a glob pattern over attribute names; every matching
 pushes to the subscribing connection.
 
 Delivery is decoupled from the publisher: a connection's ``deliver``
-only *enqueues* the frame onto that connection's bounded outbound queue
-(drained by its writer thread), so one slow or dead subscriber can never
-stall the thread that performed the put — it is disconnected when its
-queue overflows instead (the slow-subscriber policy, DESIGN.md §9).
+only *offers* the frame to that connection's bounded outbound buffer,
+so one slow or dead subscriber can never stall the thread that
+performed the put — it is disconnected when its buffer overflows
+instead (the slow-subscriber policy, DESIGN.md §9).
 """
 
 from __future__ import annotations

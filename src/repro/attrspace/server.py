@@ -1,20 +1,20 @@
 """LASS / CASS: the attribute space server.
 
 One server instance wraps an :class:`~repro.attrspace.store.AttributeStore`
-and serves it over a transport listener.  Thread model: one acceptor
-thread plus, per connection, one reader thread and one writer thread.
-Blocking GETs never park a server thread — they register store waiters
-whose completion callbacks send the reply from whichever thread
-performed the matching PUT.
+and serves it over a transport listener.  Thread model: the listener's
+``serve_loop`` — one serving thread per server, no per-connection
+threads, on every transport — accepts, dispatches each frame and
+reports closes.  Blocking GETs never park that thread: they register
+store waiters whose completion callbacks send the reply from whichever
+thread performed the matching PUT.
 
-Every outbound frame (replies and notification pushes alike) goes
-through the connection's bounded outbound queue, drained by its writer
-thread.  Producers therefore never block on a peer's channel: a put
-that fans out to a hundred subscribers costs a hundred enqueues, not a
-hundred synchronous sends.  The **slow-subscriber policy** is explicit:
-a connection whose queue is full (it stopped reading while
-notifications kept coming) is disconnected — counted in the
-``slow_subscriber_disconnects`` statistic — rather than allowed to
+Every outbound frame (reply or notification push) is a bounded
+``offer`` onto the connection's push-mode channel, so producers never
+block on a peer: a put that fans out to a hundred subscribers costs a
+hundred enqueues.  The **slow-subscriber policy** is explicit: a
+connection with ``OUTBOUND_QUEUE_LIMIT`` frames unread (it stopped
+reading while notifications kept coming) is disconnected — counted in
+the ``slow_subscriber_disconnects`` statistic — rather than allowed to
 stall the put path.  Reconnecting clients recover through their session
 lease like after any other disconnect.
 
@@ -42,7 +42,7 @@ from repro.net.address import Endpoint
 from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, TimerHandle, WallClock
 from repro.util.log import get_logger
-from repro.util.sync import AtomicCounter, WaitableQueue, tracked_lock
+from repro.util.sync import AtomicCounter, tracked_lock
 from repro.util.threads import spawn
 
 _log = get_logger("attrspace.server")
@@ -52,10 +52,9 @@ _log = get_logger("attrspace.server")
 #: most its pending tables, tens of entries).
 _REPLY_CACHE_LIMIT = 256
 
-#: Bound on one connection's outbound queue.  Generous for any reading
-#: client (the writer drains as fast as the channel accepts), small
-#: enough that a stalled subscriber is cut off long before its backlog
-#: costs real memory.
+#: Bound on one connection's unread outbound frames.  Generous for any
+#: reading client, small enough that a stalled subscriber is cut off
+#: long before its backlog costs real memory.
 OUTBOUND_QUEUE_LIMIT = 512
 
 
@@ -175,15 +174,11 @@ class _SessionLease:
 
 
 class _Connection:
-    """Server-side state for one client channel.
+    """Server-side state for one served (push-mode) client channel.
 
-    Outbound frames are enqueued (never sent inline).  On a loop-managed
-    channel (the event-loop server core) the loop drains the channel's
-    own bounded buffer; otherwise a dedicated writer thread drains
-    ``outbound`` — the single consumer, which also makes it the
-    serialization point that the old per-connection send lock used to
-    provide.  Either way the producer never blocks and overflow is
-    answered by the slow-subscriber policy, not silence.
+    Outbound frames are offered to the channel's bounded buffer, never
+    written inline: the producer never blocks, and overflow is answered
+    by the slow-subscriber policy, not silence.
     """
 
     def __init__(self, server: "AttributeSpaceServer", channel: Channel, conn_id: int):
@@ -191,9 +186,6 @@ class _Connection:
         self.channel = channel
         self.conn_id = conn_id
         self.peer = f"{channel.remote_host}#{conn_id}"
-        self.outbound: WaitableQueue[dict[str, Any]] | None = (
-            None if getattr(channel, "loop_managed", False) else WaitableQueue()
-        )
         # (context, attribute, waiter_id) for pending blocking gets, so we
         # can cancel them if this client disconnects.
         self.pending_waiters: set[tuple[str, str, int]] = set()
@@ -206,11 +198,6 @@ class _Connection:
         # serially and cross-thread readers treat None as "anonymous")
         self.lease: _SessionLease | None = None
         self.member: str | None = None
-        self.writer = (
-            spawn(self._writer_loop, name=f"{server.name}-w{conn_id}")
-            if self.outbound is not None
-            else None
-        )
 
     @property
     def writer_id(self) -> str:
@@ -220,9 +207,9 @@ class _Connection:
         return self.member if self.member is not None else self.peer
 
     def send(self, message: dict[str, Any]) -> None:
-        """Enqueue a frame for the writer thread; never blocks.
+        """Enqueue a frame on the channel; never blocks.
 
-        A full queue means the peer stopped reading while frames kept
+        A full buffer means the peer stopped reading while frames kept
         coming: the slow-subscriber policy disconnects it (with a stat)
         so the producer — typically a putter mid-fan-out — is never
         stalled by someone else's dead or wedged client.
@@ -236,32 +223,10 @@ class _Connection:
             # operation.
             lease.cache_reply(reply_to, message)
         try:
-            if self.outbound is not None:
-                accepted = self.outbound.offer(message, OUTBOUND_QUEUE_LIMIT)
-            else:
-                # Loop-managed channel: the event loop owns the bounded
-                # outbound buffer and drains it under write readiness.
-                accepted = self.channel.offer(message, OUTBOUND_QUEUE_LIMIT)
-            if not accepted:
+            if not self.channel.offer(message, OUTBOUND_QUEUE_LIMIT):
                 self.server._disconnect_slow(self)
         except errors.ChannelClosedError:
             pass  # connection torn down; leased replies stay cached
-
-    def _writer_loop(self) -> None:
-        """Drain the outbound queue onto the channel; exits on close.
-
-        Queue close is graceful: frames enqueued before the close are
-        still transmitted (teardown drains, it does not drop).
-        """
-        while True:
-            try:
-                frame = self.outbound.get()
-            except errors.ChannelClosedError:
-                return
-            try:
-                self.channel.send(frame)
-            except errors.TdpError:
-                return  # peer gone; reader loop will clean up
 
 
 class AttributeSpaceServer:
@@ -297,7 +262,6 @@ class AttributeSpaceServer:
         self.local_only = local_only
         self.store = store if store is not None else AttributeStore()
         self.name = name if name is not None else f"{role.value}@{host}"
-        self._transport = transport
         self._listener = transport.listen(host, port)
         self._stopped = threading.Event()
         self._conn_ids = AtomicCounter()
@@ -332,26 +296,12 @@ class AttributeSpaceServer:
                 "slow_subscriber_disconnects",
             )
         }
-        serve_loop = getattr(self._listener, "serve_loop", None)
-        if serve_loop is not None:
-            # Event-loop server core: one thread multiplexes accept,
-            # handshake deadlines, reads, and write backpressure for
-            # every connection — idle subscribers cost a file
-            # descriptor, not two threads.  Dispatch and all store
-            # semantics are unchanged: the loop hands decoded frames to
-            # the same _dispatch path the threaded core uses.
-            self._acceptor = None
-            self._loop = serve_loop(
-                on_channel=self._loop_accept,
-                on_message=self._dispatch,
-                on_closed=self._cleanup,
-                name=f"{self.name}-loop",
-            )
-        else:
-            # Threaded fallback for transports whose listeners are not
-            # raw sockets (inmem, proxies, fault-injection wrappers).
-            self._loop = None
-            self._acceptor = spawn(self._accept_loop, name=f"{self.name}-accept")
+        self._loop = self._listener.serve_loop(
+            on_channel=self._accept,
+            on_message=self._dispatch,
+            on_closed=self._cleanup,
+            name=f"{self.name}-loop",
+        )
         _log.info("%s listening at %s", self.name, self.endpoint)
 
     # -- lifecycle -----------------------------------------------------------
@@ -365,21 +315,10 @@ class AttributeSpaceServer:
         if self._stopped.is_set():
             return
         self._stopped.set()
-        if self._loop is not None:
-            # Graceful loop shutdown first: it tears every connection
-            # down on the loop thread (firing the normal _cleanup per
-            # connection) before the join returns.
-            self._loop.stop()
+        # The loop tears every connection down on the serving thread
+        # (the normal _cleanup each) before its join returns.
+        self._loop.stop()
         self._listener.close()
-        with self._conn_lock:
-            conns = list(self._connections.values())
-            self._connections.clear()
-        for conn in conns:
-            for timer in conn.timers.values():
-                timer.cancel()
-            if conn.outbound is not None:
-                conn.outbound.close()
-            conn.channel.close()
         with self._lease_lock:
             sweeper = self._sweeper
             self._sweeper = None
@@ -394,14 +333,12 @@ class AttributeSpaceServer:
 
     # -- accept/serve ----------------------------------------------------------
 
-    def _loop_accept(self, channel: Channel) -> _Connection | None:
-        """``on_channel`` hook for the event-loop core (loop thread).
+    def _accept(self, channel: Channel) -> _Connection | None:
+        """``on_channel`` hook (serving thread).
 
         Returns the connection token the loop passes back to
         ``_dispatch``/``_cleanup``, or ``None`` to refuse the peer.
         """
-        if self._stopped.is_set():
-            return None
         if self.local_only and channel.remote_host != self.host:
             _log.info(
                 "%s refusing non-local client from %s (LASS access rule)",
@@ -417,49 +354,6 @@ class AttributeSpaceServer:
         obs.record("conn.accept", actor=self.name, peer=conn.peer)
         return conn
 
-    def _accept_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                channel = self._listener.accept()
-            except errors.TdpError:
-                # One failed handshake (garbage preamble, peer gone
-                # mid-hello) must not end admission for everyone else;
-                # only shutdown — ours or the listener's — does.
-                if self._stopped.is_set() or self._listener.closed:
-                    return
-                continue
-            if self.local_only and channel.remote_host != self.host:
-                _log.info(
-                    "%s refusing non-local client from %s (LASS access rule)",
-                    self.name, channel.remote_host,
-                )
-                channel.close()
-                continue
-            conn = _Connection(self, channel, self._conn_ids.increment())
-            with self._conn_lock:
-                if self._stopped.is_set():
-                    channel.close()
-                    return
-                self._connections[conn.conn_id] = conn
-            self.stats["connections"].increment()
-            obs.record("conn.accept", actor=self.name, peer=conn.peer)
-            spawn(
-                self._serve_loop,
-                args=(conn,),
-                name=f"{self.name}-conn{conn.conn_id}",
-            )
-
-    def _serve_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                try:
-                    request = conn.channel.recv()
-                except errors.TdpError:
-                    return
-                self._dispatch(conn, request)
-        finally:
-            self._cleanup(conn)
-
     def _cleanup(self, conn: _Connection) -> None:
         with self._conn_lock:
             self._connections.pop(conn.conn_id, None)
@@ -468,10 +362,7 @@ class AttributeSpaceServer:
         for context, attribute, wid in list(conn.pending_waiters):
             self.store.cancel_waiter(context, attribute, wid)
         self.store.subscriptions.unsubscribe_many(conn.subscriptions)
-        # Close the queue first (graceful drain: the writer transmits
-        # what is already queued, then exits), then the channel.
-        if conn.outbound is not None:
-            conn.outbound.close()
+        # Graceful: frames already queued on the channel still go out.
         conn.channel.close()
         # The lease (if any) is deliberately NOT released here: the whole
         # point is surviving the connection.  The sweeper expires it when
@@ -479,11 +370,11 @@ class AttributeSpaceServer:
 
     def _disconnect_slow(self, conn: _Connection) -> None:
         """Slow-subscriber policy: cut off a connection whose outbound
-        queue overflowed rather than ever blocking a producer.
+        buffer overflowed rather than ever blocking a producer.
 
-        Runs on the producer's thread (a putter mid-fan-out or a
-        dispatch thread), so it only closes — the reader thread observes
-        the dead channel and performs the normal :meth:`_cleanup`.
+        Runs on the producer's thread (a putter mid-fan-out or the
+        serving thread), so it only closes — the serving core reports
+        the close and performs the normal :meth:`_cleanup`.
         """
         self.stats["slow_subscriber_disconnects"].increment()
         obs.record("conn.slow_disconnect", actor=self.name, peer=conn.peer)
@@ -491,8 +382,6 @@ class AttributeSpaceServer:
             "%s: disconnecting %s: outbound queue full (%d frames unread)",
             self.name, conn.peer, OUTBOUND_QUEUE_LIMIT,
         )
-        if conn.outbound is not None:
-            conn.outbound.close()
         conn.channel.close()
 
     # -- request dispatch -----------------------------------------------------

@@ -257,8 +257,13 @@ class ParadynDaemon:
         self._record("tdp_continue_process", pid=pid, until="completion")
         try:
             tdp_continue_process(handle, pid)
-        except errors.ProcessError:
-            pass  # application may have been stopped/exited under us
+        except errors.ProcessError as e:
+            # The application may have exited (or been killed) under us;
+            # anything else here is a lost continue and must be visible.
+            self._record("continue_refused", pid=pid, error=str(e))
+            _log.warning(
+                "paradynd %s: continue of pid %s refused: %s", self.ctx.job_id, pid, e
+            )
         self._send_frontend({"op": "app_state", "state": "running"})
 
         # Sampling loop until application exit (status via the space).

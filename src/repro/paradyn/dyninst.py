@@ -19,8 +19,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.errors import InstrumentationError
-from repro.sim.process import ProbePoint, SimProcess, StopReason
+from repro.errors import InstrumentationError, InvalidProcessStateError
+from repro.sim.process import ProbePoint, ProcessState, SimProcess, StopReason
 from repro.util.ids import IdAllocator
 
 
@@ -95,13 +95,29 @@ class BreakpointHandle:
     probe_id: int
     function: str
     where: str
+    process: SimProcess
 
     def __post_init__(self) -> None:
         self.hit_event = threading.Event()
         self.hits = 0
 
     def wait_hit(self, timeout: float | None = None) -> bool:
-        return self.hit_event.wait(timeout)
+        """Block until the breakpoint fired *and* its stop took effect.
+
+        The probe action only requests the stop — the scheduler parks a
+        RUNNABLE process at its next syscall boundary — so a waiter
+        released on the event alone could issue a continue before the
+        process is STOPPED and be refused, leaving it parked for good.
+        """
+        if not self.hit_event.wait(timeout):
+            return False
+        try:  # the stop is one scheduler step behind the hit
+            self.process.wait_for_state(
+                ProcessState.STOPPED, ProcessState.EXITED, timeout=timeout
+            )
+        except InvalidProcessStateError:
+            return False
+        return True
 
 
 class DyninstEngine:
@@ -152,7 +168,7 @@ class DyninstEngine:
     def insert_breakpoint(self, function: str, where: str = "entry") -> BreakpointHandle:
         if where not in ("entry", "exit"):
             raise InstrumentationError(f"bad probe location {where!r}")
-        handle = BreakpointHandle(self._ids.next(), function, where)
+        handle = BreakpointHandle(self._ids.next(), function, where, self._process)
 
         def action(proc: SimProcess, _func: str, _where: str) -> None:
             handle.hits += 1

@@ -42,15 +42,11 @@ class SimCluster:
         network: Network,
         *,
         registry: ProgramRegistry | None = None,
-        apply_latency: bool = False,
     ):
         self.network = network
         self.clock = VirtualClock()
         self.scheduler = Scheduler(self, self.clock)
-        # apply_latency makes daemon channels pay the topology's modeled
-        # link/boundary latency in wall time (scaling experiments);
-        # default off so tests run at memory speed.
-        self.transport = InMemoryTransport(network, apply_latency=apply_latency)
+        self.transport = InMemoryTransport(network)
         self.registry = registry if registry is not None else default_registry()
         self._hosts: dict[str, SimHost] = {}
         self._services: dict[str, ServiceHandler] = {}

@@ -10,7 +10,7 @@ server and the proxy forwarder rely on.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Callable
 
 from repro.net.address import Endpoint
 
@@ -84,6 +84,32 @@ class Listener(ABC):
     @abstractmethod
     def accept(self, timeout: float | None = None) -> Channel:
         """Block for the next inbound channel."""
+
+    @abstractmethod
+    def serve_loop(
+        self,
+        *,
+        on_channel: Callable[[Channel], Any],
+        on_message: Callable[[Any, Message], None],
+        on_closed: Callable[[Any], None],
+        name: str,
+    ) -> Any:
+        """Serve every inbound channel from one thread; excludes ``accept``.
+
+        Returns a handle whose idempotent ``stop()`` closes every served
+        connection and joins the thread.  The callbacks run on that
+        thread and must not block.  The channels handed up are
+        push-mode: ``send`` and the bounded ``offer(message, maxsize)``
+        (``False`` = the peer is ``maxsize`` frames behind; the caller
+        decides its fate) enqueue from any thread, ``recv`` is unsupported.
+
+        * ``on_channel(channel) -> token | None`` — a peer connected;
+          the token is passed back below, ``None`` refuses (and closes).
+        * ``on_message(token, message)`` — one frame, in send order;
+          frames sent before an orderly peer close still arrive.
+        * ``on_closed(token)`` — exactly once per accepted connection,
+          whatever closed it (peer, server side, ``stop()``).
+        """
 
     @abstractmethod
     def close(self) -> None:

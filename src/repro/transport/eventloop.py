@@ -1,9 +1,7 @@
 """Selectors-based server event loop: many connections, one thread.
 
-The thread-per-connection server costs two threads per peer (reader +
-writer); ten thousand idle subscribers would need twenty thousand
-threads.  This loop multiplexes everything a server socket does onto a
-single thread:
+This loop multiplexes everything a server socket does onto a single
+thread, so an idle subscriber costs a file descriptor, not a thread:
 
 * **accept** — the listening socket is non-blocking; a readiness event
   drains the whole accept backlog.
@@ -22,16 +20,10 @@ single thread:
   its slow-subscriber policy (the loop never blocks and never drops
   silently).
 
-Handler contract (all callbacks run on the loop thread; they must not
-block):
-
-* ``on_channel(channel) -> token | None`` — a peer completed its hello.
-  Return any token to accept (it is passed back on later callbacks) or
-  ``None`` to refuse, which closes the socket.
-* ``on_message(token, message)`` — one decoded frame.
-* ``on_closed(token)`` — fired exactly once per accepted connection,
-  whatever closed it (peer EOF, protocol garbage, overflow policy,
-  loop shutdown).
+The handler contract (``on_channel`` / ``on_message`` / ``on_closed``) is
+:meth:`repro.transport.base.Listener.serve_loop`'s; here a channel is
+announced once its hello completed, and protocol garbage or the overflow
+policy close a connection like a peer EOF does.
 """
 
 from __future__ import annotations
@@ -47,16 +39,12 @@ from repro import obs
 from repro.errors import ChannelClosedError, ProtocolError
 from repro.transport import framing
 from repro.transport.base import Channel, Message
+from repro.transport.tcp import HELLO_MAX_BYTES, HELLO_TIMEOUT
 from repro.util.log import get_logger
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
 
 _log = get_logger("transport.eventloop")
-
-#: Mirrors the blocking accept path (transport.tcp): hello deadline and
-#: preamble cap per handshaking connection.
-HELLO_TIMEOUT = 5.0
-HELLO_MAX_BYTES = 64 * 1024
 
 _RECV_CHUNK = 262144
 
@@ -99,7 +87,6 @@ class _Conn:
         # only runs teardown on the loop thread — off-loop closers just
         # enqueue and wake)
         self.token: Any = None
-        self.channel: "LoopChannel | None" = None
         # outbound byte frames (bytes or memoryview tails); guarded by
         # the loop lock.  ``None`` when empty so 10k idle subscribers
         # keep no queue allocated — a deque costs ~0.7 KB each.
@@ -121,8 +108,6 @@ class LoopChannel(Channel):
     ``recv`` is unsupported.  ``send``/``offer`` enqueue onto the loop's
     per-connection outbound buffer from any thread.
     """
-
-    loop_managed = True
 
     def __init__(self, loop: "ServerSocketLoop", conn: _Conn):
         self._loop = loop
@@ -202,10 +187,6 @@ class ServerSocketLoop:
     @property
     def local_host(self) -> str:
         return self._local
-
-    def connection_count(self) -> int:
-        with self._lock:
-            return len(self._conns)
 
     def stop(self) -> None:
         """Stop the loop, close every connection, join the thread."""
@@ -360,8 +341,7 @@ class ServerSocketLoop:
         st.codec = framing.negotiate_codec(hello.get("codecs"))
         st.established = True
         self._handshaking.discard(st)
-        st.channel = LoopChannel(self, st)
-        token = self._on_channel(st.channel)
+        token = self._on_channel(LoopChannel(self, st))
         if token is None:
             self._close_conn(st)
             return None

@@ -199,32 +199,38 @@ class FaultInjectChannel(Channel):
     # -- Channel interface ----------------------------------------------------
 
     def send(self, message: Message) -> None:
+        self._perturbed(self._inner.send, message)
+
+    def offer(self, message: Message, maxsize: int | None) -> bool:
+        """A served inner channel's bounded ``send``, same plan."""
+        return self._perturbed(lambda m: self._inner.offer(m, maxsize), message)
+
+    def _perturbed(self, deliver, message: Message) -> bool:
+        """Run ``deliver(message)`` as the plan dictates; False only
+        when ``deliver`` itself refused the frame (a full ``offer``)."""
         action, index = self._decide_indexed()
-        if action is None:
-            self._inner.send(message)
-            return
-        self._count(action)
-        obs.record(
-            "fault.injected", actor="faultinject", action=action,
-            seed=self._plan.seed, channel=self.seq, send_index=index,
-        )
-        if action == "drop":
-            _log.debug("fault drop on channel %d", self.seq)
-            return
-        if action == "sever":
-            _log.info("fault sever on channel %d", self.seq)
-            self._inner.close()
-            raise ChannelClosedError(
-                f"injected sever on channel {self.seq} "
-                f"({self.local_host}->{self.remote_host})"
+        if action is not None:
+            self._count(action)
+            obs.record(
+                "fault.injected", actor="faultinject", action=action,
+                seed=self._plan.seed, channel=self.seq, send_index=index,
             )
-        if action == "delay":
-            time.sleep(self._plan.delay_seconds)
-            self._inner.send(message)
-            return
-        # dup: deliver twice (a retransmission the receiver must absorb).
-        self._inner.send(message)
-        self._inner.send(message)
+            if action == "drop":
+                _log.debug("fault drop on channel %d", self.seq)
+                return True
+            if action == "sever":
+                _log.info("fault sever on channel %d", self.seq)
+                self._inner.close()
+                raise ChannelClosedError(
+                    f"injected sever on channel {self.seq} "
+                    f"({self.local_host}->{self.remote_host})"
+                )
+            if action == "delay":
+                time.sleep(self._plan.delay_seconds)
+        accepted = deliver(message) is not False
+        if action == "dup":
+            deliver(message)  # a retransmission the receiver must absorb
+        return accepted
 
     def recv(self, timeout: float | None = None) -> Message:
         return self._inner.recv(timeout=timeout)
@@ -246,6 +252,8 @@ class FaultInjectChannel(Channel):
 
 
 class _FaultInjectListener(Listener):
+    """Accept-side injection: every inbound channel comes up wrapped."""
+
     def __init__(self, transport: "FaultInjectTransport", inner: Listener):
         self._transport = transport
         self._inner = inner
@@ -255,10 +263,14 @@ class _FaultInjectListener(Listener):
         return self._inner.endpoint
 
     def accept(self, timeout: float | None = None) -> Channel:
-        channel = self._inner.accept(timeout=timeout)
-        if self._transport.plan.wrap_side("accept"):
-            return self._transport._wrap(channel)
-        return channel
+        return self._transport._wrap(self._inner.accept(timeout=timeout))
+
+    def serve_loop(self, *, on_channel, **handlers):
+        """The inner serving core, every channel it hands up wrapped."""
+        return self._inner.serve_loop(
+            on_channel=lambda channel: on_channel(self._transport._wrap(channel)),
+            **handlers,
+        )
 
     def close(self) -> None:
         self._inner.close()
@@ -301,9 +313,7 @@ class FaultInjectTransport(Transport):
     def listen(self, host: str, port: int = 0) -> Listener:
         listener = self._inner_transport.listen(host, port)
         if not self.plan.wrap_side("accept"):
-            # Accept-side injection is off: return the inner listener
-            # unwrapped so backend-specific server surface (the TCP
-            # listener's event-loop factory) stays reachable.  Connect-
+            # Accept-side injection is off: nothing to wrap.  Connect-
             # side plans still perturb every channel end they wrap.
             return listener
         return _FaultInjectListener(self, listener)

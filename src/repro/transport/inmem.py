@@ -1,15 +1,19 @@
 """In-memory transport over the simulated network.
 
 Channels are queue pairs; ``connect`` consults the
-:class:`~repro.net.topology.Network` firewall rules and (optionally)
-sleeps for the modeled link latency, so timing experiments see zone
-boundaries.  Every message round-trips through the JSON frame codec to
-guarantee wire-serializability (see :mod:`repro.transport.framing`).
+:class:`~repro.net.topology.Network` firewall rules.  Every message
+round-trips through the JSON frame codec to guarantee
+wire-serializability (see :mod:`repro.transport.framing`).
+
+Under ``serve_loop`` the listener-side ends are push-mode: their inbound
+traffic lands on one shared ready-queue drained by one dispatcher
+thread, so N idle connections cost no threads.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Any
 
 from repro import obs
 from repro.errors import (
@@ -22,31 +26,46 @@ from repro.net.address import Endpoint
 from repro.net.topology import Network
 from repro.transport import framing
 from repro.transport.base import Channel, Listener, Message, Transport
-from repro.util.sync import WaitableQueue
+from repro.util.sync import WaitableQueue, tracked_lock
+from repro.util.threads import spawn
+
+# ready-queue event kinds
+_ACCEPT, _FRAME, _CLOSE = range(3)
 
 
 class _InMemChannel(Channel):
-    """One end of a queue-pair channel."""
+    """One end of a queue-pair channel.
 
-    def __init__(self, local_host: str, remote_host: str, latency: float):
+    What the peer of a served end sends goes to the dispatcher's
+    ready-queue instead of ``_rx``; ``recv`` is unsupported there.
+    """
+
+    def __init__(self, local_host: str, remote_host: str):
         self._local = local_host
         self._remote = remote_host
-        self._latency = latency
         self._rx: WaitableQueue[Message] = WaitableQueue()
         self._peer: _InMemChannel | None = None  # set by _pair()
+        # tdp-guard: _served_by -> volatile
+        # (set once under _lock; the send path reads it under _lock,
+        # recv and close tolerate either value — see close())
+        self._served_by: _InMemDispatcher | None = None
         self._closed = False
         self._lock = threading.Lock()
 
     @staticmethod
-    def pair(host_a: str, host_b: str, latency: float = 0.0) -> tuple["_InMemChannel", "_InMemChannel"]:
+    def pair(host_a: str, host_b: str) -> tuple["_InMemChannel", "_InMemChannel"]:
         """Create a connected channel pair (a on host_a, b on host_b)."""
-        a = _InMemChannel(host_a, host_b, latency)
-        b = _InMemChannel(host_b, host_a, latency)
+        a = _InMemChannel(host_a, host_b)
+        b = _InMemChannel(host_b, host_a)
         a._peer = b
         b._peer = a
         return a, b
 
     def send(self, message: Message) -> None:
+        self.offer(message, None)
+
+    def offer(self, message: Message, maxsize: int | None) -> bool:
+        """``send`` unless the peer has ``maxsize`` frames unread."""
         if obs.enabled():
             reg = obs.registry()
             reg.counter("transport.inmem.frames").increment()
@@ -57,20 +76,32 @@ class _InMemChannel(Channel):
         with self._lock:
             if self._closed:
                 raise ChannelClosedError(f"send on closed channel {self._local}->{self._remote}")
-            peer = self._peer
+        peer = self._peer
         assert peer is not None
-        if self._latency > 0:
-            import time
-
-            time.sleep(self._latency)
         try:
-            peer._rx.put(message)
+            with peer._lock:  # orders this frame against peer._serve
+                if peer._served_by is None:
+                    return peer._rx.offer(message, maxsize)
+                peer._served_by.post(_FRAME, peer, message)
+                return True
         except ChannelClosedError:
             raise ChannelClosedError(
                 f"peer {self._remote} closed channel from {self._local}"
             ) from None
 
+    def _serve(self, dispatcher: "_InMemDispatcher") -> None:
+        """Go push-mode; hand over what the peer did while backlogged."""
+        with self._lock:
+            self._served_by = dispatcher
+            dispatcher.post(_ACCEPT, self)
+            for message in self._rx.drain():
+                dispatcher.post(_FRAME, self, message)
+            if self._closed:
+                dispatcher.post(_CLOSE, self)
+
     def recv(self, timeout: float | None = None) -> Message:
+        if self._served_by is not None:
+            raise ProtocolError("served channel delivers via on_message")
         try:
             return self._rx.get(timeout=timeout)
         except GetTimeoutError:
@@ -93,6 +124,11 @@ class _InMemChannel(Channel):
             peer._rx.close()
             with peer._lock:
                 peer._closed = True
+        # Lock-free reads: _serve posts the close itself when it adopts
+        # an end that is already closed, so one of the two always posts.
+        for end in (self, peer):
+            if end is not None and end._served_by is not None:
+                end._served_by.post(_CLOSE, end)
 
     @property
     def closed(self) -> bool:
@@ -108,11 +144,64 @@ class _InMemChannel(Channel):
         return self._remote
 
 
+class _InMemDispatcher:
+    """The ``serve_loop`` handle: one thread over one shared ready-queue
+    of accept, frame and close events, so per-connection frame order is
+    queue order.  ``stop()`` closes the queue: what is already posted
+    drains, then every live channel is closed with its ``on_closed``.
+    """
+
+    def __init__(self, on_channel, on_message, on_closed, name: str):
+        self._ready: WaitableQueue[tuple] = WaitableQueue()
+        self._thread = spawn(
+            self._run, args=(on_channel, on_message, on_closed), name=name
+        )
+
+    def post(self, kind: int, channel: _InMemChannel, message: Message | None = None) -> None:
+        try:
+            self._ready.put((kind, channel, message))
+        except ChannelClosedError:
+            if kind != _CLOSE:  # a close after stop(): teardown covers it
+                raise
+
+    def stop(self) -> None:
+        self._ready.close()
+        if threading.get_ident() != self._thread.ident:
+            self._thread.join(timeout=5.0)
+
+    def _run(self, on_channel, on_message, on_closed) -> None:
+        live: dict[_InMemChannel, Any] = {}  # accepted channel -> token
+        try:
+            while True:
+                try:
+                    kind, channel, message = self._ready.get()
+                except ChannelClosedError:
+                    return  # stop()
+                if kind == _ACCEPT:
+                    token = on_channel(channel)
+                    if token is None:
+                        channel.close()
+                    else:
+                        live[channel] = token
+                elif channel not in live:
+                    pass  # refused, or already closed
+                elif kind == _FRAME:
+                    on_message(live[channel], message)
+                else:
+                    on_closed(live.pop(channel))
+        finally:
+            for channel, token in live.items():
+                channel.close()
+                on_closed(token)
+
+
 class _InMemListener(Listener):
     def __init__(self, transport: "InMemoryTransport", endpoint: Endpoint):
         self._transport = transport
         self._endpoint = endpoint
-        self._backlog: WaitableQueue[Channel] = WaitableQueue()
+        self._backlog: WaitableQueue[_InMemChannel] = WaitableQueue()
+        self._dispatcher: _InMemDispatcher | None = None
+        self._lock = tracked_lock("transport.inmem._InMemListener._lock")
         self._closed = False
 
     @property
@@ -136,8 +225,22 @@ class _InMemListener(Listener):
     def closed(self) -> bool:
         return self._closed
 
-    def _enqueue(self, channel: Channel) -> None:
-        self._backlog.put(channel)
+    def serve_loop(self, **handlers) -> _InMemDispatcher:
+        dispatcher = _InMemDispatcher(**handlers)
+        with self._lock:
+            self._dispatcher = dispatcher
+            early = self._backlog.drain()
+        for channel in early:  # connected between listen() and now
+            channel._serve(dispatcher)
+        return dispatcher
+
+    def _enqueue(self, channel: _InMemChannel) -> None:
+        with self._lock:
+            dispatcher = self._dispatcher
+            if dispatcher is None:
+                self._backlog.put(channel)
+                return
+        channel._serve(dispatcher)
 
 
 class InMemoryTransport(Transport):
@@ -150,9 +253,8 @@ class InMemoryTransport(Transport):
 
     EPHEMERAL_BASE = 30000
 
-    def __init__(self, network: Network, apply_latency: bool = False):
+    def __init__(self, network: Network):
         self._network = network
-        self._apply_latency = apply_latency
         self._listeners: dict[tuple[str, int], _InMemListener] = {}
         self._next_port: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -183,8 +285,7 @@ class InMemoryTransport(Transport):
             listener = self._listeners.get((endpoint.host, endpoint.port))
         if listener is None or listener.closed:
             raise ConnectError(f"connection refused: nothing listening at {endpoint}")
-        latency = self._network.latency(src_host, endpoint.host) if self._apply_latency else 0.0
-        client_end, server_end = _InMemChannel.pair(src_host, endpoint.host, latency)
+        client_end, server_end = _InMemChannel.pair(src_host, endpoint.host)
         try:
             listener._enqueue(server_end)
         except ChannelClosedError:

@@ -17,8 +17,7 @@ Channels here are threadless: ``recv`` reads the socket directly (a
 ``select`` wait gives queue-identical timeout semantics), so a client
 connection costs one file descriptor, not a reader thread.  Server-side
 connection multiplexing lives in :mod:`repro.transport.eventloop`; the
-blocking ``accept()`` below remains for handler-thread servers and
-fault-injection wrapping.
+blocking ``accept()`` below remains for handler-thread servers.
 """
 
 from __future__ import annotations
@@ -313,9 +312,8 @@ class _TcpListener(Listener):
 
         The returned loop owns accept + per-connection IO on one
         thread; the listener keeps ownership of the socket for
-        ``close()``.  ``accept()`` must not be called once a loop is
-        serving.  See :class:`repro.transport.eventloop.ServerSocketLoop`
-        for the handler contract.
+        ``close()``.  Beyond the :meth:`Listener.serve_loop` handlers
+        the loop takes a ``hello_timeout`` (tests shorten it).
         """
         from repro.transport.eventloop import ServerSocketLoop
 

@@ -505,9 +505,9 @@ class WaitableQueue(Generic[T]):
             self._items.append(item)
             self._cond.notify()
 
-    def offer(self, item: T, maxsize: int) -> bool:
+    def offer(self, item: T, maxsize: int | None) -> bool:
         """Bounded non-blocking put: enqueue unless ``maxsize`` items are
-        already queued.
+        already queued (``None`` = unbounded, i.e. :meth:`put`).
 
         Returns False when the queue is full — the caller applies its
         overflow policy (the attribute-space server disconnects the slow
@@ -517,7 +517,7 @@ class WaitableQueue(Generic[T]):
         with self._cond:
             if self._closed:
                 raise ChannelClosedError("offer on closed queue")
-            if len(self._items) >= maxsize:
+            if maxsize is not None and len(self._items) >= maxsize:
                 return False
             self._items.append(item)
             self._cond.notify()
@@ -610,6 +610,10 @@ class AtomicCounter:
     """Thread-safe integer counter (used for statistics)."""
 
     def __init__(self, initial: int = 0):
+        # tdp-guard: _value -> util.sync.AtomicCounter._lock
+        # (declared, not left to inference: the cross-thread increments
+        # come from stored serve_loop callbacks, whose thread the static
+        # root map cannot see)
         self._value = initial
         self._lock = tracked_lock("util.sync.AtomicCounter._lock")
 

@@ -1,11 +1,16 @@
-"""Decoupled notification fan-out: bounded outbound queues, writer
-threads, and the slow-subscriber policy.
+"""Decoupled notification fan-out: bounded per-connection buffers and
+the slow-subscriber policy, on both transports.
 
-The invariant under test: the put path NEVER blocks on any subscriber's
-channel.  Delivery is an enqueue onto the subscriber connection's
-bounded outbound queue; a connection whose queue overflows is
-disconnected (with a stat), and a connection that died mid-publish is
-simply skipped.
+The invariant under test: the put path NEVER blocks on any subscriber.
+Delivery is a bounded offer onto the subscriber's served channel; a
+subscriber left ``OUTBOUND_QUEUE_LIMIT`` frames behind is disconnected
+(with a stat), a connection that died mid-publish is simply skipped,
+and frames queued before a teardown still reach their reader.
+
+Everything here drives public surface only — raw channels, clients,
+``server.stats`` and ``server.store`` — so the same assertions hold for
+the inmem dispatcher and the TCP selectors loop.  The ``*OnTcp``
+subclasses re-run each class over real sockets.
 """
 
 import threading
@@ -13,148 +18,169 @@ import time
 
 import pytest
 
+from repro import errors
 from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import (
     OUTBOUND_QUEUE_LIMIT,
     AttributeSpaceServer,
 )
-from repro.sim.cluster import SimCluster
+from repro.net.topology import flat_network
+from repro.transport.inmem import InMemoryTransport
+from repro.transport.tcp import TcpTransport
+
+#: Fat enough that a non-reading TCP peer's kernel buffers fill within a
+#: few hundred frames, after which the loop's bounded buffer takes over.
+FAT = "x" * 32768
+
+#: Upper bound on frames a non-reading peer's socket buffers may absorb
+#: before the server-side buffer starts counting (inmem absorbs none).
+KERNEL_SLACK = 2000
 
 
-@pytest.fixture
-def world():
-    with SimCluster.flat(["node1"]) as cluster:
-        server = AttributeSpaceServer(cluster.transport, "node1")
-        yield cluster, server
-        server.stop()
+class World:
+    def __init__(self, kind):
+        self.kind = kind
+        self.transport = (
+            InMemoryTransport(flat_network(["node1"])) if kind == "inmem"
+            else TcpTransport()
+        )
+        self.server = AttributeSpaceServer(self.transport, "node1")
+
+    def connect(self):
+        return self.transport.connect("node1", self.server.endpoint, timeout=5.0)
+
+    def client(self, member):
+        return AttributeSpaceClient(self.connect(), member=member)
+
+    def silent_subscriber(self, *patterns):
+        """A raw channel that subscribes and then never reads again."""
+        chan = self.connect()
+        for req, pattern in enumerate(patterns, start=1):
+            reply = chan.request(
+                {"op": "subscribe", "req": req, "pattern": pattern}, timeout=5.0
+            )
+            assert reply.get("ok") is True, reply
+        return chan
+
+    @property
+    def cuts(self):
+        return self.server.stats["slow_subscriber_disconnects"].value
 
 
-def _subscriber_conn(server, sub_id):
-    with server._conn_lock:
-        for conn in server._connections.values():
-            if sub_id in conn.subscriptions:
-                return conn
-    raise AssertionError("no connection owns the subscription")
+class _OnInmem:
+    kind = "inmem"
+
+    @pytest.fixture
+    def world(self):
+        w = World(self.kind)
+        yield w
+        w.server.stop()
 
 
-class TestSlowSubscriberPolicy:
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+class TestSlowSubscriberPolicy(_OnInmem):
     def test_wedged_subscriber_does_not_block_put(self, world):
-        """The regression the writer thread exists for: with a
-        subscriber whose channel accepts no writes, a put must still
-        return promptly (pre-refactor, delivery wrote to the channel
-        inline on the putter's thread and would wedge with it)."""
-        cluster, server = world
-        sub_chan = cluster.transport.connect("node1", server.endpoint)
-        sub_id = sub_chan.request(
-            {"op": "subscribe", "req": 1, "pattern": "k*"}, timeout=5.0
-        )["sub"]
-        conn = _subscriber_conn(server, sub_id)
+        """With a subscriber that accepts no more frames, every put
+        still returns promptly — and below the limit nobody is cut."""
+        sub_chan = world.silent_subscriber("k*")
+        publisher = world.client("publisher")
+        done = threading.Event()
+        versions = []
 
-        release = threading.Event()
-        conn.channel.send = lambda message: release.wait()  # wedge the wire
-        try:
-            pub_chan = cluster.transport.connect("node1", server.endpoint)
-            publisher = AttributeSpaceClient(pub_chan, member="publisher")
-            done = threading.Event()
-            result = {}
+        def put():
+            for i in range(OUTBOUND_QUEUE_LIMIT // 2):
+                versions.append(publisher.put("k1", FAT))
+            done.set()
 
-            def put():
-                result["version"] = publisher.put("k1", "v")
-                done.set()
-
-            threading.Thread(target=put, daemon=True).start()
-            assert done.wait(timeout=5.0), "put blocked behind a wedged subscriber"
-            assert result["version"] == 1
-            publisher.close()
-        finally:
-            release.set()
+        threading.Thread(target=put, daemon=True).start()
+        assert done.wait(timeout=30.0), "put blocked behind a wedged subscriber"
+        assert versions == list(range(1, OUTBOUND_QUEUE_LIMIT // 2 + 1))
+        assert world.cuts == 0
+        publisher.close()
         sub_chan.close()
 
     def test_overflowing_subscriber_is_disconnected_with_stat(self, world):
-        cluster, server = world
-        sub_chan = cluster.transport.connect("node1", server.endpoint)
-        sub_id = sub_chan.request(
-            {"op": "subscribe", "req": 1, "pattern": "k*"}, timeout=5.0
-        )["sub"]
-        conn = _subscriber_conn(server, sub_id)
-
-        release = threading.Event()
-        conn.channel.send = lambda message: release.wait()  # wedge the wire
-        try:
-            pub_chan = cluster.transport.connect("node1", server.endpoint)
-            publisher = AttributeSpaceClient(pub_chan, member="publisher")
-            # One frame is parked in the wedged send; the queue holds the
-            # rest.  Overflow it and the server must cut the laggard off
-            # rather than ever stalling the put path.
-            for i in range(OUTBOUND_QUEUE_LIMIT + 10):
-                publisher.put("k", str(i))
-            assert server.stats["slow_subscriber_disconnects"].value == 1
-            # The put path stayed healthy throughout.
-            assert publisher.try_get("k") == str(OUTBOUND_QUEUE_LIMIT + 9)
-            publisher.close()
-        finally:
-            release.set()
+        sub_chan = world.silent_subscriber("k*")
+        publisher = world.client("publisher")
+        # Not before the limit...
+        for i in range(OUTBOUND_QUEUE_LIMIT):
+            publisher.put("k", FAT)
+        assert world.cuts == 0
+        # ...and once the laggard is a full buffer behind, the server
+        # cuts it off rather than ever stalling the put path.
+        extra = 0
+        while world.cuts == 0 and extra < KERNEL_SLACK:
+            publisher.put("k", FAT)
+            extra += 1
+        assert world.cuts == 1
+        if world.kind == "inmem":
+            assert extra == 1  # nothing but the bounded buffer absorbs
+        # The put path stayed healthy throughout.
+        publisher.put("k", "last")
+        assert publisher.try_get("k") == "last"
+        assert world.cuts == 1
+        publisher.close()
+        # The dead subscriber's subscription is reaped by the serving
+        # core's cleanup, so later puts stop fanning out to it.
+        assert wait_until(lambda: len(world.server.store.subscriptions) == 0)
+        # What was queued before the cut still drains, then the hang-up.
+        with pytest.raises(errors.ChannelClosedError):
+            for _ in range(OUTBOUND_QUEUE_LIMIT + KERNEL_SLACK):
+                assert sub_chan.recv(timeout=5.0)["op"] == "notify"
         sub_chan.close()
-        # The dead subscriber's subscription is reaped by its reader's
-        # cleanup, so later puts stop fanning out to it.
-        deadline = time.monotonic() + 5.0
-        while len(server.store.subscriptions) > 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert len(server.store.subscriptions) == 0
 
 
-class TestDeadSubscriber:
+class TestDeadSubscriber(_OnInmem):
     def test_publish_to_connection_died_mid_publish(self, world):
-        """The window where a connection's queue is already closed but
-        its subscription is not yet reaped: delivery must be skipped
-        silently, never raised into the putter."""
-        cluster, server = world
-        sub_chan = cluster.transport.connect("node1", server.endpoint)
-        sub_id = sub_chan.request(
-            {"op": "subscribe", "req": 1, "pattern": "k*"}, timeout=5.0
-        )["sub"]
-        conn = _subscriber_conn(server, sub_id)
-        # Simulate the connection dying without its cleanup having run:
-        # the subscription is still registered, the outbound queue is
-        # already closed.
-        conn.outbound.close()
+        """The window where a connection is already dead but its
+        subscriptions are not yet reaped: delivery must be skipped
+        silently, never raised into the putter.
 
-        pub_chan = cluster.transport.connect("node1", server.endpoint)
-        publisher = AttributeSpaceClient(pub_chan, member="publisher")
-        assert publisher.put("k1", "v") == 1  # must not raise or hang
-        assert publisher.try_get("k1") == "v"
+        Two subscriptions on one silent connection make every put fan
+        out twice to it; the put whose first delivery overflows the
+        buffer kills the connection, and its second delivery hits the
+        corpse mid-publish."""
+        sub_chan = world.silent_subscriber("k*", "k?")
+        publisher = world.client("publisher")
+        puts = 0
+        while world.cuts == 0 and puts < OUTBOUND_QUEUE_LIMIT + KERNEL_SLACK:
+            puts += 1
+            assert publisher.put("k1", FAT) == puts  # must not raise or hang
+        assert world.cuts == 1  # the corpse is skipped, not cut twice
+        assert publisher.try_get("k1") == FAT
         publisher.close()
         sub_chan.close()
 
 
-class TestTeardownDrain:
+class TestTeardownDrain(_OnInmem):
     def test_queued_frames_survive_queue_close(self, world):
-        """Teardown is a graceful drain: frames enqueued before the
-        outbound queue closed are still transmitted by the writer."""
-        cluster, server = world
-        chan = cluster.transport.connect("node1", server.endpoint)
-        chan.request({"op": "ping", "req": 1}, timeout=5.0)  # conn exists
-        with server._conn_lock:
-            conn = next(iter(server._connections.values()))
+        """Teardown is a graceful drain: frames queued for a reader
+        before the server closed its connection are still delivered,
+        in order, ahead of the hang-up."""
+        sub_chan = world.silent_subscriber("k*")
+        publisher = world.client("publisher")
         for i in range(10):
-            conn.send({"op": "notify", "sub": 0, "seq": i})
-        conn.outbound.close()
-        got = [chan.recv(timeout=5.0) for _ in range(10)]
-        assert [frame["seq"] for frame in got] == list(range(10))
-        conn.writer.join(timeout=5.0)
-        assert not conn.writer.is_alive(), "writer thread leaked after drain"
-        chan.close()
+            publisher.put("k", str(i))
+        publisher.close()
+        world.server.stop()
+        got = [sub_chan.recv(timeout=5.0) for _ in range(10)]
+        assert [frame["value"] for frame in got] == [str(i) for i in range(10)]
+        with pytest.raises(errors.ChannelClosedError):
+            sub_chan.recv(timeout=5.0)
+        sub_chan.close()
 
     def test_subscriber_close_with_inflight_notifications_no_deadlock(self, world):
         """Closing a subscriber while a notification flood is in flight
         must not deadlock server teardown or the put path."""
-        cluster, server = world
-        sub_chan = cluster.transport.connect("node1", server.endpoint)
-        subscriber = AttributeSpaceClient(sub_chan, member="sub")
+        subscriber = world.client("sub")
         subscriber.subscribe("k*", lambda n, a: None)
-
-        pub_chan = cluster.transport.connect("node1", server.endpoint)
-        publisher = AttributeSpaceClient(pub_chan, member="pub")
+        publisher = world.client("pub")
         stop = threading.Event()
 
         def flood():
@@ -165,7 +191,7 @@ class TestTeardownDrain:
 
         t = threading.Thread(target=flood, daemon=True)
         t.start()
-        time.sleep(0.05)  # let notifications pile into the queue
+        time.sleep(0.05)  # let notifications pile up
         subscriber.close(detach=False)
         stop.set()
         t.join(timeout=10.0)
@@ -173,3 +199,15 @@ class TestTeardownDrain:
         # Server is still fully responsive.
         assert publisher.ping()["role"] == "lass"
         publisher.close()
+
+
+class TestSlowSubscriberPolicyOnTcp(TestSlowSubscriberPolicy):
+    kind = "tcp"
+
+
+class TestDeadSubscriberOnTcp(TestDeadSubscriber):
+    kind = "tcp"
+
+
+class TestTeardownDrainOnTcp(TestTeardownDrain):
+    kind = "tcp"

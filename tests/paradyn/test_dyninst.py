@@ -1,11 +1,13 @@
 """Dyninst engine tests: run-time probe insertion/removal."""
 
+import time
+
 import pytest
 
 from repro.errors import InstrumentationError
 from repro.paradyn.dyninst import DyninstEngine
 from repro.sim.cluster import SimCluster
-from repro.sim.process import ProcessState
+from repro.sim.process import ProcessState, StopReason
 
 
 @pytest.fixture
@@ -108,6 +110,37 @@ class TestBreakpoints:
         engine.remove(bp)
         paused_phases.continue_process()
         assert paused_phases.wait_for_exit(timeout=20.0) == 0
+
+
+    def test_hit_to_continue_handoff_never_loses_the_continue(
+            self, cluster, monkeypatch):
+        """The lost continue: the probe action only *requests* the stop,
+        so a tool woken by wait_hit used to race the scheduler — about
+        1 continue in 100 hit a still-RUNNABLE process, was refused, and
+        left the rank parked at its breakpoint.  A waiter released by
+        wait_hit must always find the process STOPPED(BREAKPOINT)."""
+        rounds = 300
+        proc = cluster.host("node1").create_process(
+            "phases", [str(rounds), "0.001"], paused=True)
+        engine = DyninstEngine(proc)
+        # Widen the window the race needs: the scheduler thread naps
+        # between the probe firing and the stop request being filed.
+        request_stop = proc.request_stop
+
+        def slow_request_stop(reason):
+            time.sleep(0.001)
+            request_stop(reason)
+
+        monkeypatch.setattr(proc, "request_stop", slow_request_stop)
+        for _ in range(rounds):
+            bp = engine.insert_breakpoint("compute_b")
+            proc.continue_process()  # the hand-off: never refused
+            assert bp.wait_hit(timeout=10.0)
+            assert proc.state is ProcessState.STOPPED
+            assert proc.stop_reason is StopReason.BREAKPOINT
+            engine.remove(bp)
+        proc.continue_process()
+        assert proc.wait_for_exit(timeout=20.0) == 0
 
 
 class TestRemoval:

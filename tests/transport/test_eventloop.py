@@ -1,9 +1,9 @@
-"""Event-loop server core: hello deadlines, preamble bounds, and the
-one-thread-per-server scaling contract.
+"""The one serving core: the ``Listener.serve_loop`` contract on every
+listener, plus what only the TCP loop has (hello deadlines, preamble
+bounds) and the one-thread-per-server scaling contract.
 
-The slow-hello cases drive :class:`ServerSocketLoop` directly (small
-deadline, echo dispatch); the scaling and chaos cases go through the
-full attribute-space server.
+The contract and slow-hello cases drive ``serve_loop`` directly; the
+scaling and chaos cases go through the full attribute-space server.
 """
 
 import socket
@@ -15,8 +15,10 @@ import pytest
 from repro import errors
 from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
+from repro.net.topology import flat_network
 from repro.transport import framing
 from repro.transport.faultinject import FaultInjectTransport, FaultPlan
+from repro.transport.inmem import InMemoryTransport
 from repro.transport.tcp import TcpTransport
 
 
@@ -27,6 +29,151 @@ def wait_until(predicate, timeout=5.0, interval=0.005):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def make_transport(kind):
+    """``tcp`` / ``inmem``, optionally ``+faults``: wrapped on both
+    sides by a plan that injects nothing, so the wrapper is what runs."""
+    base = (
+        TcpTransport() if kind.startswith("tcp")
+        else InMemoryTransport(flat_network(["node1", "submit"]))
+    )
+    if kind.endswith("+faults"):
+        return FaultInjectTransport(base, FaultPlan(seed=7, scope="both"))
+    return base
+
+
+class Served:
+    """A listener under ``serve_loop`` that logs every callback."""
+
+    def __init__(self, kind, refuse=False):
+        self.transport = make_transport(kind)
+        self.listener = self.transport.listen("node1")
+        self.channels = []
+        self.messages = []
+        self.closed = []
+        self.refuse = refuse
+        self.loop = self.listener.serve_loop(
+            on_channel=self._on_channel,
+            on_message=lambda channel, message: self.messages.append(
+                (channel, message)),
+            on_closed=self.closed.append,
+            name="contract-loop",
+        )
+
+    def _on_channel(self, channel):
+        if self.refuse:
+            return None
+        self.channels.append(channel)
+        return channel
+
+    def connect(self):
+        """A client channel plus the served end the loop made for it."""
+        n = len(self.channels)
+        client = self.transport.connect(
+            "submit", self.listener.endpoint, timeout=5.0)
+        client.send({"n": -1})  # TCP announces a peer once it spoke
+        assert wait_until(lambda: len(self.channels) == n + 1)
+        # One frame back, so the client has also consumed TCP's hello
+        # ack: closing a socket with unread bytes resets it instead.
+        self.channels[n].send({"hi": n})
+        assert client.recv(timeout=5.0) == {"hi": n}
+        return client, self.channels[n]
+
+    def stop(self):
+        self.loop.stop()
+        self.listener.close()
+
+
+@pytest.fixture(params=["tcp", "inmem", "tcp+faults", "inmem+faults"])
+def kind(request):
+    return request.param
+
+
+class TestServeLoop:
+    def test_none_token_refuses_peer(self, kind):
+        served = Served(kind, refuse=True)
+        try:
+            client = served.transport.connect(
+                "submit", served.listener.endpoint, timeout=5.0)
+            with pytest.raises(errors.ChannelClosedError):
+                for _ in range(200):
+                    client.send({"n": 0})
+                    client.recv(timeout=0.05)
+        except errors.GetTimeoutError:
+            pytest.fail("refused peer was left connected")
+        finally:
+            served.stop()
+        assert served.messages == [] and served.closed == []
+
+    def test_frames_in_order_then_one_close(self, kind):
+        served = Served(kind)
+        try:
+            client, end = served.connect()
+            for n in range(300):
+                client.send({"n": n})
+            client.close()  # frames sent before the close still arrive
+            assert wait_until(lambda: served.closed == [end])
+            assert [m["n"] for _, m in served.messages] == [-1, *range(300)]
+        finally:
+            served.stop()
+        assert served.closed == [end]
+
+    def test_server_side_close_fires_once(self, kind):
+        served = Served(kind)
+        try:
+            client, end = served.connect()
+            end.send({"bye": 1})
+            end.close()
+            end.close()
+            assert wait_until(lambda: served.closed == [end])
+            # Queued before the close: delivered, then the hang-up.
+            assert client.recv(timeout=5.0) == {"bye": 1}
+            with pytest.raises(errors.ChannelClosedError):
+                client.recv(timeout=5.0)
+            client.close()
+        finally:
+            served.stop()
+        assert served.closed == [end]
+
+    def test_offer_false_at_maxsize_then_cut(self, kind):
+        served = Served(kind)
+        try:
+            client, end = served.connect()  # the client never reads
+            fat = {"pad": "x" * 32768}
+            accepted = 0
+            while end.offer(fat, 8) and accepted < 2000:
+                accepted += 1
+            # A socket absorbs frames before the bounded buffer counts
+            # (and the loop may not have retired connect()'s frame yet);
+            # inmem has nothing but the buffer.
+            assert 7 <= accepted < 2000
+            if kind.startswith("inmem"):
+                assert accepted == 8
+            assert end.offer(fat, 8) is False  # still full, still no block
+            end.close()  # the caller's overflow policy
+            assert wait_until(lambda: served.closed == [end])
+            with pytest.raises(errors.ChannelClosedError):
+                end.offer(fat, 8)
+            client.close()
+        finally:
+            served.stop()
+        assert served.closed == [end]
+
+    def test_stop_closes_every_connection_once(self, kind):
+        served = Served(kind)
+        try:
+            pairs = [served.connect() for _ in range(3)]
+        finally:
+            served.stop()
+        assert sorted(map(id, served.closed)) == sorted(
+            id(end) for _, end in pairs)
+        for client, _ in pairs:
+            with pytest.raises(errors.ChannelClosedError):
+                for _ in range(50):
+                    client.request({"n": 0}, timeout=1.0)
+        served.stop()  # idempotent
+        assert len(served.closed) == 3
 
 
 class EchoLoop:
@@ -155,7 +302,6 @@ class TestServerScaling:
                 channels.append(ch)
 
             # Threadless channels + one event loop: nothing per-conn.
-            assert server._loop is not None
             server_threads = sorted(
                 t.name for t in threading.enumerate()
                 if t.name.startswith(server.name)
@@ -201,19 +347,51 @@ class TestServerScaling:
         ch.close()
 
 
-class TestChaosFallback:
-    def test_accept_scope_chaos_uses_threaded_path(self):
-        # A wrapped listener has no serve_loop, so the server must fall
-        # back to handler threads — and still serve RPCs.
-        base = TcpTransport()
-        transport = FaultInjectTransport(base, FaultPlan(seed=7, scope="both"))
+    def test_idle_inmem_connections_add_no_threads(self):
+        transport = make_transport("inmem")
+        server = AttributeSpaceServer(transport, "node1", role=ServerRole.CASS)
+        before = threading.active_count()
+        channels = []
+        try:
+            for i in range(100):
+                ch = transport.connect("submit", server.endpoint, timeout=5.0)
+                reply = ch.request(
+                    {"op": "attach", "req": 0, "context": "j",
+                     "member": f"sub-{i}"},
+                    timeout=5.0,
+                )
+                assert reply.get("ok") is True, reply
+                channels.append(ch)
+            assert server.connection_count == 100
+            assert threading.active_count() == before
+            assert [
+                t.name for t in threading.enumerate()
+                if t.name.startswith(server.name)
+            ] == [f"{server.name}-loop"]
+        finally:
+            for ch in channels:
+                ch.close()
+            server.stop()
+
+
+class TestAcceptScopeChaos:
+    @pytest.mark.parametrize("base", ["tcp", "inmem"])
+    def test_server_frames_perturbed(self, base):
+        # An accept-scope plan wraps the channels serve_loop hands up,
+        # so server->client frames are duplicated and delayed on the
+        # one serving core — and RPCs still succeed.
+        plan = FaultPlan(seed=7, scope="accept", dup_rate=0.3,
+                         delay_rate=0.3, delay_seconds=0.001)
+        transport = FaultInjectTransport(make_transport(base), plan)
         server = AttributeSpaceServer(transport, "node1", role=ServerRole.CASS)
         channel = transport.connect("submit", server.endpoint, timeout=5.0)
         client = AttributeSpaceClient(channel, context="j", member="m")
         try:
-            assert server._loop is None
-            assert client.put("a", "1") == 1
-            assert client.get("a") == "1"
+            for i in range(1, 41):
+                assert client.put("a", str(i)) == i
+                assert client.get("a") == str(i)
+            assert transport.fault_counts["dup"].value > 0
+            assert transport.fault_counts["delay"].value > 0
         finally:
             client.close()
             server.stop()
