@@ -126,10 +126,6 @@ DEFAULT = LockHierarchy([
              note="MPI rank rendezvous state"),
     LockDecl("mpisim.runtime.MpiRuntime._instances_lock", 14, note="runtime registry"),
     LockDecl("mpisim.runtime.MpiRuntime._lock", 16, note="per-runtime rank state"),
-    LockDecl("attrspace.federation.GatewayRegistry._lock", 18,
-             note="per-host LASS gateway table; LASS construction (which "
-                  "spawns threads and dials upstream) runs outside the hold "
-                  "— the lock covers table lookups and reservations only"),
 
     # -- daemon state locks --------------------------------------------------
     LockDecl("condor.startd.Startd._lock", 20, note="claim table"),
@@ -147,7 +143,7 @@ DEFAULT = LockHierarchy([
              note="daemon arrival + metric state"),
     LockDecl("paradyn.daemon.ParadynDaemon._req_lock", 20, note="request routing"),
     LockDecl("attrspace.federation.LassFederation._lock", 22,
-             note="aggregation refcounts + local-sub interest table; never "
+             note="aggregation refcounts; never "
                   "held across upstream RPC or queue waits — the worker "
                   "thread owns sessions/shard-map state without any lock"),
     LockDecl("condor.tools.ToolRegistry._lock", 22, note="registered tool specs"),

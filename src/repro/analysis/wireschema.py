@@ -32,7 +32,10 @@ consumption on both sides of the wire:
 * **client reply reads** — subscript/``.get`` accesses on variables
   bound to the result of a call that was passed a frame (``reply =
   self._rpc(frame)``); a reply that *escapes* (``return self._rpc(...)``,
-  e.g. ``ping``) counts as reading every field.
+  e.g. ``ping``) counts as reading every field.  A helper that is
+  *handed* the frame and sends it (``_subscribe(local_id, frame, ...)``)
+  has its reads on the reply attributed to the op of each frame literal
+  its callers pass.
 * **batch sub-ops** — the store's ``_apply_one`` is interpreted with
   branch attribution (``if op == "put":`` scopes reads and the returned
   reply literal to the ``put`` sub-op schema); client-side sub-reply
@@ -628,6 +631,7 @@ def _client_frames_and_reads(
 ) -> None:
     sunk = _list_sunk_params(client)
     param_readers = _param_readers(client)
+    frame_senders = _frame_param_reply_reads(client)
     builders: dict[str, str] = {}  # method name -> op it builds
 
     # Pass 1: find builder methods (return a dict-literal frame).
@@ -787,6 +791,9 @@ def _client_frames_and_reads(
                 if op is not None:
                     reply_vars[node.targets[0].id] = op
             elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
+                dn = _dotted(node.value.func)
+                if dn is not None and dn.split(".")[-1] in frame_senders:
+                    continue  # returns the helper's own result, not the reply
                 op = _frame_arg_op(node.value, var_sites, dict_site_ids, builders, consts)
                 if op is not None and op in schema.ops:
                     schema.ops[op].reply_reads.escapes = True
@@ -800,27 +807,35 @@ def _client_frames_and_reads(
         # one-level helper propagation: a reply (or the result of a call
         # that was passed a frame) handed to a local helper counts the
         # helper's reads on that parameter, e.g.
-        # ``self._adopt_attach_reply(self._rpc(self._attach_frame()))``
+        # ``self._adopt_attach_reply(self._rpc(self._attach_frame()))``;
+        # and the mirror image, a frame handed to a local helper that
+        # sends it counts the helper's reads on the reply
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
             dn = _dotted(node.func)
             callee = dn.split(".")[-1] if dn else None
-            if callee not in param_readers:
-                continue
             for i, arg in enumerate(node.args):
                 op = None
+                helpers = param_readers
                 if isinstance(arg, ast.Name) and arg.id in reply_vars:
                     op = reply_vars[arg.id]
                 elif isinstance(arg, ast.Call):
                     op = _frame_arg_op(
                         arg, var_sites, dict_site_ids, builders, consts
                     )
-                if op is None:
+                else:
+                    site = (
+                        var_sites.get(arg.id) if isinstance(arg, ast.Name)
+                        else dict_site_ids.get(id(arg))
+                    )
+                    if site is not None:
+                        op, helpers = site.op, frame_senders
+                if op is None or callee not in helpers:
                     continue
                 entry = schema.ops.setdefault(op, OpSchema(op))
                 for offset in (0, 1):  # implicit self on bound calls
-                    helper_view = param_readers[callee].get(i + offset)
+                    helper_view = helpers[callee].get(i + offset)
                     if helper_view is not None:
                         for use in helper_view.fields.values():
                             _merge_read(entry.reply_reads, use)
@@ -1018,6 +1033,31 @@ def _param_readers(module: ModuleSource) -> dict[str, dict[int, SideView]]:
     return out
 
 
+def _frame_param_reply_reads(module: ModuleSource) -> dict[str, dict[int, SideView]]:
+    """Reply reads of helpers that send a frame they were handed.
+
+    For ``def _subscribe(self, local_id, frame, ...)`` containing
+    ``reply = self._rpc(frame, ...)`` this maps ``"_subscribe"`` ->
+    {index of ``frame``: the reads (and casts) on ``reply``}.
+    """
+    out: dict[str, dict[int, SideView]] = {}
+    for fn in _functions(module.tree):
+        params = [a.arg for a in fn.args.args]
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Call)):
+                continue
+            for arg in node.value.args:
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    view = SideView()
+                    _collect_dict_reads(fn, node.targets[0].id, view, module.path, {})
+                    _wrap_cast_types(fn, node.targets[0].id, view)
+                    if view.fields:
+                        out.setdefault(fn.name, {})[params.index(arg.id)] = view
+    return out
+
+
 def _server_handlers(
     server: ModuleSource,
     consts: dict[str, str],
@@ -1096,32 +1136,34 @@ def _server_handlers(
                     use.types |= _expr_types(node.value, ann)
                     use.sites.append((server.path, node.lineno))
 
-        # notify push frames built inside this handler
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Dict):
-                if _op_of_dict(node, consts) == consts.get("OP_NOTIFY", "notify"):
-                    site = _FrameSite("notify", {}, node.lineno, set())
-                    for k, v in zip(node.keys, node.values):
-                        if k is None:
-                            # **x.to_wire() expansion
-                            if isinstance(v, ast.Call):
-                                dn = _dotted(v.func)
-                                if dn is not None and dn.split(".")[-1] == "to_wire":
-                                    for nm, use in notify_writes.fields.items():
-                                        site.fields[nm] = FieldUse(
-                                            nm, required=use.required,
-                                            types=set(use.types),
-                                            sites=list(use.sites),
-                                        )
-                            continue
-                        if isinstance(k, ast.Constant) and isinstance(k.value, str) \
-                                and k.value != "op":
-                            site.fields[k.value] = FieldUse(
-                                k.value, required=True,
-                                types=_expr_types(v, ann),
-                                sites=[(server.path, node.lineno)],
-                            )
-                    _merge_write_site(schema.notify.reply_writes, site)
+    # notify push frames, wherever the server builds them (the delivery
+    # closure is shared by both subscribe handlers, so it lives outside
+    # any one ``_op_*`` body)
+    for node in ast.walk(server.tree):
+        if isinstance(node, ast.Dict) \
+                and _op_of_dict(node, consts) == consts.get("OP_NOTIFY", "notify"):
+            site = _FrameSite("notify", {}, node.lineno, set())
+            for k, v in zip(node.keys, node.values):
+                if k is None:
+                    # **x.to_wire() expansion
+                    if isinstance(v, ast.Call):
+                        dn = _dotted(v.func)
+                        if dn is not None and dn.split(".")[-1] == "to_wire":
+                            for nm, use in notify_writes.fields.items():
+                                site.fields[nm] = FieldUse(
+                                    nm, required=use.required,
+                                    types=set(use.types),
+                                    sites=list(use.sites),
+                                )
+                    continue
+                if isinstance(k, ast.Constant) and isinstance(k.value, str) \
+                        and k.value != "op":
+                    site.fields[k.value] = FieldUse(
+                        k.value, required=True,
+                        types=_expr_types(v, {}),
+                        sites=[(server.path, node.lineno)],
+                    )
+            _merge_write_site(schema.notify.reply_writes, site)
 
 
 def _store_sub_ops(store: ModuleSource, schema: WireSchema) -> None:

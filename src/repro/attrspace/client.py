@@ -119,19 +119,16 @@ class _PendingAsync:
 class _SubEntry:
     """One ledger entry: everything needed to re-establish a subscription.
 
-    ``agg`` marks an *aggregated* subscription (federation, LASS->CASS):
-    the handshake re-establishes it with an ``OP_SUB_AGG`` frame carrying
-    the recorded ``origin`` and ``epoch``, so a LASS that loses its
-    upstream session gets its one-frame-per-host dedup group back too.
+    ``frame`` is the subscribe request as first sent (minus ``req``); the
+    reconnect handshake re-sends it verbatim, so an aggregated
+    subscription (``OP_SUB_AGG``) gets its origin, epoch and one-frame-
+    per-host dedup group back exactly as a plain one gets its pattern.
     """
 
-    pattern: str
+    frame: dict[str, Any]
     callback: NotifyCallback
     callback_arg: Any
     server_id: int | None = None
-    agg: bool = False
-    origin: str | None = None
-    epoch: int = 0
 
 
 @dataclass
@@ -446,27 +443,7 @@ class AttributeSpaceClient:
         with self._lock:
             ledger = list(self._subs.items())
         for local_id, entry in ledger:
-            if entry.agg:
-                sub_reply = call(
-                    {
-                        "op": protocol.OP_SUB_AGG,
-                        "req": self._req_ids.next(),
-                        "context": self.context,
-                        "pattern": entry.pattern,
-                        "agg": local_id,
-                        "origin": entry.origin,
-                        "epoch": entry.epoch,
-                    }
-                )
-            else:
-                sub_reply = call(
-                    {
-                        "op": protocol.OP_SUBSCRIBE,
-                        "req": self._req_ids.next(),
-                        "context": self.context,
-                        "pattern": entry.pattern,
-                    }
-                )
+            sub_reply = call(dict(entry.frame, req=self._req_ids.next()))
             if not sub_reply.get("ok", False):
                 protocol.raise_error(sub_reply, op=protocol.OP_SUBSCRIBE)
             server_id = int(sub_reply["sub"])
@@ -901,35 +878,16 @@ class AttributeSpaceClient:
         server-side id changes every time the session re-establishes its
         subscriptions; the ledger tracks the mapping).
         """
-        entry = _SubEntry(pattern, callback, callback_arg)
-        with self._lock:
-            local_id = self._sub_ids.next()
-            self._subs[local_id] = entry
-        try:
-            reply = self._rpc(
-                {
-                    "op": protocol.OP_SUBSCRIBE,
-                    "context": self.context,
-                    "pattern": pattern,
-                },
-                replay=False,
-                # Not a wire field: the reconnect handshake uses the
-                # pending entry's local id to answer an in-flight
-                # subscribe from the re-established ledger.
-                local_sub=local_id,
-            )
-        except errors.TdpError:
-            with self._lock:
-                self._subs.pop(local_id, None)
-            raise
-        server_id = int(reply["sub"])
-        with self._lock:
-            # The handshake may already have bound this entry on a new
-            # connection; only adopt the reply's id if it is current.
-            if entry.server_id is None:
-                entry.server_id = server_id
-            self._sub_routes[entry.server_id] = local_id
-        return local_id
+        return self._subscribe(
+            self._sub_ids.next(),
+            {
+                "op": protocol.OP_SUBSCRIBE,
+                "context": self.context,
+                "pattern": pattern,
+            },
+            callback,
+            callback_arg,
+        )
 
     def subscribe_agg(
         self,
@@ -950,23 +908,39 @@ class AttributeSpaceClient:
         map epoch this client routed by; a shard serving a different
         epoch refuses the subscription so the caller re-fetches the map.
         """
-        entry = _SubEntry(
-            pattern, callback, callback_arg, agg=True, origin=origin, epoch=epoch
+        local_id = self._sub_ids.next()
+        return self._subscribe(
+            local_id,
+            {
+                "op": protocol.OP_SUB_AGG,
+                "context": self.context,
+                "pattern": pattern,
+                "agg": local_id,
+                "origin": origin,
+                "epoch": epoch,
+            },
+            callback,
+            callback_arg,
         )
+
+    def _subscribe(
+        self,
+        local_id: int,
+        frame: dict[str, Any],
+        callback: NotifyCallback,
+        callback_arg: Any,
+    ) -> int:
+        """Enter ``frame`` in the ledger under ``local_id`` and send it."""
+        entry = _SubEntry(frame, callback, callback_arg)
         with self._lock:
-            local_id = self._sub_ids.next()
             self._subs[local_id] = entry
         try:
             reply = self._rpc(
-                {
-                    "op": protocol.OP_SUB_AGG,
-                    "context": self.context,
-                    "pattern": pattern,
-                    "agg": local_id,
-                    "origin": origin,
-                    "epoch": epoch,
-                },
+                frame,
                 replay=False,
+                # Not a wire field: the reconnect handshake uses the
+                # pending entry's local id to answer an in-flight
+                # subscribe from the re-established ledger.
                 local_sub=local_id,
             )
         except errors.TdpError:
@@ -975,6 +949,8 @@ class AttributeSpaceClient:
             raise
         server_id = int(reply["sub"])
         with self._lock:
+            # The handshake may already have bound this entry on a new
+            # connection; only adopt the reply's id if it is current.
             if entry.server_id is None:
                 entry.server_id = server_id
             self._sub_routes[entry.server_id] = local_id

@@ -2,8 +2,9 @@
 
 The paper's deployment (Section 2.2) runs a Local Attribute Space Server
 on every execution host with a Central Attribute Space Server above it.
-This module is the machinery a :class:`~repro.attrspace.lass.LassServer`
-delegates to:
+This module is the upstream collaborator an
+:class:`~repro.attrspace.server.AttributeSpaceServer` constructed with an
+``upstream`` endpoint calls out to:
 
 * **Write-through forwarding.**  A local client's put/remove/batch is
   applied to the host's own store first (the client's reply never waits
@@ -38,9 +39,8 @@ Threading: all upstream traffic belongs to one worker thread that owns
 the session table and shard map outright (no lock), fed through an
 action queue; per-session pump threads service the upstream clients'
 event queues (async-get completions, aggregated notifications).  The
-only shared state — aggregation refcounts and the per-connection
-interest table — sits behind ``_lock`` (rank 22), which is never held
-across an upstream RPC or a queue wait.
+only shared state — the aggregation refcounts — sits behind ``_lock``
+(rank 22), which is never held across an upstream RPC or a queue wait.
 
 Because every forwarded ephemeral put rides the LASS's upstream session
 lease, a LASS that dies takes its hosts' ephemeral attributes with it at
@@ -76,8 +76,8 @@ RING_REPLICAS = 32
 
 GLOB_CHARS = frozenset("*?[")
 
-#: Completion for a forwarded get: (value, error) — exactly one is set.
-GetCompletion = Callable[[str | None, Exception | None], None]
+#: Failure callback of a forwarded get (success lands via ``store.fill``).
+GetFailed = Callable[[Exception], None]
 
 
 def _ring_point(key: str) -> int:
@@ -162,10 +162,10 @@ class _Upstream:
 class LassFederation:
     """Upstream engine of one LASS: forwarding, aggregation, sharding.
 
-    Owned by a :class:`~repro.attrspace.lass.LassServer`; usable on its
-    own in tests.  All public ``forward_*``/``note_*`` entry points are
-    non-blocking (they enqueue onto the worker's action queue) so no
-    serving thread ever stalls on the upstream link.
+    Owned by the server that was constructed with an upstream.  All
+    public ``forward_*``/``note_*`` entry points are non-blocking (they
+    enqueue onto the worker's action queue) so no serving thread ever
+    stalls on the upstream link.
     """
 
     def __init__(
@@ -206,8 +206,6 @@ class LassFederation:
         }
         #: (context, pattern) -> count of local subscriptions wanting it
         self._interest: dict[tuple[str, str], int] = {}
-        #: local server sub id -> (conn id, context, pattern)
-        self._local_subs: dict[int, tuple[int, str, str]] = {}
         self._lock = tracked_lock("attrspace.federation.LassFederation._lock")
         self._actions: WaitableQueue[tuple] = WaitableQueue()
         # -- worker-confined state (no lock: only _worker's thread) -----
@@ -231,72 +229,73 @@ class LassFederation:
     def forward_remove(self, context: str, attribute: str) -> None:
         self._enqueue(("write", context, {"op": "remove", "attribute": attribute}))
 
-    def forward_batch(self, context: str, ops: list) -> None:
-        """Forward a batch frame's data sub-ops (gets stay host-local)."""
-        for op in ops:
-            if isinstance(op, dict) and op.get("op") in ("put", "remove"):
-                self._enqueue(("write", context, dict(op)))
+    def forward_batch(self, context: str, applied: list[dict[str, Any]]) -> None:
+        """Forward the data sub-ops of a batch that *applied* locally
+        (gets stay host-local; a sub-op the store rejected never gets
+        here, so nothing malformed is ever queued for upstream)."""
+        for op in applied:
+            if op["op"] == "put":
+                self.forward_put(
+                    context, str(op["attribute"]), op["value"],
+                    bool(op.get("ephemeral", False)),
+                )
+            elif op["op"] == "remove":
+                self.forward_remove(context, str(op["attribute"]))
 
     def forward_get(
         self,
         context: str,
         attribute: str,
         timeout: float | None,
-        done: GetCompletion,
+        failed: GetFailed,
         *,
         block: bool = True,
     ) -> None:
-        """Forward a local miss upstream; ``done`` runs on a pump thread.
+        """Forward a local miss upstream on behalf of a parked waiter.
 
+        The answer lands in the local store via ``fill`` — which wakes
+        the waiter — and stays cached; ``failed(error)`` runs (on a pump
+        or the worker thread) when upstream says no instead.
         ``timeout`` is the *originating client's* deadline, carried
         upstream verbatim so the CASS arms the timer.  A severed upstream
         session replays the parked get after re-attach (the client's
         pending-async replay), so an outage shorter than the reconnect
         policy's deadline is invisible to the waiting local client.
         """
-        self._enqueue(("get", context, attribute, timeout, bool(block), done))
+        self._enqueue(("get", context, attribute, timeout, bool(block), failed))
 
-    def note_subscribe(
-        self, conn_id: int, sub_id: int, context: str, pattern: str
-    ) -> None:
+    def note_subscribe(self, context: str, pattern: str) -> None:
         """A local client subscribed: ensure the upstream aggregate exists."""
         with self._lock:
-            self._local_subs[sub_id] = (conn_id, context, pattern)
             key = (context, pattern)
             count = self._interest.get(key, 0)
             self._interest[key] = count + 1
-            first = count == 0
-        if first:
+        if count == 0:
             self._enqueue(("sub", context, pattern))
 
-    def note_unsubscribe(self, sub_id: int) -> None:
-        """A local subscription ended; tear down the aggregate at zero."""
+    def note_unsubscribe(self, context: str, pattern: str) -> None:
+        """A live local subscription ended (unsubscribe or its connection
+        closed); tear down the aggregate at zero."""
         with self._lock:
-            record = self._local_subs.pop(sub_id, None)
-            if record is None:
-                return
-            _conn_id, context, pattern = record
             key = (context, pattern)
             remaining = self._interest.get(key, 0) - 1
             if remaining > 0:
                 self._interest[key] = remaining
                 return
-            self._interest.pop(key, None)
+            if self._interest.pop(key, None) is None:
+                return  # the context was dropped meanwhile
         self._enqueue(("unsub", context, pattern))
 
-    def note_connection_closed(self, conn_id: int) -> None:
-        """Release every interest a departed connection held."""
-        with self._lock:
-            doomed = [
-                sub_id
-                for sub_id, (owner, _c, _p) in self._local_subs.items()
-                if owner == conn_id
-            ]
-        for sub_id in doomed:
-            self.note_unsubscribe(sub_id)
-
     def drop_context(self, context: str) -> None:
-        """The local context was destroyed: detach upstream too."""
+        """The local context was destroyed: detach upstream too.
+
+        The interests go now, on the caller's thread — the store has
+        already dropped the context's subscriptions, and a subscriber
+        that re-creates the context must count as the first again.
+        """
+        with self._lock:
+            for key in [k for k in self._interest if k[0] == context]:
+                del self._interest[key]
         self._enqueue(("drop", context))
 
     def settle(self, timeout: float | None = 5.0) -> None:
@@ -341,26 +340,35 @@ class LassFederation:
     def _process(self, pending: list[tuple]) -> None:
         i = 0
         while i < len(pending):
+            j = i + 1
             if pending[i][0] == "write":
-                j = i
                 while j < len(pending) and pending[j][0] == "write":
                     j += 1
-                self._flush_writes(pending[i:j])
-                i = j
-                continue
-            action = pending[i]
-            i += 1
-            kind = action[0]
-            if kind == "get":
-                self._do_get(*action[1:])
-            elif kind == "sub":
-                self._do_sub(action[1], action[2])
-            elif kind == "unsub":
-                self._do_unsub(action[1], action[2])
-            elif kind == "drop":
-                self._do_drop(action[1])
-            elif kind == "settle":
-                action[1].open(True)
+            try:
+                self._perform(pending[i:j])
+            except Exception:  # noqa: BLE001 — one bad action must not end all forwarding
+                _log.exception(
+                    "%s: dropped %d upstream action(s)", self.origin, j - i
+                )
+                self.counters["forward_failures"].increment(j - i)
+            i = j
+
+    def _perform(self, run: list[tuple]) -> None:
+        """One run of consecutive writes, or a single other action."""
+        action = run[0]
+        kind = action[0]
+        if kind == "write":
+            self._flush_writes(run)
+        elif kind == "get":
+            self._do_get(*action[1:])
+        elif kind == "sub":
+            self._do_sub(action[1], action[2])
+        elif kind == "unsub":
+            self._do_unsub(action[1], action[2])
+        elif kind == "drop":
+            self._do_drop(action[1])
+        elif kind == "settle":
+            action[1].open(True)
 
     def _flush_writes(self, writes: list[tuple]) -> None:
         """Send a run of queued writes, one batch frame per owning shard.
@@ -409,7 +417,7 @@ class LassFederation:
         attribute: str,
         timeout: float | None,
         block: bool,
-        done: GetCompletion,
+        failed: GetFailed,
     ) -> None:
         shard_map = self._ensure_map()
         client = (
@@ -418,22 +426,31 @@ class LassFederation:
             else None
         )
         if client is None:
-            done(
-                None,
+            failed(
                 errors.ReconnectFailedError(
                     f"no upstream session to forward get({attribute!r})"
-                ),
+                )
             )
             return
         self.counters["forwarded_gets"].increment()
 
         def completion(value: Any, error: Exception | None, _arg: Any) -> None:
-            done(value if error is None else None, error)
+            if error is None:
+                try:
+                    self.store.fill(
+                        attribute, value, context=context, writer=self.origin
+                    )
+                except errors.TdpError as e:
+                    # Context destroyed meanwhile: its waiters were
+                    # already cancelled and ``failed`` finds nothing.
+                    error = e
+            if error is not None:
+                failed(error)
 
         try:
             client.async_get(attribute, completion, timeout=timeout, block=block)
         except errors.TdpError as e:
-            done(None, e)
+            failed(e)
 
     def _do_sub(self, context: str, pattern: str) -> None:
         shard_map = self._ensure_map()
@@ -491,13 +508,6 @@ class LassFederation:
             self._close_session(key)
         for key in [k for k in self._agg_subs if k[0] == context]:
             del self._agg_subs[key]
-        with self._lock:
-            for key in [k for k in self._interest if k[0] == context]:
-                del self._interest[key]
-            for sub_id in [
-                s for s, (_c, ctx, _p) in self._local_subs.items() if ctx == context
-            ]:
-                del self._local_subs[sub_id]
 
     def _on_upstream_notify(self, notification: Notification, _arg: Any) -> None:
         """Apply a CASS-fanned change to the local store (pump thread).
@@ -643,86 +653,3 @@ class LassFederation:
             join_all(self._pumps, timeout=10.0)
         except RuntimeError as e:
             _log.warning("%s: pump threads leaked at shutdown: %s", self.origin, e)
-
-
-class GatewayRegistry:
-    """Process-local table of LASS gateways, one per simulated host.
-
-    :func:`dial` consults it so every client on a host shares that
-    host's LASS (and thus its cache and its single upstream session)
-    instead of each client booting a private gateway.
-    """
-
-    def __init__(self) -> None:
-        self._lock = tracked_lock("attrspace.federation.GatewayRegistry._lock")
-        self._gateways: dict[tuple[int, str, str], Any] = {}
-
-    def gateway(
-        self,
-        transport: Transport,
-        host: str,
-        upstream: Endpoint,
-        **kwargs: Any,
-    ) -> Any:
-        """Get or boot the LASS for ``host`` fronting ``upstream``."""
-        from repro.attrspace.lass import LassServer
-
-        key = (id(transport), host, str(upstream))
-        with self._lock:
-            existing = self._gateways.get(key)
-        if existing is not None:
-            return existing
-        # Construction outside the hold: it spawns threads, binds a
-        # listener, and may dial upstream — none of which belongs under
-        # a registry lock.  A lost race stops the duplicate.
-        server = LassServer(transport, host, upstream=upstream, **kwargs)
-        with self._lock:
-            current = self._gateways.get(key)
-            if current is None:
-                self._gateways[key] = server
-                return server
-        server.stop()
-        return current
-
-    def stop_all(self) -> None:
-        with self._lock:
-            servers = list(self._gateways.values())
-            self._gateways.clear()
-        for server in servers:
-            server.stop()
-
-
-#: Default registry used by :func:`dial`.
-GATEWAYS = GatewayRegistry()
-
-
-def dial(
-    transport: Transport,
-    src_host: str,
-    endpoint: Endpoint,
-    *,
-    via_lass: bool = False,
-    registry: GatewayRegistry | None = None,
-    gateway_kwargs: dict[str, Any] | None = None,
-    **client_kwargs: Any,
-) -> AttributeSpaceClient:
-    """Open an attribute-space session, optionally through the local LASS.
-
-    ``dial(..., via_lass=False)`` is :meth:`AttributeSpaceClient.connect`
-    straight to ``endpoint``.  With ``via_lass=True``, ``endpoint`` names
-    the *upstream* (CASS) and the session terminates at ``src_host``'s
-    LASS gateway instead — booted on first use — which caches, forwards,
-    and aggregates on the client's behalf (the paper's deployment shape:
-    processes talk only to their own host's LASS).
-    """
-    if not via_lass:
-        return AttributeSpaceClient.connect(
-            transport, src_host, endpoint, **client_kwargs
-        )
-    gateways = registry if registry is not None else GATEWAYS
-    lass = gateways.gateway(
-        transport, src_host, endpoint, **(gateway_kwargs or {})
-    )
-    return AttributeSpaceClient.connect(
-        transport, src_host, lass.endpoint, **client_kwargs
-    )

@@ -2,47 +2,27 @@
 
 Paper Section 2.2 runs one LASS per execution host; local processes talk
 only to it, and it maintains the host's slice of the space against the
-Central Attribute Space Server.  :class:`LassServer` is the stock
-:class:`~repro.attrspace.server.AttributeSpaceServer` — same wire
-protocol, same store, same leases — with the federation behaviors layered
-over the handlers:
-
-* **put/remove/batch** apply locally first (the client's reply is a
-  LAN round trip), stamped with this host's origin id, then forward
-  upstream asynchronously through the
-  :class:`~repro.attrspace.federation.LassFederation` worker.
-* **get** answers from the local store when it can; a miss forwards
-  upstream carrying the *originating client's deadline*, so the CASS
-  timer bounds the wait — there is deliberately no local timer to race
-  it.  The answer lands via ``store.fill`` (waking the parked waiter)
-  and stays cached.
-* **subscribe/unsubscribe** keep local fan-out local, while the
-  federation refcounts distinct (context, pattern) interests into at
-  most one upstream aggregated subscription each.
-* **detach / lease expiry** forward the ephemeral purge upstream and
-  drop the upstream sessions of a context the moment it dies here.
+Central Attribute Space Server.  There is one kind of server:
+:class:`LassServer` *is* the stock
+:class:`~repro.attrspace.server.AttributeSpaceServer`, constructed with
+an upstream — it defines no handler of its own (see the server module
+for the four call-outs that federate it).
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro import errors, obs
-from repro.attrspace import protocol
 from repro.attrspace.client import ReconnectPolicy
 from repro.attrspace.federation import LassFederation
-from repro.attrspace.server import AttributeSpaceServer, ServerRole, _Connection
-from repro.attrspace.store import AttributeStore
+from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.net.address import Endpoint
 from repro.transport.base import Transport
 from repro.util.clock import Clock
-from repro.util.log import get_logger
-
-_log = get_logger("attrspace.lass")
 
 
 class LassServer(AttributeSpaceServer):
     """One host's LASS: terminates local sessions, federates upstream."""
+
+    federation: LassFederation
 
     def __init__(
         self,
@@ -57,253 +37,15 @@ class LassServer(AttributeSpaceServer):
         reconnect: ReconnectPolicy | None = None,
         lease_ttl: float | None = 30.0,
     ):
-        store = AttributeStore()
-        # The federation must exist before super().__init__: the base
-        # constructor starts serving, and the first dispatched op may
-        # already need to forward.
-        self.federation = LassFederation(
-            transport,
-            host,
-            upstream,
-            store=store,
-            reconnect=reconnect,
-            lease_ttl=lease_ttl,
-        )
         super().__init__(
             transport,
             host,
             port=port,
             role=ServerRole.LASS,
             name=name,
-            store=store,
             local_only=local_only,
             clock=clock,
+            upstream=upstream,
+            reconnect=reconnect,
+            lease_ttl=lease_ttl,
         )
-
-    def stop(self) -> None:
-        super().stop()
-        self.federation.stop()
-
-    # -- write path: apply locally, reply, forward ----------------------------
-
-    def _op_put(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        context = self._context_of(request)
-        attribute = str(request.get("attribute", ""))
-        value = request.get("value")
-        if not isinstance(value, str):
-            raise errors.AttributeFormatError(
-                f"value must be a string, got {type(value).__name__}"
-            )
-        ephemeral = bool(request.get("ephemeral", False))
-        sv = self.store.put(
-            attribute,
-            value,
-            context=context,
-            writer=conn.writer_id,
-            ephemeral=ephemeral,
-            origin=self.federation.origin,
-        )
-        self.stats["puts"].increment()
-        conn.send(protocol.ok_reply(req, version=sv.version))
-        self.federation.forward_put(context, attribute, value, ephemeral)
-
-    def _op_remove(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        context = self._context_of(request)
-        attribute = str(request.get("attribute", ""))
-        existed = self.store.remove(
-            attribute, context=context, origin=self.federation.origin
-        )
-        conn.send(protocol.ok_reply(req, existed=existed))
-        # Forward regardless of the local result: the attribute may exist
-        # upstream without ever having been cached here.
-        self.federation.forward_remove(context, attribute)
-
-    def _op_batch(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        super()._op_batch(conn, req, dict(request, origin=self.federation.origin))
-        ops = request.get("ops")
-        if isinstance(ops, list):
-            self.federation.forward_batch(self._context_of(request), ops)
-
-    # -- read path: local hit, else forward with the client's deadline --------
-
-    def _op_get(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        context = self._context_of(request)
-        attribute = str(request.get("attribute", ""))
-        if attribute.startswith(protocol.STATS_PREFIX):
-            # Stats are host-local by design: a LASS's tdp.stats.* answer
-            # describes the LASS the client is attached to.
-            super()._op_get(conn, req, request)
-            return
-        block = bool(request.get("block", True))
-        timeout = self._validate_timeout(request.get("timeout"))
-        self.stats["gets"].increment()
-        try:
-            value = self.store.try_get(attribute, context=context)
-        except errors.NoSuchAttributeError:
-            pass
-        else:
-            conn.send(protocol.ok_reply(req, value=value))
-            return
-
-        if not block:
-
-            def done_nonblocking(value: str | None, error: Exception | None) -> None:
-                self._complete_forwarded(conn, req, context, attribute, value, error)
-
-            self.federation.forward_get(
-                context, attribute, None, done_nonblocking, block=False
-            )
-            return
-
-        # Blocking miss: park a local waiter exactly as the base server
-        # would — but arm NO local timer.  The client's deadline rides
-        # upstream with the forwarded get, so the CASS-side timer is the
-        # single authority on when the wait expires; a reconnecting
-        # upstream session replays the forward after re-attach instead of
-        # inventing a timeout the client never asked for.
-        waiter_key: list[tuple[str, str, int]] = []
-        req_ctx = obs.current() if obs.enabled() else None
-
-        def send_result(value: str | None) -> None:
-            if value is None:
-                conn.send(
-                    protocol.error_reply(
-                        req,
-                        errors.ContextError(
-                            f"context {context!r} destroyed while waiting "
-                            f"for {attribute!r}"
-                        ),
-                    )
-                )
-                return
-            conn.send(protocol.ok_reply(req, value=value))
-
-        def complete(value: str | None) -> None:
-            if waiter_key:
-                conn.pending_waiters.discard(waiter_key[0])
-            if req_ctx is not None:
-                with obs.activate(req_ctx):
-                    with obs.span(
-                        "get.complete", actor=self.name, attribute=attribute
-                    ):
-                        send_result(value)
-            else:
-                send_result(value)
-
-        wid = self.store.add_waiter(attribute, complete, context=context)
-        if wid is None:
-            return  # a concurrent put/fill raced us in; already replied
-        self.stats["blocked_gets"].increment()
-        key = (context, attribute, wid)
-        waiter_key.append(key)
-        conn.pending_waiters.add(key)
-
-        def done_blocking(value: str | None, error: Exception | None) -> None:
-            if error is None and value is not None:
-                try:
-                    self.store.fill(
-                        attribute, value,
-                        context=context, writer=self.federation.origin,
-                    )
-                except errors.TdpError:
-                    pass  # context destroyed: its waiters were cancelled
-                return
-            # Upstream said no (deadline fired at the CASS, or the
-            # reconnect policy gave up): answer the parked client only if
-            # nothing local satisfied it first.
-            if self.store.cancel_waiter(context, attribute, wid):
-                conn.pending_waiters.discard(key)
-                exc = (
-                    error
-                    if isinstance(error, errors.TdpError)
-                    else errors.ProtocolError(f"upstream get failed: {error}")
-                )
-                conn.send(protocol.error_reply(req, exc))
-
-        self.federation.forward_get(context, attribute, timeout, done_blocking)
-
-    def _complete_forwarded(
-        self,
-        conn: _Connection,
-        req: int,
-        context: str,
-        attribute: str,
-        value: str | None,
-        error: Exception | None,
-    ) -> None:
-        """Reply to a non-blocking get that was forwarded upstream."""
-        if error is not None or value is None:
-            exc = (
-                error
-                if isinstance(error, errors.TdpError)
-                else errors.NoSuchAttributeError(attribute, context)
-            )
-            conn.send(protocol.error_reply(req, exc))
-            return
-        try:
-            cached = self.store.fill(
-                attribute, value, context=context, writer=self.federation.origin
-            )
-        except errors.TdpError as e:
-            conn.send(protocol.error_reply(req, e))
-            return
-        conn.send(protocol.ok_reply(req, value=cached))
-
-    # -- subscriptions: local fan-out, aggregated upstream interest ------------
-
-    def _op_subscribe(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        before = set(conn.subscriptions)
-        super()._op_subscribe(conn, req, request)
-        context = self._context_of(request)
-        pattern = str(request.get("pattern", "*"))
-        for sub_id in conn.subscriptions - before:
-            self.federation.note_subscribe(conn.conn_id, sub_id, context, pattern)
-
-    def _op_unsubscribe(
-        self, conn: _Connection, req: int, request: dict[str, Any]
-    ) -> None:
-        sub_id = request.get("sub")
-        owned = isinstance(sub_id, int) and sub_id in conn.subscriptions
-        super()._op_unsubscribe(conn, req, request)
-        if owned and sub_id not in conn.subscriptions:
-            self.federation.note_unsubscribe(sub_id)
-
-    def _cleanup(self, conn: _Connection) -> None:
-        super()._cleanup(conn)
-        self.federation.note_connection_closed(conn.conn_id)
-
-    # -- context lifecycle: mirror local death upstream ------------------------
-
-    def _op_detach(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        context = self._context_of(request)
-        member = str(request.get("member", conn.peer))
-        # Purge before super so the removals can be forwarded upstream
-        # (super's own purge then finds nothing — purge is idempotent).
-        for attribute in self.store.purge_ephemeral(context, member):
-            self.federation.forward_remove(context, attribute)
-        super()._op_detach(conn, req, request)
-        if context not in self.store.contexts():
-            self.federation.drop_context(context)
-
-    def _expire_lease(self, lease: Any) -> None:
-        for context in lease.contexts():
-            for attribute in self.store.purge_ephemeral(context, lease.member):
-                self.federation.forward_remove(context, attribute)
-        super()._expire_lease(lease)
-        for context in lease.contexts():
-            if context not in self.store.contexts():
-                self.federation.drop_context(context)
-
-    # -- observability ---------------------------------------------------------
-
-    def _publish_stats(self, context: str) -> None:
-        super()._publish_stats(context)
-        # The federation's counters ride the same tdp.stats.* surface so
-        # a client can tdp_get its own host's forwarding health.
-        for key, counter in self.federation.counters.items():
-            self.store.put(
-                f"{protocol.STATS_PREFIX}federation.{key}",
-                str(counter.value),
-                context=context,
-                writer=self.name,
-            )

@@ -115,11 +115,11 @@ class SubscriptionRegistry:
         with self._lock:
             return self._subs.pop(sub_id, None) is not None
 
-    def unsubscribe_many(self, sub_ids: "Iterable[int]") -> int:
+    def unsubscribe_many(self, sub_ids: "Iterable[int]") -> list[int]:
         """Drop a batch of subscriptions in one lock hold (connection
-        teardown); returns how many actually existed."""
+        teardown); returns the ids that were still registered."""
         with self._lock:
-            return sum(self._subs.pop(sub_id, None) is not None for sub_id in sub_ids)
+            return [s for s in sub_ids if self._subs.pop(s, None) is not None]
 
     def drop_context(self, context: str) -> int:
         """Remove every subscription on a context (context destruction)."""

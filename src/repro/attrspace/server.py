@@ -23,6 +23,18 @@ started by the RM; the **CASS** runs on the front-end host, started by
 the RM front-end.  The role only affects identification/diagnostics —
 the protocol is identical, which is exactly the paper's design (clients
 "can access the attribute space of its LASS or the CASS").
+
+Federation is composition, not a second server: constructed with an
+``upstream`` endpoint, the server owns a
+:class:`~repro.attrspace.federation.LassFederation` and calls out to it
+at four points, each skipped when there is no upstream — **applied**
+(writes that succeeded locally are stamped with the host origin and
+forwarded), **miss** (a get the store cannot answer parks the ordinary
+waiter and is forwarded with the client's deadline; the upstream timer,
+not a local one, bounds it), **subscribe/unsubscribe/connection-closed**
+(aggregation refcounts, driven from ``conn.subscriptions``) and
+**purged** (a departing member's ephemerals are removed upstream, a
+destroyed context dropped there).
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ from typing import Any, Callable
 
 from repro import errors, obs
 from repro.attrspace import protocol
+from repro.attrspace.client import ReconnectPolicy
+from repro.attrspace.federation import LassFederation
 from repro.attrspace.notify import Notification
 from repro.attrspace.store import DEFAULT_CONTEXT, AttributeStore
 from repro.net.address import Endpoint
@@ -189,7 +203,8 @@ class _Connection:
         # (context, attribute, waiter_id) for pending blocking gets, so we
         # can cancel them if this client disconnects.
         self.pending_waiters: set[tuple[str, str, int]] = set()
-        self.subscriptions: set[int] = set()
+        #: server sub id -> the (context, pattern) it registered
+        self.subscriptions: dict[int, tuple[str, str]] = {}
         self.contexts_joined: list[str] = []
         self.timers: dict[int, TimerHandle] = {}
         # tdp-guard: lease -> volatile
@@ -244,6 +259,9 @@ class AttributeSpaceServer:
         local_only: bool = False,
         clock: Clock | None = None,
         federation: FederationConfig | None = None,
+        upstream: Endpoint | None = None,
+        reconnect: ReconnectPolicy | None = None,
+        lease_ttl: float | None = 30.0,
     ):
         self.role = role
         self.host = host
@@ -263,6 +281,18 @@ class AttributeSpaceServer:
         self.store = store if store is not None else AttributeStore()
         self.name = name if name is not None else f"{role.value}@{host}"
         self._listener = transport.listen(host, port)
+        #: the upstream collaborator (None = no upstream: every call-out
+        #: below is skipped).  ``reconnect``/``lease_ttl`` configure its
+        #: upstream sessions.  Built before serving starts: the first
+        #: dispatched op may already need to forward.
+        self.federation = (
+            LassFederation(
+                transport, host, upstream,
+                store=self.store, reconnect=reconnect, lease_ttl=lease_ttl,
+            )
+            if upstream is not None
+            else None
+        )
         self._stopped = threading.Event()
         self._conn_ids = AtomicCounter()
         self._connections: dict[int, _Connection] = {}
@@ -325,6 +355,8 @@ class AttributeSpaceServer:
             self._leases.clear()
         if sweeper is not None:
             sweeper.join(timeout=5.0)
+        if self.federation is not None:
+            self.federation.stop()
 
     @property
     def connection_count(self) -> int:
@@ -361,7 +393,10 @@ class AttributeSpaceServer:
             timer.cancel()
         for context, attribute, wid in list(conn.pending_waiters):
             self.store.cancel_waiter(context, attribute, wid)
-        self.store.subscriptions.unsubscribe_many(conn.subscriptions)
+        ended = self.store.subscriptions.unsubscribe_many(conn.subscriptions)
+        if self.federation is not None:
+            for sub_id in ended:
+                self.federation.note_unsubscribe(*conn.subscriptions[sub_id])
         # Graceful: frames already queued on the channel still go out.
         conn.channel.close()
         # The lease (if any) is deliberately NOT released here: the whole
@@ -582,18 +617,28 @@ class AttributeSpaceServer:
             self.name, lease.token[:8], lease.member, lease.granted_ttl(),
         )
         for context in lease.contexts():
-            self.store.purge_ephemeral(context, lease.member)
             try:
-                self.store.detach(context, lease.member)
+                self._depart(context, lease.member)
             except errors.ContextError:
                 pass  # context already destroyed
+
+    def _depart(self, context: str, member: str) -> None:
+        """``member`` leaves ``context`` (clean exit or lease expiry) and
+        takes its session-scoped values with it — upstream too: the purge
+        forwards as removes, and a context that died here is dropped
+        there."""
+        purged = self.store.purge_ephemeral(context, member)
+        destroyed = self.store.detach(context, member)
+        if self.federation is not None:
+            for attribute in purged:
+                self.federation.forward_remove(context, attribute)
+            if destroyed:
+                self.federation.drop_context(context)
 
     def _op_detach(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         context = self._context_of(request)
         member = str(request.get("member", conn.peer))
-        # A clean exit takes the member's session-scoped values with it.
-        self.store.purge_ephemeral(context, member)
-        self.store.detach(context, member)
+        self._depart(context, member)
         lease = conn.lease
         if lease is None:
             session = request.get("session")
@@ -606,9 +651,12 @@ class AttributeSpaceServer:
                     del self._leases[lease.token]
         conn.send(protocol.ok_reply(req))
 
-    @staticmethod
-    def _origin_of(request: dict[str, Any]) -> str | None:
-        """Federation provenance on forwarded writes (absent = local)."""
+    def _origin_of(self, request: dict[str, Any]) -> str | None:
+        """Federation provenance stamped on a local apply: this host's
+        origin id when it forwards upstream, else the one a forwarded
+        write carries (absent = local)."""
+        if self.federation is not None:
+            return self.federation.origin
         origin = request.get("origin")
         return origin if isinstance(origin, str) and origin else None
 
@@ -618,23 +666,33 @@ class AttributeSpaceServer:
         value = request.get("value")
         if not isinstance(value, str):
             raise errors.AttributeFormatError(f"value must be a string, got {type(value).__name__}")
+        ephemeral = bool(request.get("ephemeral", False))
         sv = self.store.put(
             attribute,
             value,
             context=context,
             writer=conn.writer_id,
-            ephemeral=bool(request.get("ephemeral", False)),
+            ephemeral=ephemeral,
             origin=self._origin_of(request),
         )
         self.stats["puts"].increment()
         conn.send(protocol.ok_reply(req, version=sv.version))
+        if self.federation is not None:
+            self.federation.forward_put(context, attribute, value, ephemeral)
 
     def _publish_stats(self, context: str) -> None:
         """Refresh the ``tdp.stats.*`` attributes of ``context`` from the
         live counters, so a get of any of them reads current values
         through the space itself (the observability satellite of the
-        standard-attribute list)."""
-        for key, counter in self.stats.items():
+        standard-attribute list).  The upstream engine's counters ride
+        the same surface as ``tdp.stats.federation.*``."""
+        counters = list(self.stats.items())
+        if self.federation is not None:
+            counters += [
+                (f"federation.{key}", counter)
+                for key, counter in self.federation.counters.items()
+            ]
+        for key, counter in counters:
             self.store.put(
                 f"{protocol.STATS_PREFIX}{key}",
                 str(counter.value),
@@ -669,19 +727,26 @@ class AttributeSpaceServer:
         block = bool(request.get("block", True))
         timeout = self._validate_timeout(request.get("timeout"))
         self.stats["gets"].increment()
+        upstream = self.federation
         if attribute.startswith(protocol.STATS_PREFIX):
+            # Stats are host-local by design: a tdp.stats.* answer
+            # describes the server the client is attached to.
             self._publish_stats(context)
+            upstream = None
 
         if not block:
             try:
                 value = self.store.try_get(attribute, context=context)
             except errors.NoSuchAttributeError as e:
-                conn.send(protocol.error_reply(req, e))
+                if upstream is None:
+                    conn.send(protocol.error_reply(req, e))
+                    return
+                # A miss upstream may answer: park like a blocking get.
+            else:
+                conn.send(protocol.ok_reply(req, value=value))
                 return
-            conn.send(protocol.ok_reply(req, value=value))
-            return
 
-        # Blocking get: register a waiter whose completion sends the reply.
+        # Register a waiter whose completion sends the reply.
         waiter_key: list[tuple[str, str, int]] = []
         # The completion runs on whichever thread performs the matching
         # put; carry the getter's context over so the reply span joins
@@ -722,28 +787,38 @@ class AttributeSpaceServer:
         wid = self.store.add_waiter(attribute, complete, context=context)
         if wid is None:
             return  # value was present; complete() already replied
-        self.stats["blocked_gets"].increment()
+        if block:
+            self.stats["blocked_gets"].increment()
         key = (context, attribute, wid)
         waiter_key.append(key)
         conn.pending_waiters.add(key)
-        if timeout is not None:
 
-            def on_timeout() -> None:
-                if self.store.cancel_waiter(context, attribute, wid):
-                    conn.pending_waiters.discard(key)
-                    conn.timers.pop(req, None)
-                    conn.send(
-                        protocol.error_reply(
-                            req,
-                            errors.GetTimeoutError(
-                                f"get({attribute!r}) timed out after {timeout}s"
-                            ),
-                        )
-                    )
+        def fail(error: Exception) -> None:
+            """The wait ended without a value (timer, or upstream said
+            no): answer only if nothing satisfied the waiter first."""
+            if self.store.cancel_waiter(context, attribute, wid):
+                conn.pending_waiters.discard(key)
+                conn.timers.pop(req, None)
+                conn.send(protocol.error_reply(req, error))
 
+        if upstream is not None:
+            # Miss: the client's deadline rides upstream with the
+            # forwarded get, so the CASS-side timer is the single
+            # authority on when the wait expires — no local timer races
+            # it, and a reconnecting upstream session replays the forward
+            # instead of inventing a timeout the client never asked for.
+            upstream.forward_get(context, attribute, timeout, fail, block=block)
+        elif timeout is not None:
             # On the server's clock: a wall timer for real deployments, a
             # virtual-time timer when a sim cluster injected its clock.
-            conn.timers[req] = self.clock.call_later(timeout, on_timeout)
+            conn.timers[req] = self.clock.call_later(
+                timeout,
+                lambda: fail(
+                    errors.GetTimeoutError(
+                        f"get({attribute!r}) timed out after {timeout}s"
+                    )
+                ),
+            )
 
     def _op_remove(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         context = self._context_of(request)
@@ -752,6 +827,10 @@ class AttributeSpaceServer:
             attribute, context=context, origin=self._origin_of(request)
         )
         conn.send(protocol.ok_reply(req, existed=existed))
+        if self.federation is not None:
+            # Forward regardless of the local result: the attribute may
+            # exist upstream without ever having been cached here.
+            self.federation.forward_remove(context, attribute)
 
     def _op_list(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         context = self._context_of(request)
@@ -761,11 +840,23 @@ class AttributeSpaceServer:
         context = self._context_of(request)
         conn.send(protocol.ok_reply(req, data=self.store.snapshot(context=context)))
 
-    def _op_subscribe(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        context = self._context_of(request)
-        pattern = str(request.get("pattern", "*"))
+    def _subscribe(
+        self,
+        conn: _Connection,
+        context: str,
+        pattern: str,
+        *,
+        origin: str | None,
+        span: str,
+    ) -> int:
+        """Register one subscription pushing to ``conn``; returns its id.
+        ``origin`` (aggregated subscriptions) names the subscribing host:
+        deliveries of its own changes are suppressed and all its
+        subscriptions share one fan-out dedup group."""
 
         def deliver(sub_id: int, notification: Notification) -> None:
+            if origin is not None and notification.origin == origin:
+                return  # echo suppression: the origin host already has it
             self.stats["notifications"].increment()
             frame = {"op": protocol.OP_NOTIFY, "sub": sub_id, **notification.to_wire()}
             if obs.enabled():
@@ -773,7 +864,7 @@ class AttributeSpaceServer:
                 # this span (and the context injected into the push) hangs
                 # off the originating put's trace.
                 with obs.span(
-                    "notify.deliver",
+                    span,
                     actor=self.name,
                     attribute=notification.attribute,
                     sub=sub_id,
@@ -783,8 +874,20 @@ class AttributeSpaceServer:
             else:
                 conn.send(frame)
 
-        sub_id = self.store.subscriptions.subscribe(context, pattern, deliver)
-        conn.subscriptions.add(sub_id)
+        sub_id = self.store.subscriptions.subscribe(
+            context, pattern, deliver, group=origin
+        )
+        conn.subscriptions[sub_id] = (context, pattern)
+        if self.federation is not None:
+            self.federation.note_subscribe(context, pattern)
+        return sub_id
+
+    def _op_subscribe(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
+        context = self._context_of(request)
+        pattern = str(request.get("pattern", "*"))
+        sub_id = self._subscribe(
+            conn, context, pattern, origin=None, span="notify.deliver"
+        )
         conn.send(protocol.ok_reply(req, sub=sub_id))
 
     def _op_unsubscribe(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
@@ -795,7 +898,9 @@ class AttributeSpaceServer:
         removed = False
         if isinstance(sub_id, int) and sub_id in conn.subscriptions:
             removed = self.store.subscriptions.unsubscribe(sub_id)
-            conn.subscriptions.discard(sub_id)
+            interest = conn.subscriptions.pop(sub_id)
+            if removed and self.federation is not None:
+                self.federation.note_unsubscribe(*interest)
         conn.send(protocol.ok_reply(req, removed=removed))
 
     def _op_sub_agg(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
@@ -829,31 +934,12 @@ class AttributeSpaceServer:
             raise errors.ProtocolError(
                 f"stale shard epoch {epoch}: this shard serves epoch {config.epoch}"
             )
-
-        def deliver(sub_id: int, notification: Notification) -> None:
-            if notification.origin is not None and notification.origin == origin:
-                return  # echo suppression: the origin host already has it
-            self.stats["notifications"].increment()
-            frame = {"op": protocol.OP_NOTIFY, "sub": sub_id, **notification.to_wire()}
-            if obs.enabled():
-                with obs.span(
-                    "notify.aggregate",
-                    actor=self.name,
-                    attribute=notification.attribute,
-                    origin=origin,
-                ):
-                    obs.inject(frame)
-                    conn.send(frame)
-            else:
-                conn.send(frame)
-
-        sub_id = self.store.subscriptions.subscribe(
-            context, pattern, deliver, group=origin
-        )
-        conn.subscriptions.add(sub_id)
         obs.record(
             "sub.aggregated", actor=self.name,
             origin=origin, agg=agg, pattern=pattern,
+        )
+        sub_id = self._subscribe(
+            conn, context, pattern, origin=origin, span="notify.aggregate"
         )
         conn.send(protocol.ok_reply(req, sub=sub_id))
 
@@ -923,3 +1009,11 @@ class AttributeSpaceServer:
             else:
                 replies.append({"ok": True, **result})
         conn.send(protocol.ok_reply(req, replies=replies))
+        if self.federation is not None:
+            self.federation.forward_batch(
+                context,
+                [
+                    sub for sub, result in zip(ops, results)
+                    if not isinstance(result, Exception)
+                ],
+            )

@@ -104,6 +104,23 @@ def test_wire_inference_is_not_vacuous():
             f"op {op!r} has no client construction site"
 
 
+def test_only_the_server_defines_op_handlers():
+    """One kind of server: federation is a collaborator the server calls
+    out to, never a subclass re-implementing its ``_op_*`` handlers."""
+    import ast
+
+    handlers: dict[str, list[str]] = {}
+    for path in sorted((SRC / "attrspace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                handlers.setdefault(node.name, []).extend(
+                    f.name for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name.startswith("_op_")
+                )
+    assert len(handlers.pop("AttributeSpaceServer")) >= 13
+    assert not any(handlers.values()), {k: v for k, v in handlers.items() if v}
+
+
 def test_lint_cli_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC)],

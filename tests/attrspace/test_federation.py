@@ -16,19 +16,14 @@ import pytest
 
 from repro import errors
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
-from repro.attrspace.federation import (
-    GatewayRegistry,
-    LassFederation,
-    ShardMap,
-    attribute_prefix,
-    dial,
-)
+from repro.attrspace.federation import ShardMap, attribute_prefix
 from repro.attrspace.lass import LassServer
 from repro.attrspace.server import (
     AttributeSpaceServer,
     FederationConfig,
     ServerRole,
 )
+from repro.net.address import Endpoint
 from repro.net.topology import flat_network
 from repro.transport.faultinject import from_env
 from repro.transport.inmem import InMemoryTransport
@@ -581,40 +576,10 @@ class TestChaos:
             lass_b.stop()
 
 
-# -- dial(): the deployment-shaped entry point --------------------------------
+# -- the tdp.stats.* surface ----------------------------------------------------
 
 
-class TestDial:
-    def test_dial_via_lass_shares_the_host_gateway(self, transport, cass):
-        registry = GatewayRegistry()
-        gateway_kwargs = {"reconnect": FAST} if CHAOS else None
-        try:
-            a1 = dial(
-                transport, "hostA", cass.endpoint, via_lass=True,
-                registry=registry, gateway_kwargs=gateway_kwargs,
-                context="job", member="a1",
-            )
-            a2 = dial(
-                transport, "hostA", cass.endpoint, via_lass=True,
-                registry=registry, gateway_kwargs=gateway_kwargs,
-                context="job", member="a2",
-            )
-            # one gateway per host: both sessions terminate at it
-            assert len(registry._gateways) == 1
-            a1.put("shared", "1")
-            assert a2.get("shared", timeout=5.0) == "1"
-            # direct dial still goes straight upstream
-            direct = dial(
-                transport, "submit", cass.endpoint,
-                context="job", member="probe",
-            )
-            assert direct.get("shared", timeout=5.0) == "1"
-            a1.close()
-            a2.close()
-            direct.close()
-        finally:
-            registry.stop_all()
-
+class TestStatsSurface:
     def test_lass_publishes_federation_stats(self, transport, cass):
         lass = make_lass(transport, "hostA", cass.endpoint)
         try:
@@ -626,3 +591,141 @@ class TestDial:
             a.close()
         finally:
             lass.stop()
+
+
+# -- only what applied locally is forwarded; the worker outlives bad input ------
+
+
+class TestRejectedWritesStayLocal:
+    def test_malformed_batch_sub_op_does_not_kill_the_worker(self, transport, cass):
+        lass = make_lass(transport, "hostA", cass.endpoint)
+        try:
+            a = make_client(transport, "hostA", lass, member="a")
+            (reply,) = a._batch_rpc([{"op": "put"}])
+            assert reply["ok"] is False
+            lass.federation.settle()
+            a.put("after", "1")
+            lass.federation.settle()
+            assert cass.store.try_get("after", context="job") == "1"
+            assert lass.federation._worker.is_alive()
+            a.close()
+        finally:
+            lass.stop()
+
+    def test_rejected_sub_op_is_not_forwarded(self, transport, cass):
+        lass = make_lass(transport, "hostA", cass.endpoint)
+        try:
+            seen = []
+            a = make_client(transport, "hostA", lass, member="a")
+            a.subscribe("w.*", lambda n, arg: seen.append(n.attribute))
+            lass.federation.settle()
+            assert wait_until(lambda: len(cass.store.subscriptions) == 1)
+
+            bad, good = a._batch_rpc([
+                {"op": "put", "attribute": "y", "value": 5},
+                {"op": "put", "attribute": "z", "value": "ok"},
+            ])
+            assert bad["ok"] is False and good["ok"] is True
+            lass.federation.settle()
+            assert cass.store.try_get("z", context="job") == "ok"
+            assert not _has(cass.store, "y", "job")
+            counters = lass.federation.counters
+            if not CHAOS:
+                assert counters["forwards"].value == 1
+                assert counters["sessions_dropped"].value == 0
+            assert counters["forward_failures"].value == 0
+
+            # the aggregated subscription riding that session still delivers
+            direct = make_client(transport, "submit", cass, member="seed")
+            direct.put("w.1", "v")
+            assert drain(a, lambda: len(seen), 1) == 1
+            direct.close()
+            a.close()
+        finally:
+            lass.stop()
+
+    def test_worker_survives_a_crashing_action(self, transport, cass, monkeypatch):
+        lass = make_lass(transport, "hostA", cass.endpoint)
+        try:
+            fed = lass.federation
+            a = make_client(transport, "hostA", lass, member="a")
+            monkeypatch.setattr(fed, "_flush_writes", lambda writes: 1 / 0)
+            a.put("lost", "1")
+            fed.settle()
+            assert fed.counters["forward_failures"].value == 1
+            monkeypatch.undo()
+            a.put("kept", "1")
+            fed.settle()
+            assert cass.store.try_get("kept", context="job") == "1"
+            assert fed._worker.is_alive()
+            a.close()
+        finally:
+            lass.stop()
+
+
+# -- the degenerate configuration: an upstream nobody is listening on ----------
+
+
+class TestUnreachableUpstream:
+    def test_serves_locally_then_forwards_once_the_cass_listens(self, transport):
+        lass = make_lass(transport, "hostA", Endpoint("hub", 7000))
+        cass = None
+        try:
+            seen = []
+            a = make_client(transport, "hostA", lass, member="a")
+            a.subscribe("k*", lambda n, arg: seen.append(n.value))
+            a.put("k", "1")
+            assert a.try_get("k") == "1"
+            assert drain(a, lambda: len(seen), 1) == 1
+            assert [r["ok"] for r in a._batch_rpc([
+                {"op": "put", "attribute": "k2", "value": "2"},
+                {"op": "get", "attribute": "k2"},
+            ])] == [True, True]
+            lass.federation.settle(timeout=30.0)
+            assert lass.federation.counters["forward_failures"].value >= 2
+            assert lass.federation.counters["forwards"].value == 0
+            # a miss is answered with an error, not parked forever
+            with pytest.raises(errors.TdpError):
+                a.try_get("ghost")
+
+            cass = AttributeSpaceServer(
+                transport, "hub", port=7000, role=ServerRole.CASS
+            )
+            a.put("late", "3")
+            lass.federation.settle(timeout=30.0)
+            assert wait_until(lambda: _has(cass.store, "late", "job"))
+            a.close()
+        finally:
+            lass.stop()
+            if cass is not None:
+                cass.stop()
+
+
+# -- ROADMAP item 3, first deliverable: the fill hole ---------------------------
+
+
+class TestCoherenceHoles:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_filled_miss_sees_a_later_remote_overwrite(self, transport, cass):
+        """A miss answered upstream lands via ``store.fill`` and stays
+        cached with no upstream interest registered, so host B keeps
+        answering the old value after host A overwrites it."""
+        lass_a = make_lass(transport, "hostA", cass.endpoint)
+        lass_b = make_lass(transport, "hostB", cass.endpoint)
+        try:
+            a = make_client(transport, "hostA", lass_a, member="a")
+            b = make_client(transport, "hostB", lass_b, member="b")
+            a.put("x", "1")
+            lass_a.federation.settle()
+            assert b.try_get("x") == "1"  # miss, forwarded, filled
+            a.put("x", "2")
+            lass_a.federation.settle()
+            assert cass.store.try_get("x", context="job") == "2"
+            try:
+                assert wait_until(lambda: b.try_get("x") == "2", timeout=1.0)
+            finally:
+                a.close()
+                b.close()
+        finally:
+            lass_a.stop()
+            lass_b.stop()
