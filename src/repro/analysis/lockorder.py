@@ -157,8 +157,8 @@ DEFAULT = LockHierarchy([
     # -- shared stores -------------------------------------------------------
     LockDecl("attrspace.store.AttributeStore._lock", 30, RLOCK,
              note="context/attribute tables; re-entrant for nested store calls"),
-    LockDecl("attrspace.client.AttributeSpaceClient._lock", 32,
-             note="pending-request tables"),
+    LockDecl("attrspace.client._Session._lock", 32,
+             note="pending-request table + subscribe ledger"),
     LockDecl("osproc.backend.PosixBackend._lock", 32, note="pid table"),
 
     # -- per-entity locks ----------------------------------------------------

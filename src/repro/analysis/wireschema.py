@@ -33,7 +33,7 @@ consumption on both sides of the wire:
   bound to the result of a call that was passed a frame (``reply =
   self._rpc(frame)``); a reply that *escapes* (``return self._rpc(...)``,
   e.g. ``ping``) counts as reading every field.  A helper that is
-  *handed* the frame and sends it (``_subscribe(local_id, frame, ...)``)
+  *handed* the frame and sends it (``establish(local_id, frame, ...)``)
   has its reads on the reply attributed to the op of each frame literal
   its callers pass.
 * **batch sub-ops** — the store's ``_apply_one`` is interpreted with
@@ -74,7 +74,7 @@ NOTIFY_MODULE = "repro.attrspace.notify"
 CODEC_MODULE = PROTOCOL_MODULE
 
 #: Fields the client plumbing stamps on every request after the encoder
-#: built it (``_register_sync``/``_send_async`` add ``req``; obs
+#: built it (``_Session.submit`` adds ``req``; obs
 #: tracing injects ``obs``), and the reply/notify plumbing every
 #: consumer reads before routing.  They are part of the envelope, not of
 #: any one op's schema.
@@ -807,7 +807,7 @@ def _client_frames_and_reads(
         # one-level helper propagation: a reply (or the result of a call
         # that was passed a frame) handed to a local helper counts the
         # helper's reads on that parameter, e.g.
-        # ``self._adopt_attach_reply(self._rpc(self._attach_frame()))``;
+        # ``self._adopt_attach_reply(reply)``;
         # and the mirror image, a frame handed to a local helper that
         # sends it counts the helper's reads on the reply
         for node in ast.walk(fn):
@@ -1036,8 +1036,8 @@ def _param_readers(module: ModuleSource) -> dict[str, dict[int, SideView]]:
 def _frame_param_reply_reads(module: ModuleSource) -> dict[str, dict[int, SideView]]:
     """Reply reads of helpers that send a frame they were handed.
 
-    For ``def _subscribe(self, local_id, frame, ...)`` containing
-    ``reply = self._rpc(frame, ...)`` this maps ``"_subscribe"`` ->
+    For ``def establish(self, local_id, frame, ...)`` containing
+    ``reply = self.call(frame, ...)`` this maps ``"establish"`` ->
     {index of ``frame``: the reads (and casts) on ``reply``}.
     """
     out: dict[str, dict[int, SideView]] = {}

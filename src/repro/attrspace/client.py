@@ -1,22 +1,31 @@
 """Attribute space client: the daemon-side endpoint of a LASS/CASS session.
 
-Provides both the blocking primitives of the paper (``put``/``get``) and
-the asynchronous ones (``async_get``/``async_put``) with the
-service-at-a-safe-point delivery model of Section 3.3: completions and
-subscription notifications are queued, the queue doubles as the
-"descriptor" a daemon polls, and callbacks run only inside
-:meth:`service_events`, never from internal threads.
+Two layers, one of everything in each:
 
-Sessions can also be **reconnecting**: constructed with a ``dial``
-callable (or via :meth:`AttributeSpaceClient.connect`), the client
-treats a dead channel as an outage rather than the end of the world.
-The receive thread re-dials under a :class:`ReconnectPolicy` (seeded
-exponential backoff with jitter and a deadline), re-runs the attach
-handshake presenting its session token so the server resumes the lease,
-re-establishes every subscription from the client-side ledger, and
-replays in-flight requests with their original request ids — the
-server's lease-scoped reply cache makes the replay at-most-once.
-Callers observe a ``session.reestablished`` event instead of a
+* the **session layer** (:class:`_Session`) owns the channel, the
+  receive thread, the reconnect/lease machine, the one table of
+  in-flight requests and the subscribe ledger.  Everything that crosses
+  the wire — a blocking RPC, an async send, the reconnect handshake,
+  the detach of a closing session — is one :meth:`_Session.submit`
+  (register, send) and, when the caller waits, one
+  :meth:`_Session.call` (submit, await the ``reply_to``);
+* the **RPC layer** (:class:`AttributeSpaceClient`) is the verbs: it
+  builds frames, parses replies, and owns the event queue.  Completions
+  and subscription notifications are queued there, the queue doubles as
+  the "descriptor" a daemon polls (Section 3.3), and callbacks run only
+  inside :meth:`AttributeSpaceClient.service_events`, never from
+  internal threads.
+
+Sessions can be **reconnecting**: constructed with a ``dial`` callable
+(or via :meth:`AttributeSpaceClient.connect`), the session treats a dead
+channel as an outage rather than the end of the world.  The receive
+thread re-dials under a :class:`ReconnectPolicy` (seeded exponential
+backoff with jitter and a deadline), re-runs the attach handshake
+presenting its session token so the server resumes the lease,
+re-establishes every subscription in the ledger, and replays in-flight
+requests with their original request ids — the server's lease-scoped
+reply cache makes the replay at-most-once.  Callers observe a
+``session.reestablished`` event instead of a
 :class:`~repro.errors.SpaceClosedError`; only when the policy is
 exhausted do pending calls fail, with
 :class:`~repro.errors.ReconnectFailedError`.
@@ -28,7 +37,7 @@ import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import errors, obs
@@ -53,6 +62,8 @@ SessionCallback = Callable[[dict[str, Any]], None]
 
 #: How long one handshake round-trip may take during reconnection.
 _HANDSHAKE_TIMEOUT = 10.0
+#: How long a closing session waits for its detach to be confirmed.
+_DETACH_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -87,32 +98,21 @@ class ReconnectPolicy:
 
 
 @dataclass
-class _PendingSync:
-    """A blocking RPC awaiting its reply.
+class _Pending:
+    """One in-flight request: a row of the session's one pending table.
 
-    ``replay`` marks requests safe to resend after a reconnect.  Attach,
-    subscribe, and detach are not replayed: attach/subscribe are redone
-    by the handshake itself (their latches are answered synthetically),
-    and detach is handled by :meth:`AttributeSpaceClient.close`'s
-    out-of-band fallback.
+    ``complete`` is handed the reply, whoever produced it (the server,
+    the reconnect machine, the end of the session): a blocking call's
+    opens a latch, an async call's queues its callback event.
     """
 
-    latch: Latch[dict]
     frame: dict[str, Any]
-    replay: bool = True
-    #: for in-flight subscribes: the local ledger id, so the reconnect
-    #: handshake can answer the latch from the re-established ledger
-    #: (kept client-side — the server never sees local ids)
-    local_sub: int | None = None
-
-
-@dataclass
-class _PendingAsync:
-    kind: str  # "get" | "put"
-    attribute: str
-    callback: AsyncCallback
-    callback_arg: Any
-    frame: dict[str, Any] = field(default_factory=dict)
+    complete: Callable[[dict[str, Any]], None]
+    #: What a reconnect does with the request.  None: the frame is sent
+    #: again as it is (the lease's reply cache makes that at-most-once).
+    #: Attach and subscribe are bound to the connection, so the handshake
+    #: redoes them itself; theirs returns the reply it obtained.
+    redone: Callable[[], dict[str, Any]] | None = None
 
 
 @dataclass
@@ -139,35 +139,37 @@ class _Event:
     description: str
 
 
-class AttributeSpaceClient:
-    """One daemon's session with one attribute space server.
+def _ok(reply: dict[str, Any], op: Any) -> dict[str, Any]:
+    """``reply``, or the server-side error it carries, raised."""
+    if not reply.get("ok", False):
+        protocol.raise_error(reply, op=op)
+    return reply
 
-    A client binds to a single *context* (the per-RT space of Section
-    3.2); open a second client for a second context.  The constructor
-    performs the ``attach`` handshake; :meth:`close` detaches.
 
-    Pass ``dial`` (a zero-argument callable producing a fresh
-    :class:`~repro.transport.base.Channel`) to make the session
-    reconnecting; ``lease_ttl`` additionally asks the server for a
-    session lease so replayed requests dedup and ephemeral attributes
-    survive exactly as long as the session does.  The plain
-    ``AttributeSpaceClient(channel)`` form keeps the original
-    fail-on-disconnect behavior.
+class _Session:
+    """Session layer: one channel, one pending table, one exchange.
+
+    Knows requests only as frames with a ``req`` and replies only by
+    their ``reply_to``; which verb a frame spells is the RPC layer's
+    business.  The exceptions are the session's own lifecycle — attach,
+    subscribe (the ledger), detach — which the reconnect machine has to
+    redo and therefore has to own.
     """
 
     def __init__(
         self,
         channel: Channel,
         *,
-        context: str = DEFAULT_CONTEXT,
-        member: str | None = None,
-        dial: Callable[[], Channel] | None = None,
-        reconnect: ReconnectPolicy | None = None,
-        lease_ttl: float | None = None,
+        context: str,
+        member: str,
+        dial: Callable[[], Channel] | None,
+        reconnect: ReconnectPolicy | None,
+        lease_ttl: float | None,
+        events: "WaitableQueue[_Event]",
     ):
         self._channel = channel
         self.context = context
-        self.member = member if member is not None else f"client@{channel.local_host}"
+        self.member = member
         self._dial = dial
         self._reconnect = reconnect if reconnect is not None else ReconnectPolicy()
         # tdp-guard: _lease_ttl -> volatile
@@ -175,64 +177,126 @@ class AttributeSpaceClient:
         # thread ran the handshake; the hello builders read it racily
         # and tolerate either the requested or the granted value)
         self._lease_ttl = lease_ttl
-        self._session = uuid.uuid4().hex
+        self._token = uuid.uuid4().hex
         self._req_ids = IdAllocator()
-        self._sub_ids = IdAllocator()
-        self._pending_sync: dict[int, _PendingSync] = {}
-        self._pending_async: dict[int, _PendingAsync] = {}
+        self._pending: dict[int, _Pending] = {}
         #: local sub id -> ledger entry (survives reconnects)
         self._subs: dict[int, _SubEntry] = {}
         #: server sub id -> local sub id (rebuilt on each reconnect)
         self._sub_routes: dict[int, int] = {}
-        self._lock = tracked_lock("attrspace.client.AttributeSpaceClient._lock")
+        self._lock = tracked_lock("attrspace.client._Session._lock")
         self._closed = False
         self._conn_lost = False
         self._reconnecting = False
         self._wake = threading.Event()  # interrupts backoff on close
         #: append-only record of session.lost/reestablished/failed events
-        self.session_log: list[dict[str, Any]] = []
-        # tdp-guard: _session_cb -> volatile
+        self.log: list[dict[str, Any]] = []
+        # tdp-guard: session_cb -> volatile
         # (registration is a benign publish: an event racing with
-        # set_session_callback may deliver to the previous callback)
-        self._session_cb: SessionCallback | None = None
-        #: the "descriptor": non-empty means tdp_service_events has work
-        self.events: WaitableQueue[_Event] = WaitableQueue()
-        self._receiver = spawn(self._recv_loop, name=f"attr-client-{self.member}")
-        self._adopt_attach_reply(self._rpc(self._attach_frame(), replay=False))
-
-    @classmethod
-    def connect(
-        cls,
-        transport: Transport,
-        src_host: str,
-        endpoint: Endpoint,
-        *,
-        context: str = DEFAULT_CONTEXT,
-        member: str | None = None,
-        reconnect: ReconnectPolicy | None = None,
-        lease_ttl: float | None = 30.0,
-        connect_timeout: float = 10.0,
-    ) -> "AttributeSpaceClient":
-        """Open a *reconnecting* session: dial, attach, remember how.
-
-        The returned client re-dials ``endpoint`` through ``transport``
-        whenever its channel dies, under ``reconnect`` (defaults apply
-        when ``None``), holding a server lease of ``lease_ttl`` seconds.
-        """
-
-        def dial() -> Channel:
-            return transport.connect(src_host, endpoint, timeout=connect_timeout)
-
-        return cls(
-            dial(),
-            context=context,
-            member=member,
-            dial=dial,
-            reconnect=reconnect,
-            lease_ttl=lease_ttl,
+        # on_session_event may deliver to the previous callback)
+        self.session_cb: SessionCallback | None = None
+        self._events = events
+        self._receiver = spawn(self._recv_loop, name=f"attr-client-{member}")
+        reply = self.call(
+            self._attach_frame(),
+            redone=lambda: {"ok": True, "context": context},
         )
+        _ok(reply, protocol.OP_ATTACH)
+        self._adopt_attach_reply(reply)
 
-    # -- plumbing -------------------------------------------------------------
+    # -- the one exchange ------------------------------------------------------
+
+    def submit(
+        self,
+        request: dict[str, Any],
+        complete: Callable[[dict[str, Any]], None],
+        *,
+        redone: Callable[[], dict[str, Any]] | None = None,
+        via: Channel | None = None,
+    ) -> int:
+        """Register ``request`` in the pending table and send it.
+
+        The only way a request enters the table.  During an outage the
+        frame stays parked there — the reconnector replays it once the
+        session is back — and a send failure on a reconnecting session
+        is likewise left to the receive thread, which is about to notice
+        the dead channel.  Any other send failure takes the entry back
+        out and raises: the caller hears of it here and nowhere else.
+
+        ``via`` names the channel to use instead of the session's live
+        one; only the session's own lifecycle traffic (handshake, detach)
+        does, which is also why it is let through on a closed session.
+        """
+        stamp_trace = obs.enabled()
+        with self._lock:
+            channel = via
+            if via is None:
+                if self._closed:
+                    raise errors.SpaceClosedError("client closed")
+                if self._conn_lost:
+                    raise errors.SpaceClosedError("attribute space connection lost")
+                channel = None if self._reconnecting else self._channel
+            req = self._req_ids.next()
+            frame = dict(request, req=req)
+            if stamp_trace:
+                # Stamped at registration, not send, so reconnect replays
+                # carry the original context.
+                obs.inject(frame)
+            self._pending[req] = _Pending(frame, complete, redone)
+        if channel is not None:
+            try:
+                channel.send(frame)
+            except errors.TdpError:
+                if via is not None or self._dial is None:
+                    self._forget(req)
+                    raise errors.SpaceClosedError(
+                        "attribute space connection lost"
+                    ) from None
+        return req
+
+    def call(
+        self,
+        request: dict[str, Any],
+        timeout: float | None = 30.0,
+        *,
+        redone: Callable[[], dict[str, Any]] | None = None,
+        via: Channel | None = None,
+    ) -> dict[str, Any]:
+        """Submit ``request`` and block for the frame that answers it.
+
+        Normally the receive thread routes the reply here.  A channel
+        that thread is not reading (``via`` a freshly dialed one: the
+        handshake, an out-of-band detach) is read by the caller until the
+        reply turns up, everything else on it routed as usual.
+        """
+        served = via is None
+        if not served:
+            with self._lock:
+                served = via is self._channel
+        latch: Latch[dict[str, Any]] = Latch()
+        req = self.submit(request, latch.open, redone=redone, via=via)
+        try:
+            if not served:
+                deadline = None if timeout is None else time.monotonic() + timeout
+                while not latch.is_open():
+                    remaining = (
+                        None if deadline is None else deadline - time.monotonic()
+                    )
+                    if remaining is not None and remaining <= 0:
+                        raise errors.GetTimeoutError("reply timed out")
+                    self._route(via.recv(timeout=remaining))  # type: ignore[union-attr]
+            return latch.wait(timeout=timeout)
+        except errors.TdpError:
+            # Drop the entry so the table cannot grow unboundedly and a
+            # late reply does not hit a dead latch.
+            self._forget(req)
+            raise
+
+    def _forget(self, req: int) -> None:
+        with self._lock:
+            self._pending.pop(req, None)
+
+    # -- lease: attach / detach --------------------------------------------------
 
     def _attach_frame(self) -> dict[str, Any]:
         frame: dict[str, Any] = {
@@ -241,7 +305,7 @@ class AttributeSpaceClient:
             "member": self.member,
         }
         if self._lease_ttl is not None:
-            frame["session"] = self._session
+            frame["session"] = self._token
             frame["lease_ttl"] = self._lease_ttl
         return frame
 
@@ -265,76 +329,100 @@ class AttributeSpaceClient:
         if granted is not None and self._lease_ttl is not None:
             self._lease_ttl = float(granted)
 
-    def _register_sync(
-        self, request: dict[str, Any], replay: bool, local_sub: int | None = None
-    ) -> tuple[int, _PendingSync]:
-        stamp_trace = obs.enabled()
+    def _detach_frame(self) -> dict[str, Any]:
+        frame: dict[str, Any] = {
+            "op": protocol.OP_DETACH,
+            "context": self.context,
+            "member": self.member,
+        }
+        if self._lease_ttl is not None:
+            frame["session"] = self._token
+        return frame
+
+    def close(self, *, detach: bool = True) -> None:
+        """Detach from the context and drop the connection. Idempotent."""
         with self._lock:
             if self._closed:
-                raise errors.SpaceClosedError("client closed")
-            if self._conn_lost:
-                raise errors.SpaceClosedError("attribute space connection lost")
-            req = self._req_ids.next()
-            frame = dict(request, req=req)
-            if stamp_trace:
-                # Stamped at registration, not send, so reconnect replays
-                # carry the original context.
-                obs.inject(frame)
-            entry = _PendingSync(Latch(), frame, replay, local_sub)
-            self._pending_sync[req] = entry
-            return req, entry
+                return
+            self._closed = True
+            mid_outage = self._reconnecting or self._conn_lost
+            channel = self._channel
+        self._wake.set()  # interrupt any backoff sleep immediately
+        if detach and (mid_outage or not self._detach(channel)):
+            self._detach_out_of_band()
+        channel.close()
 
-    def _send_or_defer(self, frame: dict[str, Any]) -> None:
-        """Transmit a registered frame, or leave it for the reconnector.
+    def _detach(self, channel: Channel) -> bool:
+        try:
+            self.call(self._detach_frame(), _DETACH_TIMEOUT, via=channel)
+        except errors.TdpError:
+            return False
+        return True
 
-        During an outage the frame stays parked in the pending tables —
-        the reconnector replays it once the session is back.  A send
-        failure on a reconnecting session is likewise swallowed: the
-        receive thread is about to notice the dead channel and recover
-        (or exhaust the policy, failing the pending entry).
+    def _detach_out_of_band(self) -> None:
+        """Detach over a fresh dialed channel (outage-tolerant close).
+
+        Without this, a close that races an outage would leak the
+        membership until the lease expires.  Best-effort with a couple of
+        retries; the lease sweeper remains the backstop.
         """
-        with self._lock:
-            channel = None if self._reconnecting else self._channel
-        if channel is None:
+        if self._dial is None:
             return
-        try:
-            channel.send(frame)
-        except errors.TdpError:
-            if self._dial is None:
-                raise
+        for _ in range(3):
+            try:
+                channel = self._dial()
+            except errors.TdpError:
+                return
+            try:
+                if self._detach(channel):
+                    return
+            finally:
+                channel.close()
 
-    def _rpc(
+    @property
+    def closed(self) -> bool:
+        with self._lock:
+            return self._closed
+
+    # -- the subscribe ledger ----------------------------------------------------
+
+    def establish(
         self,
-        request: dict[str, Any],
-        timeout: float | None = 30.0,
-        *,
-        replay: bool = True,
-        local_sub: int | None = None,
-    ) -> dict[str, Any]:
-        """Send a request and block for its reply."""
-        started = time.perf_counter() if obs.enabled() else 0.0
-        req, entry = self._register_sync(request, replay, local_sub)
+        local_id: int,
+        frame: dict[str, Any],
+        callback: NotifyCallback,
+        callback_arg: Any,
+    ) -> int:
+        """Enter ``frame`` in the ledger under ``local_id`` and send it."""
+        entry = _SubEntry(frame, callback, callback_arg)
+        with self._lock:
+            self._subs[local_id] = entry
         try:
-            self._send_or_defer(entry.frame)
+            reply = self.call(
+                frame, redone=lambda: {"ok": True, "sub": entry.server_id}
+            )
+            _ok(reply, frame["op"])
         except errors.TdpError:
             with self._lock:
-                self._pending_sync.pop(req, None)
-            raise errors.SpaceClosedError("attribute space connection lost") from None
-        try:
-            reply = entry.latch.wait(timeout=timeout)
-        except errors.GetTimeoutError:
-            # Drop the entry so the dict cannot grow unboundedly and a
-            # late reply does not hit a dead latch.
-            with self._lock:
-                self._pending_sync.pop(req, None)
+                self._subs.pop(local_id, None)
             raise
-        if not reply.get("ok", False):
-            protocol.raise_error(reply, op=request.get("op"))
-        if started:
-            obs.registry().histogram(
-                f"attrspace.client.rpc.{request.get('op', 'op')}"
-            ).observe(time.perf_counter() - started)
-        return reply
+        server_id = int(reply["sub"])
+        with self._lock:
+            # The handshake may already have bound this entry on a new
+            # connection; only adopt the reply's id if it is current.
+            if entry.server_id is None:
+                entry.server_id = server_id
+            self._sub_routes[entry.server_id] = local_id
+        return local_id
+
+    def retire(self, local_id: int) -> int:
+        """Drop a ledger entry; returns the server's id for it."""
+        with self._lock:
+            entry = self._subs.pop(local_id, None)
+            if entry is None or entry.server_id is None:
+                return local_id
+            self._sub_routes.pop(entry.server_id, None)
+            return entry.server_id
 
     # -- receive / recovery ----------------------------------------------------
 
@@ -344,8 +432,7 @@ class AttributeSpaceClient:
                 channel = self._channel
             try:
                 while True:
-                    message = channel.recv()
-                    self._route(message)
+                    self._route(channel.recv())
             except errors.TdpError:
                 pass
             with self._lock:
@@ -361,11 +448,7 @@ class AttributeSpaceClient:
                 return
 
     def _reestablish(self) -> bool:
-        """Dial + attach + resubscribe + replay; True on success.
-
-        Runs on the receive thread (no reader is consuming the new
-        channel yet, so the handshake can do direct request/reply I/O).
-        """
+        """Dial + handshake until one takes or the policy gives up."""
         with self._lock:
             self._reconnecting = True
         self._session_event("session.lost", member=self.member)
@@ -388,7 +471,7 @@ class AttributeSpaceClient:
             channel: Channel | None = None
             try:
                 channel = self._dial()  # type: ignore[misc]
-                strays, resumed = self._handshake(channel)
+                resumed = self._handshake(channel)
             except errors.TdpError as e:
                 if channel is not None:
                     channel.close()
@@ -398,10 +481,7 @@ class AttributeSpaceClient:
                 self._wake.wait(next(delays))
                 continue
             break
-        self._adopt_channel(channel)
         obs.registry().counter("attrspace.client.reconnects").increment()
-        for message in strays:
-            self._route(message)
         self._session_event(
             "session.reestablished",
             member=self.member,
@@ -411,112 +491,85 @@ class AttributeSpaceClient:
         )
         return True
 
-    def _handshake(self, channel: Channel) -> tuple[list[dict[str, Any]], bool]:
-        """Attach (resuming the lease) and re-establish every subscription.
+    def _handshake(self, channel: Channel) -> bool:
+        """Attach, re-establish the ledger, swap ``channel`` in, replay.
 
-        Returns (stray server pushes received mid-handshake, lease
-        resumed?).  Strays — typically notifications from the freshly
-        re-created subscriptions — are routed after the channel is
-        adopted so their callbacks queue normally.
+        Runs on the receive thread, which reads ``channel`` itself while
+        it waits (:meth:`call`), so a notification from a subscription
+        just re-created is routed in order.  Returns whether the server
+        resumed the lease.
+
+        The ledger is walked until nothing in it is left to cover, and
+        that check, the swap, the flag clear and the pending snapshot
+        share one lock hold: a subscribe parked by the outage is either
+        in a walk or finds the live channel and sends itself, and every
+        other request registered before the swap is in the snapshot (and
+        is replayed).  The overlap case — a caller that read the old
+        channel just before the swap — at worst double-sends, which the
+        server's lease dedup absorbs.
         """
-        strays: list[dict[str, Any]] = []
-
-        def call(frame: dict[str, Any]) -> dict[str, Any]:
-            channel.send(frame)
-            deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise errors.GetTimeoutError("handshake reply timed out")
-                message = channel.recv(timeout=remaining)
-                if message.get("reply_to") == frame["req"]:
-                    return message
-                strays.append(message)
-
-        attach = dict(self._attach_frame(), req=self._req_ids.next())
-        reply = call(attach)
-        if not reply.get("ok", False):
-            protocol.raise_error(reply, op=protocol.OP_ATTACH)
+        reply = self.call(self._attach_frame(), _HANDSHAKE_TIMEOUT, via=channel)
+        _ok(reply, protocol.OP_ATTACH)
         self._adopt_attach_reply(reply)
-        resumed = bool(reply.get("resumed", False))
-
-        with self._lock:
-            ledger = list(self._subs.items())
-        for local_id, entry in ledger:
-            sub_reply = call(dict(entry.frame, req=self._req_ids.next()))
-            if not sub_reply.get("ok", False):
-                protocol.raise_error(sub_reply, op=protocol.OP_SUBSCRIBE)
-            server_id = int(sub_reply["sub"])
+        covered: set[int] = set()
+        while True:
             with self._lock:
-                if entry.server_id is not None:
-                    self._sub_routes.pop(entry.server_id, None)
-                entry.server_id = server_id
-                self._sub_routes[server_id] = local_id
-        return strays, resumed
-
-    def _adopt_channel(self, channel: Channel) -> None:
-        """Swap the recovered channel in and replay in-flight requests.
-
-        The swap, the flag clear, and the pending snapshot happen under
-        one lock hold: every request registered before this moment is in
-        the snapshot (and gets replayed); every one registered after
-        sees the live channel and sends itself.  The overlap case — a
-        caller that read the old channel just before the swap — at worst
-        double-sends, which the server's lease dedup absorbs.
-        """
-        with self._lock:
-            self._channel = channel
-            self._reconnecting = False
-            replay = [e.frame for e in self._pending_sync.values() if e.replay]
-            replay += [e.frame for e in self._pending_async.values() if e.frame]
-            # Attach/subscribe RPCs that were in flight when the channel
-            # died were just redone by the handshake; answer them from it.
-            synthetic: list[tuple[_PendingSync, dict[str, Any]]] = []
-            for req, entry in list(self._pending_sync.items()):
-                op = entry.frame.get("op")
-                if op == protocol.OP_ATTACH:
-                    reply = {"reply_to": req, "ok": True, "context": self.context}
-                elif op in (protocol.OP_SUBSCRIBE, protocol.OP_SUB_AGG):
-                    ledger_entry = self._subs.get(entry.local_sub)
-                    if ledger_entry is None or ledger_entry.server_id is None:
-                        continue
-                    reply = {"reply_to": req, "ok": True, "sub": ledger_entry.server_id}
-                else:
-                    continue
-                del self._pending_sync[req]
-                synthetic.append((entry, reply))
-        for entry, reply in synthetic:
-            entry.latch.open(reply)
-        for frame in sorted(replay, key=lambda f: f["req"]):
-            try:
+                ledger = [
+                    (local_id, entry)
+                    for local_id, entry in self._subs.items()
+                    if local_id not in covered
+                ]
+                if not ledger:
+                    if self._closed:
+                        raise errors.SpaceClosedError("client closed")
+                    self._channel = channel
+                    self._reconnecting = False
+                    answered, replay = [], []
+                    for req, pending in sorted(self._pending.items()):
+                        if pending.redone is None:
+                            replay.append(pending.frame)
+                        else:
+                            # An attach/subscribe call in flight when the
+                            # channel died was just redone; answer it.
+                            del self._pending[req]
+                            answered.append(
+                                (pending, dict(pending.redone(), reply_to=req))
+                            )
+                    break
+            for local_id, entry in ledger:
+                sub_reply = self.call(entry.frame, _HANDSHAKE_TIMEOUT, via=channel)
+                _ok(sub_reply, entry.frame["op"])
+                server_id = int(sub_reply["sub"])
+                with self._lock:
+                    if entry.server_id is not None:
+                        self._sub_routes.pop(entry.server_id, None)
+                    entry.server_id = server_id
+                    self._sub_routes[server_id] = local_id
+                covered.add(local_id)
+        for pending, synthetic in answered:
+            pending.complete(synthetic)
+        try:
+            for frame in replay:
                 channel.send(frame)
-            except errors.TdpError:
-                # The new channel died already; the receive loop will go
-                # around again and the next recovery replays the rest.
-                return
+        except errors.TdpError:
+            # The new channel died already; the receive loop will go
+            # around again and the next recovery replays the rest.
+            pass
+        return bool(reply.get("resumed", False))
 
     def _session_event(self, kind: str, **info: Any) -> None:
         record: dict[str, Any] = {"event": kind, **info}
-        self.session_log.append(record)
+        self.log.append(record)
         obs.record(kind, actor=self.member, **info)
         _log.info("%s: %s", self.member, record)
-        callback = self._session_cb
+        callback = self.session_cb
         if callback is not None:
             try:
-                self.events.put(
+                self._events.put(
                     _Event(invoke=lambda: callback(record), description=kind)
                 )
             except errors.ChannelClosedError:
                 pass
-
-    def on_session_event(self, callback: SessionCallback | None) -> None:
-        """Register a callback for session lifecycle events.
-
-        Delivered through :meth:`service_events` like every other
-        callback (safe-point discipline); the :attr:`session_log` list
-        records the same events for polling-style consumers.
-        """
-        self._session_cb = callback
 
     def _route(self, message: dict[str, Any]) -> None:
         if message.get("op") == protocol.OP_NOTIFY:
@@ -553,7 +606,7 @@ class AttributeSpaceClient:
                     ) -> None:
                         callback(notification, arg)
 
-                self.events.put(
+                self._events.put(
                     _Event(
                         invoke=invoke,
                         description=f"notify {notification.attribute}",
@@ -569,51 +622,125 @@ class AttributeSpaceClient:
             _log.warning("dropping unroutable message: %r", message)
             return
         with self._lock:
-            sync = self._pending_sync.pop(reply_to, None)
-            pending_async = self._pending_async.pop(reply_to, None)
-        if sync is not None:
-            sync.latch.open(message)
+            pending = self._pending.pop(reply_to, None)
+        if pending is None:
+            _log.warning("reply for unknown request %s", reply_to)
             return
-        if pending_async is not None:
-            self._queue_async_completion(pending_async, message)
-            return
-        _log.warning("reply for unknown request %s", reply_to)
-
-    def _queue_async_completion(self, pending: _PendingAsync, reply: dict[str, Any]) -> None:
-        error: Exception | None = None
-        value: Any = None
-        if reply.get("ok", False):
-            value = reply.get("value") if pending.kind == "get" else None
-        else:
-            try:
-                protocol.raise_error(reply)
-            except Exception as e:  # noqa: BLE001 — captured for callback delivery
-                error = e
-        self.events.put(
-            _Event(
-                invoke=lambda: pending.callback(value, error, pending.callback_arg),
-                description=f"async-{pending.kind} {pending.attribute}",
-            )
-        )
+        pending.complete(message)
 
     def _fail_pending(self, error_type: str, message: str) -> None:
-        """Recovery is over: fail sync waiters, queue async error completions."""
+        """Recovery is over: every in-flight request completes with the error."""
         with self._lock:
             self._conn_lost = True
             self._reconnecting = False
-            sync = list(self._pending_sync.values())
-            self._pending_sync.clear()
-            asyncs = list(self._pending_async.values())
-            self._pending_async.clear()
+            pending = list(self._pending.values())
+            self._pending.clear()
             closed = self._closed
-        if sync or asyncs or (self._dial is not None and not closed):
+        if pending or (self._dial is not None and not closed):
             self._session_event("session.failed", reason=message)
-        failure = {"ok": False, "error_type": error_type, "error": message}
-        for entry in sync:
-            entry.latch.open(failure)
-        for pending in asyncs:
-            self._queue_async_completion(pending, failure)
-        self.events.close()
+        for entry in pending:
+            entry.complete({"ok": False, "error_type": error_type, "error": message})
+        self._events.close()
+
+
+class AttributeSpaceClient:
+    """One daemon's session with one attribute space server.
+
+    A client binds to a single *context* (the per-RT space of Section
+    3.2); open a second client for a second context.  The constructor
+    performs the ``attach`` handshake; :meth:`close` detaches.
+
+    Pass ``dial`` (a zero-argument callable producing a fresh
+    :class:`~repro.transport.base.Channel`) to make the session
+    reconnecting; ``lease_ttl`` additionally asks the server for a
+    session lease so replayed requests dedup and ephemeral attributes
+    survive exactly as long as the session does.  The plain
+    ``AttributeSpaceClient(channel)`` form keeps the original
+    fail-on-disconnect behavior.
+    """
+
+    def __init__(
+        self,
+        channel: Channel,
+        *,
+        context: str = DEFAULT_CONTEXT,
+        member: str | None = None,
+        dial: Callable[[], Channel] | None = None,
+        reconnect: ReconnectPolicy | None = None,
+        lease_ttl: float | None = None,
+    ):
+        self.context = context
+        self.member = member if member is not None else f"client@{channel.local_host}"
+        self._sub_ids = IdAllocator()
+        #: the "descriptor": non-empty means tdp_service_events has work
+        self.events: WaitableQueue[_Event] = WaitableQueue()
+        self._session = _Session(
+            channel,
+            context=context,
+            member=self.member,
+            dial=dial,
+            reconnect=reconnect,
+            lease_ttl=lease_ttl,
+            events=self.events,
+        )
+
+    @classmethod
+    def connect(
+        cls,
+        transport: Transport,
+        src_host: str,
+        endpoint: Endpoint,
+        *,
+        context: str = DEFAULT_CONTEXT,
+        member: str | None = None,
+        reconnect: ReconnectPolicy | None = None,
+        lease_ttl: float | None = 30.0,
+        connect_timeout: float = 10.0,
+    ) -> "AttributeSpaceClient":
+        """Open a *reconnecting* session: dial, attach, remember how.
+
+        The returned client re-dials ``endpoint`` through ``transport``
+        whenever its channel dies, under ``reconnect`` (defaults apply
+        when ``None``), holding a server lease of ``lease_ttl`` seconds.
+        """
+
+        def dial() -> Channel:
+            return transport.connect(src_host, endpoint, timeout=connect_timeout)
+
+        return cls(
+            dial(),
+            context=context,
+            member=member,
+            dial=dial,
+            reconnect=reconnect,
+            lease_ttl=lease_ttl,
+        )
+
+    def _rpc(
+        self, request: dict[str, Any], timeout: float | None = 30.0
+    ) -> dict[str, Any]:
+        """Send a request and block for its reply; raises the reply's error."""
+        started = time.perf_counter() if obs.enabled() else 0.0
+        reply = _ok(self._session.call(request, timeout), request.get("op"))
+        if started:
+            obs.registry().histogram(
+                f"attrspace.client.rpc.{request.get('op', 'op')}"
+            ).observe(time.perf_counter() - started)
+        return reply
+
+    @property
+    def session_log(self) -> list[dict[str, Any]]:
+        """Append-only record of session.lost/reestablished/failed events."""
+        return self._session.log
+
+    def on_session_event(self, callback: SessionCallback | None) -> None:
+        """Register a callback for session lifecycle events.
+
+        Delivered through :meth:`service_events` like every other
+        callback (safe-point discipline); the :attr:`session_log` list
+        records the same events for polling-style consumers.
+        """
+        self._session.session_cb = callback
 
     # -- blocking API (paper Section 3.2) --------------------------------------
 
@@ -663,28 +790,13 @@ class AttributeSpaceClient:
         error, if any — later sub-ops are still applied first (the batch
         is a pipeline, not a transaction).
         """
-        ops: list[dict[str, Any]] = []
-        for item in items:
-            if len(item) == 3:
-                attribute, value, item_ephemeral = item
-            else:
-                attribute, value = item
-                item_ephemeral = ephemeral
-            op: dict[str, Any] = {
-                "op": protocol.OP_PUT, "attribute": attribute, "value": value,
-            }
-            if item_ephemeral:
-                op["ephemeral"] = True
-            ops.append(op)
-        if not ops:
-            return []
-        replies = self._batch_rpc(ops, origin=origin)
-        versions: list[int] = []
-        for sub_reply in replies:
-            if not sub_reply.get("ok", False):
-                protocol.raise_error(sub_reply, op=protocol.OP_PUT)
-            versions.append(int(sub_reply["version"]))
-        return versions
+        with self.batch(origin=origin) as b:
+            results = [
+                b.put(item[0], item[1],
+                      ephemeral=item[2] if len(item) == 3 else ephemeral)
+                for item in items
+            ]
+        return [result.value for result in results]
 
     def get_many(self, attributes: "Any") -> list[str]:
         """Batched non-blocking get: one round trip for many attributes.
@@ -693,21 +805,11 @@ class AttributeSpaceClient:
         attribute's :class:`~repro.errors.NoSuchAttributeError` (use
         :meth:`batch` when partial results are wanted).
         """
-        ops = [
-            {"op": protocol.OP_GET, "attribute": attribute}
-            for attribute in attributes
-        ]
-        if not ops:
-            return []
-        replies = self._batch_rpc(ops)
-        values: list[str] = []
-        for sub_reply in replies:
-            if not sub_reply.get("ok", False):
-                protocol.raise_error(sub_reply, op=protocol.OP_GET)
-            values.append(str(sub_reply["value"]))
-        return values
+        with self.batch() as b:
+            results = [b.try_get(attribute) for attribute in attributes]
+        return [result.value for result in results]
 
-    def batch(self) -> "_BatchBuilder":
+    def batch(self, *, origin: str | None = None) -> "_BatchBuilder":
         """Pipelining context manager: coalesce ops into one frame.
 
         Operations queued inside the ``with`` block return
@@ -725,17 +827,15 @@ class AttributeSpaceClient:
         and the block then raises the first error; inspect ``.error`` on
         the handles before letting it propagate if partial results
         matter.  Nothing is sent when the block exits via an exception.
+        ``origin`` (federation provenance, batch-wide) marks every
+        sub-op's change as having been applied first on the named LASS.
         """
-        return _BatchBuilder(self)
+        return _BatchBuilder(self, origin)
 
     def _batch_rpc(
         self, ops: list[dict[str, Any]], *, origin: str | None = None
     ) -> list[dict[str, Any]]:
-        """Send one OP_BATCH frame; returns the positional reply list.
-
-        ``origin`` (federation provenance, batch-wide) marks every sub-op's
-        change as having been applied first on the named LASS.
-        """
+        """Send one OP_BATCH frame; returns the positional reply list."""
         frame: dict[str, Any] = {
             "op": protocol.OP_BATCH, "context": self.context, "ops": ops,
         }
@@ -839,37 +939,44 @@ class AttributeSpaceClient:
         }
         if timeout is not None:
             frame["timeout"] = timeout
-        self._send_async(
-            _PendingAsync("get", attribute, callback, callback_arg), frame
-        )
+        self._send_async(frame, f"async-get {attribute}", callback, callback_arg)
 
     def async_put(
         self, attribute: str, value: str, callback: AsyncCallback, callback_arg: Any = None
     ) -> None:
         """Non-blocking put with completion callback (same delivery rules)."""
         self._send_async(
-            _PendingAsync("put", attribute, callback, callback_arg),
             {
                 "op": protocol.OP_PUT,
                 "context": self.context,
                 "attribute": attribute,
                 "value": value,
             },
+            f"async-put {attribute}",
+            callback,
+            callback_arg,
         )
 
-    def _send_async(self, pending: _PendingAsync, request: dict[str, Any]) -> None:
-        stamp_trace = obs.enabled()
-        with self._lock:
-            if self._closed:
-                raise errors.SpaceClosedError("client closed")
-            if self._conn_lost:
-                raise errors.SpaceClosedError("attribute space connection lost")
-            req = self._req_ids.next()
-            pending.frame = dict(request, req=req)
-            if stamp_trace:
-                obs.inject(pending.frame)
-            self._pending_async[req] = pending
-        self._send_or_defer(pending.frame)
+    def _send_async(
+        self,
+        request: dict[str, Any],
+        description: str,
+        callback: AsyncCallback,
+        callback_arg: Any,
+    ) -> None:
+        """Submit ``request``; its reply becomes one queued callback event."""
+
+        def complete(reply: dict[str, Any]) -> None:
+            value, error = None, None
+            try:
+                value = _ok(reply, None).get("value")
+            except Exception as e:  # noqa: BLE001 — captured for callback delivery
+                error = e
+            self.events.put(
+                _Event(lambda: callback(value, error, callback_arg), description)
+            )
+
+        self._session.submit(request, complete)
 
     def subscribe(self, pattern: str, callback: NotifyCallback, callback_arg: Any = None) -> int:
         """Subscribe to puts/removes matching ``pattern`` in this context.
@@ -878,7 +985,7 @@ class AttributeSpaceClient:
         server-side id changes every time the session re-establishes its
         subscriptions; the ledger tracks the mapping).
         """
-        return self._subscribe(
+        return self._session.establish(
             self._sub_ids.next(),
             {
                 "op": protocol.OP_SUBSCRIBE,
@@ -909,7 +1016,7 @@ class AttributeSpaceClient:
         epoch refuses the subscription so the caller re-fetches the map.
         """
         local_id = self._sub_ids.next()
-        return self._subscribe(
+        return self._session.establish(
             local_id,
             {
                 "op": protocol.OP_SUB_AGG,
@@ -923,39 +1030,6 @@ class AttributeSpaceClient:
             callback_arg,
         )
 
-    def _subscribe(
-        self,
-        local_id: int,
-        frame: dict[str, Any],
-        callback: NotifyCallback,
-        callback_arg: Any,
-    ) -> int:
-        """Enter ``frame`` in the ledger under ``local_id`` and send it."""
-        entry = _SubEntry(frame, callback, callback_arg)
-        with self._lock:
-            self._subs[local_id] = entry
-        try:
-            reply = self._rpc(
-                frame,
-                replay=False,
-                # Not a wire field: the reconnect handshake uses the
-                # pending entry's local id to answer an in-flight
-                # subscribe from the re-established ledger.
-                local_sub=local_id,
-            )
-        except errors.TdpError:
-            with self._lock:
-                self._subs.pop(local_id, None)
-            raise
-        server_id = int(reply["sub"])
-        with self._lock:
-            # The handshake may already have bound this entry on a new
-            # connection; only adopt the reply's id if it is current.
-            if entry.server_id is None:
-                entry.server_id = server_id
-            self._sub_routes[entry.server_id] = local_id
-        return local_id
-
     def shard_map(self) -> tuple[int, list[str]]:
         """Fetch the server's shard map: ``(epoch, ["host:port", ...])``.
 
@@ -967,12 +1041,7 @@ class AttributeSpaceClient:
         return epoch, [str(s) for s in shards] if isinstance(shards, list) else []
 
     def unsubscribe(self, sub_id: int) -> bool:
-        with self._lock:
-            entry = self._subs.pop(sub_id, None)
-            server_id = sub_id
-            if entry is not None and entry.server_id is not None:
-                server_id = entry.server_id
-                self._sub_routes.pop(entry.server_id, None)
+        server_id = self._session.retire(sub_id)
         reply = self._rpc({"op": protocol.OP_UNSUBSCRIBE, "sub": server_id})
         return bool(reply["removed"])
 
@@ -1015,73 +1084,11 @@ class AttributeSpaceClient:
 
     def close(self, *, detach: bool = True) -> None:
         """Detach from the context and drop the connection. Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            mid_outage = self._reconnecting or self._conn_lost
-            channel = self._channel
-        self._wake.set()  # interrupt any backoff sleep immediately
-        if detach:
-            if mid_outage:
-                self._detach_out_of_band()
-            else:
-                try:
-                    self._detach_via(channel)
-                except errors.TdpError:
-                    self._detach_out_of_band()
-        channel.close()
-
-    def _detach_frame(self) -> dict[str, Any]:
-        frame: dict[str, Any] = {
-            "op": protocol.OP_DETACH,
-            "context": self.context,
-            "member": self.member,
-        }
-        if self._lease_ttl is not None:
-            frame["session"] = self._session
-        return frame
-
-    def _detach_via(self, channel: Channel) -> None:
-        """Detach over an already-open channel (the common, fast path)."""
-        latch: Latch[dict] = Latch()
-        with self._lock:
-            req = self._req_ids.next()
-            self._pending_sync[req] = _PendingSync(latch, {}, replay=False)
-        try:
-            channel.send(dict(self._detach_frame(), req=req))
-            latch.wait(timeout=5.0)
-        finally:
-            with self._lock:
-                self._pending_sync.pop(req, None)
-
-    def _detach_out_of_band(self) -> None:
-        """Detach over a fresh dialed channel (outage-tolerant close).
-
-        Without this, a close that races an outage would leak the
-        membership until the lease expires.  Best-effort with a couple of
-        retries; the lease sweeper remains the backstop.
-        """
-        if self._dial is None:
-            return
-        for _ in range(3):
-            try:
-                channel = self._dial()
-            except errors.TdpError:
-                return
-            try:
-                channel.send(dict(self._detach_frame(), req=self._req_ids.next()))
-                channel.recv(timeout=5.0)
-                return
-            except errors.TdpError:
-                continue
-            finally:
-                channel.close()
+        self._session.close(detach=detach)
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._session.closed
 
     def __enter__(self) -> "AttributeSpaceClient":
         return self
@@ -1133,10 +1140,14 @@ class BatchResult:
 
 
 class _BatchBuilder:
-    """Collects ops inside a ``client.batch()`` block; sends on exit."""
+    """Collects ops inside a ``client.batch()`` block; sends on exit.
 
-    def __init__(self, client: AttributeSpaceClient):
+    The one place a batch sub-op is spelled and its sub-reply parsed.
+    """
+
+    def __init__(self, client: AttributeSpaceClient, origin: str | None):
         self._client = client
+        self._origin = origin
         self._ops: list[dict[str, Any]] = []
         self._results: list[tuple[BatchResult, Callable[[dict[str, Any]], Any]]] = []
 
@@ -1187,14 +1198,11 @@ class _BatchBuilder:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None or not self._ops:
             return  # never send a half-built batch out of a failing block
-        replies = self._client._batch_rpc(self._ops)
+        replies = self._client._batch_rpc(self._ops, origin=self._origin)
         first_error: Exception | None = None
-        for (result, parse), sub_reply in zip(self._results, replies):
-            if sub_reply.get("ok", False):
-                result._value = parse(sub_reply)
-                continue
+        for (result, parse), op, sub_reply in zip(self._results, self._ops, replies):
             try:
-                protocol.raise_error(sub_reply)
+                result._value = parse(_ok(sub_reply, op["op"]))
             except errors.TdpError as e:
                 result.error = e
                 if first_error is None:

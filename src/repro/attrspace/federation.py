@@ -401,7 +401,16 @@ class LassFederation:
                 elif len(ops) == 1:
                     client.remove(ops[0]["attribute"], origin=self.origin)
                 else:
-                    client._batch_rpc(ops, origin=self.origin)
+                    with client.batch(origin=self.origin) as batch:
+                        for op in ops:
+                            if op["op"] == "put":
+                                batch.put(
+                                    op["attribute"],
+                                    op["value"],
+                                    ephemeral=bool(op.get("ephemeral", False)),
+                                )
+                            else:
+                                batch.remove(op["attribute"])
                 self.counters["forwards"].increment(len(ops))
             except errors.TdpError as e:
                 self.counters["forward_failures"].increment(len(ops))

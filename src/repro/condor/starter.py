@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 
 from repro import errors
+from repro.attrspace.client import AttributeSpaceClient
 from repro.condor.submit import SubmitDescription
 from repro.condor.tools import (
     ToolDaemonHandle,
@@ -213,35 +214,16 @@ class Starter:
         )
         desc = self._desc
 
-        # Step 1: initialize the TDP framework for this job's context —
-        # with a session to the pool-global CASS when the RM runs one
-        # (the "complete TDP framework" of Section 4.3, where global
-        # attributes are managed too).
+        # Step 1: initialize the TDP framework for this job's context.
         self._record("tdp_init", context=self.job_id, host=self._host.name)
-        cass_endpoint = self._cass_endpoint
-        try:
-            handle = tdp_init(
-                self._transport,
-                self._lass_endpoint,
-                member=f"starter/{self.job_id}",
-                role=Role.RM,
-                context=self.job_id,
-                backend=SimHostBackend(self._host),
-                cass_endpoint=cass_endpoint,
-            )
-        except errors.TdpError:
-            if cass_endpoint is None:
-                raise
-            # The CASS may be unreachable from a private node without a
-            # pinhole; degrade to the LASS-only pilot configuration.
-            handle = tdp_init(
-                self._transport,
-                self._lass_endpoint,
-                member=f"starter/{self.job_id}",
-                role=Role.RM,
-                context=self.job_id,
-                backend=SimHostBackend(self._host),
-            )
+        handle = tdp_init(
+            self._transport,
+            self._lass_endpoint,
+            member=f"starter/{self.job_id}",
+            role=Role.RM,
+            context=self.job_id,
+            backend=SimHostBackend(self._host),
+        )
         self._handle = handle
         assert handle.control is not None
         handle.control.serve_tool_requests()
@@ -407,7 +389,7 @@ class Starter:
 
     def _disseminate_global_attributes(self, handle: TdpHandle) -> None:
         """Copy pool-global attributes from the CASS into the job's LASS
-        context.
+        context, through a client that lives for the one batched read.
 
         This implements the paper's stated completion of the pilot:
         "port arguments should be published by [the] Paradyn front-end
@@ -415,19 +397,27 @@ class Starter:
         4.3).  The tool daemon then finds its front-end via
         ``tdp_get("rt.frontend")`` with no ports on its command line.
         """
-        if handle.cass is None:
+        if self._cass_endpoint is None:
             return
-        from repro.tdp.wellknown import Attr as A
-
-        items: list[tuple[str, str]] = []
-        for attribute in (A.RT_FRONTEND, A.RM_PROXY, A.STDIO_ENDPOINT):
-            try:
-                value = handle.cass.try_get(attribute)
-            except errors.NoSuchAttributeError:
-                continue
-            except errors.TdpError:
-                return
-            items.append((attribute, value))
+        wanted = (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
+        reads = []
+        try:
+            channel = self._transport.connect(self._host.name, self._cass_endpoint)
+            with AttributeSpaceClient(
+                channel, member=f"disseminate/{self.job_id}"
+            ) as central, central.batch() as batch:
+                reads = [batch.try_get(attribute) for attribute in wanted]
+        except errors.NoSuchAttributeError:
+            pass  # the batch raises its first miss; the hits are resolved
+        except errors.TdpError:
+            # The CASS may be unreachable from a private node without a
+            # pinhole: the LASS-only pilot configuration.
+            return
+        items = [
+            (attribute, read.value)
+            for attribute, read in zip(wanted, reads)
+            if read.ok
+        ]
         if not items:
             return
         handle.attrs.put_many(items)

@@ -40,7 +40,6 @@ def tdp_init(
     role: Role,
     context: str = "default",
     src_host: str | None = None,
-    cass_endpoint: Endpoint | None = None,
     backend: ProcessBackend | None = None,
     reconnect: ReconnectPolicy | None = None,
     lease_ttl: float | None = None,
@@ -51,7 +50,7 @@ def tdp_init(
     different context parameter is used by the RM in each tdp_init call
     to create a different space", Section 3.2).  RM daemons also pass
     their process ``backend``; tool daemons do not (control is requested
-    through the RM).  ``reconnect``/``lease_ttl`` opt the sessions into
+    through the RM).  ``reconnect``/``lease_ttl`` opt the session into
     transparent recovery from transport faults (see ``open_handle``).
     """
     with obs.span("tdp_init", actor=member, context=context):
@@ -62,7 +61,6 @@ def tdp_init(
             role=role,
             context=context,
             src_host=src_host,
-            cass_endpoint=cass_endpoint,
             backend=backend,
             reconnect=reconnect,
             lease_ttl=lease_ttl,

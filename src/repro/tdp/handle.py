@@ -4,11 +4,12 @@
 any TDP subsequent action" (Section 3.2).  A handle bundles:
 
 * the daemon's identity (member name, role);
-* its LASS session (an :class:`AttributeSpaceClient` bound to one
-  context) and optionally a CASS session;
+* its one attribute-space session (an :class:`AttributeSpaceClient`
+  bound to one context on the local server);
 * for RM-role handles, the :class:`ProcessControlService` over the local
   process backend;
-* the event machinery serviced by ``tdp_service_events``.
+* the one event queue — the "tdp descriptor" — that ``tdp_poll`` waits
+  on and ``tdp_service_events`` drains.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ class TdpHandle:
         role: Role,
         context: str,
         lass: AttributeSpaceClient,
-        cass: AttributeSpaceClient | None = None,
         backend: ProcessBackend | None = None,
     ):
         self.member = member
         self.role = role
         self.context = context
         self.lass = lass
-        self.cass = cass
         # tdp-guard: _closed -> volatile
         # (monotonic close latch: writes serialize under _lock, the
         # lock-free reads in _check_open/closed race with tdp_exit by
@@ -74,53 +73,24 @@ class TdpHandle:
                 )
             self.control = ProcessControlService(backend, lass)
 
-    # -- attribute space views ----------------------------------------------------
-
     @property
     def attrs(self) -> AttributeSpaceClient:
         """The local space session (every daemon has one)."""
         return self.lass
-
-    def central(self) -> AttributeSpaceClient:
-        """The central (CASS) session; raises if this daemon has none."""
-        if self.cass is None:
-            raise errors.HandleError(f"{self.member}: no CASS session on this handle")
-        return self.cass
-
-    def _clients(self) -> list[AttributeSpaceClient]:
-        return [c for c in (self.lass, self.cass) if c is not None]
 
     # -- event servicing -----------------------------------------------------------
 
     def service_events(self, max_events: int | None = None) -> int:
         """Run pending callbacks at this (safe) point; returns the count."""
         self._check_open()
-        count = 0
-        for client in self._clients():
-            budget = None if max_events is None else max_events - count
-            if budget is not None and budget <= 0:
-                break
-            count += client.service_events(max_events=budget)
-        return count
+        return self.lass.service_events(max_events=max_events)
 
     def has_pending_events(self) -> bool:
-        return any(c.has_pending_events() for c in self._clients())
+        return self.lass.has_pending_events()
 
     def poll(self, timeout: float | None = None) -> bool:
-        """Block until any session has a serviceable event (or timeout)."""
-        clients = self._clients()
-        if len(clients) == 1:
-            # Fast path: wait on the single event queue's condition.
-            return clients[0].wait_event(timeout=timeout)
-        import time
-
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self.has_pending_events():
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.001)
+        """Block until the session has a serviceable event (or timeout)."""
+        return self.lass.wait_event(timeout=timeout)
 
     def start_service_loop(self, interval: float = 0.005) -> None:
         """Run ``service_events`` continuously on a background thread.
@@ -169,15 +139,14 @@ class TdpHandle:
         return self._closed
 
     def close(self) -> None:
-        """``tdp_exit``: leave the context(s) and release resources."""
+        """``tdp_exit``: leave the context and release resources."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         obs.record("handle.close", actor=self.member, role=self.role.value)
         self.stop_service_loop()
-        for client in self._clients():
-            client.close()
+        self.lass.close()
 
     def __enter__(self) -> "TdpHandle":
         return self
@@ -200,23 +169,19 @@ def open_handle(
     role: Role,
     context: str = "default",
     src_host: str | None = None,
-    cass_endpoint: Endpoint | None = None,
-    cass_context: str = "default",
     backend: ProcessBackend | None = None,
     connect_timeout: float = 10.0,
     reconnect: ReconnectPolicy | None = None,
     lease_ttl: float | None = None,
 ) -> TdpHandle:
-    """Implementation behind ``tdp_init``: connect session(s), build handle.
+    """Implementation behind ``tdp_init``: connect the session, build handle.
 
     ``src_host`` defaults to the backend's host (RM case) and must be
     given otherwise — it determines which side of the firewall the
-    daemon connects from.  The CASS session joins ``cass_context``
-    (default: the global ``"default"`` context — central attributes like
-    the tool front-end's endpoint are pool-global, not per-job).
+    daemon connects from.
 
-    Passing ``reconnect`` (a :class:`ReconnectPolicy`) makes both
-    sessions self-healing: a dead channel is re-dialed, the attach
+    Passing ``reconnect`` (a :class:`ReconnectPolicy`) makes the
+    session self-healing: a dead channel is re-dialed, the attach
     handshake re-run, and subscriptions/in-flight requests replayed.
     ``lease_ttl`` sets the server-side session lease (defaults to 30 s
     when reconnection is on), bounding how long the server preserves a
@@ -229,35 +194,22 @@ def open_handle(
     if reconnect is not None and lease_ttl is None:
         lease_ttl = 30.0
 
-    def _open(endpoint: Endpoint, ctx: str) -> AttributeSpaceClient:
-        if reconnect is not None:
-            return AttributeSpaceClient.connect(
-                transport, src_host, endpoint,
-                context=ctx, member=member, reconnect=reconnect,
-                lease_ttl=lease_ttl, connect_timeout=connect_timeout,
-            )
-        channel = transport.connect(src_host, endpoint, timeout=connect_timeout)
-        return AttributeSpaceClient(
-            channel, context=ctx, member=member, lease_ttl=lease_ttl
+    if reconnect is not None:
+        lass = AttributeSpaceClient.connect(
+            transport, src_host, lass_endpoint,
+            context=context, member=member, reconnect=reconnect,
+            lease_ttl=lease_ttl, connect_timeout=connect_timeout,
         )
-
-    lass = _open(lass_endpoint, context)
-    cass = None
-    if cass_endpoint is not None:
-        try:
-            cass = _open(cass_endpoint, cass_context)
-        except errors.TdpError:
-            lass.close()
-            raise
-    obs.record(
-        "handle.open", actor=member, role=role.value, context=context,
-        cass=cass is not None,
-    )
+    else:
+        channel = transport.connect(src_host, lass_endpoint, timeout=connect_timeout)
+        lass = AttributeSpaceClient(
+            channel, context=context, member=member, lease_ttl=lease_ttl
+        )
+    obs.record("handle.open", actor=member, role=role.value, context=context)
     return TdpHandle(
         member=member,
         role=role,
         context=context,
         lass=lass,
-        cass=cass,
         backend=backend,
     )

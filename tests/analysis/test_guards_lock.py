@@ -71,8 +71,8 @@ def test_known_guards_are_pinned():
     assert fields["sim.process.SimProcess.stop_reason"]["guard"] == \
         "sim.process.SimProcess.lock"
     assert fields["sim.process.SimProcess.stop_reason"]["witness"] is True
-    assert fields["attrspace.client.AttributeSpaceClient._channel"]["guard"] \
-        == "attrspace.client.AttributeSpaceClient._lock"
+    assert fields["attrspace.client._Session._channel"]["guard"] \
+        == "attrspace.client._Session._lock"
     assert fields["attrspace.server._SessionLease._deadline"]["witness"] is True
     # Declared disciplines survive the round-trip: a benign-race latch
     # and a thread-confinement.

@@ -121,6 +121,49 @@ def test_only_the_server_defines_op_handlers():
     assert not any(handlers.values()), {k: v for k, v in handlers.items() if v}
 
 
+def test_only_the_session_layer_touches_the_channel():
+    """One session layer: above ``_Session`` nothing sends or receives on
+    a channel or reads the outage flags, and a request enters the one
+    pending table in one place."""
+    import ast
+
+    outage_state = {"_channel", "_reconnecting", "_conn_lost"}
+    client = ast.parse((SRC / "attrspace" / "client.py").read_text())
+    session = next(
+        n for n in client.body
+        if isinstance(n, ast.ClassDef) and n.name == "_Session"
+    )
+    above = [n for n in client.body if n is not session] + [
+        ast.parse((SRC / rel).read_text())
+        for rel in ("attrspace/federation.py", "attrspace/lass.py",
+                    "tdp/handle.py", "tdp/api.py")
+    ]
+    offenders = [
+        (node.lineno, node.attr)
+        for tree in above for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr in outage_state or (
+            node.attr in ("send", "recv") and isinstance(node.ctx, ast.Load)
+        ))
+    ]
+    assert not offenders, offenders
+
+    tables = {
+        node.attr
+        for node in ast.walk(client)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_pending")
+    }
+    assert tables == {"_pending"}
+    registrations = [
+        fn.name
+        for fn in ast.walk(session) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "_pending"
+    ]
+    assert registrations == ["submit"]
+
+
 def test_lint_cli_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC)],

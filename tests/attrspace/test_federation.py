@@ -338,8 +338,8 @@ class TestForwarding:
 
             # cut the LASS's upstream session mid-wait
             upstream = next(iter(lass.federation._sessions.values()))
-            with upstream.client._lock:
-                channel = upstream.client._channel
+            with upstream.client._session._lock:
+                channel = upstream.client._session._channel
             channel.close()
             # the reconnect replays the pending async get: a waiter parks
             # again upstream (same lease, deduped by req id)
@@ -548,8 +548,8 @@ class TestChaos:
                     for upstream in list(
                         lass_a.federation._sessions.values()
                     ):
-                        with upstream.client._lock:
-                            channel = upstream.client._channel
+                        with upstream.client._session._lock:
+                            channel = upstream.client._session._channel
                         channel.close()
             lass_a.federation.settle(timeout=15.0)
 

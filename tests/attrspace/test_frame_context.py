@@ -107,7 +107,7 @@ class TestAttachReplyAdoption:
         transport, srv = server
         with make_client(transport, srv) as client:
             with pytest.raises(errors.ProtocolError) as raised:
-                client._adopt_attach_reply(
+                client._session._adopt_attach_reply(
                     {"reply_to": 1, "ok": True, "context": "other"}
                 )
             assert "op='attach'" in str(raised.value)
@@ -116,22 +116,22 @@ class TestAttachReplyAdoption:
     def test_granted_lease_ttl_is_adopted(self, server):
         transport, srv = server
         with make_client(transport, srv) as client:
-            client._lease_ttl = 30.0
-            client._adopt_attach_reply(
+            client._session._lease_ttl = 30.0
+            client._session._adopt_attach_reply(
                 {"reply_to": 1, "ok": True, "context": "ctx",
                  "lease_ttl": 5.0}
             )
-            assert client._lease_ttl == 5.0
+            assert client._session._lease_ttl == 5.0
 
     def test_grant_ignored_without_lease_request(self, server):
         transport, srv = server
         with make_client(transport, srv) as client:
-            assert client._lease_ttl is None
-            client._adopt_attach_reply(
+            assert client._session._lease_ttl is None
+            client._session._adopt_attach_reply(
                 {"reply_to": 1, "ok": True, "context": "ctx",
                  "lease_ttl": 5.0}
             )
-            assert client._lease_ttl is None
+            assert client._session._lease_ttl is None
 
 
 class TestDispatchCatchAll:

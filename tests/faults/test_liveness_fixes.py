@@ -50,7 +50,7 @@ class TestRpcTimeoutLeak:
                     {"op": "put", "context": "j", "attribute": "a", "value": "1"},
                     timeout=0.2,
                 )
-            assert client._pending_sync == {}
+            assert client._session._pending == {}
             # The session is still healthy for subsequent traffic.
             assert client.put("b", "2") == 1
         finally:
@@ -74,7 +74,7 @@ class TestRpcTimeoutLeak:
                      "block": True, "timeout": None},
                     timeout=0.1,
                 )
-            assert client._pending_sync == {}
+            assert client._session._pending == {}
             other.put("late", "v")  # completes the parked get: late reply
             time.sleep(0.2)
             assert client.try_get("late") == "v"  # session still healthy

@@ -34,8 +34,8 @@ def sever(client):
     _channel is lock-guarded (guards.lock.json) and the runtime witness
     flags bare peeks, so snapshot it under the lock and close outside.
     """
-    with client._lock:
-        channel = client._channel
+    with client._session._lock:
+        channel = client._session._channel
     channel.close()
 
 

@@ -1,102 +1,119 @@
-"""TdpHandle unit tests: sessions, CASS access, event aggregation."""
+"""TdpHandle unit tests: one session, one descriptor per handle."""
+
+import pathlib
+import threading
+import time
 
 import pytest
 
-from repro.errors import HandleError
+import repro.tdp.handle
+from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
+from repro.condor.job import JobStatus
+from repro.errors import FirewallBlockedError
+from repro.net.topology import Network
+from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
-from repro.tdp.api import tdp_init
+from repro.tdp.api import tdp_init, tdp_subscribe
 from repro.tdp.handle import Role
 
 
 @pytest.fixture
 def world():
-    with SimCluster.flat(["node1", "submit"]) as cluster:
+    with SimCluster.flat(["node1"]) as cluster:
         lass = AttributeSpaceServer(cluster.transport, "node1", role=ServerRole.LASS)
-        cass = AttributeSpaceServer(cluster.transport, "submit", role=ServerRole.CASS)
-        yield cluster, lass, cass
+        yield cluster, lass
         lass.stop()
-        cass.stop()
 
 
-class TestDualSessions:
-    def test_handle_with_cass(self, world):
-        cluster, lass, cass = world
-        handle = tdp_init(
-            cluster.transport, lass.endpoint, member="starter", role=Role.RT,
-            src_host="node1", context="job1", cass_endpoint=cass.endpoint,
-        )
-        # LASS session is context-scoped; CASS session is global.
-        handle.attrs.put("local", "1")
-        handle.central().put("global", "2")
-        assert lass.store.try_get("local", context="job1") == "1"
-        assert cass.store.try_get("global", context="default") == "2"
-        handle.close()
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
-    def test_central_without_cass_raises(self, world):
-        cluster, lass, _cass = world
-        handle = tdp_init(
-            cluster.transport, lass.endpoint, member="x", role=Role.RT,
-            src_host="node1",
-        )
-        with pytest.raises(HandleError, match="no CASS"):
-            handle.central()
-        handle.close()
 
-    def test_close_closes_both_sessions(self, world):
-        cluster, lass, cass = world
-        handle = tdp_init(
-            cluster.transport, lass.endpoint, member="y", role=Role.RT,
-            src_host="node1", context="ctx-close", cass_endpoint=cass.endpoint,
-        )
-        handle.close()
-        assert "ctx-close" not in lass.store.contexts()
-        assert handle.lass.closed and handle.cass.closed
+def thread_names():
+    return [t.name for t in threading.enumerate()]
 
-    def test_failed_cass_connect_cleans_lass(self, world):
-        cluster, lass, _cass = world
-        from repro.errors import TdpError
-        from repro.net.address import Endpoint
 
-        before = lass.store.contexts()
-        with pytest.raises(TdpError):
-            tdp_init(
-                cluster.transport, lass.endpoint, member="z", role=Role.RT,
-                src_host="node1", context="doomed",
-                cass_endpoint=Endpoint("submit", 59999),  # nothing there
+class TestOneSessionPerHandle:
+    def test_starter_holds_one_receive_thread_for_the_job(self):
+        """Thread census while a monitored job sits at ``main``: the
+        starter's handle is one session (the CASS is read through a
+        client that is gone by tool launch), and none outlives the job."""
+        with ParadorScenario(
+            execute_hosts=["node1"], use_cass=True, auto_run=False
+        ) as scenario:
+            run = scenario.submit_monitored("foo", "2 0.05")
+            run.session.wait_state("at_main", timeout=30.0)
+            receiver = f"attr-client-starter/{run.job.job_id}"
+            assert scenario.trace.first("disseminate") is not None
+            assert wait_until(
+                lambda: not any("disseminate" in n for n in thread_names())
             )
-        import time
+            assert thread_names().count(receiver) == 1
+            run.session.cmd_run()
+            assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+            assert wait_until(lambda: receiver not in thread_names())
 
-        deadline = time.monotonic() + 5.0
-        while "doomed" in lass.store.contexts() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert "doomed" not in lass.store.contexts()
-        assert lass.store.contexts() == before
-
-    def test_events_aggregated_across_sessions(self, world):
-        cluster, lass, cass = world
+    def test_parked_poll_wakes_on_the_queue_condition(self, world):
+        cluster, lass = world
         handle = tdp_init(
-            cluster.transport, lass.endpoint, member="agg", role=Role.RT,
-            src_host="node1", cass_endpoint=cass.endpoint,
+            cluster.transport, lass.endpoint, member="poller", role=Role.RT,
+            src_host="node1", context="job1",
         )
-        got = []
-        handle.attrs.subscribe("k", lambda n, a: got.append(("lass", n.value)), None)
-        handle.central().subscribe("k", lambda n, a: got.append(("cass", n.value)), None)
-        handle.attrs.put("k", "vl")
-        handle.central().put("k", "vc")
-        import time
+        tdp_subscribe(handle, "k", lambda n, a: None)
+        woke = []
 
-        deadline = time.monotonic() + 5.0
-        while len(got) < 2 and time.monotonic() < deadline:
-            handle.poll(timeout=0.5)
-            handle.service_events()
-        assert sorted(got) == [("cass", "vc"), ("lass", "vl")]
+        def parked():
+            started = time.monotonic()
+            woke.append((handle.poll(timeout=5.0), time.monotonic() - started))
+
+        poller = threading.Thread(target=parked)
+        poller.start()
+        time.sleep(0.2)  # let it park
+        assert not woke
+        channel = cluster.transport.connect("node1", lass.endpoint)
+        with AttributeSpaceClient(channel, context="job1", member="putter") as putter:
+            putter.put("k", "v")
+        poller.join(timeout=5.0)
+        assert not poller.is_alive()
+        (available, waited), = woke
+        assert available and waited < 2.0
+        assert handle.service_events() == 1
         handle.close()
+        source = pathlib.Path(repro.tdp.handle.__file__).read_text()
+        assert "sleep" not in source
+
+    def test_starter_without_a_route_to_the_cass_still_runs_the_job(self):
+        """A private node whose firewall has no pinhole for the CASS:
+        dissemination is best-effort, so the pilot-mode job (front-end
+        ports on the command line) completes without it."""
+        net = Network()
+        net.add_zone("campus")
+        zone = net.add_private_zone("cluster", allow_outbound=True)
+        net.add_host("submit", "campus")
+        net.add_host("node1", "cluster")
+        zone.inbound.allow(src="submit")
+        with SimCluster(net) as cluster, ParadorScenario(
+            execute_hosts=["node1"], cluster=cluster
+        ) as scenario:
+            cass = scenario.pool.schedd.cass
+            zone.outbound.deny(dst="submit", port=cass.endpoint.port)
+            with pytest.raises(FirewallBlockedError):
+                cluster.transport.connect("node1", cass.endpoint)
+            run = scenario.submit_monitored("hello", "x")
+            assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+            assert scenario.trace.first("tdp_put") is not None
+            assert scenario.trace.first("disseminate") is None
 
 
 class TestRepr:
     def test_repr_readable(self, world):
-        cluster, lass, _cass = world
+        cluster, lass = world
         handle = tdp_init(
             cluster.transport, lass.endpoint, member="me", role=Role.RT,
             src_host="node1",

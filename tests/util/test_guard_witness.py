@@ -188,10 +188,10 @@ class TestArmFromManifest:
             covered = {c.__name__ for c in sync._witnessed_classes}
             # Spot-check load-bearing daemon state: the client session,
             # the lease table, and the sim process all carry witnesses.
-            for name in ("AttributeSpaceClient", "_SessionLease", "SimProcess"):
+            for name in ("_Session", "_SessionLease", "SimProcess"):
                 assert name in covered
             if armed:  # fresh arm (sanitizer-off suite run)
-                assert "attrspace.client.AttributeSpaceClient" in armed
+                assert "attrspace.client._Session" in armed
         finally:
             for cls in set(sync._witnessed_classes) - before:
                 uninstall_guard_witness(cls)
