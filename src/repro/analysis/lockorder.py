@@ -126,6 +126,11 @@ DEFAULT = LockHierarchy([
              note="MPI rank rendezvous state"),
     LockDecl("mpisim.runtime.MpiRuntime._instances_lock", 14, note="runtime registry"),
     LockDecl("mpisim.runtime.MpiRuntime._lock", 16, note="per-runtime rank state"),
+    LockDecl("condor.startd.Startd._cass_lock", 18, blocking_ok=True,
+             note="the host's one lazily-dialled CASS session: one launch "
+                  "at a time dials, re-dials and reads on it; guards only "
+                  "that session, is taken with no other lock held, and "
+                  "ranks below everything a client call can reach"),
 
     # -- daemon state locks --------------------------------------------------
     LockDecl("condor.startd.Startd._lock", 20, note="claim table"),
@@ -178,6 +183,11 @@ DEFAULT = LockHierarchy([
     LockDecl("paradyn.dyninst.TimerHandle._lock", 48, note="one timer's state"),
 
     # -- send locks (frame serialization; blocking sends sanctioned) ---------
+    LockDecl("condor.schedd._PeerChannel._lock", 60, blocking_ok=True,
+             note="one request at a time on the schedd's long-lived channel "
+                  "to one peer (matchmaker, a startd): held across dial, "
+                  "send and the reply wait; guards only the channel it "
+                  "serializes and ranks below every transport lock"),
     LockDecl("tdp.stdio.StdioCollector._lock", 60, blocking_ok=True,
              note="stdin backlog + channel handoff"),
     LockDecl("tdp.stdio.StdioRelay._send_lock", 60, blocking_ok=True,

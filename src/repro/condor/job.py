@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.condor.classad import ClassAd
 from repro.condor.submit import SubmitDescription
@@ -23,6 +24,10 @@ class JobStatus(enum.Enum):
     COMPLETED = "completed"  # exited
     FAILED = "failed"        # could not run (match/claim/spawn failure)
     REMOVED = "removed"
+
+
+#: statuses a job never leaves
+TERMINAL = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.REMOVED)
 
 
 @dataclass
@@ -55,6 +60,17 @@ class JobRecord:
         default_factory=lambda: tracked_condition("condor.job.JobRecord._cond"),
         repr=False,
     )
+    _terminal_callbacks: list[Callable[["JobRecord"], None]] = field(
+        default_factory=list, repr=False
+    )
+
+    def on_terminal(self, callback: Callable[["JobRecord"], None]) -> None:
+        """Run ``callback(record)`` once, when the job becomes COMPLETED,
+        FAILED or REMOVED — on the thread that makes it so, outside the
+        record's lock, so it must not block.  Register before the job can
+        finish (the schedd does at submit)."""
+        with self._cond:
+            self._terminal_callbacks.append(callback)
 
     def set_status(
         self,
@@ -70,6 +86,11 @@ class JobRecord:
             if failure_reason is not None:
                 self.failure_reason = failure_reason
             self._cond.notify_all()
+            finished = []
+            if status in TERMINAL:
+                finished, self._terminal_callbacks = self._terminal_callbacks, []
+        for callback in finished:
+            callback(self)
 
     def wait_for(self, *statuses: JobStatus, timeout: float | None = None) -> JobStatus:
         with self._cond:
@@ -82,9 +103,7 @@ class JobRecord:
             return self.status
 
     def wait_terminal(self, timeout: float | None = None) -> JobStatus:
-        return self.wait_for(
-            JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.REMOVED, timeout=timeout
-        )
+        return self.wait_for(*TERMINAL, timeout=timeout)
 
 
 def job_ad(record: JobRecord) -> ClassAd:

@@ -15,7 +15,12 @@ Flow per job (the Figure 4 interaction the FIG4 bench traces):
    may refuse — then the reservation is released and the job retried);
 4. it spawns a **shadow** and sends the startd an activation message
    naming the shadow and stdio endpoints;
-5. the shadow tracks the job to completion.
+5. the shadow tracks the job to completion; once the job is in a
+   terminal state, however it got there, the release worker returns the
+   claims and the matchmaker's reservations and stops the shadow.
+
+The schedd talks to the matchmaker and to each startd over one channel
+per peer that lives as long as the schedd does (``_PeerChannel``).
 """
 
 from __future__ import annotations
@@ -27,14 +32,67 @@ from repro.condor.shadow import Shadow
 from repro.condor.startd import description_to_wire
 from repro.condor.submit import SubmitDescription, parse_submit_file
 from repro.net.address import Endpoint, parse_endpoint
-from repro.transport.base import Transport
+from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, WallClock
 from repro.util.ids import IdAllocator, fresh_token
 from repro.util.log import TraceRecorder, get_logger
-from repro.util.sync import tracked_condition
+from repro.util.sync import WaitableQueue, tracked_condition, tracked_lock
 from repro.util.threads import spawn
 
 _log = get_logger("condor.schedd")
+
+
+class _PeerChannel:
+    """The schedd's one channel to one peer daemon (the matchmaker, a
+    startd), dialled on first use and kept for the schedd's lifetime.
+
+    A channel pairs each reply with its request only by order, so
+    requests are serialised: the negotiator, the release worker and a
+    user's ``condor_hold`` take turns per peer.  A channel found closed
+    is dialled again.  One that fails under a request is dropped and the
+    failure raised — the peer may already have acted on the frame, and a
+    late reply would answer the next request.
+    """
+
+    def __init__(
+        self,
+        transport: Transport,
+        src_host: str,
+        endpoint: Endpoint,
+        request_timeout: float,
+    ):
+        self._transport = transport
+        self._src_host = src_host
+        self._endpoint = endpoint
+        self._request_timeout = request_timeout
+        self._channel: Channel | None = None
+        self._closed = False
+        self._lock = tracked_lock("condor.schedd._PeerChannel._lock")
+
+    def request(self, message: dict) -> dict:
+        with self._lock:
+            if self._closed:
+                raise errors.ChannelClosedError(
+                    f"schedd stopped: no request to {self._endpoint}"
+                )
+            channel = self._channel
+            if channel is None or channel.closed:
+                channel = self._channel = self._transport.connect(
+                    self._src_host, self._endpoint, timeout=10.0
+                )
+            try:
+                return channel.request(message, timeout=self._request_timeout)
+            except errors.TdpError:
+                self._channel = None
+                channel.close()
+                raise
+
+    def close(self) -> None:
+        """Final: a request racing the schedd's stop fails, it does not re-dial."""
+        with self._lock:
+            self._closed = True
+            if self._channel is not None:
+                self._channel.close()
 
 
 class Schedd:
@@ -58,7 +116,10 @@ class Schedd:
     ):
         self._transport = transport
         self.submit_host = submit_host
-        self._matchmaker_endpoint = matchmaker_endpoint
+        self._matchmaker = _PeerChannel(
+            transport, submit_host, matchmaker_endpoint, request_timeout=10.0
+        )
+        self._startds: dict[Endpoint, _PeerChannel] = {}
         #: timebase for retry/requeue timers and the CASS's blocking-get
         #: timeouts; wall clock unless a scenario injects its own.
         self._clock = clock if clock is not None else WallClock()
@@ -83,7 +144,10 @@ class Schedd:
         self._queue: list[JobRecord] = []
         self._cond = tracked_condition("condor.schedd.Schedd._cond")
         self._stopped = False
+        #: ids of jobs that reached a terminal state, for the release worker
+        self._finished: WaitableQueue[str] = WaitableQueue()
         self._negotiator = spawn(self._negotiation_loop, name="schedd-negotiate")
+        spawn(self._release_loop, name="schedd-release")
 
     def _record(self, action: str, **details) -> None:
         if self._trace is not None:
@@ -96,6 +160,9 @@ class Schedd:
         description.validate()
         cluster = self._clusters.next()
         record = JobRecord(job_id=JobId(cluster), description=description)
+        # Registered before the job can be placed, so whatever ends it —
+        # exit, a refused activation, condor_rm — frees what it held.
+        record.on_terminal(self._job_finished)
         with self._cond:
             self._jobs[str(record.job_id)] = record
             self._queue.append(record)
@@ -167,20 +234,19 @@ class Schedd:
             self._clock.call_later(self.RETRY_INTERVAL, requeue)
 
     def _matchmaker_rpc(self, message: dict) -> dict:
-        channel = self._transport.connect(
-            self.submit_host, self._matchmaker_endpoint, timeout=10.0
-        )
-        try:
-            return channel.request(message, timeout=10.0)
-        finally:
-            channel.close()
+        return self._matchmaker.request(message)
 
     def _startd_rpc(self, endpoint: Endpoint, message: dict) -> dict:
-        channel = self._transport.connect(self.submit_host, endpoint, timeout=10.0)
-        try:
-            return channel.request(message, timeout=30.0)
-        finally:
-            channel.close()
+        with self._cond:
+            if self._stopped:
+                raise errors.ChannelClosedError("schedd stopped")
+            peer = self._startds.get(endpoint)
+            if peer is None:
+                peer = self._startds[endpoint] = _PeerChannel(
+                    self._transport, self.submit_host, endpoint,
+                    request_timeout=30.0,
+                )
+        return peer.request(message)
 
     def _try_place(self, record: JobRecord) -> bool:
         """One negotiate+claim+activate attempt.  True when job is running."""
@@ -216,10 +282,9 @@ class Schedd:
             if not answer.get("ok"):
                 # Claim refused: release everything and let the caller retry.
                 self._record("claim_refused", machine=m["machine"], claim=claim_id)
-                for machine, endpoint, cid, _lass in claims:
-                    self._startd_rpc(endpoint, {"op": "release_claim", "claim_id": cid})
-                    self._matchmaker_rpc({"op": "release", "machine": machine})
-                self._matchmaker_rpc({"op": "release", "machine": m["machine"]})
+                self._release_claims(claims)
+                for unclaimed in matches[len(claims):]:
+                    self._release_reservation(unclaimed["machine"])
                 record.set_status(JobStatus.IDLE)
                 return False
             claims.append(
@@ -257,30 +322,62 @@ class Schedd:
         }
         self._active_claims[str(record.job_id)] = claims
         self._record("activate_claim", machine=primary_machine, claim=primary_claim)
-        answer = self._startd_rpc(primary_endpoint, activation)
+        try:
+            answer = self._startd_rpc(primary_endpoint, activation)
+        except errors.TdpError:
+            # Not running and not terminal: free the machines and the
+            # shadow now, the negotiation loop retries the job.
+            self._release_job(str(record.job_id))
+            record.set_status(JobStatus.IDLE)
+            raise
         if not answer.get("ok"):
             record.set_status(
                 JobStatus.FAILED, failure_reason=str(answer.get("error"))
             )
-            return True  # terminal; do not retry
+        return True  # running, or terminal: do not retry
 
-        # Release machinery when the job reaches a terminal state.
-        def releaser() -> None:
+    # -- release: what a job held goes back when it ends ---------------------------
+
+    def _job_finished(self, record: JobRecord) -> None:
+        """``JobRecord.on_terminal`` callback: hand the job to the release worker."""
+        try:
+            self._finished.put(str(record.job_id))
+        except errors.ChannelClosedError:
+            pass  # schedd stopped: the pool is going away with its claims
+
+    def _release_loop(self) -> None:
+        while True:
             try:
-                record.wait_terminal(timeout=None)
-            except errors.TdpError:
+                job_id = self._finished.get()
+            except errors.ChannelClosedError:
                 return
-            self._active_claims.pop(str(record.job_id), None)
-            for machine, endpoint, cid, _lass in claims:
-                try:
-                    self._startd_rpc(endpoint, {"op": "release_claim", "claim_id": cid})
-                    self._matchmaker_rpc({"op": "release", "machine": machine})
-                except errors.TdpError:
-                    pass
+            self._release_job(job_id)
+
+    def _release_job(self, job_id: str) -> None:
+        """Release the job's claims and reservations and stop its shadow.
+
+        Idempotent, and a no-op for a job that never held any (dequeued,
+        unplaceable)."""
+        self._release_claims(self._active_claims.pop(job_id, ()))
+        shadow = self._shadows.pop(job_id, None)
+        if shadow is not None:
             shadow.stop()
 
-        spawn(releaser, name=f"schedd-release-{record.job_id}")
-        return True
+    def _release_claims(self, claims) -> None:
+        for machine, endpoint, claim_id, _lass in claims:
+            try:
+                self._startd_rpc(
+                    endpoint, {"op": "release_claim", "claim_id": claim_id}
+                )
+            except errors.TdpError:
+                pass  # a startd that is gone holds no claim
+            self._release_reservation(machine)
+
+    def _release_reservation(self, machine: str) -> None:
+        try:
+            self._matchmaker_rpc({"op": "release", "machine": machine})
+        except errors.TdpError:
+            pass
 
     # -- user job control (condor_hold / condor_release) ----------------------------
 
@@ -369,7 +466,11 @@ class Schedd:
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
-        for shadow in self._shadows.values():
+            peers = [self._matchmaker, *self._startds.values()]
+        self._finished.close()
+        for peer in peers:
+            peer.close()
+        for shadow in list(self._shadows.values()):
             shadow.stop()
         if self.cass is not None:
             self.cass.stop()

@@ -6,7 +6,9 @@ job, it spawns the condor_starter" (Section 4.1).
 
 The startd also starts the host's LASS at boot — the paper assigns LASS
 startup to the RM ("The LASS's are started by the RM", Section 2.1) and
-the startd is the RM's per-host presence.
+the startd is the RM's per-host presence.  For the same reason it owns
+the host's one session with the pool's CASS: per-job starters read
+pool-global attributes through it instead of each dialling the CASS.
 
 Wire protocol (schedd -> startd):
 
@@ -18,9 +20,11 @@ Wire protocol (schedd -> startd):
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from repro import errors
+from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.condor.classad import ClassAd, matches
 from repro.condor.starter import Starter
@@ -28,7 +32,7 @@ from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.condor.tools import ToolRegistry
 from repro.net.address import Endpoint, parse_endpoint
 from repro.sim.host import SimHost
-from repro.transport.base import Transport
+from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger
 from repro.util.strings import split_arguments
 from repro.util.sync import tracked_lock
@@ -83,7 +87,13 @@ class Startd:
         self._listener = transport.listen(host.name)
         self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter"}
         self._all_starters: list[Starter] = []  # history incl. released claims
+        self._channels: set[Channel] = set()  # schedd connections being served
         self._lock = tracked_lock("condor.startd.Startd._lock")
+        # This host's one session with the pool's CASS ("daemons talk
+        # upward"), dialled by the first launch that names one.  The lock
+        # serialises the launches' reads on it, dial included.
+        self._cass: AttributeSpaceClient | None = None
+        self._cass_lock = tracked_lock("condor.startd.Startd._cass_lock")
         # tdp-guard: _stopped -> volatile
         # (monotonic stop latch: set once by stop(), polled by the loop)
         self._stopped = False
@@ -96,6 +106,14 @@ class Startd:
     def stop(self) -> None:
         self._stopped = True
         self._listener.close()
+        with self._lock:
+            channels = list(self._channels)
+        for channel in channels:
+            channel.close()
+        with self._cass_lock:
+            if self._cass is not None:
+                self._cass.close()
+                self._cass = None
         self.lass.stop()
 
     def _record(self, action: str, **details) -> None:
@@ -123,6 +141,8 @@ class Startd:
             spawn(self._serve, args=(channel,), name=f"startd-conn-{self.host.name}")
 
     def _serve(self, channel) -> None:
+        with self._lock:
+            self._channels.add(channel)
         try:
             while True:
                 request = channel.recv()
@@ -146,7 +166,47 @@ class Startd:
         except errors.TdpError:
             pass
         finally:
+            with self._lock:
+                self._channels.discard(channel)
             channel.close()
+
+    # -- the host's CASS session -----------------------------------------------------
+
+    def _read_cass(
+        self, endpoint: Endpoint, wanted: tuple[str, ...]
+    ) -> list[tuple[str, str]]:
+        """Those of ``wanted`` the CASS at ``endpoint`` holds, read in one
+        frame.  Best effort: nothing when the CASS cannot be reached."""
+        with self._cass_lock:
+            # Twice at most: a session that died since the last launch
+            # fails the first pass and is dialled again for the second.
+            for _ in range(2):
+                if self._cass is None:
+                    try:
+                        self._cass = AttributeSpaceClient(
+                            self._transport.connect(self.host.name, endpoint),
+                            member=f"startd@{self.host.name}",
+                        )
+                    except errors.TdpError:
+                        # No route from a private node without a pinhole:
+                        # the LASS-only pilot configuration.
+                        return []
+                reads = []
+                try:
+                    with self._cass.batch() as batch:
+                        reads = [batch.try_get(attribute) for attribute in wanted]
+                except errors.NoSuchAttributeError:
+                    pass  # the batch raises its first miss; the hits are resolved
+                except errors.TdpError:
+                    self._cass.close()
+                    self._cass = None
+                    continue
+                return [
+                    (attribute, read.value)
+                    for attribute, read in zip(wanted, reads)
+                    if read.ok
+                ]
+        return []
 
     # -- claiming protocol ---------------------------------------------------------
 
@@ -196,8 +256,10 @@ class Startd:
             proxy=self._proxy,
             extra_machines=list(request.get("extra_machines", [])),
             submit_host=str(request.get("submit_host", "")) or None,
-            cass_endpoint=(
-                parse_endpoint(str(request["cass"]))
+            read_cass=(
+                functools.partial(
+                    self._read_cass, parse_endpoint(str(request["cass"]))
+                )
                 if request.get("cass")
                 else None
             ),

@@ -18,10 +18,10 @@ is the daemon that speaks TDP (Figure 6):
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from repro import errors
-from repro.attrspace.client import AttributeSpaceClient
-from repro.condor.submit import SubmitDescription
+from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.condor.tools import (
     ToolDaemonHandle,
     ToolLaunchContext,
@@ -67,7 +67,7 @@ class Starter:
         proxy: Endpoint | None = None,
         extra_machines: list[dict] | None = None,
         submit_host: str | None = None,
-        cass_endpoint: Endpoint | None = None,
+        read_cass: Callable[[tuple[str, ...]], list[tuple[str, str]]] | None = None,
     ):
         self._transport = transport
         self._host = host
@@ -81,7 +81,9 @@ class Starter:
         self._proxy = proxy
         self._extra_machines = list(extra_machines or [])
         self._submit_host = submit_host
-        self._cass_endpoint = cass_endpoint
+        #: the startd's best-effort read of pool-global attributes from
+        #: the CASS (``None``: the pool has none)
+        self._read_cass = read_cass
         self._mpi_coordinator = None
         # Launch-sequenced publishes: the run thread writes each handle
         # exactly once during startup, and control methods (invoked via
@@ -91,6 +93,10 @@ class Starter:
         self._handle: TdpHandle | None = None
         # tdp-guard: _tool_handle -> volatile
         self._tool_handle: ToolDaemonHandle | None = None
+        #: the spec the running tool was launched from: the submit file's,
+        #: or one attached later
+        # tdp-guard: _tool -> volatile
+        self._tool: ToolDaemonSpec | None = None
         # tdp-guard: _shadow_channel -> volatile
         self._shadow_channel: Channel | None = None
         self._relay: StdioRelay | None = None
@@ -170,14 +176,10 @@ class Starter:
             return False
         if self._tool_handle is not None:
             return False  # one controlling tool at a time (ptrace rule)
-        from repro.condor.submit import ToolDaemonSpec
-
         spec = ToolDaemonSpec(cmd=cmd, args_template=args_template, output=output)
-        # Temporarily graft the spec so the launch path reads it.
-        self._desc.tool_daemon = spec
         self._record("attach_tool", cmd=cmd, pid=self.app_pid)
         try:
-            self._launch_tool_daemon(handle, self.app_pid)
+            self._launch_tool_daemon(handle, self.app_pid, spec)
         except errors.TdpError as e:
             self._record("attach_tool_failed", error=str(e))
             return False
@@ -272,8 +274,8 @@ class Starter:
             )
             proc.add_stdout_sink(self._relay.forward_stdout)
 
-        if monitored:
-            self._launch_tool_daemon(handle, info.pid)
+        if desc.tool_daemon is not None:
+            self._launch_tool_daemon(handle, info.pid, desc.tool_daemon)
 
         # Step 4: the job runs (under tool control when monitored); the
         # starter waits and reports its completion to the shadow.
@@ -319,10 +321,11 @@ class Starter:
         if self._submit_host is None:
             return
         patterns = list(self._desc.transfer_output_files)
-        if self._desc.monitored:
+        tool = self._tool
+        if tool is not None:
             patterns.append(f"paradyn.{self.job_id}.trace")
-            if self._desc.tool_daemon is not None and self._desc.tool_daemon.output:
-                patterns.append(self._desc.tool_daemon.output)
+            if tool.output:
+                patterns.append(tool.output)
         if not patterns:
             return
         from repro.tdp.files import FileStager
@@ -380,8 +383,8 @@ class Starter:
             )
             proc.add_stdout_sink(self._relay.forward_stdout)
 
-        if desc.monitored:
-            self._launch_tool_daemon(handle, pid)
+        if desc.tool_daemon is not None:
+            self._launch_tool_daemon(handle, pid, desc.tool_daemon)
 
         self.exit_code = coordinator.wait_all_exited(handle, timeout=None)
         self._record("job_exited", pid=pid, code=self.exit_code)
@@ -389,7 +392,8 @@ class Starter:
 
     def _disseminate_global_attributes(self, handle: TdpHandle) -> None:
         """Copy pool-global attributes from the CASS into the job's LASS
-        context, through a client that lives for the one batched read.
+        context: one batched read on the startd's session, one batched
+        write on the job's.
 
         This implements the paper's stated completion of the pilot:
         "port arguments should be published by [the] Paradyn front-end
@@ -397,37 +401,21 @@ class Starter:
         4.3).  The tool daemon then finds its front-end via
         ``tdp_get("rt.frontend")`` with no ports on its command line.
         """
-        if self._cass_endpoint is None:
+        if self._read_cass is None:
             return
-        wanted = (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
-        reads = []
-        try:
-            channel = self._transport.connect(self._host.name, self._cass_endpoint)
-            with AttributeSpaceClient(
-                channel, member=f"disseminate/{self.job_id}"
-            ) as central, central.batch() as batch:
-                reads = [batch.try_get(attribute) for attribute in wanted]
-        except errors.NoSuchAttributeError:
-            pass  # the batch raises its first miss; the hits are resolved
-        except errors.TdpError:
-            # The CASS may be unreachable from a private node without a
-            # pinhole: the LASS-only pilot configuration.
-            return
-        items = [
-            (attribute, read.value)
-            for attribute, read in zip(wanted, reads)
-            if read.ok
-        ]
+        items = self._read_cass(
+            (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
+        )
         if not items:
             return
         handle.attrs.put_many(items)
         for attribute, value in items:
             self._record("disseminate", attribute=attribute, value=value)
 
-    def _launch_tool_daemon(self, handle: TdpHandle, app_pid: int) -> None:
+    def _launch_tool_daemon(
+        self, handle: TdpHandle, app_pid: int, tool: ToolDaemonSpec
+    ) -> None:
         desc = self._desc
-        tool = desc.tool_daemon
-        assert tool is not None
         self._disseminate_global_attributes(handle)
         if self._proxy is not None:
             # Advertise the RM's existing proxy so the tool daemon can
@@ -452,6 +440,7 @@ class Starter:
             extras={"sim_host": self._host},
         )
         self._tool_handle = launcher(context)
+        self._tool = tool
 
         # Step 3: publish what the %names in ToolDaemonArgs requested —
         # always including the pid, the pilot's core handshake.

@@ -20,11 +20,12 @@ steps 3–4:
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 
 from repro import errors
 from repro.condor.tools import ThreadToolHandle, ToolLaunchContext
-from repro.net.address import Endpoint
+from repro.net.address import Endpoint, parse_endpoint
 from repro.paradyn.dyninst import DyninstEngine
 from repro.paradyn.metrics import Metric, MetricCollector
 from repro.tdp.api import (
@@ -36,9 +37,10 @@ from repro.tdp.api import (
 )
 from repro.tdp.faults import heartbeat_item
 from repro.tdp.handle import Role, TdpHandle
-from repro.tdp.proxycfg import connect_to_frontend
+from repro.tdp.proxycfg import frontend_endpoint
 from repro.tdp.wellknown import Attr, ProcStatus
 from repro.transport.base import Channel
+from repro.transport.proxy import connect_maybe_proxied
 from repro.util.log import get_logger
 from repro.util.threads import spawn
 
@@ -97,6 +99,11 @@ class ParadynDaemon:
     """One paradynd instance (runs on a tool-registry thread)."""
 
     SAMPLE_INTERVAL = 0.01  # wall seconds between sample batches
+    #: tries at the final continue before it is reported lost
+    CONTINUE_ATTEMPTS = 3
+    #: how long a refused continue waits for the published status to
+    #: read stopped before it is tried again
+    CONTINUE_RETRY_WAIT = 1.0
 
     def __init__(
         self,
@@ -185,7 +192,7 @@ class ParadynDaemon:
         pid = int(tdp_get(handle, Attr.PID, timeout=60.0))
         self.app_pid = pid
         self._record("tdp_get_returned", attribute=Attr.PID, value=pid)
-        executable = tdp_get(handle, Attr.EXECUTABLE_NAME, timeout=10.0)
+        executable, proxy = self._read_launch_record(handle)
 
         # Step 3 continued: attach (the RM performs the stop).
         self._record("tdp_attach", pid=pid)
@@ -219,7 +226,7 @@ class ParadynDaemon:
         )
 
         # Connect to the front-end (args endpoint, else attribute space).
-        self._connect_frontend(handle)
+        self._connect_frontend(handle, proxy)
         self._send_frontend(
             {
                 "op": "hello",
@@ -255,27 +262,15 @@ class ParadynDaemon:
                 self._apply_enable_requests()
             self._apply_enable_requests()
         self._record("tdp_continue_process", pid=pid, until="completion")
-        try:
-            tdp_continue_process(handle, pid)
-        except errors.ProcessError as e:
-            # The application may have exited (or been killed) under us;
-            # anything else here is a lost continue and must be visible.
-            self._record("continue_refused", pid=pid, error=str(e))
-            _log.warning(
-                "paradynd %s: continue of pid %s refused: %s", self.ctx.job_id, pid, e
-            )
-        self._send_frontend({"op": "app_state", "state": "running"})
+        self._continue_to_completion(handle, pid, stop_event)
 
         # Sampling loop until application exit (status via the space).
         while not stop_event.is_set():
             handle.service_events()
             self._apply_enable_requests()
             self._emit_samples()
-            try:
-                status = handle.attrs.try_get(Attr.proc_status(pid))
-            except errors.NoSuchAttributeError:
-                status = ProcStatus.RUNNING
-            except errors.TdpError:
+            status = self._published_status(handle, pid)
+            if status is None:
                 break
             if ProcStatus.is_exited(status):
                 self._emit_samples(final=True)
@@ -287,23 +282,101 @@ class ParadynDaemon:
                 return
             stop_event.wait(self.SAMPLE_INTERVAL)
 
+    def _read_launch_record(self, handle: TdpHandle) -> tuple[str, Endpoint | None]:
+        """The executable's name and the RM's proxy (if it has one), in
+        one frame: an RM publishes both no later than the ``pid`` that
+        woke us."""
+        reads = []
+        try:
+            with handle.attrs.batch() as batch:
+                reads = [
+                    batch.try_get(Attr.EXECUTABLE_NAME),
+                    batch.try_get(Attr.RM_PROXY),
+                ]
+        except errors.NoSuchAttributeError:
+            pass  # the batch raises its first miss; the hits are resolved
+        name, proxy = reads
+        return (
+            # an RM that publishes the pid ahead of its companions
+            name.value if name.ok
+            else tdp_get(handle, Attr.EXECUTABLE_NAME, timeout=10.0),
+            parse_endpoint(proxy.value) if proxy.ok else None,
+        )
+
+    def _continue_to_completion(
+        self, handle: TdpHandle, pid: int, stop_event: threading.Event
+    ) -> None:
+        """The final continue, with a defined outcome when the RM refuses.
+
+        A continue can be refused because the application exited (or was
+        killed) under us — the sampling loop reports that — or because a
+        stop is still landing, and then nobody else will resume the
+        process: wait for the published status to read stopped and ask
+        again.  Still refused after ``CONTINUE_ATTEMPTS``, the front-end
+        is told so instead of being told ``running``.
+        """
+        error = ""
+        for _ in range(self.CONTINUE_ATTEMPTS):
+            try:
+                tdp_continue_process(handle, pid)
+            except errors.ProcessError as e:
+                error = str(e)
+                self._record("continue_refused", pid=pid, error=error)
+            else:
+                self._send_frontend({"op": "app_state", "state": "running"})
+                return
+            if not self._await_stopped(handle, pid, stop_event):
+                return
+        self._record("continue_lost", pid=pid, error=error)
+        _log.warning(
+            "paradynd %s: continue of pid %s lost: %s", self.ctx.job_id, pid, error
+        )
+        self._send_frontend(
+            {"op": "error", "error": f"continue of pid {pid} refused: {error}"}
+        )
+
+    def _await_stopped(
+        self, handle: TdpHandle, pid: int, stop_event: threading.Event
+    ) -> bool:
+        """Wait, at most ``CONTINUE_RETRY_WAIT``, for the published status
+        to read stopped.  False when there is nothing left to continue:
+        the application exited, the space is gone, or we are stopping."""
+        deadline = time.monotonic() + self.CONTINUE_RETRY_WAIT
+        while True:
+            status = self._published_status(handle, pid)
+            if status is None or ProcStatus.is_exited(status):
+                return False
+            if (
+                status in (ProcStatus.STOPPED, ProcStatus.CREATED)
+                or time.monotonic() >= deadline
+            ):
+                return True
+            if stop_event.wait(self.SAMPLE_INTERVAL):
+                return False
+
+    @staticmethod
+    def _published_status(handle: TdpHandle, pid: int) -> str | None:
+        """``proc.<pid>.status`` as the RM last published it; ``None``
+        once the space is gone."""
+        try:
+            return handle.attrs.try_get(Attr.proc_status(pid))
+        except errors.NoSuchAttributeError:
+            return ProcStatus.RUNNING
+        except errors.TdpError:
+            return None
+
     # -- front-end link ---------------------------------------------------------------
 
-    def _connect_frontend(self, handle: TdpHandle) -> None:
-        endpoint = self.args.frontend_endpoint
+    def _connect_frontend(self, handle: TdpHandle, proxy: Endpoint | None) -> None:
+        ctx = self.ctx
         try:
-            if endpoint is not None:
-                from repro.tdp.proxycfg import proxy_endpoint
-                from repro.transport.proxy import connect_maybe_proxied
-
-                self.frontend = connect_maybe_proxied(
-                    self.ctx.transport, self.ctx.host, endpoint,
-                    proxy_endpoint(handle), timeout=10.0,
-                )
-            else:
-                self.frontend = connect_to_frontend(
-                    handle, self.ctx.transport, self.ctx.host, timeout=5.0
-                )
+            # The args endpoint, else the one the attribute space names.
+            endpoint = self.args.frontend_endpoint or frontend_endpoint(
+                handle, timeout=5.0
+            )
+            self.frontend = connect_maybe_proxied(
+                ctx.transport, ctx.host, endpoint, proxy, timeout=10.0
+            )
         except errors.TdpError as e:
             # Standalone operation: keep measuring even without a front-end.
             _log.warning("paradynd %s: no front-end (%s)", self.ctx.job_id, e)

@@ -202,6 +202,11 @@ class Scheduler:
             except StopIteration as stop:
                 code = stop.value if isinstance(stop.value, int) else 0
                 with proc.lock:
+                    if proc.state is ProcessState.EXITED:
+                        # terminate() closed the generator between the
+                        # slice's RUNNABLE check and this step: its exit
+                        # code stands, its listeners have run.
+                        return None
                     proc._finish(exit_code=code)
                 obs.record(
                     "proc.exit", actor="sim", pid=proc.pid,

@@ -181,7 +181,8 @@ class ProcessControlService:
       publish status to the attribute space.
     * Tool requests arrive as ``ctl.req.<token>`` attributes carrying a
       JSON-encoded operation; the service executes them and answers in
-      ``ctl.rep.<token>`` — the paper's "the RT ... contacts the RM".
+      ``ctl.rep.<token>`` — the paper's "the RT ... contacts the RM" —
+      publishing the new status and the reply in one batched frame.
     * Exit codes flow to ``proc.<pid>.status`` so status monitoring has
       a single, OS-independent source of truth (Section 2.3's answer to
       the "which process gets the termination code" mess).
@@ -193,6 +194,9 @@ class ProcessControlService:
         self._owner = attrs.member
         self._lock = threading.Lock()
         self._managed: dict[int, ProcessInfo] = {}
+        #: pid -> (exit status published or "", its version, newest version
+        #: published): see _publish_status
+        self._published: dict[int, tuple[str, int, int]] = {}
         # tdp-guard: _sub_id -> volatile
         # (subscribe-once publish; the unsubscribe path tolerates a
         # concurrent None read by skipping)
@@ -200,14 +204,35 @@ class ProcessControlService:
 
     # -- publication helpers ----------------------------------------------------
 
-    def _publish_status(self, pid: int, status: str) -> None:
-        self._attrs.put(Attr.proc_status(pid), status)
+    def _publish_status(
+        self, pid: int, status: str, *also: tuple[str, str]
+    ) -> None:
+        """Publish ``proc.<pid>.status``, and ``also`` in the same frame.
+
+        Exit is the space's last word on a process.  The exit listener
+        publishes from the backend's thread, and a process just let run
+        can exit before the status that says so has been sent — which
+        then lands on top of the exit.  The versions the server stamps
+        on the two puts tell: whichever of them is confirmed second sees
+        that the exit is not the newest, and publishes it again.
+        """
+        version = self._attrs.put_many([(Attr.proc_status(pid), status), *also])[0]
+        with self._lock:
+            exit_status, exit_version, newest = self._published.get(pid, ("", 0, 0))
+            if ProcStatus.is_exited(status):
+                exit_status, exit_version = status, version
+            newest = max(newest, version)
+            self._published[pid] = (exit_status, exit_version, newest)
+        if exit_status and newest > exit_version:
+            self._publish_status(pid, exit_status)
 
     def _register_exit_publisher(self, pid: int) -> None:
         def on_exit(info: ProcessInfo) -> None:
             try:
-                self._publish_status(pid, info.status)
-                self._attrs.put(Attr.proc_exit_code(pid), str(info.exit_code))
+                self._publish_status(
+                    pid, info.status,
+                    (Attr.proc_exit_code(pid), str(info.exit_code)),
+                )
             except errors.TdpError:
                 _log.debug("could not publish exit of pid %s (handle closed)", pid)
 
@@ -231,11 +256,8 @@ class ProcessControlService:
         return info
 
     def attach(self, pid: int, tracer: str) -> ProcessInfo:
-        info = self._backend.attach(pid, tracer)
-        with self._lock:
-            self._managed.setdefault(pid, info)
-        self._publish_status(pid, ProcStatus.STOPPED)
-        return info
+        self._publish_status(pid, self._apply("attach", pid, tracer))
+        return self._backend.status(pid)
 
     def detach(self, pid: int, *, resume: bool = True) -> None:
         self._backend.detach(pid, resume=resume)
@@ -243,12 +265,10 @@ class ProcessControlService:
             self._publish_status(pid, ProcStatus.RUNNING)
 
     def continue_process(self, pid: int) -> None:
-        self._backend.continue_process(pid)
-        self._publish_status(pid, ProcStatus.RUNNING)
+        self._publish_status(pid, self._apply("continue", pid))
 
     def pause(self, pid: int) -> None:
-        self._backend.pause(pid)
-        self._publish_status(pid, ProcStatus.STOPPED)
+        self._publish_status(pid, self._apply("pause", pid))
 
     def kill(self, pid: int, signal: int = 15) -> None:
         self._backend.kill(pid, signal)
@@ -268,6 +288,29 @@ class ProcessControlService:
     #: operations a tool may request; "create" stays RM-only by design
     TOOL_OPS = ("attach", "continue", "pause", "kill", "detach")
 
+    def _apply(self, op: str, pid: int, tracer: str = "") -> str | None:
+        """Run one of ``TOOL_OPS`` on the backend, publishing nothing.
+
+        Returns the status the operation leaves ``proc.<pid>.status``
+        owing — ``None`` after a kill, whose exit the exit listener
+        publishes."""
+        if op == "attach":
+            info = self._backend.attach(pid, tracer)
+            with self._lock:
+                self._managed.setdefault(pid, info)
+            return ProcStatus.STOPPED
+        if op == "pause":
+            self._backend.pause(pid)
+            return ProcStatus.STOPPED
+        if op == "continue":
+            self._backend.continue_process(pid)
+            return ProcStatus.RUNNING
+        if op == "detach":
+            self._backend.detach(pid)
+            return ProcStatus.RUNNING
+        self._backend.kill(pid)
+        return None
+
     def serve_tool_requests(self) -> None:
         """Subscribe to ``ctl.req.*`` and execute tool control requests.
 
@@ -282,38 +325,36 @@ class ProcessControlService:
         )
 
     def _on_request(self, notification: Notification, _arg) -> None:
+        """Answer one request in one frame: the status the operation left
+        and the reply land together, so the tool its reply wakes never
+        reads the status from before."""
         if notification.kind != "put" or notification.value is None:
             return
         token = Attr.ctl_request_token(notification.attribute)
+        changed, reply = self._execute(notification.value)
+        answer = (Attr.ctl_reply(token), reply)
+        if changed is None:
+            self._attrs.put(*answer)
+        else:
+            self._publish_status(*changed, answer)
+
+    def _execute(self, payload: str) -> tuple[tuple[int, str] | None, str]:
+        """Run one tool request; returns the ``(pid, status)`` it leaves
+        to publish (``None`` on failure, or after a kill) and the reply."""
         try:
-            request = protocol.decode_payload(notification.value)
+            request = protocol.decode_payload(payload)
             op = request["op"]
             pid = int(request["pid"])
             requester = str(request.get("requester", "?"))
         except (errors.ProtocolError, ValueError, KeyError, TypeError) as e:
-            self._attrs.put(Attr.ctl_reply(token), f"error:malformed request ({e})")
-            return
+            return None, f"error:malformed request ({e})"
         if op not in self.TOOL_OPS:
-            self._attrs.put(
-                Attr.ctl_reply(token),
-                f"error:operation {op!r} not permitted for tools",
-            )
-            return
+            return None, f"error:operation {op!r} not permitted for tools"
         try:
-            if op == "attach":
-                self.attach(pid, tracer=requester)
-            elif op == "continue":
-                self.continue_process(pid)
-            elif op == "pause":
-                self.pause(pid)
-            elif op == "kill":
-                self.kill(pid)
-            elif op == "detach":
-                self.detach(pid)
+            status = self._apply(op, pid, requester)
         except errors.TdpError as e:
-            self._attrs.put(Attr.ctl_reply(token), f"error:{e}")
-            return
-        self._attrs.put(Attr.ctl_reply(token), "ok")
+            return None, f"error:{e}"
+        return None if status is None else (pid, status), "ok"
 
 
 def submit_tool_request(

@@ -51,20 +51,17 @@ class StdioCollector:
         return self._listener.endpoint
 
     def _accept_and_pump(self) -> None:
+        # The line queue closes however this ends — the relay hung up, or
+        # the collector was closed before one dialled in — so a reader
+        # parked in wait_line always wakes.
         try:
             channel = self._listener.accept()
-        except errors.TdpError:
-            return
-        with self._lock:
-            self._channel = channel
-            backlog, self._stdin_pending = self._stdin_pending, []
-        for frame in backlog:
-            try:
+            with self._lock:
+                self._channel = channel
+                backlog, self._stdin_pending = self._stdin_pending, []
+            for frame in backlog:
                 channel.send(frame)
-            except errors.TdpError:
-                return
-        self._accepted.set()
-        try:
+            self._accepted.set()
             while True:
                 frame = channel.recv()
                 if frame.get("stream") == "stdout":

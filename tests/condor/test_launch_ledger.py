@@ -1,0 +1,318 @@
+"""The launch ledger: what one job cycle costs, counted where it is paid.
+
+A launch should pay only for what is per-job.  Three taps count the
+rest: the session layer's one registration point (every attribute-space
+request frame, by member), ``Thread.start`` (every thread a job cycle
+creates) and the transport's ``connect`` (every dial).  The pins are
+the warm, monitored, one-host pilot launch; the fault cases show the
+long-lived state behind the counts — the schedd's channel to each peer,
+the startd's CASS session — survives being cut.
+"""
+
+import contextlib
+import threading
+import time
+
+import pytest
+
+from repro.attrspace.client import _Session
+from repro.condor.job import JobStatus
+from repro.condor.pool import CondorPool
+from repro.condor.submit import SubmitDescription
+from repro.errors import ChannelClosedError, ResourceManagerError
+from repro.parador.run import ParadorScenario
+from repro.sim.cluster import SimCluster
+from repro.transport.inmem import InMemoryTransport
+
+PER_JOB_DAEMON_THREADS = (
+    "matchmaker-conn", "startd-conn-", "schedd-release-",
+    "attr-client-disseminate",
+)
+
+
+class Ledger:
+    """Frames, thread starts and dials seen while ``recording()``."""
+
+    def __init__(self):
+        self.on = False
+        #: (member, op, [(sub-op, attribute), ...] or attribute)
+        self.frames = []
+        self.threads = []
+        #: (dialling thread's name, endpoint, channel)
+        self.dials = []
+
+    @contextlib.contextmanager
+    def recording(self):
+        self.frames, self.threads, self.dials = [], [], []
+        self.on = True
+        try:
+            yield self
+        finally:
+            self.on = False
+
+    def frames_of(self, member_prefix):
+        return [f for f in self.frames if f[0].startswith(member_prefix)]
+
+    def dials_by(self, thread_prefix, endpoint=None):
+        return [
+            d for d in self.dials
+            if d[0].startswith(thread_prefix)
+            and (endpoint is None or d[1] == endpoint)
+        ]
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    book = Ledger()
+    submit, start, connect = (
+        _Session.submit, threading.Thread.start, InMemoryTransport.connect,
+    )
+
+    def tapped_submit(self, request, complete, **kwargs):
+        if book.on:
+            detail = request.get("attribute") or [
+                (sub["op"], sub.get("attribute")) for sub in request.get("ops", [])
+            ]
+            book.frames.append((self.member, request["op"], detail))
+        return submit(self, request, complete, **kwargs)
+
+    def tapped_start(self):
+        if book.on:
+            book.threads.append(self.name)
+        return start(self)
+
+    def tapped_connect(self, src_host, endpoint, timeout=None):
+        channel = connect(self, src_host, endpoint, timeout=timeout)
+        if book.on:
+            book.dials.append((threading.current_thread().name, endpoint, channel))
+        return channel
+
+    monkeypatch.setattr(_Session, "submit", tapped_submit)
+    monkeypatch.setattr(threading.Thread, "start", tapped_start)
+    monkeypatch.setattr(InMemoryTransport, "connect", tapped_connect)
+    return book
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+def settled(pool):
+    """Every claim and reservation released, every per-job thread gone."""
+    def quiet():
+        return (
+            pool.matchmaker.reserved_count() == 0
+            and not any(s.claimed for s in pool.startds.values())
+            and not any(
+                t.name.startswith(("shadow-", "stdio-collect-", "starter-",
+                                   "paradynd-"))
+                for t in threading.enumerate()
+            )
+        )
+    return wait_until(quiet)
+
+
+def run_monitored(scenario, executable="foo", arguments="2 0.05"):
+    run = scenario.submit_monitored(executable, arguments)
+    assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+    run.session.wait_state("exited", timeout=30.0)
+    assert settled(scenario.pool)
+    return run
+
+
+def run_plain(pool, executable="hello"):
+    job = pool.submit_description(SubmitDescription(executable=executable))
+    assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+    assert settled(pool)
+    return job
+
+
+class TestWarmMonitoredLaunch:
+    @pytest.fixture
+    def cycle(self, ledger):
+        """One whole job cycle — submit to released — on a warm pool."""
+        with ParadorScenario(execute_hosts=["node1"]) as scenario:
+            run_monitored(scenario)
+            with ledger.recording():
+                run = run_monitored(scenario)
+            yield ledger, str(run.job.job_id)
+
+    def test_request_frames_by_member(self, cycle):
+        ledger, job = cycle
+        assert len(ledger.frames_of(f"starter/{job}")) <= 10
+        paradynd = ledger.frames_of(f"paradynd/{job}")
+        first_samples = next(
+            i for i, (_m, op, detail) in enumerate(paradynd)
+            if op == "batch" and detail[0][1].startswith("paradyn.sample.")
+        )
+        assert first_samples <= 9
+        assert not ledger.frames_of("disseminate/")
+        assert [op for _m, op, _d in ledger.frames_of("startd@node1")] == ["batch"]
+
+    def test_control_round_trip_is_three_frames(self, cycle):
+        """The tool's request and parked get, and one batch from the RM
+        carrying the new status and the reply together."""
+        ledger, job = cycle
+        tokens = [
+            detail[len("ctl.req."):]
+            for _m, op, detail in ledger.frames_of(f"paradynd/{job}")
+            if op == "put" and detail.startswith("ctl.req.")
+        ]
+        assert len(tokens) == 3  # attach, continue to main, continue
+        for token in tokens:
+            touching = [
+                frame for frame in ledger.frames
+                if token in str(frame[2])
+            ]
+            assert sorted((m.split("/")[0], op) for m, op, _d in touching) == [
+                ("paradynd", "get"), ("paradynd", "put"), ("starter", "batch"),
+            ]
+            (reply,) = [f for f in touching if f[1] == "batch"]
+            assert [attribute.split(".")[0] for _op, attribute in reply[2]] == [
+                "proc", "ctl",
+            ]
+
+    def test_threads_started_per_job_cycle(self, cycle):
+        ledger, _job = cycle
+        # the cluster clock's timer service starts once, with the first
+        # blocking get that has to park: whichever job that falls in
+        started = [name for name in ledger.threads if name != "vclock-timers"]
+        assert len(started) <= 11, ", ".join(started)
+        assert not [
+            name for name in started if name.startswith(PER_JOB_DAEMON_THREADS)
+        ]
+
+    def test_schedd_dials_nothing_after_the_first_job(self, cycle):
+        ledger, _job = cycle
+        assert ledger.dials_by("schedd-") == []
+        # nor does the startd, for its CASS session
+        assert not [d for d in ledger.dials if d[1].host == "submit"
+                    and d[0].startswith("startd-")]
+
+
+class TestLongLivedStateSurvivesACut:
+    def test_severed_startd_channel_is_redialled_once(self, ledger):
+        with SimCluster.flat(["submit", "node1"]) as cluster, CondorPool(
+            cluster, submit_host="submit", execute_hosts=["node1"]
+        ) as pool:
+            startd = pool.startds["node1"].endpoint
+            with ledger.recording():
+                run_plain(pool)
+                ((_t, _e, channel),) = ledger.dials_by("schedd-", startd)
+            channel.close()
+            with ledger.recording():
+                run_plain(pool)
+            assert len(ledger.dials_by("schedd-", startd)) == 1
+            with ledger.recording():
+                run_plain(pool)
+            assert ledger.dials_by("schedd-") == []
+
+    def test_dead_cass_session_is_redialled_at_the_next_launch(self, ledger):
+        """CASS mode: the front-end's address reaches paradynd only by
+        dissemination, so a monitored job completing proves the read."""
+        with ParadorScenario(execute_hosts=["node1"], use_cass=True) as scenario:
+            cass = scenario.pool.schedd.cass.endpoint
+            with ledger.recording():
+                run_monitored(scenario)
+                ((_t, _e, channel),) = ledger.dials_by("starter-", cass)
+            channel.close()
+            with ledger.recording():
+                run_monitored(scenario)
+            assert len(ledger.dials_by("starter-", cass)) == 1
+            assert len(ledger.frames_of("startd@node1")) >= 1
+            with ledger.recording():
+                run_monitored(scenario)
+            assert ledger.dials_by("starter-", cass) == []
+            assert len(scenario.trace.events(action="disseminate")) == 3
+
+
+class TestRequestsPerPeerAreSerialised:
+    @pytest.mark.parametrize(
+        "verb, handler",
+        [("hold", "_suspend_resume"), ("release", "_suspend_resume"),
+         ("remove", "_kill_job")],
+    )
+    def test_user_request_waits_for_the_activation_in_flight(self, verb, handler):
+        with SimCluster.flat(["submit", "node1"]) as cluster, CondorPool(
+            cluster, submit_host="submit", execute_hosts=["node1"]
+        ) as pool:
+            startd = pool.startds["node1"]
+            events = []
+            activating = threading.Event()
+
+            def logged(name, inner, pause=0.0):
+                def handle(*args, **kwargs):
+                    events.append((name, "begin"))
+                    activating.set()
+                    time.sleep(pause)
+                    try:
+                        return inner(*args, **kwargs)
+                    finally:
+                        events.append((name, "end"))
+                return handle
+
+            startd._activate_claim = logged(
+                "activate", startd._activate_claim, pause=0.3
+            )
+            setattr(startd, handler, logged(verb, getattr(startd, handler)))
+            job = pool.submit_description(SubmitDescription(executable="hello"))
+            assert activating.wait(timeout=10.0)
+            with contextlib.suppress(ResourceManagerError):
+                # refused or not (the starter has barely begun): the order
+                # the startd saw the two requests in is the point
+                getattr(pool.schedd, verb)(str(job.job_id))
+            assert events == [
+                ("activate", "begin"), ("activate", "end"),
+                (verb, "begin"), (verb, "end"),
+            ]
+            job.wait_terminal(timeout=30.0)
+
+
+class TestEveryNonRunningOutcomeReleases:
+    """A placement that gets as far as claiming but not as far as running
+    gives back its claims, its reservations and its shadow."""
+
+    def leftovers(self):
+        return [
+            t.name for t in threading.enumerate()
+            if t.name.startswith(("shadow-", "stdio-collect-"))
+        ]
+
+    def test_refused_activation(self):
+        with SimCluster.flat(["submit", "node1"]) as cluster, CondorPool(
+            cluster, submit_host="submit", execute_hosts=["node1"]
+        ) as pool:
+            startd = pool.startds["node1"]
+            startd._activate_claim = lambda request: {
+                "ok": False, "error": "activation refused",
+            }
+            job = pool.submit_description(SubmitDescription(executable="hello"))
+            assert job.wait_terminal(timeout=30.0) is JobStatus.FAILED
+            assert job.failure_reason == "activation refused"
+            assert wait_until(lambda: pool.matchmaker.reserved_count() == 0)
+            assert wait_until(lambda: startd.claimed is False)
+            assert wait_until(lambda: not self.leftovers()), self.leftovers()
+
+    def test_channel_lost_between_claim_and_activation(self):
+        with SimCluster.flat(["submit", "node1"]) as cluster, CondorPool(
+            cluster, submit_host="submit", execute_hosts=["node1"]
+        ) as pool:
+            startd = pool.startds["node1"]
+            activate = startd._activate_claim
+
+            def lost_once(request):
+                startd._activate_claim = activate
+                raise ChannelClosedError("cut under the activation")
+
+            startd._activate_claim = lost_once
+            job = pool.submit_description(SubmitDescription(executable="hello"))
+            # the claim of the failed attempt was released, so the retry
+            # finds the machine claimable
+            assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+            assert settled(pool)
+            assert not self.leftovers()

@@ -96,6 +96,30 @@ class TestAttachModePipeline:
         scenario.cluster.host("node1").get_process(job.app_pid).terminate()
         job.wait_terminal(timeout=30.0)
 
+    def test_failed_attach_leaves_the_job_unmonitored(self, scenario, monkeypatch):
+        """A tool that cannot be launched changes nothing about the job:
+        its description stays unmonitored and nothing is staged out for a
+        tool that never ran — and a later attach still works."""
+        from repro.errors import ResourceManagerError
+        from repro.tdp.files import FileStager
+
+        staged = []
+        monkeypatch.setattr(
+            FileStager, "stage_out",
+            lambda self, src, dst, patterns: staged.append(patterns) or [],
+        )
+        job = submit_plain_server(scenario)
+        (starter,) = scenario.pool.startds["node1"].starters()
+        with pytest.raises(ResourceManagerError, match="could not attach"):
+            scenario.pool.schedd.attach_tool(
+                str(job.job_id), "no-such-tool", "-a%pid"
+            )
+        assert starter._desc.monitored is False
+        scenario.pool.schedd.remove(str(job.job_id))
+        assert job.wait_terminal(timeout=30.0) is JobStatus.REMOVED
+        starter.wait(timeout=30.0)
+        assert staged == []
+
     def test_attach_idle_job_rejected(self, scenario):
         from repro.errors import ResourceManagerError
 

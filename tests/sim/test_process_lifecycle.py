@@ -208,6 +208,18 @@ class TestTermination:
             time.sleep(0.005)
         assert events == [0]
 
+    def test_kill_that_beats_the_scheduler_to_a_step_exits_once(self, cluster):
+        """terminate() between the slice's RUNNABLE check and the step:
+        the step finds the generator closed, and must not finish the
+        process a second time (exit code 0, listeners run again)."""
+        proc = cluster.host("node1").create_process("spin", paused=True)
+        exits = []
+        proc.on_exit(lambda p: exits.append(p.exit_code))
+        proc.terminate(15)
+        assert cluster.scheduler._execute_one(proc) is None
+        assert proc.exit_code == 128 + 15
+        assert exits == [128 + 15]
+
     def test_exit_listener_after_exit_fires_immediately(self, cluster):
         proc = cluster.host("node1").create_process("hello")
         proc.wait_for_exit(timeout=10.0)

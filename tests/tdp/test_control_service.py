@@ -85,6 +85,63 @@ class TestToolRequestChannel:
             assert serving_rm.control.wait_exit(pid, timeout=10.0) == 128 + 15
 
 
+class TestReplyCarriesTheStatus:
+    def test_reader_woken_by_the_reply_sees_the_new_status(
+        self, serving_rm, rt_handle
+    ):
+        """The RM answers in one frame: by the time ``ctl.rep.<token>``
+        wakes the tool, ``proc.<pid>.status`` is the operation's."""
+        info = tdp_create_process(serving_rm, "spin")
+        status = Attr.proc_status(info.pid)
+        for op, expected in [
+            ("attach", "stopped"), ("continue", "running"),
+            ("pause", "stopped"), ("detach", "running"),
+        ] * 5:
+            submit_tool_request(rt_handle.attrs, op, info.pid)
+            assert rt_handle.attrs.try_get(status) == expected, op
+        submit_tool_request(rt_handle.attrs, "kill", info.pid)
+
+    def test_exit_is_the_last_word_on_a_process(self, cluster, lass, rt_handle):
+        """A process let run can exit, and its exit be published, before
+        the RM has sent the ``running`` that let it: that older status
+        must not land on top of the exit."""
+        import time
+
+        from repro.tdp.api import tdp_init
+        from repro.tdp.handle import Role
+        from repro.tdp.process import SimHostBackend
+        from repro.tdp.wellknown import CreateMode
+
+        def published(pid):
+            return rt_handle.attrs.try_get(Attr.proc_status(pid))
+
+        class ExitsBeforeContinueReturns(SimHostBackend):
+            def continue_process(self, pid):
+                super().continue_process(pid)
+                self.wait_exit(pid, timeout=10.0)
+                deadline = time.monotonic() + 10.0
+                while not published(pid).startswith("exited:"):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+
+        rm = tdp_init(
+            cluster.transport, lass.endpoint, member="starter-2", role=Role.RM,
+            backend=ExitsBeforeContinueReturns(cluster.host("node1")),
+        )
+        try:
+            rm.control.serve_tool_requests()
+            rm.start_service_loop()
+            info = tdp_create_process(rm, "hello", ["x"], mode=CreateMode.PAUSED)
+            submit_tool_request(rt_handle.attrs, "continue", info.pid)
+            deadline = time.monotonic() + 10.0
+            while published(info.pid) != "exited:0":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            rm.stop_service_loop()
+            rm.close()
+
+
 class TestStatusPublication:
     def test_full_lifecycle_status_stream(self, serving_rm, rt_handle, cluster):
         notes = []

@@ -42,8 +42,8 @@ def thread_names():
 class TestOneSessionPerHandle:
     def test_starter_holds_one_receive_thread_for_the_job(self):
         """Thread census while a monitored job sits at ``main``: the
-        starter's handle is one session (the CASS is read through a
-        client that is gone by tool launch), and none outlives the job."""
+        starter's handle is one session (the CASS is read through the
+        startd's, not one of the job's own), and none outlives the job."""
         with ParadorScenario(
             execute_hosts=["node1"], use_cass=True, auto_run=False
         ) as scenario:
