@@ -150,7 +150,7 @@ DEFAULT = LockHierarchy([
     LockDecl("attrspace.federation.LassFederation._lock", 22,
              note="aggregation refcounts; never "
                   "held across upstream RPC or queue waits — the worker "
-                  "thread owns sessions/shard-map state without any lock"),
+                  "thread owns the session table and aggregate ledger without any lock"),
     LockDecl("condor.tools.ToolRegistry._lock", 22, note="registered tool specs"),
     LockDecl("sim.loader.ProgramRegistry._lock", 22, note="registered programs"),
     LockDecl("tdp.aux.AuxServiceManager._lock", 22, note="aux service state"),

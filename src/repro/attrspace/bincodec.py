@@ -24,7 +24,8 @@ unserializable message, so the two codecs never disagree about what a
 frame means).
 
 The table is APPEND-ONLY: ids are wire format.  Renaming or reordering
-entries breaks ``tdpb1`` compatibility; bump the codec name instead.
+entries breaks ``tdpb1`` compatibility; bump the codec name instead.  A
+retired *tail* entry is simply dropped: no surviving id moves.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ _OPS = (
     "unsubscribe",
     # federation (PR 9) — appended, see note above
     "sub_agg",
-    "shardmap",
 )
 _OP_TAGS = {op: i for i, op in enumerate(_OPS)}
 _TAG_RAW = 0xFF
@@ -104,8 +104,6 @@ _FIELD_NAMES = (
     # federation (LASS<->CASS hierarchy)
     "origin",
     "agg",
-    "epoch",
-    "shards",
 )
 _FIELD_IDS = {name: i for i, name in enumerate(_FIELD_NAMES)}
 _KEY_ESCAPE = 0xFF

@@ -121,8 +121,8 @@ class _SubEntry:
 
     ``frame`` is the subscribe request as first sent (minus ``req``); the
     reconnect handshake re-sends it verbatim, so an aggregated
-    subscription (``OP_SUB_AGG``) gets its origin, epoch and one-frame-
-    per-host dedup group back exactly as a plain one gets its pattern.
+    subscription (``OP_SUB_AGG``) gets its origin and one-frame-per-host
+    dedup group back exactly as a plain one gets its pattern.
     """
 
     frame: dict[str, Any]
@@ -1003,7 +1003,6 @@ class AttributeSpaceClient:
         callback_arg: Any = None,
         *,
         origin: str,
-        epoch: int = 0,
     ) -> int:
         """Aggregated subscription (federation, LASS->CASS sessions only).
 
@@ -1011,9 +1010,7 @@ class AttributeSpaceClient:
         the subscription to ``origin``'s fan-out dedup group — all of
         this host's aggregated subscriptions cost the upstream server one
         egress frame per event — and suppresses notifications whose
-        change originated on ``origin`` itself.  ``epoch`` is the shard-
-        map epoch this client routed by; a shard serving a different
-        epoch refuses the subscription so the caller re-fetches the map.
+        change originated on ``origin`` itself.
         """
         local_id = self._sub_ids.next()
         return self._session.establish(
@@ -1024,21 +1021,10 @@ class AttributeSpaceClient:
                 "pattern": pattern,
                 "agg": local_id,
                 "origin": origin,
-                "epoch": epoch,
             },
             callback,
             callback_arg,
         )
-
-    def shard_map(self) -> tuple[int, list[str]]:
-        """Fetch the server's shard map: ``(epoch, ["host:port", ...])``.
-
-        An unsharded server answers ``(0, [])`` — "I am the only shard".
-        """
-        reply = self._rpc({"op": protocol.OP_SHARDMAP})
-        epoch = int(reply.get("epoch", 0))
-        shards = reply.get("shards")
-        return epoch, [str(s) for s in shards] if isinstance(shards, list) else []
 
     def unsubscribe(self, sub_id: int) -> bool:
         server_id = self._session.retire(sub_id)

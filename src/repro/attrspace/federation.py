@@ -8,10 +8,10 @@ This module is the upstream collaborator an
 
 * **Write-through forwarding.**  A local client's put/remove/batch is
   applied to the host's own store first (the client's reply never waits
-  on the WAN), then forwarded upstream over a single leased session per
-  (context, shard), stamped with this host's *origin id* so the CASS can
-  suppress the echo back to us.  Consecutive queued writes bound for the
-  same shard coalesce into one ``OP_BATCH`` frame — the PR-5 batch
+  on the WAN), then forwarded upstream over one leased session per
+  context, stamped with this host's *origin id* so the CASS can
+  suppress the echo back to us.  Consecutive queued writes of one
+  context coalesce into one ``OP_BATCH`` frame — the PR-5 batch
   machinery doubles as the inter-server forwarding format.
 
 * **Miss forwarding.**  A get the local store cannot answer is forwarded
@@ -29,15 +29,9 @@ This module is the upstream collaborator an
   local store, whose ordinary publish re-fans them to every local
   subscriber — CASS egress is O(hosts), not O(subscribers).
 
-* **Sharded CASS.**  Contexts spread across multiple CASS processes by
-  consistent hashing on (context, attribute-prefix): the LASS asks its
-  seed upstream for the shard map (``OP_SHARDMAP``) and routes each op
-  to the owning shard; patterns with a literal prefix route to one
-  shard, wildcard-prefixed patterns subscribe on every shard.
-
 Threading: all upstream traffic belongs to one worker thread that owns
-the session table and shard map outright (no lock), fed through an
-action queue; per-session pump threads service the upstream clients'
+the session table and aggregate ledger outright (no lock), fed through
+an action queue; per-session pump threads service the upstream clients'
 event queues (async-get completions, aggregated notifications).  The
 only shared state — the aggregation refcounts — sits behind ``_lock``
 (rank 22), which is never held across an upstream RPC or a queue wait.
@@ -58,8 +52,8 @@ from typing import Any, Callable, Sequence
 from repro import errors, obs
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.attrspace.notify import Notification
-from repro.attrspace.store import DEFAULT_CONTEXT, AttributeStore
-from repro.net.address import Endpoint, parse_endpoint
+from repro.attrspace.store import AttributeStore
+from repro.net.address import Endpoint
 from repro.transport.base import Transport
 from repro.util.log import get_logger
 from repro.util.sync import Latch, WaitableQueue, join_all, tracked_lock
@@ -71,56 +65,47 @@ _log = get_logger("attrspace.federation")
 #: this many sub-ops each (bounds frame size and per-flush latency).
 COALESCE_LIMIT = 64
 
-#: Virtual nodes per shard on the consistent-hash ring.
-RING_REPLICAS = 32
-
-GLOB_CHARS = frozenset("*?[")
-
 #: Failure callback of a forwarded get (success lands via ``store.fill``).
 GetFailed = Callable[[Exception], None]
 
 
+# -- pinned by the benchmark --------------------------------------------------
+# Nothing in src/ calls the class below or its two helpers: there is one CASS.
+# benchmarks/tdpbench/layers.py imports the class and times ``owner`` as
+# ``federation.shard_owner_us``; the PR that drops that metric deletes
+# everything from here to the end of the class.
+
+#: Virtual nodes per shard on the consistent-hash ring.
+RING_REPLICAS = 32
+
+
 def _ring_point(key: str) -> int:
-    """A stable 64-bit ring position (``hash()`` is seeded per process,
-    so two LASSes would disagree on ownership — sha1 never does)."""
+    """A stable 64-bit ring position (``hash()`` is seeded per process;
+    sha1 answers the same in every process)."""
     return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest()[:8], "big")
 
 
 def attribute_prefix(attribute: str) -> str:
-    """The shard-routing prefix: the attribute name up to the first dot.
-
-    Hashing the prefix (not the full name) keeps families like
-    ``proc.123.*`` co-located on one shard, so a literal-prefixed
-    subscription or batch touches a single upstream server.
-    """
+    """The routing prefix: the attribute name up to the first dot, so a
+    family like ``proc.123.*`` has one owner."""
     return attribute.split(".", 1)[0]
 
 
 class ShardMap:
-    """Consistent-hash ring over the CASS shards of one epoch.
+    """Consistent-hash ring over ``shards`` (``"host:port"`` strings); a
+    single-entry map routes everything to index 0 without hashing.
+    ``epoch`` is accepted for the benchmark's call shape and ignored."""
 
-    ``shards`` are ``"host:port"`` strings in advertisement order; a
-    single-entry map (the unsharded deployment) routes everything to
-    index 0 without hashing.
-    """
-
-    def __init__(self, epoch: int, shards: Sequence[str], replicas: int = RING_REPLICAS):
-        self.epoch = int(epoch)
+    def __init__(self, epoch: int, shards: Sequence[str]):
         self.shards: tuple[str, ...] = tuple(str(s) for s in shards)
         if not self.shards:
             raise ValueError("a shard map needs at least one shard")
         self._ring: list[tuple[int, int]] = []
         if len(self.shards) > 1:
             for idx, shard in enumerate(self.shards):
-                for replica in range(replicas):
+                for replica in range(RING_REPLICAS):
                     self._ring.append((_ring_point(f"{shard}#{replica}"), idx))
             self._ring.sort()
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def endpoint(self, shard: int) -> Endpoint:
-        return parse_endpoint(self.shards[shard])
 
     def owner(self, context: str, attribute: str) -> int:
         """The shard index owning (context, attribute-prefix)."""
@@ -132,35 +117,17 @@ class ShardMap:
             i = 0
         return self._ring[i][1]
 
-    def shards_for_pattern(self, context: str, pattern: str) -> list[int]:
-        """Which shards a subscription pattern must be placed on.
-
-        A pattern whose routing prefix is literal (``proc.*`` → prefix
-        ``proc``) can only match attributes owned by one shard; anything
-        with a glob in the prefix (``*``, ``job?.status``) may match
-        attributes anywhere, so it subscribes on every shard.
-        """
-        if len(self.shards) == 1:
-            return [0]
-        prefix = attribute_prefix(pattern)
-        if GLOB_CHARS.isdisjoint(prefix) and prefix != pattern:
-            return [self.owner(context, pattern)]
-        if GLOB_CHARS.isdisjoint(pattern):
-            # Fully literal pattern (no dot): still one owner.
-            return [self.owner(context, pattern)]
-        return list(range(len(self.shards)))
-
 
 @dataclass
 class _Upstream:
-    """One leased session to one CASS shard for one context."""
+    """One leased session to the CASS for one context."""
 
     client: AttributeSpaceClient
     pump: threading.Thread
 
 
 class LassFederation:
-    """Upstream engine of one LASS: forwarding, aggregation, sharding.
+    """Upstream engine of one LASS: forwarding and aggregation.
 
     Owned by the server that was constructed with an upstream.  All
     public ``forward_*``/``note_*`` entry points are non-blocking (they
@@ -209,11 +176,10 @@ class LassFederation:
         self._lock = tracked_lock("attrspace.federation.LassFederation._lock")
         self._actions: WaitableQueue[tuple] = WaitableQueue()
         # -- worker-confined state (no lock: only _worker's thread) -----
-        self._map: ShardMap | None = None
-        self._sessions: dict[tuple[str, int], _Upstream] = {}
-        #: (context, pattern) -> [(shard, upstream local sub id)]
-        self._agg_subs: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        self._pumps: list[threading.Thread] = []
+        #: context -> its one leased session, dialled at ``upstream``
+        self._sessions: dict[str, _Upstream] = {}
+        #: (context, pattern) -> upstream local sub id
+        self._agg_subs: dict[tuple[str, str], int] = {}
         self._worker = spawn(self._run, name=f"federation-{host}")
 
     # -- entry points (any thread; never block on upstream) -----------------
@@ -366,27 +332,18 @@ class LassFederation:
         elif kind == "unsub":
             self._do_unsub(action[1], action[2])
         elif kind == "drop":
-            self._do_drop(action[1])
+            self._drop_session(action[1])
         elif kind == "settle":
             action[1].open(True)
 
     def _flush_writes(self, writes: list[tuple]) -> None:
-        """Send a run of queued writes, one batch frame per owning shard.
-
-        Order is preserved per (context, shard) — the only order the
-        space guarantees anyway, since only same-shard attributes can be
-        observed together by one upstream reader.
-        """
-        by_route: dict[tuple[str, int], list[dict[str, Any]]] = {}
-        shard_map = self._ensure_map()
+        """Send a run of queued writes, one batch frame per context, in
+        queue order."""
+        by_context: dict[str, list[dict[str, Any]]] = {}
         for _kind, context, op in writes:
-            if shard_map is None:
-                self.counters["forward_failures"].increment()
-                continue
-            shard = shard_map.owner(context, str(op.get("attribute", "")))
-            by_route.setdefault((context, shard), []).append(op)
-        for (context, shard), ops in by_route.items():
-            client = self._session(context, shard)
+            by_context.setdefault(context, []).append(op)
+        for context, ops in by_context.items():
+            client = self._session(context)
             if client is None:
                 self.counters["forward_failures"].increment(len(ops))
                 continue
@@ -415,10 +372,10 @@ class LassFederation:
             except errors.TdpError as e:
                 self.counters["forward_failures"].increment(len(ops))
                 _log.warning(
-                    "%s: dropped %d forwarded write(s) to shard %d: %s",
-                    self.origin, len(ops), shard, e,
+                    "%s: dropped %d forwarded write(s) of context %r: %s",
+                    self.origin, len(ops), context, e,
                 )
-                self._drop_session(context, shard)
+                self._drop_session(context)
 
     def _do_get(
         self,
@@ -428,12 +385,7 @@ class LassFederation:
         block: bool,
         failed: GetFailed,
     ) -> None:
-        shard_map = self._ensure_map()
-        client = (
-            self._session(context, shard_map.owner(context, attribute))
-            if shard_map is not None
-            else None
-        )
+        client = self._session(context)
         if client is None:
             failed(
                 errors.ReconnectFailedError(
@@ -462,61 +414,45 @@ class LassFederation:
             failed(e)
 
     def _do_sub(self, context: str, pattern: str) -> None:
-        shard_map = self._ensure_map()
-        if shard_map is None:
+        client = self._session(context)
+        if client is None:
             _log.warning(
                 "%s: no upstream; aggregated sub %r deferred to session "
                 "restore", self.origin, pattern,
             )
             return
-        for shard in shard_map.shards_for_pattern(context, pattern):
-            client = self._session(context, shard)
-            if client is not None:
-                self._ensure_agg(context, pattern, shard, client)
+        self._ensure_agg(context, pattern, client)
 
     def _ensure_agg(
-        self, context: str, pattern: str, shard: int, client: AttributeSpaceClient
+        self, context: str, pattern: str, client: AttributeSpaceClient
     ) -> None:
-        entries = self._agg_subs.setdefault((context, pattern), [])
-        if any(s == shard for s, _ in entries):
+        if (context, pattern) in self._agg_subs:
             return
-        epoch = self._map.epoch if self._map is not None else 0
         try:
             sub_id = client.subscribe_agg(
-                pattern,
-                self._on_upstream_notify,
-                origin=self.origin,
-                epoch=epoch,
+                pattern, self._on_upstream_notify, origin=self.origin
             )
         except errors.TdpError as e:
             _log.warning(
-                "%s: aggregated subscribe %r on shard %d failed: %s",
-                self.origin, pattern, shard, e,
+                "%s: aggregated subscribe %r failed: %s", self.origin, pattern, e
             )
             return
-        entries.append((shard, sub_id))
+        self._agg_subs[(context, pattern)] = sub_id
         self.counters["aggregated_subs"].increment()
         obs.record(
             "federation.sub_agg", actor=self.origin,
-            pattern=pattern, shard=shard, context=context,
+            pattern=pattern, context=context,
         )
 
     def _do_unsub(self, context: str, pattern: str) -> None:
-        entries = self._agg_subs.pop((context, pattern), [])
-        for shard, sub_id in entries:
-            upstream = self._sessions.get((context, shard))
-            if upstream is None:
-                continue
-            try:
-                upstream.client.unsubscribe(sub_id)
-            except errors.TdpError:
-                pass  # session dying; the server reaps with the lease
-
-    def _do_drop(self, context: str) -> None:
-        for key in [k for k in self._sessions if k[0] == context]:
-            self._close_session(key)
-        for key in [k for k in self._agg_subs if k[0] == context]:
-            del self._agg_subs[key]
+        sub_id = self._agg_subs.pop((context, pattern), None)
+        upstream = self._sessions.get(context)
+        if sub_id is None or upstream is None:
+            return
+        try:
+            upstream.client.unsubscribe(sub_id)
+        except errors.TdpError:
+            pass  # session dying; the server reaps with the lease
 
     def _on_upstream_notify(self, notification: Notification, _arg: Any) -> None:
         """Apply a CASS-fanned change to the local store (pump thread).
@@ -528,7 +464,7 @@ class LassFederation:
         """
         if notification.origin == self.origin:
             # Our own change came back despite server-side suppression
-            # (e.g. an unsharded upstream predating OP_SUB_AGG semantics).
+            # (e.g. an upstream predating OP_SUB_AGG semantics).
             self.counters["suppressed_echoes"].increment()
             return
         self.counters["upstream_notifies"].increment()
@@ -554,91 +490,45 @@ class LassFederation:
 
     # -- sessions (worker thread only) ---------------------------------------
 
-    def _ensure_map(self) -> ShardMap | None:
-        if self._map is not None:
-            return self._map
-        try:
-            probe = AttributeSpaceClient.connect(
-                self.transport,
-                self.host,
-                self.upstream,
-                context=DEFAULT_CONTEXT,
-                member=f"{self.origin}/probe",
-                reconnect=self._reconnect,
-                lease_ttl=None,
-            )
-        except errors.TdpError as e:
-            _log.warning("%s: upstream unreachable for shard map: %s", self.origin, e)
-            return None
-        try:
-            epoch, shards = probe.shard_map()
-        except errors.TdpError as e:
-            _log.warning("%s: shard-map probe failed: %s", self.origin, e)
-            return None
-        finally:
-            probe.close()
-        self._map = ShardMap(epoch, shards if shards else [str(self.upstream)])
-        obs.record(
-            "federation.shardmap", actor=self.origin,
-            epoch=self._map.epoch, shards=len(self._map),
-        )
-        return self._map
-
-    def _session(self, context: str, shard: int) -> AttributeSpaceClient | None:
-        key = (context, shard)
-        upstream = self._sessions.get(key)
+    def _session(self, context: str) -> AttributeSpaceClient | None:
+        upstream = self._sessions.get(context)
         if upstream is not None:
             return upstream.client
-        shard_map = self._map
-        if shard_map is None:
-            return None
         try:
             client = AttributeSpaceClient.connect(
                 self.transport,
                 self.host,
-                shard_map.endpoint(shard),
+                self.upstream,
                 context=context,
                 member=self.origin,
                 reconnect=self._reconnect,
                 lease_ttl=self._lease_ttl,
             )
         except errors.TdpError as e:
-            _log.warning(
-                "%s: cannot open upstream session to shard %d: %s",
-                self.origin, shard, e,
-            )
+            _log.warning("%s: cannot open upstream session: %s", self.origin, e)
             return None
         pump = spawn(
-            self._pump, args=(client,), name=f"federation-{self.host}-pump-s{shard}"
+            self._pump, args=(client,), name=f"federation-{self.host}-pump"
         )
-        self._sessions[key] = _Upstream(client, pump)
-        self._pumps.append(pump)
+        self._sessions[context] = _Upstream(client, pump)
         self.counters["sessions_opened"].increment()
         # A recreated session (prior one exhausted its reconnect policy)
-        # must win back the aggregated subscriptions routed through it;
+        # must win back the context's aggregated subscriptions;
         # within-session outages re-subscribe via the client's own ledger.
         with self._lock:
-            interested = [k for k in self._interest if k[0] == context]
-        for ctx, pattern in interested:
-            if shard in shard_map.shards_for_pattern(ctx, pattern):
-                self._ensure_agg(ctx, pattern, shard, client)
+            patterns = [p for ctx, p in self._interest if ctx == context]
+        for pattern in patterns:
+            self._ensure_agg(context, pattern, client)
         return client
 
-    def _drop_session(self, context: str, shard: int) -> None:
-        """Forget a session whose forwarding failed terminally; the next
-        action to route here opens (and re-subscribes) a fresh one."""
-        key = (context, shard)
-        for agg_key in list(self._agg_subs):
-            if agg_key[0] == context:
-                remaining = [(s, i) for s, i in self._agg_subs[agg_key] if s != shard]
-                if remaining:
-                    self._agg_subs[agg_key] = remaining
-                else:
-                    del self._agg_subs[agg_key]
-        self._close_session(key)
-
-    def _close_session(self, key: tuple[str, int]) -> None:
-        upstream = self._sessions.pop(key, None)
+    def _drop_session(self, context: str) -> None:
+        """Close and forget a context's session (forwarding failed
+        terminally, or the context is gone) with the aggregates that rode
+        it; the next action for the context opens — and re-subscribes — a
+        fresh one.  The pump exits on its own once the event queue closes."""
+        for key in [k for k in self._agg_subs if k[0] == context]:
+            del self._agg_subs[key]
+        upstream = self._sessions.pop(context, None)
         if upstream is None:
             return
         self.counters["sessions_dropped"].increment()
@@ -656,9 +546,10 @@ class LassFederation:
                 return
 
     def _shutdown_sessions(self) -> None:
-        for key in list(self._sessions):
-            self._close_session(key)
+        pumps = [upstream.pump for upstream in self._sessions.values()]
+        for context in list(self._sessions):
+            self._drop_session(context)
         try:
-            join_all(self._pumps, timeout=10.0)
+            join_all(pumps, timeout=10.0)
         except RuntimeError as e:
             _log.warning("%s: pump threads leaked at shutdown: %s", self.origin, e)

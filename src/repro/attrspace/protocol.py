@@ -57,12 +57,7 @@ OP_BATCH = "batch"          # fields: ops (list of sub-requests, each a
 OP_SUB_AGG = "sub_agg"      # LASS->CASS aggregated subscription: fields
                             # pattern, agg (the LASS's stable aggregation
                             # id), origin (the LASS origin id used for
-                            # echo suppression and fan-out dedup), epoch
-                            # (the shard-map epoch the LASS routed by)
-OP_SHARDMAP = "shardmap"    # ask a CASS for the shard map: reply carries
-                            # epoch (int) + shards (list of "host:port");
-                            # an unsharded server answers epoch 0 and an
-                            # empty list ("I am the only shard")
+                            # echo suppression and fan-out dedup)
 
 # Server push
 OP_NOTIFY = "notify"

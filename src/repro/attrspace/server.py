@@ -43,7 +43,6 @@ import collections
 import enum
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import errors, obs
@@ -75,23 +74,6 @@ OUTBOUND_QUEUE_LIMIT = 512
 class ServerRole(enum.Enum):
     LASS = "lass"  # Local Attribute Space Server (one per execution host)
     CASS = "cass"  # Central Attribute Space Server (front-end host)
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """A CASS shard's view of the sharded attribute-space tier.
-
-    ``shards`` lists every CASS endpoint (``"host:port"`` strings, this
-    server included) in ring order; ``epoch`` versions the map.  A LASS
-    learns both via ``OP_SHARDMAP`` and stamps the epoch on aggregated
-    subscriptions so a shard can reject routing decisions made against a
-    stale map.  ``None`` (the default server config) means unsharded:
-    shardmap answers epoch 0 with no shard list, and downstream LASSes
-    treat the dialed endpoint as the only shard.
-    """
-
-    epoch: int = 0
-    shards: tuple[str, ...] = ()
 
 
 class _SessionLease:
@@ -258,15 +240,12 @@ class AttributeSpaceServer:
         store: AttributeStore | None = None,
         local_only: bool = False,
         clock: Clock | None = None,
-        federation: FederationConfig | None = None,
         upstream: Endpoint | None = None,
         reconnect: ReconnectPolicy | None = None,
         lease_ttl: float | None = 30.0,
     ):
         self.role = role
         self.host = host
-        #: shard-map advertisement (CASS shards only; None = unsharded)
-        self.federation_config = federation
         #: timebase for blocking-get timeouts: wall time by default; the
         #: sim's startds inject their cluster's VirtualClock so scenario
         #: runs cannot have wall-time timers firing under virtual time
@@ -915,25 +894,11 @@ class AttributeSpaceServer:
         to its local subscribers.  Deliveries whose notification
         originated on the subscribing host itself are suppressed (the
         origin already applied and published the change locally).
-        ``epoch`` is validated against the shard map when this server is
-        a configured shard, so a LASS routing by a stale map hears about
-        it instead of silently subscribing on the wrong shard.
         """
         context = self._context_of(request)
         pattern = str(request.get("pattern", "*"))
         origin = str(request.get("origin", conn.peer))
         agg = request.get("agg")
-        epoch = request.get("epoch")
-        config = self.federation_config
-        if (
-            config is not None
-            and isinstance(epoch, int)
-            and not isinstance(epoch, bool)
-            and epoch != config.epoch
-        ):
-            raise errors.ProtocolError(
-                f"stale shard epoch {epoch}: this shard serves epoch {config.epoch}"
-            )
         obs.record(
             "sub.aggregated", actor=self.name,
             origin=origin, agg=agg, pattern=pattern,
@@ -942,16 +907,6 @@ class AttributeSpaceServer:
             conn, context, pattern, origin=origin, span="notify.aggregate"
         )
         conn.send(protocol.ok_reply(req, sub=sub_id))
-
-    def _op_shardmap(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
-        """Advertise the CASS shard map (or "unsharded") to a LASS."""
-        config = self.federation_config
-        if config is None:
-            conn.send(protocol.ok_reply(req, epoch=0, shards=[]))
-            return
-        conn.send(
-            protocol.ok_reply(req, epoch=config.epoch, shards=list(config.shards))
-        )
 
     def _op_batch(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         """One frame, many ops: apply the sub-request list and answer

@@ -88,8 +88,8 @@ def test_wire_inference_is_not_vacuous():
     from repro.analysis import wireschema
 
     schema = wireschema.infer_from_tree()
-    assert len(schema.op_constants) == 14
-    assert len([op for op in schema.ops if op != "error"]) == 13
+    assert len(schema.op_constants) == 13
+    assert len([op for op in schema.ops if op != "error"]) == 12
     assert set(schema.sub_ops) == {"get", "put", "remove"}
     assert schema.notify.reply_writes.fields, "notify writes collapsed"
     assert schema.notify.reply_reads.fields, "notify reads collapsed"
@@ -117,7 +117,7 @@ def test_only_the_server_defines_op_handlers():
                     f.name for f in node.body
                     if isinstance(f, ast.FunctionDef) and f.name.startswith("_op_")
                 )
-    assert len(handlers.pop("AttributeSpaceServer")) >= 13
+    assert len(handlers.pop("AttributeSpaceServer")) >= 12
     assert not any(handlers.values()), {k: v for k, v in handlers.items() if v}
 
 
@@ -162,6 +162,57 @@ def test_only_the_session_layer_touches_the_channel():
         and isinstance(node.value, ast.Attribute) and node.value.attr == "_pending"
     ]
     assert registrations == ["submit"]
+
+
+def test_one_cass_no_sharded_tier():
+    """One CASS: outside ``ShardMap`` and its two helpers — importable
+    only because ``benchmarks/tdpbench/layers.py`` still times ``owner``
+    — no name, attribute, parameter, keyword, import or string constant
+    under ``src/repro`` mentions a shard or an epoch, so nothing refers
+    to ``ShardMap`` either.  Docstrings are prose and do not count."""
+    import ast
+    import re
+
+    word = re.compile("shard|epoch", re.IGNORECASE)
+    pinned = {"ShardMap", "_ring_point", "attribute_prefix"}
+    definitions = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    exempted: set[str] = set()
+
+    def spellings(path, node):
+        """Every (line, text) the gate judges at or below ``node``."""
+        body = getattr(node, "body", None)
+        docstring = None
+        if isinstance(node, (ast.Module, *definitions)) and body:
+            first = body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstring = first
+        for child in ast.iter_child_nodes(node):
+            if child is docstring:
+                continue
+            if (
+                isinstance(child, definitions) and child.name in pinned
+                and isinstance(node, ast.Module) and path.name == "federation.py"
+            ):
+                exempted.add(child.name)
+                continue
+            texts = [
+                getattr(child, field, None)
+                for field in ("id", "attr", "arg", "name", "asname")
+            ]
+            if isinstance(child, ast.Constant):
+                texts.append(child.value)
+            line = getattr(child, "lineno", getattr(node, "lineno", 0))
+            yield from ((line, t) for t in texts if isinstance(t, str))
+            yield from spellings(path, child)
+
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {text!r}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, text in spellings(path, ast.parse(path.read_text()))
+        if word.search(text)
+    ]
+    assert not offenders, "\n".join(offenders)
+    assert exempted == pinned, "the exemption outlived what it exempts"
 
 
 def test_lint_cli_exits_zero():

@@ -49,14 +49,14 @@ def test_lock_file_is_canonically_rendered():
         wireschema.render_lock(committed)
 
 
-def test_schema_covers_all_fourteen_ops():
+def test_schema_covers_all_thirteen_ops():
     """Non-vacuity: every OP_* constant must appear in the lock."""
     lock = wireschema.load_lock(LOCK_PATH)
     op_values = {
         value for name, value in vars(protocol).items()
         if name.startswith("OP_")
     }
-    assert len(op_values) == 14
+    assert len(op_values) == 13
     covered = set(lock["ops"]) | {"notify"}
     assert op_values <= covered, f"ops missing from lock: {op_values - covered}"
     assert lock["notify"], "notify schema collapsed to empty"

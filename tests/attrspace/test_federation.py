@@ -1,4 +1,4 @@
-"""Federation tests: LASS↔CASS hierarchy, aggregation, sharding, chaos.
+"""Federation tests: LASS↔CASS hierarchy, aggregation, chaos.
 
 Like the client/server module, this whole file doubles as a chaos
 suite: with ``TDP_FAULTPLAN`` set (e.g. ``seed:42``) the transport
@@ -10,6 +10,7 @@ and convergence assertions hold in both modes.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -18,11 +19,7 @@ from repro import errors
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.attrspace.federation import ShardMap, attribute_prefix
 from repro.attrspace.lass import LassServer
-from repro.attrspace.server import (
-    AttributeSpaceServer,
-    FederationConfig,
-    ServerRole,
-)
+from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.net.address import Endpoint
 from repro.net.topology import flat_network
 from repro.transport.faultinject import from_env
@@ -32,7 +29,7 @@ CHAOS = bool(os.environ.get("TDP_FAULTPLAN"))
 
 FAST = ReconnectPolicy(base_delay=0.02, max_delay=0.2, deadline=5.0, seed=7)
 
-HOSTS = ["hub", "shard0", "shard1", "hostA", "hostB", "hostC", "submit"]
+HOSTS = ["hub", "hostA", "hostB", "hostC", "submit"]
 
 
 def wait_until(predicate, timeout=5.0, interval=0.005):
@@ -82,7 +79,7 @@ def drain(client, sink_len, expect, timeout=5.0):
     return sink_len()
 
 
-# -- shard-map unit behavior --------------------------------------------------
+# -- what the benchmark still times: ShardMap.owner ---------------------------
 
 
 class TestShardMap:
@@ -93,7 +90,6 @@ class TestShardMap:
     def test_single_shard_routes_everything_to_zero(self):
         m = ShardMap(0, ["hub:7000"])
         assert m.owner("c", "anything.at.all") == 0
-        assert m.shards_for_pattern("c", "*") == [0]
 
     def test_owner_is_deterministic_and_prefix_keyed(self):
         m1 = ShardMap(1, ["shard0:7000", "shard1:7000"])
@@ -102,16 +98,6 @@ class TestShardMap:
             assert m1.owner("c", attr) == m2.owner("c", attr)
         # the whole proc.* family co-locates: same routing prefix
         assert m1.owner("c", "proc.1.pid") == m1.owner("c", "proc.2.rss")
-
-    def test_pattern_placement(self):
-        m = ShardMap(1, ["shard0:7000", "shard1:7000"])
-        # literal prefix: one owner
-        assert m.shards_for_pattern("c", "proc.*") == [m.owner("c", "proc.x")]
-        # fully literal: one owner
-        assert m.shards_for_pattern("c", "job") == [m.owner("c", "job")]
-        # glob in the routing prefix: every shard
-        assert m.shards_for_pattern("c", "*") == [0, 1]
-        assert m.shards_for_pattern("c", "job?.status") == [0, 1]
 
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
@@ -364,97 +350,86 @@ def _has(store, attribute, context):
     return True
 
 
-# -- sharded CASS -------------------------------------------------------------
+# -- the session table: one upstream session per context ----------------------
 
 
-class TestSharding:
-    @pytest.fixture
-    def shards(self, transport):
-        s0 = AttributeSpaceServer(transport, "shard0", role=ServerRole.CASS)
-        s1 = AttributeSpaceServer(transport, "shard1", role=ServerRole.CASS)
-        config = FederationConfig(
-            epoch=1, shards=(str(s0.endpoint), str(s1.endpoint))
-        )
-        # advertise the same map from both shards
-        s0.federation_config = config
-        s1.federation_config = config
-        yield s0, s1
-        s0.stop()
-        s1.stop()
+class TestSessionTable:
+    def test_fresh_lass_dials_upstream_once_per_context(
+        self, transport, cass, monkeypatch
+    ):
+        dials = []
+        connect = transport.connect
 
-    def test_writes_route_to_owning_shard(self, transport, shards):
-        s0, s1 = shards
-        lass = make_lass(transport, "hostA", s0.endpoint)
+        def counting(src, dst, *args, **kwargs):
+            if src == "hostA" and dst == cass.endpoint:
+                dials.append(dst)
+            return connect(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "connect", counting)
+        lass = make_lass(transport, "hostA", cass.endpoint)
         try:
             a = make_client(transport, "hostA", lass, member="a")
-            attrs = [f"fam{i}.x" for i in range(8)]
-            for attr in attrs:
-                a.put(attr, "v")
+            a.put("x", "1")
+            a.subscribe("x*", lambda n, arg: None)
+            with pytest.raises(errors.NoSuchAttributeError):
+                a.try_get("ghost")
             lass.federation.settle()
-            m = ShardMap(1, [str(s0.endpoint), str(s1.endpoint)])
-            stores = {0: s0.store, 1: s1.store}
-            owners = set()
-            for attr in attrs:
-                owner = m.owner("job", attr)
-                owners.add(owner)
-                assert stores[owner].try_get(attr, context="job") == "v"
-                assert not _has(stores[1 - owner], attr, "job")
-            # non-vacuity: the family names actually spread across shards
-            assert owners == {0, 1}
+            assert len(lass.federation._sessions) == 1
+            if not CHAOS:
+                assert len(dials) == 1
+
+            other = make_client(
+                transport, "hostA", lass, context="job2", member="o"
+            )
+            other.put("y", "1")
+            lass.federation.settle()
+            assert len(lass.federation._sessions) == 2
+            if not CHAOS:
+                assert len(dials) == 2
+            other.close()
+            a.close()
         finally:
             lass.stop()
 
-    def test_wildcard_subscription_covers_every_shard(self, transport, shards):
-        s0, s1 = shards
-        lass = make_lass(transport, "hostB", s1.endpoint)
+    def test_dropped_sessions_leave_no_pump_behind(self, transport, cass):
+        """A LASS whose upstream flaps must not keep one dead pump
+        ``Thread`` per dropped session until ``stop()``."""
+        ROUNDS = 20
+        lass = make_lass(transport, "hostA", cass.endpoint)
         try:
-            seen = []
-            b = make_client(transport, "hostB", lass, member="b")
-            b.subscribe("*", lambda n, arg: seen.append(n.attribute))
-            lass.federation.settle()
-            assert wait_until(
-                lambda: len(s0.store.subscriptions) == 1
-                and len(s1.store.subscriptions) == 1
-            )
-            assert lass.federation.counters["aggregated_subs"].value == 2
+            fed = lass.federation
+            a = make_client(transport, "hostA", lass, member="a")
 
-            # a put routed to either shard reaches the one local subscriber
-            writer = make_lass(transport, "hostA", s0.endpoint)
-            try:
-                a = make_client(transport, "hostA", writer, member="a")
-                m = ShardMap(1, [str(s0.endpoint), str(s1.endpoint)])
-                pair = ["fam0.x", next(
-                    f"fam{i}.x" for i in range(1, 16)
-                    if m.owner("job", f"fam{i}.x") != m.owner("job", "fam0.x")
-                )]
-                for attr in pair:
-                    a.put(attr, "v")
-                writer.federation.settle()
-                assert drain(b, lambda: len(seen), 2) == 2
-                assert set(seen) == set(pair)
-                a.close()
-            finally:
-                writer.stop()
-            b.close()
+            def refuse(*args, **kwargs):
+                raise errors.ProtocolError("forward refused")
+
+            for i in range(ROUNDS):
+                a.put(f"ok.{i}", "1")  # opens the context's session
+                fed.settle()
+                next(iter(fed._sessions.values())).client.put = refuse
+                a.put(f"bad.{i}", "1")  # the failing forward drops it
+                fed.settle()
+                assert not fed._sessions
+            assert fed.counters["sessions_dropped"].value >= ROUNDS
+            a.put("after", "1")
+            fed.settle()
+            assert cass.store.try_get("after", context="job") == "1"
+
+            def live_pumps():
+                return [
+                    t for t in threading.enumerate()
+                    if t.name.startswith("federation-hostA-pump")
+                ]
+
+            assert wait_until(lambda: len(live_pumps()) == 1)
+            for name, value in vars(fed).items():
+                if isinstance(value, (list, tuple, set, dict)):
+                    members = value.values() if isinstance(value, dict) else value
+                    held = sum(isinstance(m, threading.Thread) for m in members)
+                    assert held == 0, f"{name} holds {held} threads"
+            a.close()
         finally:
             lass.stop()
-
-    def test_stale_epoch_rejected(self, transport, shards):
-        s0, _ = shards
-        client = make_client(transport, "submit", s0, member="probe")
-        with pytest.raises(errors.ProtocolError):
-            client.subscribe_agg(
-                "x*", lambda n, arg: None, origin="lass:probe", epoch=99
-            )
-        client.close()
-
-    def test_shardmap_probe(self, transport, shards):
-        s0, s1 = shards
-        client = make_client(transport, "submit", s0, member="probe")
-        epoch, listed = client.shard_map()
-        assert epoch == 1
-        assert listed == [str(s0.endpoint), str(s1.endpoint)]
-        client.close()
 
 
 # -- fan-out economics: CASS egress is O(hosts) -------------------------------
@@ -701,11 +676,13 @@ class TestUnreachableUpstream:
                 cass.stop()
 
 
-# -- ROADMAP item 3, first deliverable: the fill hole ---------------------------
+# -- ROADMAP, "A coherence contract for the two-tier space": confirmed holes ----
+
+COHERENCE = "ROADMAP: A coherence contract for the two-tier space"
 
 
 class TestCoherenceHoles:
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    @pytest.mark.xfail(strict=True, reason=COHERENCE)
     def test_filled_miss_sees_a_later_remote_overwrite(self, transport, cass):
         """A miss answered upstream lands via ``store.fill`` and stays
         cached with no upstream interest registered, so host B keeps
@@ -729,3 +706,86 @@ class TestCoherenceHoles:
         finally:
             lass_a.stop()
             lass_b.stop()
+
+    @pytest.mark.xfail(strict=True, reason=COHERENCE)
+    def test_change_during_an_upstream_gap_is_reread(
+        self, transport, cass, monkeypatch
+    ):
+        """The CASS's ``_cleanup`` unsubscribes a dead connection's
+        aggregates, so a change made while host A's upstream session is
+        down is never notified; the session re-establishes its ledger and
+        later events flow, but nothing re-reads what the gap hid."""
+        lass = make_lass(transport, "hostA", cass.endpoint, reconnect=FAST)
+        gate = threading.Event()
+        gate.set()
+        connect = transport.connect
+
+        def gated(src, dst, *args, **kwargs):
+            if src == "hostA" and dst == cass.endpoint and not gate.is_set():
+                raise errors.ConnectError("upstream held shut")
+            return connect(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "connect", gated)
+        try:
+            seen = []
+            a = make_client(transport, "hostA", lass, member="a")
+            a.subscribe("k*", lambda n, arg: seen.append(n.attribute))
+            lass.federation.settle()
+            assert wait_until(lambda: len(cass.store.subscriptions) == 1)
+            direct = make_client(transport, "submit", cass, member="seed")
+            direct.put("k", "1")
+            assert drain(a, lambda: len(seen), 1) == 1
+            assert a.try_get("k") == "1"
+
+            gate.clear()
+            upstream = next(iter(lass.federation._sessions.values()))
+            with upstream.client._session._lock:
+                channel = upstream.client._session._channel
+            channel.close()
+            assert wait_until(lambda: len(cass.store.subscriptions) == 0)
+            direct.put("k", "2")
+            gate.set()
+
+            # the ledger re-created the aggregate: later events arrive
+            assert wait_until(lambda: len(cass.store.subscriptions) == 1)
+            direct.put("k.other", "x")
+            assert wait_until(
+                lambda: drain(a, lambda: len(seen), len(seen) + 1, timeout=0.2)
+                and "k.other" in seen
+            )
+            try:
+                assert wait_until(lambda: a.try_get("k") == "2", timeout=1.0)
+            finally:
+                direct.close()
+                a.close()
+        finally:
+            lass.stop()
+
+    @pytest.mark.xfail(strict=True, reason=COHERENCE)
+    def test_subscriber_only_host_hears_a_cass_that_starts_late(self, transport):
+        """With the upstream not listening at subscribe time the aggregate
+        is "deferred to session restore", and with no write or miss on the
+        context nothing ever dials again: the host stays blind."""
+        lass = make_lass(transport, "hostA", Endpoint("hub", 7000))
+        cass = None
+        try:
+            seen = []
+            a = make_client(transport, "hostA", lass, member="a")
+            a.subscribe("k*", lambda n, arg: seen.append(n.value))
+            lass.federation.settle(timeout=30.0)
+            assert lass.federation.counters["sessions_opened"].value == 0
+
+            cass = AttributeSpaceServer(
+                transport, "hub", port=7000, role=ServerRole.CASS
+            )
+            direct = make_client(transport, "submit", cass, member="seed")
+            direct.put("k", "1")
+            try:
+                assert drain(a, lambda: len(seen), 1, timeout=1.5) == 1
+            finally:
+                direct.close()
+                a.close()
+        finally:
+            lass.stop()
+            if cass is not None:
+                cass.stop()

@@ -98,7 +98,7 @@ def server():
 
 
 def run_full_scenario(transport, srv):
-    """Exercise all thirteen request ops plus the notify push."""
+    """Exercise all twelve request ops plus the notify push."""
     channel = transport.connect("submit", srv.endpoint, timeout=5.0)
     client = AttributeSpaceClient(channel, context="conf", member="probe")
     seen = []
@@ -106,8 +106,6 @@ def run_full_scenario(transport, srv):
     agg_id = client.subscribe_agg(
         "agg*", lambda n, arg: None, origin="lass:submit"
     )
-    epoch, shards = client.shard_map()
-    assert epoch == 0 and shards == []
     client.put("pid", "4711")
     client.put("pid.boot", "1", ephemeral=True)
     assert client.get("pid", timeout=5.0) == "4711"
@@ -236,11 +234,12 @@ SAMPLES = [
     ("batch:remove.reply", {"ok": True, "existed": True}),
     ("sub_agg.request", {"op": "sub_agg", "req": 12, "context": "c",
                          "pattern": "pid*", "agg": 3,
-                         "origin": "lass:node1", "epoch": 0}),
+                         "origin": "lass:node1"}),
     ("sub_agg.reply", {"reply_to": 12, "ok": True, "sub": 9}),
-    ("shardmap.request", {"op": "shardmap", "req": 13}),
-    ("shardmap.reply", {"reply_to": 13, "ok": True, "epoch": 2,
-                        "shards": ["cass0:7000", "cass1:7000"]}),
+    ("error", {"reply_to": 13, "ok": False, "error_type": "protocol",
+               "error": "unknown op 'shardmap'"}),
+    ("notify", {"op": "notify", "sub": 9, "kind": "put", "context": "c",
+                "attribute": "pid", "value": "4711", "origin": None}),
     ("notify", {"op": "notify", "sub": 9, "kind": "put", "context": "c",
                 "attribute": "pid", "value": "4711",
                 "origin": "lass:node1"}),
@@ -324,6 +323,76 @@ def test_binary_sample_frame_roundtrips_and_conforms(lock, kind, frame):
     decoded = binary_roundtrip(frame)
     assert decoded == frame
     assert wireschema.validate_frame(lock, decoded, kind) == []
+
+
+#: ``bincodec.encode`` of one frame per op, generated at the commit before
+#: ``shardmap``/``epoch``/``shards`` left the tables: an op removal that
+#: moved any surviving tag or field id would change these bytes.
+GOLDEN_BYTES = [
+    ({"op": "attach", "req": 0, "context": "c", "member": "m",
+      "session": "tok", "lease_ttl": 12.5},
+     "000005010300050801631508016d180803746f6b19074029000000000000"),
+    ({"op": "batch", "req": 10, "context": "c",
+      "ops": [{"op": "put", "attribute": "a", "value": "1"}]},
+     "01000301030a05080163120a000000010b00000003000803707574060801610808"
+     "0131"),
+    ({"op": "detach", "req": 1, "context": "c", "member": "m"},
+     "020003010301050801631508016d"),
+    ({"op": "get", "req": 3, "context": "c", "attribute": "pid",
+      "block": True, "timeout": 5.0},
+     "030005010303050801630608037069640d020e074014000000000000"),
+    ({"op": "list", "req": 5, "context": "c"}, "04000201030505080163"),
+    ({"op": "notify", "sub": 9, "kind": "put", "context": "c",
+      "attribute": "pid", "value": "4711", "origin": "lass:node1"},
+     "050006100309110803707574050801630608037069640808043437313123080a6c"
+     "6173733a6e6f646531"),
+    ({"op": "ping", "req": 9}, "060001010309"),
+    ({"op": "put", "req": 2, "context": "c", "attribute": "pid",
+      "value": "4711", "ephemeral": True},
+     "07000501030205080163060803706964080804343731310a02"),
+    ({"op": "remove", "req": 4, "context": "c", "attribute": "pid"},
+     "08000301030405080163060803706964"),
+    ({"op": "snapshot", "req": 6, "context": "c"}, "09000201030605080163"),
+    ({"op": "subscribe", "req": 7, "context": "c", "pattern": "pid*"},
+     "0a0003010307050801630f08047069642a"),
+    ({"op": "unsubscribe", "req": 8, "sub": 9}, "0b0002010308100309"),
+    ({"op": "sub_agg", "req": 12, "context": "c", "pattern": "pid*",
+      "agg": 3, "origin": "lass:node1"},
+     "0c000501030c050801630f08047069642a24030323080a6c6173733a6e6f646531"),
+]
+
+
+def test_golden_bytes_no_tag_or_field_id_moved():
+    ops = {value for name, value in vars(protocol).items()
+           if name.startswith("OP_")}
+    assert {frame["op"] for frame, _ in GOLDEN_BYTES} == ops
+    for frame, golden in GOLDEN_BYTES:
+        body = protocol.encode_body(frame, codec=protocol.CODEC_BINARY)
+        assert body.hex() == golden, frame["op"]
+        assert protocol.decode_body(bytes.fromhex(golden), True) == frame
+
+
+def test_retired_tags_decode_as_protocol_errors():
+    """Op tag 13 (``shardmap``) and field ids 37/38 (``epoch``,
+    ``shards``) are past the end of their tables again."""
+    retired_op = bytes([13, 0, 1, 1, 3, 0])             # <op 13> req=0
+    retired_fields = [
+        bytes([6, 0, 1, fid, 3, 0]) for fid in (37, 38)  # ping <fid>=0
+    ]
+    nested = bytes([6, 0, 1, 20, 0x0B, 0, 0, 0, 1, 37, 3, 0])  # data={<37>: 0}
+    for body in (retired_op, *retired_fields, nested):
+        with pytest.raises(errors.ProtocolError, match="unknown"):
+            protocol.decode_body(body, True)
+
+
+def test_retired_op_is_refused_and_the_connection_keeps_serving(server):
+    transport, srv = server
+    channel = transport.connect("submit", srv.endpoint, timeout=5.0)
+    client = AttributeSpaceClient(channel, context="conf", member="probe")
+    with pytest.raises(errors.ProtocolError, match="unknown op 'shardmap'"):
+        client._rpc({"op": "shardmap"})
+    assert client.ping()["role"] == "lass"
+    client.close()
 
 
 def test_binary_frames_carry_the_flag_bit():

@@ -33,7 +33,7 @@ class TestCli:
         assert main(["protocol", "check"]) == 0
         out = capsys.readouterr().out
         assert "matches the source tree" in out
-        assert "14 ops" in out
+        assert "13 ops" in out
 
     def test_protocol_dump_to_path(self, tmp_path, capsys):
         target = tmp_path / "lock.json"
