@@ -2,15 +2,26 @@
 
 For each rank count, runs a monitored MPI job and reports: every rank
 attached before executing (tool coverage from instruction zero), job
-correctness under monitoring, and startup latency versus ranks.
+correctness under monitoring, and startup latency versus ranks.  Then
+the size series of the launch itself, medians over ``WARM_LAUNCHES``
+warm jobs: submit -> all daemons up (whole and per rank), CPU the
+process spent per job cycle, and what the simulator did meanwhile
+(scheduler slices, ``mpi.lookup`` calls) — a rank waiting for a peer
+should cost the simulator nothing.
 """
+
+import time
+from statistics import median
 
 import pytest
 from conftest import print_table
 
 from repro.condor.job import JobStatus
 from repro.parador.run import ParadorScenario
+from repro.sim.cluster import SimCluster
 from repro.util.clock import Stopwatch
+
+WARM_LAUNCHES = 10
 
 
 def mpi_submit(scenario, executable, ranks, arguments):
@@ -25,8 +36,44 @@ def mpi_submit(scenario, executable, ranks, arguments):
     )
 
 
-@pytest.mark.parametrize("ranks", [2, 4, 8, 16])
-def test_mpi_universe_rank_sweep(benchmark, ranks):
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the ``mpi.lookup`` service calls simulated ranks make."""
+    count = [0]
+    call_service = SimCluster.call_service
+
+    def tapped(self, name, proc, args):
+        count[0] += name == "mpi.lookup"
+        return call_service(self, name, proc, args)
+
+    monkeypatch.setattr(SimCluster, "call_service", tapped)
+    return count
+
+
+def warm_launch(scenario, ranks, lookups):
+    """One warm job cycle: (startup s, process CPU s, slices, lookups)."""
+    frontend, scheduler = scenario.frontend, scenario.cluster.scheduler
+    seen = len(frontend.daemons())
+    while any(startd.claimed for startd in scenario.pool.startds.values()):
+        time.sleep(0.001)  # the previous job's machines are still being released
+    slices, looked, cpu = scheduler.slices_executed, lookups[0], time.process_time()
+    with Stopwatch() as sw:
+        job = scenario.pool.submit_file(
+            mpi_submit(scenario, "mpi_ring", ranks, "1")
+        )[0]
+        sessions = frontend.wait_for_daemons(seen + ranks, timeout=120.0)[seen:]
+    startup = sw.seconds
+    assert job.wait_terminal(timeout=120.0) is JobStatus.COMPLETED
+    for session in sessions:
+        session.wait_state("exited", timeout=60.0)
+    return (
+        startup, time.process_time() - cpu,
+        scheduler.slices_executed - slices, lookups[0] - looked,
+    )
+
+
+@pytest.mark.parametrize("ranks", [2, 4, 8, 16, 32])
+def test_mpi_universe_rank_sweep(benchmark, ranks, lookups):
     hosts = [f"node{i}" for i in range(ranks)]
     with ParadorScenario(execute_hosts=hosts) as scenario:
         with Stopwatch() as sw:
@@ -55,6 +102,24 @@ def test_mpi_universe_rank_sweep(benchmark, ranks):
             ],
         )
         benchmark.extra_info["ranks"] = ranks
+
+        startup, cpu, slices, looked = (
+            median(series) for series in zip(*(
+                warm_launch(scenario, ranks, lookups)
+                for _ in range(WARM_LAUNCHES)
+            ))
+        )
+        print_table(
+            f"warm launch, {ranks} ranks (median of {WARM_LAUNCHES})",
+            ["metric", "value"],
+            [
+                ["submit -> all daemons up", f"{startup * 1e3:.1f} ms"],
+                ["  per rank", f"{startup * 1e3 / ranks:.2f} ms"],
+                ["process CPU per job cycle", f"{cpu * 1e3:.1f} ms"],
+                ["scheduler slices", int(slices)],
+                ["mpi.lookup calls", int(looked)],
+            ],
+        )
 
         def one_more_job():
             j = scenario.pool.submit_file(

@@ -120,12 +120,19 @@ DEFAULT = LockHierarchy([
              note="daemon supervision table"),
     LockDecl("condor.matchmaker.Matchmaker._lock", 12,
              note="machine-ad table during negotiation"),
+    LockDecl("mpisim.runtime.MpiRuntime._instances_lock", 13,
+             note="runtime registry; held while a new runtime registers "
+                  "its services with the cluster"),
     LockDecl("sim.cluster.SimCluster._lock", 14,
              note="cluster topology; held while delivering to a process"),
     LockDecl("condor.mpi_universe.MpiUniverseCoordinator._lock", 14,
-             note="MPI rank rendezvous state"),
-    LockDecl("mpisim.runtime.MpiRuntime._instances_lock", 14, note="runtime registry"),
-    LockDecl("mpisim.runtime.MpiRuntime._lock", 16, note="per-runtime rank state"),
+             note="one gang's launch record: per-rank RM handles, pids, "
+                  "tool handles and the first start failure, written by "
+                  "the per-machine starter threads; never calls out held"),
+    LockDecl("mpisim.runtime.MpiRuntime._lock", 16,
+             note="MPI rank rendezvous state: per-job rank tables, master "
+                  "hooks and parked waiters; released before a waiter is "
+                  "woken"),
     LockDecl("condor.startd.Startd._cass_lock", 18, blocking_ok=True,
              note="the host's one lazily-dialled CASS session: one launch "
                   "at a time dials, re-dials and reads on it; guards only "

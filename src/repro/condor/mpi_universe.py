@@ -22,9 +22,13 @@ The paper's flow, reproduced step by step:
 
 Simplification (documented): worker-rank creation is performed by this
 coordinator using the claimed machines' hosts and LASSes directly,
-standing in for the per-machine starters that real Condor would run;
-every protocol step they would perform (per-host LASS context, RM-side
-control service, pid publication, paradynd handshake) is preserved.
+standing in for the per-machine starters that real Condor would run —
+one short-lived thread per claimed machine, all running at once, as the
+machines' own starters would; every protocol step they would perform
+(per-host LASS context, RM-side control service, pid publication,
+paradynd handshake) is preserved.  A rank that cannot be started fails
+the job: its peers would wait for it for good, so the coordinator kills
+every rank that was created and the master starter reports the failure.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from repro.tdp.wellknown import Attr, CreateMode
 from repro.transport.base import Transport
 from repro.util.log import TraceRecorder
 from repro.util.strings import join_arguments, split_arguments
+from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
 
 
@@ -97,8 +102,13 @@ class MpiUniverseCoordinator:
         self._rank_handles: dict[int, TdpHandle] = {}
         self._rank_pids: dict[int, tuple[str, int]] = {}  # rank -> (host, pid)
         self._tool_handles: list = []
-        self._lock = threading.Lock()
+        self._start_failure: str | None = None
+        self._lock = tracked_lock("condor.mpi_universe.MpiUniverseCoordinator._lock")
         self._workers_started = threading.Event()
+        # tdp-guard: _master_handle -> volatile
+        # (written once by start_master, before rank 0 exists to reach
+        # the mpi.init that starts the only other reader)
+        self._master_handle: TdpHandle | None = None
         # tdp-guard: master_pid -> volatile
         # (written once when the master rank is created, before the
         # launch report that makes control requests possible)
@@ -107,6 +117,13 @@ class MpiUniverseCoordinator:
     def _record(self, action: str, **details) -> None:
         if self._trace is not None:
             self._trace.record(f"mpi-coord/{self.job_id}", action, **details)
+
+    @property
+    def start_failure(self) -> str | None:
+        """The first worker rank that could not be started, as the job's
+        failure reason; the gang is then killed, not left waiting for it."""
+        with self._lock:
+            return self._start_failure
 
     # -- environment ------------------------------------------------------------
 
@@ -127,6 +144,7 @@ class MpiUniverseCoordinator:
         ``mpi.init``; the starter then launches rank 0's paradynd and
         publishes the pid exactly as in the vanilla path.
         """
+        self._master_handle = master_handle
         self._runtime.create_job(self.job_id, self.size)
         self._runtime.on_master_init(self.job_id, self._on_master_running)
         mode = (
@@ -158,11 +176,50 @@ class MpiUniverseCoordinator:
         spawn(self._start_workers, name=f"mpi-workers-{self.job_id}")
 
     def _start_workers(self) -> None:
+        """Start every worker rank at once, one thread per machine — what
+        each machine's own starter would be doing at this moment."""
         try:
-            for rank in range(1, self.size):
-                self._start_one_worker(rank)
+            starters = [
+                spawn(
+                    self._start_worker_or_fail,
+                    args=(rank,),
+                    name=f"mpi-rank-{self.job_id}-{rank}",
+                )
+                for rank in range(1, self.size)
+            ]
+            for starter in starters:
+                starter.join()
+            # Siblings of a failed rank have by now finished their own
+            # start or failed it, so nothing is created after the kill.
+            if self.start_failure is not None:
+                self._kill_created_ranks()
         finally:
             self._workers_started.set()
+
+    def _start_worker_or_fail(self, rank: int) -> None:
+        try:
+            self._start_one_worker(rank)
+        except Exception as e:  # noqa: BLE001 — whatever stopped it fails the job
+            self._record("rank_start_failed", rank=rank, error=str(e))
+            with self._lock:
+                if self._start_failure is None:
+                    self._start_failure = f"rank {rank} could not be started: {e}"
+
+    def _kill_created_ranks(self) -> None:
+        """A gang with a rank missing never finishes: its peers wait for
+        the one that is not coming.  Kill what exists, each rank through
+        the RM handle that created it."""
+        with self._lock:
+            created = [
+                (self._rank_handles[rank] if rank else self._master_handle, pid)
+                for rank, (_host, pid) in sorted(self._rank_pids.items())
+            ]
+        for handle, pid in created:
+            assert handle is not None and handle.control is not None
+            try:
+                handle.control.kill(pid)
+            except errors.ProcessError:
+                pass  # already gone; the rest still have to be killed
 
     def _start_one_worker(self, rank: int) -> None:
         slot = self._machines[rank]
@@ -179,11 +236,11 @@ class MpiUniverseCoordinator:
             context=context,
             backend=SimHostBackend(host),
         )
+        with self._lock:
+            self._rank_handles[rank] = handle  # cleanup() owns it from here
         assert handle.control is not None
         handle.control.serve_tool_requests()
         handle.start_service_loop()
-        with self._lock:
-            self._rank_handles[rank] = handle
 
         monitored = self._desc.monitored
         mode = CreateMode.PAUSED if monitored else CreateMode.RUN
@@ -251,10 +308,11 @@ class MpiUniverseCoordinator:
         if self._workers_started.wait(timeout=10.0):
             with self._lock:
                 workers = [
-                    (rank, self._rank_handles[rank], self._rank_pids[rank][1])
-                    for rank in sorted(self._rank_handles)
+                    (self._rank_handles[rank], pid)
+                    for rank, (_host, pid) in sorted(self._rank_pids.items())
+                    if rank
                 ]
-            for _rank, handle, pid in workers:
+            for handle, pid in workers:
                 assert handle.control is not None
                 codes.append(handle.control.wait_exit(pid, timeout=timeout))
         self._record("all_ranks_exited", codes=",".join(map(str, codes)))
@@ -273,6 +331,7 @@ class MpiUniverseCoordinator:
         for handle in handles:
             handle.stop_service_loop()
             tdp_exit(handle)
+        self._runtime.end_job(self.job_id)
 
 
 def machine_slots_from_wire(extra_machines: list[dict]) -> list[MachineSlot]:

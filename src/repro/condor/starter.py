@@ -388,6 +388,8 @@ class Starter:
 
         self.exit_code = coordinator.wait_all_exited(handle, timeout=None)
         self._record("job_exited", pid=pid, code=self.exit_code)
+        if coordinator.start_failure is not None:
+            raise errors.UniverseError(coordinator.start_failure)
         self._report({"op": "job_exited", "code": self.exit_code})
 
     def _disseminate_global_attributes(self, handle: TdpHandle) -> None:

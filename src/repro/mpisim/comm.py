@@ -15,7 +15,10 @@ programs — the mpi4py-flavored surface (``send``/``recv``/``bcast``/
         yield from call("main", body())
 
 Tags carry the collective round and the source rank so concurrent
-collectives with the same peers never cross-deliver.
+collectives with the same peers never cross-deliver.  ``mpi.up.<rank>``
+is the runtime's own: the one message that tells a process waiting in
+:meth:`MpiComm._resolve` that its peer has registered (so ``up`` is not
+available as a user tag).
 """
 
 from __future__ import annotations
@@ -52,17 +55,24 @@ class MpiComm:
         return MpiComm(job=str(job), rank=int(reply["rank"]), size=int(reply["size"]))
 
     def _resolve(self, rank: int) -> Generator[sc.SysCall, Any, tuple[str, int]]:
-        """Find a peer's (host, pid), polling until it has registered."""
+        """Find a peer's (host, pid), parked until it has registered.
+
+        One lookup; on a miss the runtime has booked this process for
+        the peer's ``mpi.up.<rank>`` message, received here by exact tag
+        before anything else runs — so an any-source :meth:`recv` never
+        sees it.
+        """
         cached = self._peers.get(rank)
         if cached is not None:
             return cached
-        while True:
-            info = yield sc.Service("mpi.lookup", {"job": self.job, "rank": rank})
-            if info is not None:
-                peer = (str(info["host"]), int(info["pid"]))
-                self._peers[rank] = peer
-                return peer
-            yield sc.Sleep(0.001)  # ch_p4-style startup wait
+        info = yield sc.Service(
+            "mpi.lookup", {"job": self.job, "rank": rank, "wait": True}
+        )
+        if info is None:
+            info = (yield sc.RecvMsg(tag=f"mpi.up.{rank}")).payload
+        peer = (str(info["host"]), int(info["pid"]))
+        self._peers[rank] = peer
+        return peer
 
     # -- point to point -------------------------------------------------------------
 

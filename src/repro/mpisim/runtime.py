@@ -4,9 +4,18 @@ ch_p4-style startup: every process is created with ``MPI_JOB``,
 ``MPI_RANK`` and ``MPI_SIZE`` in its environment (the "procgroup"
 knowledge), calls the ``mpi.init`` service to register its (host, pid)
 under its rank, and discovers peers through ``mpi.lookup``.  Service
-handlers run on the scheduler thread and never block; programs poll
-``mpi.lookup`` (with tiny sleeps) until a peer appears — which is
-exactly how ch_p4 startup waits for slow-to-arrive processes.
+handlers run on the scheduler thread and never block.
+
+What is modelled is a process manager that *tells* a waiting process
+its peer exists (MPD, Butler/Gropp/Lusk), not ch_p4's retry loop: a
+``mpi.lookup`` that misses with ``wait`` set records the caller as a
+waiter for that rank, the caller parks in ``RecvMsg("mpi.up.<rank>")``,
+and the peer's ``mpi.init`` sends each waiter one message carrying its
+(host, pid).  A poll would sleep in *virtual* time, and the scheduler
+fast-forwards the virtual clock whenever nothing else is runnable — so
+the moment real daemon threads share the interpreter a virtual-time
+poll is a real-time spin that holds the GIL against the launch it is
+waiting for.  Parked, the scheduler is idle until the peer arrives.
 
 The runtime also exposes a *master-arrival hook* per job: the Condor
 MPI-universe coordinator registers a callback that fires when rank 0
@@ -16,7 +25,6 @@ created (paper Section 4.3).
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -24,6 +32,8 @@ from typing import Callable
 from repro.errors import MpiError, RankError
 from repro.sim.cluster import SimCluster
 from repro.sim.process import SimProcess
+from repro.sim.syscalls import MsgRecord
+from repro.util.sync import tracked_lock
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,10 @@ class _JobTable:
         self.size = size
         self.ranks: dict[int, RankInfo] = {}
         self.master_hooks: list[Callable[[RankInfo], None]] = []
+        #: rank -> processes parked in ``RecvMsg("mpi.up.<rank>")`` until
+        #: that rank registers
+        # tdp-guard: waiters -> mpisim.runtime.MpiRuntime._lock
+        self.waiters: dict[int, list[SimProcess]] = {}
 
 
 class MpiRuntime:
@@ -46,7 +60,7 @@ class MpiRuntime:
     _instances: "weakref.WeakKeyDictionary[SimCluster, MpiRuntime]" = (
         weakref.WeakKeyDictionary()
     )
-    _instances_lock = threading.Lock()
+    _instances_lock = tracked_lock("mpisim.runtime.MpiRuntime._instances_lock")
 
     @classmethod
     def ensure(cls, cluster: SimCluster) -> "MpiRuntime":
@@ -61,7 +75,7 @@ class MpiRuntime:
     def __init__(self, cluster: SimCluster):
         self._cluster = cluster
         self._jobs: dict[str, _JobTable] = {}
-        self._lock = threading.Lock()
+        self._lock = tracked_lock("mpisim.runtime.MpiRuntime._lock")
         cluster.register_service("mpi.init", self._svc_init)
         cluster.register_service("mpi.lookup", self._svc_lookup)
         cluster.register_service("mpi.size", self._svc_size)
@@ -75,6 +89,14 @@ class MpiRuntime:
             if job_id in self._jobs:
                 raise MpiError(f"MPI job {job_id!r} already exists")
             self._jobs[job_id] = _JobTable(size)
+
+    def end_job(self, job_id: str) -> None:
+        """Forget a finished job: its rank table, hooks and waiters.
+
+        Unknown ids are a no-op, so teardown paths may call it freely.
+        """
+        with self._lock:
+            self._jobs.pop(job_id, None)
 
     def on_master_init(self, job_id: str, hook: Callable[[RankInfo], None]) -> None:
         """Register a callback for rank 0's ``mpi.init`` (fires once).
@@ -122,20 +144,45 @@ class MpiRuntime:
                 raise RankError(f"rank {rank} already registered in {job_id!r}")
             info = RankInfo(rank=rank, host=proc.host.name, pid=proc.pid)
             table.ranks[rank] = info
+            size = table.size
+            waiters = table.waiters.pop(rank, ())
             if rank == 0:
                 hooks, table.master_hooks = table.master_hooks, []
+        # Outside the lock: delivery takes each waiter's process lock.
+        # A BLOCKED waiter becomes RUNNABLE, a STOPPED one keeps the
+        # message for when it is continued, an EXITED one drops it.
+        up = MsgRecord(
+            src_host=info.host, src_pid=info.pid, tag=f"mpi.up.{rank}",
+            payload={"rank": rank, "host": info.host, "pid": info.pid},
+        )
+        for waiter in waiters:
+            waiter.deliver_message(up)
         for hook in hooks:
             hook(info)
-        return {"rank": rank, "size": self._jobs[job_id].size}
+        return {"rank": rank, "size": size}
 
     def _svc_lookup(self, proc: SimProcess, args: dict) -> dict | None:
+        """A registered peer's (host, pid), or ``None`` on a miss.
+
+        With ``wait`` set a miss also books the caller to be sent
+        ``mpi.up.<rank>`` when the peer registers; the caller must then
+        receive exactly that tag.  No wake-up is lost: miss and booking
+        are one critical section against ``mpi.init``'s registration,
+        and a mailbox keeps what arrives before its owner has parked.
+        """
         job_id = str(args.get("job") or proc.env.get("MPI_JOB", ""))
         rank = int(args.get("rank", -1))
         with self._lock:
             table = self._require(job_id)
             info = table.ranks.get(rank)
-        if info is None:
-            return None  # not yet registered; caller retries
+            if info is None:
+                if args.get("wait"):
+                    if not 0 <= rank < table.size:
+                        raise RankError(
+                            f"rank {rank} out of range for job {job_id!r}"
+                        )
+                    table.waiters.setdefault(rank, []).append(proc)
+                return None
         return {"rank": info.rank, "host": info.host, "pid": info.pid}
 
     def _svc_size(self, proc: SimProcess, args: dict) -> int:

@@ -102,7 +102,8 @@ class BreakpointHandle:
         self.hits = 0
 
     def wait_hit(self, timeout: float | None = None) -> bool:
-        """Block until the breakpoint fired *and* its stop took effect.
+        """Block until the breakpoint fired *and* its stop took effect,
+        or the process died first.
 
         The probe action only requests the stop — the scheduler parks a
         RUNNABLE process at its next syscall boundary — so a waiter
@@ -176,6 +177,9 @@ class DyninstEngine:
             proc.request_stop(StopReason.BREAKPOINT)
 
         self._insert(ProbePoint(handle.probe_id, function, where, action))
+        # A process killed short of the breakpoint releases the waiter
+        # too: wait_hit then finds it EXITED.
+        self._process.on_exit(lambda _proc: handle.hit_event.set())
         return handle
 
     def _insert(self, probe: ProbePoint) -> None:

@@ -6,7 +6,10 @@ request frame, by member), ``Thread.start`` (every thread a job cycle
 creates) and the transport's ``connect`` (every dial).  The pins are
 the warm, monitored, one-host pilot launch; the fault cases show the
 long-lived state behind the counts — the schedd's channel to each peer,
-the startd's CASS session — survives being cut.
+the startd's CASS session — survives being cut.  The gang's line adds a
+fourth tap, the simulator's ``Service`` syscalls, beside the scheduler's
+slice count: ranks that wait for a peer must not keep the simulator
+busy while the launch's real threads work.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ from repro.condor.job import JobStatus
 from repro.condor.pool import CondorPool
 from repro.condor.submit import SubmitDescription
 from repro.errors import ChannelClosedError, ResourceManagerError
+from repro.mpisim.runtime import MpiRuntime
 from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
 from repro.transport.inmem import InMemoryTransport
@@ -31,7 +35,8 @@ PER_JOB_DAEMON_THREADS = (
 
 
 class Ledger:
-    """Frames, thread starts and dials seen while ``recording()``."""
+    """Frames, thread starts, dials and ``Service`` syscalls seen while
+    ``recording()``."""
 
     def __init__(self):
         self.on = False
@@ -40,10 +45,12 @@ class Ledger:
         self.threads = []
         #: (dialling thread's name, endpoint, channel)
         self.dials = []
+        #: names of the ``Service`` syscalls simulated programs made
+        self.services = []
 
     @contextlib.contextmanager
     def recording(self):
-        self.frames, self.threads, self.dials = [], [], []
+        self.frames, self.threads, self.dials, self.services = [], [], [], []
         self.on = True
         try:
             yield self
@@ -64,8 +71,9 @@ class Ledger:
 @pytest.fixture
 def ledger(monkeypatch):
     book = Ledger()
-    submit, start, connect = (
+    submit, start, connect, call_service = (
         _Session.submit, threading.Thread.start, InMemoryTransport.connect,
+        SimCluster.call_service,
     )
 
     def tapped_submit(self, request, complete, **kwargs):
@@ -87,7 +95,13 @@ def ledger(monkeypatch):
             book.dials.append((threading.current_thread().name, endpoint, channel))
         return channel
 
+    def tapped_call_service(self, name, proc, args):
+        if book.on:
+            book.services.append(name)
+        return call_service(self, name, proc, args)
+
     monkeypatch.setattr(_Session, "submit", tapped_submit)
+    monkeypatch.setattr(SimCluster, "call_service", tapped_call_service)
     monkeypatch.setattr(threading.Thread, "start", tapped_start)
     monkeypatch.setattr(InMemoryTransport, "connect", tapped_connect)
     return book
@@ -193,6 +207,45 @@ class TestWarmMonitoredLaunch:
         # nor does the startd, for its CASS session
         assert not [d for d in ledger.dials if d[1].host == "submit"
                     and d[0].startswith("startd-")]
+
+
+class TestWarmGangLaunch:
+    SIZE = 8
+
+    def submit_gang(self, scenario):
+        frontend = scenario.frontend
+        seen = len(frontend.daemons())
+        job = scenario.pool.submit_file(
+            f"universe = MPI\nexecutable = mpi_ring\narguments = 1\n"
+            f"machine_count = {self.SIZE}\n+SuspendJobAtExec = True\n"
+            f'+ToolDaemonCmd = "paradynd"\n'
+            f'+ToolDaemonArgs = "-zunix -l3 -m{scenario.submit_host} '
+            f'-p{scenario.port1} -P{scenario.port2} -a%pid"\nqueue\n'
+        )[0]
+        sessions = frontend.wait_for_daemons(seen + self.SIZE, timeout=60.0)[seen:]
+        assert job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+        for session in sessions:
+            session.wait_state("exited", timeout=30.0)
+        assert settled(scenario.pool)
+        return job, sessions
+
+    def test_waiting_ranks_do_not_spin_the_simulator(self, ledger):
+        """A rank whose peer is not up yet parks; polling cost ≥ 1 000
+        lookups and as many slices per 8-rank launch."""
+        hosts = [f"node{i}" for i in range(self.SIZE)]
+        with ParadorScenario(execute_hosts=hosts) as scenario:
+            self.submit_gang(scenario)
+            scheduler = scenario.cluster.scheduler
+            slices = scheduler.slices_executed
+            with ledger.recording():
+                job, sessions = self.submit_gang(scenario)
+            assert ledger.services.count("mpi.init") == self.SIZE
+            assert ledger.services.count("mpi.lookup") <= 4 * self.SIZE
+            assert scheduler.slices_executed - slices <= 10 * self.SIZE
+            assert job.exit_code == 0
+            assert len({(s.host, s.pid) for s in sessions}) == self.SIZE
+            assert [s.exit_code for s in sessions] == [0] * self.SIZE
+            assert MpiRuntime.ensure(scenario.cluster)._jobs == {}
 
 
 class TestLongLivedStateSurvivesACut:

@@ -1,30 +1,74 @@
 """Simulated-MPI tests: runtime, collectives, workloads."""
 
 import math
+import time
 
 import pytest
 
 from repro.errors import MpiError, RankError
+from repro.mpisim.comm import MpiComm
 from repro.mpisim.programs import register_mpi_programs
 from repro.mpisim.runtime import MpiRuntime
+from repro.sim import syscalls as sc
 from repro.sim.cluster import SimCluster
+from repro.sim.process import ProcessState
+
+
+def create_rank(cluster, job_id, executable, rank, size, argv=(), host=None,
+                **kwargs):
+    host = host or f"n{rank % len(cluster.hosts())}"
+    return cluster.host(host).create_process(
+        executable, list(argv),
+        env={"MPI_JOB": job_id, "MPI_RANK": str(rank), "MPI_SIZE": str(size)},
+        **kwargs,
+    )
 
 
 def launch_job(cluster, runtime, job_id, executable, size, argv=None, hosts=None):
     """Create all ranks of one MPI job directly (no batch system)."""
     runtime.create_job(job_id, size)
-    hosts = hosts or [f"n{i % len(cluster.hosts())}" for i in range(size)]
-    procs = []
-    for rank in range(size):
-        host = cluster.host(hosts[rank % len(hosts)])
-        procs.append(
-            host.create_process(
-                executable,
-                argv or [],
-                env={"MPI_JOB": job_id, "MPI_RANK": str(rank), "MPI_SIZE": str(size)},
-            )
+    return [
+        create_rank(
+            cluster, job_id, executable, rank, size, argv or (),
+            host=hosts[rank % len(hosts)] if hosts else None,
         )
-    return procs
+        for rank in range(size)
+    ]
+
+
+def anysource(argv):
+    """Rank 0 sends to the last rank, then takes one any-source message
+    from every other rank and prints what it got; the others answer."""
+
+    def body():
+        comm = yield from MpiComm.init()
+        last = comm.size - 1
+        if comm.rank == 0:
+            yield from comm.send(last, "go")
+            got = []
+            for _ in range(comm.size - 1):
+                got.append((yield from comm.recv()))
+            yield sc.Print(repr(sorted(got)))
+        else:
+            if comm.rank == last:
+                yield from comm.recv(0)
+            yield from comm.send(0, f"from-{comm.rank}")
+
+    yield from sc.call("main", body())
+
+
+@pytest.fixture
+def service_calls(monkeypatch):
+    """Every ``Service`` syscall made: (name, args)."""
+    calls = []
+    call_service = SimCluster.call_service
+
+    def tapped(self, name, proc, args):
+        calls.append((name, dict(args)))
+        return call_service(self, name, proc, args)
+
+    monkeypatch.setattr(SimCluster, "call_service", tapped)
+    return calls
 
 
 @pytest.fixture
@@ -87,6 +131,126 @@ class TestRuntime:
         events = []
         runtime.on_master_init("j3", lambda info: events.append(info.rank))
         assert events == [0]
+
+
+    def test_end_job_forgets_the_job(self, world):
+        cluster, runtime = world
+        procs = launch_job(cluster, runtime, "done", "mpi_ring", 2, ["1"])
+        for p in procs:
+            assert p.wait_for_exit(timeout=30.0) == 0
+        runtime.end_job("done")
+        runtime.end_job("done")  # unknown by now: a no-op
+        assert runtime._jobs == {}
+        with pytest.raises(MpiError):
+            runtime.ranks("done")
+        runtime.create_job("done", 2)  # the id is free again
+
+
+class TestLatePeer:
+    """A rank whose peer has not registered parks until the peer's
+    ``mpi.init`` tells it; it does not poll."""
+
+    def lookups(self, service_calls, rank):
+        return [
+            args for name, args in service_calls
+            if name == "mpi.lookup" and args["rank"] == rank
+        ]
+
+    def test_waiting_rank_costs_one_lookup_and_no_cpu(self, world, service_calls):
+        cluster, runtime = world
+        runtime.create_job("late", 2)
+        slices, cpu = cluster.scheduler.slices_executed, time.process_time()
+        waiter = create_rank(cluster, "late", "mpi_ring", 0, 2, ["1"])
+        time.sleep(0.1)
+        assert waiter.state is ProcessState.BLOCKED
+        assert cluster.scheduler.slices_executed - slices <= 3
+        assert time.process_time() - cpu < 0.02
+        peer = create_rank(cluster, "late", "mpi_ring", 1, 2, ["1"])
+        assert waiter.wait_for_exit(timeout=30.0) == 0
+        assert peer.wait_for_exit(timeout=30.0) == 0
+        assert waiter.stdout_lines == ["token=2"]
+        assert len(self.lookups(service_calls, 1)) == 1
+
+    def test_one_init_wakes_every_waiter(self, world, service_calls):
+        cluster, runtime = world
+        runtime.create_job("two", 3)
+        # each worker's barrier starts with a send to rank 0
+        waiters = [
+            create_rank(cluster, "two", "mpi_imbalanced", rank, 3, ["0"])
+            for rank in (1, 2)
+        ]
+        for w in waiters:
+            w.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        master = create_rank(cluster, "two", "mpi_imbalanced", 0, 3, ["0"])
+        for p in (master, *waiters):
+            assert p.wait_for_exit(timeout=30.0) == 0
+        assert len(self.lookups(service_calls, 0)) == 2
+        assert [n for n, _a in service_calls].count("mpi.init") == 3
+
+    def test_waiter_stopped_by_a_tool_completes_once_continued(self, world):
+        cluster, runtime = world
+        runtime.create_job("held", 2)
+        waiter = create_rank(cluster, "held", "mpi_imbalanced", 1, 2, ["0"])
+        waiter.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        waiter.request_stop()
+        master = create_rank(cluster, "held", "mpi_imbalanced", 0, 2, ["0"])
+        # rank 0 registers, then waits in the barrier for rank 1
+        master.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        assert waiter.state is ProcessState.STOPPED
+        assert [m.tag for m in waiter.mailbox] == ["mpi.up.0"]
+        waiter.continue_process()
+        assert waiter.wait_for_exit(timeout=30.0) == 0
+        assert master.wait_for_exit(timeout=30.0) == 0
+
+    def test_any_source_recv_never_sees_the_rendezvous(self, world):
+        cluster, runtime = world
+        runtime.create_job("any", 3)
+        first = create_rank(cluster, "any", anysource, 0, 3)
+        second = create_rank(cluster, "any", anysource, 1, 3)
+        assert second.wait_for_exit(timeout=30.0) == 0
+        # rank 1's message is already in the mailbox rank 0 is parked on
+        assert first.state is ProcessState.BLOCKED
+        assert [m.tag for m in first.mailbox] == ["mpi.pt2pt.1"]
+        last = create_rank(cluster, "any", anysource, 2, 3)
+        for p in (first, last):
+            assert p.wait_for_exit(timeout=30.0) == 0
+        assert first.stdout_lines == ["[(1, 'from-1'), (2, 'from-2')]"]
+
+    def test_lookup_without_wait_is_a_plain_miss(self, world):
+        cluster, runtime = world
+        runtime.create_job("peek", 2)
+        asker = create_rank(cluster, "peek", "mpi_ring", 0, 2, ["1"], paused=True)
+        ask = {"job": "peek", "rank": 1}
+        assert cluster.call_service("mpi.lookup", asker, ask) is None
+        peer = create_rank(cluster, "peek", "mpi_ring", 1, 2, ["1"])
+        peer.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        assert asker.mailbox == []  # nobody was booked, nothing was sent
+        found = cluster.call_service("mpi.lookup", asker, ask)
+        assert (found["host"], found["pid"]) == (peer.host.name, peer.pid)
+        peer.terminate()
+
+    def test_waiter_killed_before_its_peer_registers(self, world):
+        cluster, runtime = world
+        runtime.create_job("rm", 2)
+        waiter = create_rank(cluster, "rm", "mpi_imbalanced", 1, 2, ["0"])
+        waiter.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        waiter.terminate()
+        master = create_rank(cluster, "rm", "mpi_imbalanced", 0, 2, ["0"])
+        master.wait_for_state(ProcessState.BLOCKED, timeout=10.0)
+        assert sorted(runtime.ranks("rm")) == [0, 1]
+        with runtime._lock:
+            assert runtime._jobs["rm"].waiters == {}  # the dead one is let go
+        assert waiter.mailbox == []
+        master.terminate()
+
+    def test_waiting_on_a_rank_outside_the_job_faults(self, world):
+        cluster, runtime = world
+        runtime.create_job("wide", 1)
+        asker = create_rank(cluster, "wide", "mpi_ring", 0, 1, ["1"], paused=True)
+        with pytest.raises(RankError):
+            cluster.call_service(
+                "mpi.lookup", asker, {"job": "wide", "rank": 5, "wait": True}
+            )
 
 
 class TestWorkloads:

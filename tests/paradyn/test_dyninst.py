@@ -111,6 +111,17 @@ class TestBreakpoints:
         paused_phases.continue_process()
         assert paused_phases.wait_for_exit(timeout=20.0) == 0
 
+    def test_process_killed_short_of_the_breakpoint_releases_the_waiter(
+            self, cluster, paused_phases):
+        """A rank killed between the tool's continue and ``main`` used to
+        hold its paradynd in wait_hit for the whole 30 s timeout."""
+        engine = DyninstEngine(paused_phases)
+        bp = engine.insert_breakpoint("main")
+        paused_phases.terminate()
+        started = time.monotonic()
+        assert bp.wait_hit(timeout=10.0)
+        assert time.monotonic() - started < 1.0
+        assert bp.hits == 0 and paused_phases.state is ProcessState.EXITED
 
     def test_hit_to_continue_handoff_never_loses_the_continue(
             self, cluster, monkeypatch):
