@@ -25,31 +25,19 @@ def build_world():
         gateway_pinholes=[("gateway", PROXY_PORT)],
     ).start()
     listener = cluster.transport.listen("submit", FRONTEND_PORT)
-
-    import threading
-
-    def serve_one(chan):
-        try:
-            while True:
-                chan.send(chan.recv(timeout=30.0))
-        except Exception:  # noqa: BLE001
-            pass
-
-    def accept_loop():
-        while True:
-            try:
-                chan = listener.accept()
-            except Exception:  # noqa: BLE001
-                return
-            threading.Thread(target=serve_one, args=(chan,), daemon=True).start()
-
-    threading.Thread(target=accept_loop, daemon=True).start()
+    # The tool front-end: echoes every frame back, on one serving loop.
+    frontend = listener.serve_loop(
+        on_channel=lambda chan: chan,
+        on_message=lambda chan, msg: chan.send(msg),
+        on_closed=lambda chan: None,
+        name="fig1-frontend",
+    )
     proxy = ProxyServer(cluster.transport, "gateway", PROXY_PORT)
-    return cluster, listener, proxy
+    return cluster, listener, frontend, proxy
 
 
 def test_fig1_architecture(benchmark):
-    cluster, listener, proxy = build_world()
+    cluster, listener, frontend, proxy = build_world()
     try:
         # --- the figure's structure: who can reach whom -------------------
         net = cluster.network
@@ -89,5 +77,6 @@ def test_fig1_architecture(benchmark):
         benchmark.extra_info["proxied_allowed"] = True
     finally:
         proxy.stop()
+        frontend.stop()
         listener.close()
         cluster.stop()

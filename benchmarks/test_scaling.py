@@ -78,17 +78,15 @@ def test_reduction_tree_vs_flat_gather(benchmark, nodes, fanout):
         received = []
         done = threading.Event()
 
-        def collect():
-            while len(received) < nodes:
-                try:
-                    chan = listener.accept(timeout=30.0)
-                    received.append(chan.recv(timeout=30.0)["value"])
-                    chan.close()
-                except Exception:  # noqa: BLE001
-                    return
-            done.set()
+        def collect(_chan, frame):
+            received.append(frame["value"])
+            if len(received) == nodes:
+                done.set()
 
-        threading.Thread(target=collect, daemon=True).start()
+        gather = listener.serve_loop(
+            on_channel=lambda chan: chan, on_message=collect,
+            on_closed=lambda chan: None, name="flat-gather",
+        )
 
         def flat_contribute(host):
             chan = cluster.transport.connect(host, listener.endpoint)
@@ -102,6 +100,7 @@ def test_reduction_tree_vs_flat_gather(benchmark, nodes, fanout):
             for t in threads:
                 t.start()
             assert done.wait(timeout=60.0)
+        gather.stop()
         listener.close()
 
         print_table(
@@ -163,21 +162,18 @@ def test_reduction_tree_with_processing_cost(benchmark, nodes, fanout):
         done = threading.Event()
         received = []
 
-        def collect():
+        def collect(_chan, frame):
             import time
 
-            while len(received) < nodes:
-                try:
-                    chan = listener.accept(timeout=60.0)
-                    frame = chan.recv(timeout=60.0)
-                    time.sleep(cost)  # the root's per-message work
-                    received.append(frame["value"])
-                    chan.close()
-                except Exception:  # noqa: BLE001
-                    return
-            done.set()
+            time.sleep(cost)  # the root's per-message work
+            received.append(frame["value"])
+            if len(received) == nodes:
+                done.set()
 
-        threading.Thread(target=collect, daemon=True).start()
+        gather = listener.serve_loop(
+            on_channel=lambda chan: chan, on_message=collect,
+            on_closed=lambda chan: None, name="flat-gather",
+        )
         with Stopwatch() as flat_sw:
             threads = [
                 threading.Thread(
@@ -190,6 +186,7 @@ def test_reduction_tree_with_processing_cost(benchmark, nodes, fanout):
             for t in threads:
                 t.start()
             assert done.wait(timeout=120.0)
+        gather.stop()
         listener.close()
 
         print_table(

@@ -9,6 +9,8 @@ daemon's ``connect_to_frontend`` transparently tunnels through it.
 Run:  python examples/firewalled_cluster.py
 """
 
+import queue
+
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.errors import FirewallBlockedError
 from repro.net.address import Endpoint
@@ -39,7 +41,15 @@ def main() -> None:
         rt = tdp_init(cluster.transport, lass.endpoint, member="paradynd",
                       role=Role.RT, src_host="node1")
 
+        # The tool front-end: prints what reaches it, on one serving loop.
         frontend_listener = cluster.transport.listen("submit", 2090)
+        received = queue.Queue()
+        frontend = frontend_listener.serve_loop(
+            on_channel=lambda channel: channel,
+            on_message=lambda channel, message: received.put(message),
+            on_closed=lambda channel: None,
+            name="frontend",
+        )
         print(f"tool front-end listening at {frontend_listener.endpoint}")
 
         # Show the firewall doing its job.
@@ -58,13 +68,12 @@ def main() -> None:
 
         # The daemon neither knows nor cares that it is proxied.
         channel = connect_to_frontend(rt, cluster.transport, "node1")
-        server_side = frontend_listener.accept(timeout=5.0)
         channel.send({"hello": "from inside the private network"})
-        print(f"front-end received: {server_side.recv(timeout=5.0)}")
+        print(f"front-end received: {received.get(timeout=5.0)}")
 
         channel.close()
-        server_side.close()
         proxy.stop()
+        frontend.stop()
         frontend_listener.close()
         tdp_exit(rt)
         tdp_exit(rm)

@@ -306,7 +306,7 @@ class AttributeSpaceServer:
             )
         }
         self._loop = self._listener.serve_loop(
-            on_channel=self._accept,
+            on_channel=self._admit,
             on_message=self._dispatch,
             on_closed=self._cleanup,
             name=f"{self.name}-loop",
@@ -344,7 +344,7 @@ class AttributeSpaceServer:
 
     # -- accept/serve ----------------------------------------------------------
 
-    def _accept(self, channel: Channel) -> _Connection | None:
+    def _admit(self, channel: Channel) -> _Connection | None:
         """``on_channel`` hook (serving thread).
 
         Returns the connection token the loop passes back to

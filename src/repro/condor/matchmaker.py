@@ -17,9 +17,8 @@ import threading
 from repro import errors
 from repro.condor.classad import ClassAd, matches, rank
 from repro.net.address import Endpoint
-from repro.transport.base import Transport
+from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger
-from repro.util.threads import spawn
 
 _log = get_logger("condor.matchmaker")
 
@@ -40,17 +39,19 @@ class Matchmaker:
         self._machines: dict[str, dict] = {}  # name -> {ad, startd, reserved}
         self._lock = threading.Lock()
         self._listener = transport.listen(host)
-        # tdp-guard: _stopped -> volatile
-        # (monotonic stop latch: set once by stop(), polled by the loop)
-        self._stopped = False
-        spawn(self._accept_loop, name="matchmaker-accept")
+        self._loop = self._listener.serve_loop(
+            on_channel=lambda channel: channel,
+            on_message=self._serve,
+            on_closed=lambda channel: None,
+            name=f"matchmaker-{host}",
+        )
 
     @property
     def endpoint(self) -> Endpoint:
         return self._listener.endpoint
 
     def stop(self) -> None:
-        self._stopped = True
+        self._loop.stop()
         self._listener.close()
 
     def _record(self, action: str, **details) -> None:
@@ -59,33 +60,27 @@ class Matchmaker:
 
     # -- RPC server ----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopped:
-            try:
-                channel = self._listener.accept()
-            except errors.TdpError:
-                return
-            spawn(self._serve, args=(channel,), name="matchmaker-conn")
-
-    def _serve(self, channel) -> None:
+    def _serve(self, channel: Channel, request: dict) -> None:
+        """One request, answered on the serving thread: every operation
+        is a table update under ``_lock``, nothing waits on a peer."""
+        op = request.get("op")
         try:
-            while True:
-                request = channel.recv()
-                op = request.get("op")
-                if op == "advertise_machine":
-                    channel.send(self._advertise(request))
-                elif op == "negotiate":
-                    channel.send(self._negotiate(request))
-                elif op == "release":
-                    channel.send(self._release(request))
-                elif op == "invalidate":
-                    channel.send(self._invalidate(request))
-                else:
-                    channel.send({"ok": False, "error": f"unknown op {op!r}"})
+            if op == "advertise_machine":
+                reply = self._advertise(request)
+            elif op == "negotiate":
+                reply = self._negotiate(request)
+            elif op == "release":
+                reply = self._release(request)
+            elif op == "invalidate":
+                reply = self._invalidate(request)
+            else:
+                reply = {"ok": False, "error": f"unknown op {op!r}"}
+        except errors.MatchmakingError as e:  # e.g. a job ad's bad Requirements
+            reply = {"ok": False, "error": str(e)}
+        try:
+            channel.send(reply)
         except errors.TdpError:
-            pass
-        finally:
-            channel.close()
+            channel.close()  # the peer is gone
 
     # -- operations -------------------------------------------------------------
 

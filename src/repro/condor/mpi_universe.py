@@ -103,6 +103,8 @@ class MpiUniverseCoordinator:
         self._rank_pids: dict[int, tuple[str, int]] = {}  # rank -> (host, pid)
         self._tool_handles: list = []
         self._start_failure: str | None = None
+        #: latched by the first kill: a rank created after it dies too
+        self._killed = False
         self._lock = tracked_lock("condor.mpi_universe.MpiUniverseCoordinator._lock")
         self._workers_started = threading.Event()
         # tdp-guard: _master_handle -> volatile
@@ -208,8 +210,10 @@ class MpiUniverseCoordinator:
     def _kill_created_ranks(self) -> None:
         """A gang with a rank missing never finishes: its peers wait for
         the one that is not coming.  Kill what exists, each rank through
-        the RM handle that created it."""
+        the RM handle that created it, and latch the kill so a rank still
+        being created is killed by its own starter thread."""
         with self._lock:
+            self._killed = True
             created = [
                 (self._rank_handles[rank] if rank else self._master_handle, pid)
                 for rank, (_host, pid) in sorted(self._rank_pids.items())
@@ -257,6 +261,10 @@ class MpiUniverseCoordinator:
         )
         with self._lock:
             self._rank_pids[rank] = (slot.hostname, info.pid)
+            killed = self._killed
+        if killed:
+            handle.control.kill(info.pid)
+            return
 
         if monitored:
             tool = self._desc.tool_daemon

@@ -21,7 +21,6 @@ Wire protocol (schedd -> startd):
 from __future__ import annotations
 
 import functools
-import threading
 
 from repro import errors
 from repro.attrspace.client import AttributeSpaceClient
@@ -34,9 +33,7 @@ from repro.net.address import Endpoint, parse_endpoint
 from repro.sim.host import SimHost
 from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger
-from repro.util.strings import split_arguments
 from repro.util.sync import tracked_lock
-from repro.util.threads import spawn
 
 _log = get_logger("condor.startd")
 
@@ -87,7 +84,6 @@ class Startd:
         self._listener = transport.listen(host.name)
         self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter"}
         self._all_starters: list[Starter] = []  # history incl. released claims
-        self._channels: set[Channel] = set()  # schedd connections being served
         self._lock = tracked_lock("condor.startd.Startd._lock")
         # This host's one session with the pool's CASS ("daemons talk
         # upward"), dialled by the first launch that names one.  The lock
@@ -95,9 +91,15 @@ class Startd:
         self._cass: AttributeSpaceClient | None = None
         self._cass_lock = tracked_lock("condor.startd.Startd._cass_lock")
         # tdp-guard: _stopped -> volatile
-        # (monotonic stop latch: set once by stop(), polled by the loop)
+        # (monotonic stop latch: set once by stop(), read by the master's
+        # liveness probe)
         self._stopped = False
-        spawn(self._accept_loop, name=f"startd-{host.name}")
+        self._loop = self._listener.serve_loop(
+            on_channel=lambda channel: channel,
+            on_message=self._serve,
+            on_closed=lambda channel: None,
+            name=f"startd-{host.name}",
+        )
 
     @property
     def endpoint(self) -> Endpoint:
@@ -105,11 +107,8 @@ class Startd:
 
     def stop(self) -> None:
         self._stopped = True
+        self._loop.stop()  # closes the schedd connections it serves
         self._listener.close()
-        with self._lock:
-            channels = list(self._channels)
-        for channel in channels:
-            channel.close()
         with self._cass_lock:
             if self._cass is not None:
                 self._cass.close()
@@ -132,43 +131,37 @@ class Startd:
 
     # -- RPC server -------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopped:
-            try:
-                channel = self._listener.accept()
-            except errors.TdpError:
-                return
-            spawn(self._serve, args=(channel,), name=f"startd-conn-{self.host.name}")
+    def _serve(self, channel: Channel, request: dict) -> None:
+        """One request, answered on the serving thread.
 
-    def _serve(self, channel) -> None:
-        with self._lock:
-            self._channels.add(channel)
+        Suspend, resume, kill and attach wait on the host's LASS (the
+        starter's control service publishes the new process state
+        there) and attach may read the CASS; neither server ever calls
+        this startd, so the wait cannot close a cycle.  Nobody starves
+        behind it either: the startd's one peer is the schedd, whose
+        ``_PeerChannel`` sends it one request at a time anyway.
+        """
+        op = request.get("op")
         try:
-            while True:
-                request = channel.recv()
-                op = request.get("op")
-                if op == "claim_request":
-                    channel.send(self._claim_request(request))
-                elif op == "activate_claim":
-                    channel.send(self._activate_claim(request))
-                elif op == "release_claim":
-                    channel.send(self._release_claim(request))
-                elif op == "suspend_job":
-                    channel.send(self._suspend_resume(request, suspend=True))
-                elif op == "resume_job":
-                    channel.send(self._suspend_resume(request, suspend=False))
-                elif op == "kill_job":
-                    channel.send(self._kill_job(request))
-                elif op == "attach_tool":
-                    channel.send(self._attach_tool(request))
-                else:
-                    channel.send({"ok": False, "error": f"unknown op {op!r}"})
+            if op == "claim_request":
+                reply = self._claim_request(request)
+            elif op == "activate_claim":
+                reply = self._activate_claim(request)
+            elif op == "release_claim":
+                reply = self._release_claim(request)
+            elif op == "suspend_job":
+                reply = self._suspend_resume(request, suspend=True)
+            elif op == "resume_job":
+                reply = self._suspend_resume(request, suspend=False)
+            elif op == "kill_job":
+                reply = self._kill_job(request)
+            elif op == "attach_tool":
+                reply = self._attach_tool(request)
+            else:
+                reply = {"ok": False, "error": f"unknown op {op!r}"}
+            channel.send(reply)
         except errors.TdpError:
-            pass
-        finally:
-            with self._lock:
-                self._channels.discard(channel)
-            channel.close()
+            channel.close()  # as if the connection was lost: the schedd re-dials
 
     # -- the host's CASS session -----------------------------------------------------
 

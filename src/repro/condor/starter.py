@@ -84,6 +84,9 @@ class Starter:
         #: the startd's best-effort read of pool-global attributes from
         #: the CASS (``None``: the pool has none)
         self._read_cass = read_cass
+        # tdp-guard: _mpi_coordinator -> volatile
+        # (written once by the run thread before app_pid, which a kill
+        # request needs first)
         self._mpi_coordinator = None
         # Launch-sequenced publishes: the run thread writes each handle
         # exactly once during startup, and control methods (invoked via
@@ -186,12 +189,18 @@ class Starter:
         return True
 
     def kill_job(self) -> bool:
-        """Terminate the application on user request (condor_rm)."""
+        """Terminate the application on user request (condor_rm): every
+        rank of an MPI job, whose other ranks would wait for rank 0 for
+        good."""
         handle = self._handle
         if handle is None or handle.control is None or self.app_pid is None:
             return False
+        coordinator = self._mpi_coordinator
         try:
-            handle.control.kill(self.app_pid)
+            if coordinator is not None:
+                coordinator._kill_created_ranks()
+            else:
+                handle.control.kill(self.app_pid)
         except errors.TdpError:
             return False
         self._record("job_killed", pid=self.app_pid)

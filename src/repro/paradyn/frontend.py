@@ -22,7 +22,6 @@ from repro.net.address import Endpoint
 from repro.paradyn.metrics import Metric
 from repro.transport.base import Channel, Transport
 from repro.util.log import get_logger
-from repro.util.threads import spawn
 
 _log = get_logger("paradyn.frontend")
 
@@ -113,6 +112,14 @@ class DaemonSession:
         self.channel.send({"op": "cmd_kill"})
 
 
+@dataclass
+class _Link:
+    """One served connection: a paradynd until its hello, then its session."""
+
+    channel: Channel
+    session: DaemonSession | None = None
+
+
 class ParadynFrontend:
     """The listening front-end; one per user session."""
 
@@ -124,22 +131,20 @@ class ParadynFrontend:
         self._next_id = 0
         self._lock = threading.Lock()
         self._daemon_arrived = threading.Condition(self._lock)
-        # tdp-guard: _stopped -> volatile
-        # (monotonic stop latch: set once by stop(), polled by the loop)
-        self._stopped = False
-        spawn(self._accept_loop, name=f"paradyn-frontend-{host}")
+        self._loop = self._listener.serve_loop(
+            on_channel=_Link,
+            on_message=self._on_message,
+            on_closed=lambda link: None,
+            name=f"paradyn-frontend-{host}",
+        )
 
     @property
     def endpoint(self) -> Endpoint:
         return self._listener.endpoint
 
     def stop(self) -> None:
-        self._stopped = True
+        self._loop.stop()  # closes every daemon's connection
         self._listener.close()
-        with self._lock:
-            sessions = list(self._daemons.values())
-        for session in sessions:
-            session.channel.close()
 
     # -- daemon registry ------------------------------------------------------------
 
@@ -160,23 +165,15 @@ class ParadynFrontend:
 
     # -- wire handling ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopped:
-            try:
-                channel = self._listener.accept()
-            except errors.TdpError:
-                return
-            spawn(self._serve_daemon, args=(channel,), name="paradyn-frontend-conn")
+    def _on_message(self, link: _Link, message: dict) -> None:
+        if link.session is not None:
+            self._handle(link.session, message)
+        elif message.get("op") == "hello":
+            link.session = self._register(link.channel, message)
+        else:
+            link.channel.close()  # not a paradynd
 
-    def _serve_daemon(self, channel: Channel) -> None:
-        try:
-            hello = channel.recv(timeout=30.0)
-        except errors.TdpError:
-            channel.close()
-            return
-        if hello.get("op") != "hello":
-            channel.close()
-            return
+    def _register(self, channel: Channel, hello: dict) -> DaemonSession:
         with self._lock:
             self._next_id += 1
             session = DaemonSession(
@@ -191,12 +188,7 @@ class ParadynFrontend:
             self._daemons[session.daemon_id] = session
             self._daemon_arrived.notify_all()
         _log.info("paradynd connected: job=%s pid=%s", session.job, session.pid)
-        try:
-            while True:
-                message = channel.recv()
-                self._handle(session, message)
-        except errors.TdpError:
-            pass
+        return session
 
     def _handle(self, session: DaemonSession, message: dict) -> None:
         op = message.get("op")

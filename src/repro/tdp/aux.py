@@ -16,8 +16,9 @@ scaling experiments.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro import errors
 from repro.net.address import Endpoint
@@ -26,7 +27,6 @@ from repro.tdp.wellknown import Attr
 from repro.transport.base import Channel, Listener, Transport
 from repro.util.log import get_logger
 from repro.util.sync import Latch
-from repro.util.threads import spawn
 
 _log = get_logger("tdp.aux")
 
@@ -82,6 +82,7 @@ class AuxServiceManager:
 class _TreeNode:
     host: str
     listener: Listener
+    loop: Any = None  # the listener's serve_loop handle
     parent_channel: Channel | None = None
     expected_children: int = 0
     expected_direct: int = 0
@@ -105,8 +106,9 @@ class ReductionNetwork:
     instead of the root processing all N.
 
     ``per_message_cost`` models the front-end's per-message processing
-    work (seconds of wall time per absorbed message); the SCALE bench
-    uses it to locate the tree-vs-flat crossover.
+    work (seconds of wall time per absorbed message), paid serially on
+    each node's one serving thread; the SCALE bench uses it to locate
+    the tree-vs-flat crossover.
     """
 
     def __init__(
@@ -152,7 +154,12 @@ class ReductionNetwork:
                 host, parent.listener.endpoint
             )
         self._nodes.append(node)
-        spawn(self._serve_node, args=(node,), name=f"mrnet-{host}")
+        node.loop = listener.serve_loop(
+            on_channel=lambda channel: channel,
+            on_message=lambda _channel, frame: self._on_frame(node, frame),
+            on_closed=lambda channel: None,
+            name=f"mrnet-{host}",
+        )
         return node
 
     def start_collection(
@@ -177,33 +184,15 @@ class ReductionNetwork:
         for node in self._nodes:
             self._maybe_complete(node)
 
-    def _serve_node(self, node: _TreeNode) -> None:
-        while True:
-            try:
-                channel = node.listener.accept()
-            except errors.TdpError:
-                return
-            spawn(self._pump, args=(node, channel), name=f"mrnet-pump-{node.host}")
-
-    def _pump(self, node: _TreeNode, channel: Channel) -> None:
-        try:
-            while True:
-                frame = channel.recv()
-                if self.per_message_cost > 0:
-                    import time
-
-                    time.sleep(self.per_message_cost)
-                if "sum" in frame:  # a child's combined partial
-                    self._absorb(
-                        node,
-                        float(frame["sum"]),
-                        int(frame["count"]),
-                        from_child=True,
-                    )
-                else:  # a daemon's direct contribution
-                    self._absorb(node, float(frame["value"]), 1, from_child=False)
-        except errors.TdpError:
-            return
+    def _on_frame(self, node: _TreeNode, frame: dict) -> None:
+        if self.per_message_cost > 0:
+            time.sleep(self.per_message_cost)
+        if "sum" in frame:  # a child's combined partial
+            self._absorb(
+                node, float(frame["sum"]), int(frame["count"]), from_child=True
+            )
+        else:  # a daemon's direct contribution
+            self._absorb(node, float(frame["value"]), 1, from_child=False)
 
     def _absorb(self, node: _TreeNode, value: float, count: int, *, from_child: bool) -> None:
         with node.lock:
@@ -259,6 +248,7 @@ class ReductionNetwork:
 
     def stop(self) -> None:
         for node in self._nodes:
+            node.loop.stop()
             node.listener.close()
             if node.parent_channel is not None:
                 node.parent_channel.close()

@@ -14,7 +14,6 @@ Wire format: ``{"stream": "stdout", "line": ...}`` frames outbound;
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 from repro import errors
@@ -32,49 +31,56 @@ class StdioCollector:
     """Front-end side: listens for one job's stdio relay and collects lines.
 
     The paper's scenario: the user's desktop shows the application's
-    output "at the same location as the RT's front-end".
+    output "at the same location as the RT's front-end".  The first
+    relay to dial in is the job's; any later one is refused.
     """
 
     def __init__(self, transport: Transport, host: str, port: int = 0):
         self._listener: Listener = transport.listen(host, port)
-        self.lines: list[str] = []
         self._line_queue: WaitableQueue[str] = WaitableQueue()
         self._channel: Channel | None = None
         self._lock = tracked_lock("tdp.stdio.StdioCollector._lock")
         self._stdin_pending: list[dict] = []
-        self._accepted = threading.Event()
-        spawn(self._accept_and_pump, name=f"stdio-collect-{host}")
+        self._loop = self._listener.serve_loop(
+            on_channel=self._on_relay,
+            on_message=self._on_frame,
+            on_closed=lambda channel: self._line_queue.close(),
+            name=f"stdio-collect-{host}",
+        )
 
     @property
     def endpoint(self) -> Endpoint:
         """Publish this (as ``Attr.STDIO_ENDPOINT``) for the RM to dial."""
         return self._listener.endpoint
 
-    def _accept_and_pump(self) -> None:
-        # The line queue closes however this ends — the relay hung up, or
-        # the collector was closed before one dialled in — so a reader
-        # parked in wait_line always wakes.
+    def _on_relay(self, channel: Channel) -> Channel | None:
+        with self._lock:
+            if self._channel is not None:
+                return None
+            self._channel = channel
+            backlog, self._stdin_pending = self._stdin_pending, []
         try:
-            channel = self._listener.accept()
-            with self._lock:
-                self._channel = channel
-                backlog, self._stdin_pending = self._stdin_pending, []
             for frame in backlog:
                 channel.send(frame)
-            self._accepted.set()
-            while True:
-                frame = channel.recv()
-                if frame.get("stream") == "stdout":
-                    line = str(frame.get("line", ""))
-                    self.lines.append(line)
-                    self._line_queue.put(line)
         except errors.TdpError:
-            pass
-        finally:
-            self._line_queue.close()
+            pass  # the relay is already gone: its on_closed follows
+        return channel
+
+    def _on_frame(self, channel: Channel, frame: dict) -> None:
+        if frame.get("stream") == "stdout":
+            self._on_line(str(frame.get("line", "")))
+
+    def _on_line(self, line: str) -> None:
+        """One stdout line from the job, on the serving thread: queued
+        for :meth:`wait_line` here, consumed in place by a subclass."""
+        self._line_queue.put(line)
 
     def wait_line(self, timeout: float | None = 10.0) -> str:
-        """Block for the next stdout line from the job."""
+        """Block for the next stdout line from the job.
+
+        The queue closes however the relay's connection ends — it hung
+        up, or the collector was closed before one dialled in — so a
+        reader parked here always wakes."""
         return self._line_queue.get(timeout=timeout)
 
     def send_stdin(self, line: str) -> None:
@@ -97,10 +103,9 @@ class StdioCollector:
         channel.send(frame)
 
     def close(self) -> None:
+        self._loop.stop()  # closes the relay's connection
         self._listener.close()
-        with self._lock:
-            if self._channel is not None:
-                self._channel.close()
+        self._line_queue.close()
 
 
 class StdioRelay:

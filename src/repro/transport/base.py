@@ -74,16 +74,12 @@ class Channel(ABC):
 
 
 class Listener(ABC):
-    """A bound, listening endpoint that accepts inbound channels."""
+    """A bound, listening endpoint whose inbound channels one thread serves."""
 
     @property
     @abstractmethod
     def endpoint(self) -> Endpoint:
         """The (host, port) this listener is bound to."""
-
-    @abstractmethod
-    def accept(self, timeout: float | None = None) -> Channel:
-        """Block for the next inbound channel."""
 
     @abstractmethod
     def serve_loop(
@@ -94,11 +90,14 @@ class Listener(ABC):
         on_closed: Callable[[Any], None],
         name: str,
     ) -> Any:
-        """Serve every inbound channel from one thread; excludes ``accept``.
+        """Serve every inbound channel from one thread.
 
         Returns a handle whose idempotent ``stop()`` closes every served
         connection and joins the thread.  The callbacks run on that
-        thread and must not block.  The channels handed up are
+        thread, and while one runs no other connection is served: a
+        callback must never wait on anything that in turn waits on this
+        listener, and one that waits on another daemon says so and why
+        that is safe.  The channels handed up are
         push-mode: ``send`` and the bounded ``offer(message, maxsize)``
         (``False`` = the peer is ``maxsize`` frames behind; the caller
         decides its fate) enqueue from any thread, ``recv`` is unsupported.
@@ -113,7 +112,7 @@ class Listener(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Stop accepting; idempotent.  Blocked ``accept`` calls raise."""
+        """Stop accepting; idempotent."""
 
     @property
     @abstractmethod

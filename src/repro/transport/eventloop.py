@@ -8,8 +8,9 @@ thread, so an idle subscriber costs a file descriptor, not a thread:
 * **handshake** — each accepted connection gets a per-connection hello
   deadline (so one connected-but-silent client cannot stall admission
   for anyone else — the head-of-line block the old inline handshake
-  had) and a bounded preamble buffer.  The hello negotiates the frame
-  body codec exactly like the blocking accept path.
+  had) and a bounded preamble buffer.  The hello names the peer's
+  logical host and negotiates the frame body codec; frames coalesced
+  behind it in one read are served after it, not dropped.
 * **read** — ready sockets feed :class:`~repro.transport.framing.FrameReader`
   and every decoded frame is handed to the ``on_message`` callback on
   the loop thread.
@@ -39,12 +40,18 @@ from repro import obs
 from repro.errors import ChannelClosedError, ProtocolError
 from repro.transport import framing
 from repro.transport.base import Channel, Message
-from repro.transport.tcp import HELLO_MAX_BYTES, HELLO_TIMEOUT
 from repro.util.log import get_logger
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
 
 _log = get_logger("transport.eventloop")
+
+#: How long an accepted connection gets to complete its hello.
+HELLO_TIMEOUT = 5.0
+
+#: Preamble cap: a peer that buffers this much without completing a
+#: hello frame is garbage, not slow (a real hello is tens of bytes).
+HELLO_MAX_BYTES = 64 * 1024
 
 _RECV_CHUNK = 262144
 
@@ -254,7 +261,7 @@ class ServerSocketLoop:
                 for key, mask in events:
                     data = key.data
                     if data is _ACCEPT:
-                        self._do_accept()
+                        self._drain_backlog()
                     elif data is _WAKER:
                         self._drain_waker()
                     else:
@@ -274,7 +281,7 @@ class ServerSocketLoop:
         soonest = min(st.deadline for st in self._handshaking)
         return max(0.0, soonest - time.monotonic())
 
-    def _do_accept(self) -> None:
+    def _drain_backlog(self) -> None:
         while True:
             try:
                 conn, _addr = self._sock.accept()

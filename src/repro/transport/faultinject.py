@@ -262,9 +262,6 @@ class _FaultInjectListener(Listener):
     def endpoint(self) -> Endpoint:
         return self._inner.endpoint
 
-    def accept(self, timeout: float | None = None) -> Channel:
-        return self._transport._wrap(self._inner.accept(timeout=timeout))
-
     def serve_loop(self, *, on_channel, **handlers):
         """The inner serving core, every channel it hands up wrapped."""
         return self._inner.serve_loop(

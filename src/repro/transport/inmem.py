@@ -46,8 +46,9 @@ class _InMemChannel(Channel):
         self._rx: WaitableQueue[Message] = WaitableQueue()
         self._peer: _InMemChannel | None = None  # set by _pair()
         # tdp-guard: _served_by -> volatile
-        # (set once under _lock; the send path reads it under _lock,
-        # recv and close tolerate either value — see close())
+        # (set under _lock when served and cleared under it once the
+        # dispatcher has retired the closed end; the send path reads it
+        # under _lock, recv and close tolerate either value — see close())
         self._served_by: _InMemDispatcher | None = None
         self._closed = False
         self._lock = threading.Lock()
@@ -127,8 +128,17 @@ class _InMemChannel(Channel):
         # Lock-free reads: _serve posts the close itself when it adopts
         # an end that is already closed, so one of the two always posts.
         for end in (self, peer):
-            if end is not None and end._served_by is not None:
-                end._served_by.post(_CLOSE, end)
+            served_by = end._served_by if end is not None else None
+            if served_by is not None:
+                served_by.post(_CLOSE, end)
+
+    def _retire(self) -> None:
+        """Let go of the dispatcher once it has seen this end close: a
+        channel kept after its connection (say, by a finished job's
+        starter) must not pin a per-job dispatcher, its queue and its
+        thread object."""
+        with self._lock:
+            self._served_by = None
 
     @property
     def closed(self) -> bool:
@@ -183,15 +193,16 @@ class _InMemDispatcher:
                         channel.close()
                     else:
                         live[channel] = token
-                elif channel not in live:
-                    pass  # refused, or already closed
-                elif kind == _FRAME:
+                elif kind == _CLOSE:
+                    channel._retire()
+                    if channel in live:
+                        on_closed(live.pop(channel))
+                elif channel in live:  # else refused, or already closed
                     on_message(live[channel], message)
-                else:
-                    on_closed(live.pop(channel))
         finally:
             for channel, token in live.items():
                 channel.close()
+                channel._retire()
                 on_closed(token)
 
 
@@ -208,6 +219,7 @@ class _InMemListener(Listener):
     def endpoint(self) -> Endpoint:
         return self._endpoint
 
+    # Only benchmarks/tdpbench/layers.py calls this (inmem.hop_us); not the Listener contract.
     def accept(self, timeout: float | None = None) -> Channel:
         try:
             return self._backlog.get(timeout=timeout)

@@ -8,7 +8,7 @@ The :class:`ProxyServer` runs on a gateway host that the firewall lets
 through (in the Condor pilot, the starter's host can reach the submit
 machine).  A client inside the private zone connects to the proxy and
 sends a ``proxy_connect`` preamble naming the real target; the proxy
-dials the target *from its own host* and then pumps frames both ways.
+dials the target *from its own host* and then forwards frames both ways.
 :func:`connect_via_proxy` wraps this handshake so callers get back an
 ordinary :class:`~repro.transport.base.Channel`.
 """
@@ -28,22 +28,40 @@ from repro.util.threads import spawn
 _log = get_logger("transport.proxy")
 
 
+class _Tunnel:
+    """One client's tunnel: its served inbound channel, and the outbound
+    one the proxy dialled once the ``proxy_connect`` preamble named it."""
+
+    def __init__(self, inbound: Channel):
+        self.inbound = inbound
+        # tdp-guard: outbound -> volatile
+        # (written once on the serving thread before the pump that reads
+        # it is started; everything else reads it on the serving thread)
+        self.outbound: Channel | None = None
+        self.tunnel_id = fresh_token("tunnel")
+
+
 class ProxyServer:
     """Frame-forwarding proxy bound on a gateway host.
 
-    Thread model: one acceptor thread, plus two pump threads per tunnel
-    (one per direction).  ``stop()`` closes the listener and every live
-    tunnel.
+    Thread model: one serving loop for every client — the preamble, the
+    dial and client→target forwarding run on it — plus one target→client
+    pump per tunnel, because a dialled channel has no push mode.
+    ``stop()`` stops the loop, which closes every tunnel.
     """
 
     def __init__(self, transport: Transport, host: str, port: int = 0):
         self._transport = transport
         self._host = host
         self._listener: Listener = transport.listen(host, port)
-        self._tunnels: dict[str, tuple[Channel, Channel]] = {}
+        self._tunnels: dict[str, _Tunnel] = {}
         self._lock = threading.Lock()
-        self._stopped = False
-        self._acceptor = spawn(self._accept_loop, name=f"proxy-accept-{host}")
+        self._loop = self._listener.serve_loop(
+            on_channel=_Tunnel,
+            on_message=self._on_message,
+            on_closed=self._on_closed,
+            name=f"proxy-{host}",
+        )
 
     @property
     def endpoint(self) -> Endpoint:
@@ -55,28 +73,33 @@ class ProxyServer:
         with self._lock:
             return len(self._tunnels)
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                inbound = self._listener.accept()
-            except TdpError:
-                return  # listener closed
-            spawn(self._handshake, args=(inbound,), name=f"proxy-handshake-{self._host}")
-
-    def _handshake(self, inbound: Channel) -> None:
+    def _on_message(self, tunnel: _Tunnel, message: Message) -> None:
+        if tunnel.outbound is None:
+            self._open(tunnel, message)
+            return
+        if obs.enabled():
+            obs.registry().counter("transport.proxy.forwarded").increment()
         try:
-            first = inbound.recv(timeout=10.0)
+            tunnel.outbound.send(message)
         except TdpError:
-            inbound.close()
-            return
-        target_s = first.get("proxy_connect")
-        if not isinstance(target_s, str):
-            inbound.send({"proxy_error": "expected proxy_connect preamble"})
-            inbound.close()
-            return
+            tunnel.inbound.close()  # the target is gone; on_closed ends the tunnel
+
+    def _open(self, tunnel: _Tunnel, preamble: Message) -> None:
+        """Dial the target the preamble names, on the serving thread.
+
+        The dial waits on the target's host, never on a serving thread:
+        an in-memory connect only enqueues, and a TCP connect is
+        completed by the target's kernel backlog, not by its loop — so
+        it cannot deadlock, even dialling this proxy.  Nor does it starve
+        the other tunnels: their target→client traffic moves on their
+        own pumps, and client→target sends queue behind one bounded dial.
+        """
+        inbound = tunnel.inbound
+        target_s = preamble.get("proxy_connect")
         try:
-            target = parse_endpoint(target_s)
-            outbound = self._transport.connect(self._host, target)
+            if not isinstance(target_s, str):
+                raise ProxyError("expected proxy_connect preamble")
+            tunnel.outbound = self._transport.connect(self._host, parse_endpoint(target_s))
         except TdpError as e:
             try:
                 inbound.send({"proxy_error": str(e)})
@@ -84,42 +107,39 @@ class ProxyServer:
                 pass
             inbound.close()
             return
-        tunnel_id = fresh_token("tunnel")
         with self._lock:
-            if self._stopped:
-                inbound.close()
-                outbound.close()
-                return
-            self._tunnels[tunnel_id] = (inbound, outbound)
-        inbound.send({"proxy_ok": True, "tunnel": tunnel_id})
-        _log.debug("tunnel %s: %s -> %s", tunnel_id, inbound.remote_host, target)
-        for src, dst, tag in ((inbound, outbound, "in->out"), (outbound, inbound, "out->in")):
-            spawn(self._pump, args=(tunnel_id, src, dst), name=f"proxy-pump-{tag}")
+            self._tunnels[tunnel.tunnel_id] = tunnel
+        _log.debug("tunnel %s: %s -> %s", tunnel.tunnel_id, inbound.remote_host, target_s)
+        try:
+            inbound.send({"proxy_ok": True, "tunnel": tunnel.tunnel_id})
+        except TdpError:
+            return  # the client is gone: on_closed ends the tunnel
+        spawn(self._pump, args=(tunnel,), name=f"proxy-pump-{tunnel.tunnel_id}")
 
-    def _pump(self, tunnel_id: str, src: Channel, dst: Channel) -> None:
+    def _pump(self, tunnel: _Tunnel) -> None:
+        """Target→client: the one direction the loop cannot serve."""
+        assert tunnel.outbound is not None
         try:
             while True:
-                message = src.recv()
+                message = tunnel.outbound.recv()
                 if obs.enabled():
                     obs.registry().counter("transport.proxy.forwarded").increment()
-                dst.send(message)
+                tunnel.inbound.send(message)
         except TdpError:
             pass
         finally:
-            src.close()
-            dst.close()
-            with self._lock:
-                self._tunnels.pop(tunnel_id, None)
+            tunnel.outbound.close()
+            tunnel.inbound.close()
+
+    def _on_closed(self, tunnel: _Tunnel) -> None:
+        with self._lock:
+            self._tunnels.pop(tunnel.tunnel_id, None)
+        if tunnel.outbound is not None:
+            tunnel.outbound.close()  # ends the pump
 
     def stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            tunnels = list(self._tunnels.values())
-            self._tunnels.clear()
+        self._loop.stop()
         self._listener.close()
-        for a, b in tunnels:
-            a.close()
-            b.close()
 
 
 def connect_via_proxy(

@@ -15,9 +15,9 @@ keep working unchanged.
 
 Channels here are threadless: ``recv`` reads the socket directly (a
 ``select`` wait gives queue-identical timeout semantics), so a client
-connection costs one file descriptor, not a reader thread.  Server-side
-connection multiplexing lives in :mod:`repro.transport.eventloop`; the
-blocking ``accept()`` below remains for handler-thread servers.
+connection costs one file descriptor, not a reader thread.  The server
+side — accept, hello, every served connection — is the ``selectors``
+loop of :mod:`repro.transport.eventloop`.
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ from repro.errors import ChannelClosedError, ConnectError, GetTimeoutError, Prot
 from repro.net.address import Endpoint
 from repro.transport import framing
 from repro.transport.base import Channel, Listener, Message, Transport
+from repro.transport.eventloop import ServerSocketLoop
 from repro.util.sync import tracked_lock
 
 _BIND_ADDR = "127.0.0.1"
-
-#: How long an accepted connection gets to complete its hello.
-HELLO_TIMEOUT = 5.0
-
-#: Preamble cap: a peer that buffers this much without completing a
-#: hello frame is garbage, not slow (a real hello is tens of bytes).
-HELLO_MAX_BYTES = 64 * 1024
 
 
 def _set_nodelay(sock: socket.socket) -> None:
@@ -55,7 +49,7 @@ def _set_nodelay(sock: socket.socket) -> None:
 
 
 class _TcpChannel(Channel):
-    """Channel over a connected socket, read directly (no reader thread).
+    """The dialling end of a connection, read directly (no reader thread).
 
     ``recv`` pulls from the socket under ``_recv_lock``; timeouts use a
     ``select`` readiness wait so the socket itself stays blocking and a
@@ -65,31 +59,15 @@ class _TcpChannel(Channel):
     preserving the graceful-drain semantics of the old reader thread.
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        local_host: str,
-        remote_host: str,
-        *,
-        frame_reader: framing.FrameReader | None = None,
-        pending: tuple[Message, ...] = (),
-        send_codec: str | None = None,
-        expect_ack: bool = False,
-    ):
+    def __init__(self, sock: socket.socket, local_host: str, remote_host: str):
         self._sock = sock
         self._local = local_host
         self._remote = remote_host
-        # Frames the accept-side preamble read pulled off the socket
-        # along with the hello (one recv can return several coalesced
-        # frames) — they must reach the receiver, in order, ahead of
-        # anything read later.  ``None`` when empty: an idle connection
-        # keeps no queue allocated (the 10k-subscriber scaling case).
-        self._pending: collections.deque[Message] | None = (
-            collections.deque(pending) if pending else None
-        )
-        self._frame_reader = (
-            frame_reader if frame_reader is not None else framing.FrameReader()
-        )
+        # Frames decoded from one socket read beyond the one returned
+        # (one recv can return several coalesced frames).  ``None`` when
+        # empty: an idle connection keeps no queue allocated.
+        self._pending: collections.deque[Message] | None = None
+        self._frame_reader = framing.FrameReader()
         self._send_lock = tracked_lock("transport.tcp._TcpChannel._send_lock")
         self._recv_lock = tracked_lock("transport.tcp._TcpChannel._recv_lock")
         # tdp-guard: _closed -> volatile
@@ -100,8 +78,8 @@ class _TcpChannel(Channel):
         # (adopted once from the hello_ack on the receive path; a sender
         # racing the adoption just encodes one more JSON frame — the
         # per-frame header flag keeps the peer's decode correct)
-        self._send_codec = send_codec
-        self._expect_ack = expect_ack
+        self._send_codec: str | None = None
+        self._expect_ack = True
 
     @property
     def codec(self) -> str:
@@ -254,60 +232,7 @@ class _TcpListener(Listener):
     def endpoint(self) -> Endpoint:
         return self._endpoint
 
-    def accept(self, timeout: float | None = None) -> Channel:
-        self._sock.settimeout(timeout)
-        try:
-            conn, _addr = self._sock.accept()
-        except socket.timeout:
-            raise GetTimeoutError(f"accept timed out after {timeout}s") from None
-        except OSError:
-            raise ChannelClosedError(f"listener {self._endpoint} closed") from None
-        _set_nodelay(conn)
-        # Preamble: the client announces its logical host name and
-        # codec support.  The recv can return protocol frames coalesced
-        # behind the hello (the client sends its first request
-        # immediately after connecting); everything past the hello —
-        # decoded frames and the reader's partial-frame buffer — is
-        # handed to the channel, not dropped.  A peer that dies, stalls
-        # past the deadline, or sends garbage never becomes a channel:
-        # the caller sees ChannelClosedError, not a half-dead peer "?".
-        conn.settimeout(HELLO_TIMEOUT)
-        reader = framing.FrameReader()
-        try:
-            hello, extra = self._read_hello(conn, reader)
-        except (OSError, ProtocolError) as e:
-            conn.close()
-            raise ChannelClosedError(f"hello handshake failed: {e}") from e
-        conn.settimeout(None)
-        peer_host = str(hello["hello"])
-        codec = framing.negotiate_codec(hello.get("codecs"))
-        channel = _TcpChannel(
-            conn, self._host, peer_host,
-            frame_reader=reader, pending=extra, send_codec=codec,
-        )
-        if "codecs" in hello:
-            channel.send({"hello_ack": self._host, "codec": codec})
-        return channel
-
-    @staticmethod
-    def _read_hello(
-        conn: socket.socket, reader: framing.FrameReader
-    ) -> tuple[Message, tuple[Message, ...]]:
-        while True:
-            if reader.pending_bytes > HELLO_MAX_BYTES:
-                raise ProtocolError(
-                    f"{reader.pending_bytes} preamble bytes without a hello"
-                )
-            data = conn.recv(4096)
-            if not data:
-                raise ProtocolError("peer closed before hello")
-            msgs = reader.feed(data)
-            if msgs:
-                if "hello" not in msgs[0]:
-                    raise ProtocolError("first frame was not a hello")
-                return msgs[0], tuple(msgs[1:])
-
-    def serve_loop(self, **kwargs) -> "ServerSocketLoop":
+    def serve_loop(self, **kwargs) -> ServerSocketLoop:
         """Hand the listening socket to a selectors event loop.
 
         The returned loop owns accept + per-connection IO on one
@@ -315,8 +240,6 @@ class _TcpListener(Listener):
         ``close()``.  Beyond the :meth:`Listener.serve_loop` handlers
         the loop takes a ``hello_timeout`` (tests shorten it).
         """
-        from repro.transport.eventloop import ServerSocketLoop
-
         return ServerSocketLoop(self._sock, self._host, **kwargs)
 
     def close(self) -> None:
@@ -324,10 +247,9 @@ class _TcpListener(Listener):
             return
         self._closed = True
         self._transport._unbind(self._endpoint)
-        # Shutdown before close: a thread blocked in accept() does not
-        # wake on close() alone (Linux), and once the fd number is
-        # recycled for a new listener the stale accept steals its
-        # connections.  shutdown() forces the blocked accept to return.
+        # Shutdown before close: a loop not yet stopped wakes on it and
+        # its accept fails, instead of selecting on an fd number that a
+        # new listener may recycle and stealing that one's connections.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -378,7 +300,7 @@ class TcpTransport(Transport):
             raise ConnectError(f"connect to {endpoint} failed: {e}") from e
         sock.settimeout(None)
         _set_nodelay(sock)
-        channel = _TcpChannel(sock, src_host, endpoint.host, expect_ack=True)
+        channel = _TcpChannel(sock, src_host, endpoint.host)
         channel.send({"hello": src_host, "codecs": list(framing.supported_codecs())})
         return channel
 

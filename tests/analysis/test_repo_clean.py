@@ -215,6 +215,52 @@ def test_one_cass_no_sharded_tier():
     assert exempted == pinned, "the exemption outlived what it exempts"
 
 
+def test_one_serving_contract():
+    """One serving contract: a listener's channels are served by
+    ``serve_loop`` alone.  ``Listener`` declares no ``accept``; nothing
+    in ``src/repro`` calls one (the loop's own non-blocking socket
+    accept is not a listener's); and no test or benchmark calls
+    ``.accept(`` — ``benchmarks/tdpbench/`` aside, which still times the
+    in-memory listener's."""
+    import ast
+
+    def accept_calls(path):
+        return [
+            (node.lineno, ast.unparse(node.func))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "accept"
+        ]
+
+    base = ast.parse((SRC / "transport" / "base.py").read_text())
+    (listener,) = [
+        n for n in base.body if isinstance(n, ast.ClassDef) and n.name == "Listener"
+    ]
+    assert "accept" not in {
+        f.name for f in listener.body if isinstance(f, ast.FunctionDef)
+    }
+
+    exempt = (SRC / "transport" / "eventloop.py", "self._sock.accept")
+    in_src = [
+        f"{path.relative_to(SRC)}:{line}: {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, call in accept_calls(path)
+        if (path, call) != exempt
+    ]
+    assert not in_src, "\n".join(in_src)
+
+    bench = REPO_ROOT / "benchmarks" / "tdpbench"
+    in_tests = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {call}"
+        for tree in ("tests", "benchmarks")
+        for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+        if bench not in path.parents
+        for line, call in accept_calls(path)
+    ]
+    assert not in_tests, "\n".join(in_tests)
+
+
 def test_lint_cli_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC)],

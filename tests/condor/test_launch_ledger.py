@@ -30,7 +30,7 @@ from repro.transport.inmem import InMemoryTransport
 
 PER_JOB_DAEMON_THREADS = (
     "matchmaker-conn", "startd-conn-", "schedd-release-",
-    "attr-client-disseminate",
+    "attr-client-disseminate", "paradyn-frontend-conn", "shadow-stdout-",
 )
 
 
@@ -196,7 +196,7 @@ class TestWarmMonitoredLaunch:
         # the cluster clock's timer service starts once, with the first
         # blocking get that has to park: whichever job that falls in
         started = [name for name in ledger.threads if name != "vclock-timers"]
-        assert len(started) <= 11, ", ".join(started)
+        assert len(started) <= 9, ", ".join(started)
         assert not [
             name for name in started if name.startswith(PER_JOB_DAEMON_THREADS)
         ]
@@ -369,3 +369,43 @@ class TestEveryNonRunningOutcomeReleases:
             assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
             assert settled(pool)
             assert not self.leftovers()
+
+
+class TestOneServingThreadPerDaemon:
+    def test_fifty_connections_each_add_no_threads(self):
+        """The matchmaker, a startd and the front end each serve every
+        connection on their one loop: a connection costs no thread."""
+        with ParadorScenario(execute_hosts=["node1"]) as scenario:
+            transport = scenario.cluster.transport
+            frontend = scenario.frontend
+            servers = {
+                "matchmaker-": scenario.pool.matchmaker.endpoint,
+                "startd-": scenario.pool.startds["node1"].endpoint,
+            }
+            before = threading.active_count()
+            channels = []
+            for endpoint in servers.values():
+                for _ in range(50):
+                    channel = transport.connect(endpoint.host, endpoint)
+                    channels.append(channel)
+                    # answered, so the daemon has taken the connection on
+                    assert channel.request({"op": "census"}, timeout=10.0) == {
+                        "ok": False, "error": "unknown op 'census'",
+                    }
+            for i in range(50):
+                channel = transport.connect(frontend.endpoint.host, frontend.endpoint)
+                channels.append(channel)
+                channel.send({"op": "hello", "job": f"census.{i}"})
+            frontend.wait_for_daemons(50, timeout=10.0)
+            try:
+                assert threading.active_count() == before
+                serving = [
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith((*servers, "paradyn-frontend-"))
+                ]
+                assert sorted(serving) == [
+                    "matchmaker-submit", "paradyn-frontend-submit", "startd-node1",
+                ]
+            finally:
+                for channel in channels:
+                    channel.close()

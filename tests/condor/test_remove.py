@@ -71,3 +71,90 @@ class TestRemove:
             assert run.job.wait_terminal(timeout=30.0) is JobStatus.REMOVED
             run.session.wait_state("exited", timeout=30.0)
             assert run.session.exit_code == 128 + 15  # the tool saw the kill
+
+
+def mpi_blocked_after_barrier(argv):
+    """Every rank meets the others at a barrier, then waits for good."""
+    from repro.mpisim.comm import MpiComm
+    from repro.sim import syscalls as sc
+    from repro.sim.syscalls import call
+
+    def body():
+        comm = yield from MpiComm.init()
+        yield from comm.barrier()
+        yield sc.Print(f"rank {comm.rank} past the barrier")
+        yield from comm.recv((comm.rank + 1) % comm.size, tag="never")
+
+    yield from call("main", body())
+
+
+class TestRemoveMpiJob:
+    """condor_rm of a running gang kills every rank, not rank 0 alone:
+    the others would wait for it for good, the job sitting RUNNING with
+    every machine claimed."""
+
+    HOSTS = ["node1", "node2", "node3"]
+
+    @pytest.fixture
+    def gang(self):
+        with SimCluster.flat(["submit", *self.HOSTS]) as cluster:
+            cluster.registry.register("mpi_blocked", mpi_blocked_after_barrier)
+            pool = CondorPool(cluster, submit_host="submit", execute_hosts=self.HOSTS)
+            yield cluster, pool
+            pool.stop()
+
+    def submit(self, pool):
+        return pool.submit_file(
+            "universe = MPI\nexecutable = mpi_blocked\nmachine_count = 3\nqueue\n"
+        )[0]
+
+    def ranks(self, cluster):
+        return [
+            proc for host in self.HOSTS
+            for proc in cluster.host(host).processes()
+            if proc.executable == "mpi_blocked"
+        ]
+
+    def assert_removed_and_released(self, cluster, pool, job):
+        assert job.wait_terminal(timeout=8.0) is JobStatus.REMOVED
+        assert len(self.ranks(cluster)) == 3
+        assert not [p for p in self.ranks(cluster) if p.alive]
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+            pool.matchmaker.reserved_count()
+            or any(s.claimed for s in pool.startds.values())
+        ):
+            time.sleep(0.01)
+        assert pool.matchmaker.reserved_count() == 0
+        assert not any(s.claimed for s in pool.startds.values())
+
+    def test_remove_kills_every_rank_and_frees_every_machine(self, gang):
+        cluster, pool = gang
+        job = self.submit(pool)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and not (
+            len(self.ranks(cluster)) == 3
+            and all(p.stdout_lines for p in self.ranks(cluster))
+        ):
+            time.sleep(0.01)
+        assert [len(p.stdout_lines) for p in self.ranks(cluster)] == [1, 1, 1]
+        pool.schedd.remove(str(job.job_id))
+        self.assert_removed_and_released(cluster, pool, job)
+
+    def test_a_rank_created_after_the_remove_dies_too(self, gang, monkeypatch):
+        from repro.condor import mpi_universe
+
+        cluster, pool = gang
+        jobs = []
+        create = mpi_universe.tdp_create_process
+
+        def remove_before_the_last_rank(*args, env, **kwargs):
+            if env["MPI_RANK"] == "2":
+                pool.schedd.remove(str(jobs[0].job_id))
+            return create(*args, env=env, **kwargs)
+
+        monkeypatch.setattr(
+            mpi_universe, "tdp_create_process", remove_before_the_last_rank
+        )
+        jobs.append(self.submit(pool))
+        self.assert_removed_and_released(cluster, pool, jobs[0])

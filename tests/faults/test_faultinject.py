@@ -11,6 +11,7 @@ from repro.transport.faultinject import (
     from_env,
 )
 from repro.transport.inmem import InMemoryTransport
+from tests.served import ServedListener
 
 
 def make_transport():
@@ -114,9 +115,9 @@ class TestTransportWrapper:
         base = make_transport()
         plan = FaultPlan(script={(0, 0): "dup"})
         ft = FaultInjectTransport(base, plan)
-        listener = ft.listen("a")
+        listener = ServedListener(ft.listen("a"))
         client = ft.connect("b", listener.endpoint)
-        server_side = listener.accept(timeout=2.0)
+        server_side = listener.next_end(timeout=2.0)
 
         client.send({"hello": 1})
         assert server_side.recv(timeout=2.0) == {"hello": 1}
@@ -134,9 +135,9 @@ class TestTransportWrapper:
     def test_scope_accept_wraps_server_side(self):
         base = make_transport()
         ft = FaultInjectTransport(base, FaultPlan(scope="accept"))
-        listener = ft.listen("a")
+        listener = ServedListener(ft.listen("a"))
         client = ft.connect("b", listener.endpoint)
-        server_side = listener.accept(timeout=2.0)
+        server_side = listener.next_end(timeout=2.0).channel
         assert isinstance(server_side, FaultInjectChannel)
         assert not isinstance(client, FaultInjectChannel)
         client.close()

@@ -20,6 +20,7 @@ from repro.tdp.wellknown import Attr
 from repro.transport.faultinject import FaultInjectTransport, FaultPlan
 from repro.transport.inmem import InMemoryTransport
 from repro.transport.tcp import TcpTransport
+from tests.served import ServedListener
 
 
 def wait_until(predicate, timeout=5.0, interval=0.005):
@@ -153,9 +154,9 @@ class TestFaultMonitorRespawn:
 class TestTcpClosedLatch:
     def test_send_latches_closed_after_peer_gone(self):
         transport = TcpTransport()
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         client = transport.connect("submit", listener.endpoint, timeout=5.0)
-        server_side = listener.accept(timeout=5.0)
+        server_side = listener.next_end()
         server_side.close()
 
         # EOF reaches the reader thread, which latches the channel; even
@@ -180,9 +181,9 @@ class TestTcpClosedLatch:
         # with ChannelClosedError — not hang, not time out — and leave
         # the channel latched so later sends fail fast too.
         transport = TcpTransport()
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         client = transport.connect("submit", listener.endpoint, timeout=5.0)
-        server_side = listener.accept(timeout=5.0)
+        server_side = listener.next_end()
         server_side.close()
         with pytest.raises(errors.ChannelClosedError):
             client.recv(timeout=5.0)

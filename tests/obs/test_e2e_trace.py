@@ -129,8 +129,10 @@ class TestBinaryTcpChannel:
         put = tdp_init(transport, server.endpoint, member="AS", role=Role.AS,
                        context="job", src_host="submit")
         try:
-            assert put.lass._session._channel.codec == protocol.CODEC_BINARY
-            assert sub.lass._session._channel.codec == protocol.CODEC_BINARY
+            for handle in (put, sub):
+                session = handle.lass._session
+                with session._lock:  # _channel's guard
+                    assert session._channel.codec == protocol.CODEC_BINARY
             seen = []
             tdp_subscribe(sub, "watch*", lambda n, a: seen.append(n.value))
             tdp_put(put, "watch.bin", "v")

@@ -147,8 +147,9 @@ class TestBreakpoints:
             bp = engine.insert_breakpoint("compute_b")
             proc.continue_process()  # the hand-off: never refused
             assert bp.wait_hit(timeout=10.0)
-            assert proc.state is ProcessState.STOPPED
-            assert proc.stop_reason is StopReason.BREAKPOINT
+            with proc.lock:  # stop_reason's guard
+                assert proc.state is ProcessState.STOPPED
+                assert proc.stop_reason is StopReason.BREAKPOINT
             engine.remove(bp)
         proc.continue_process()
         assert proc.wait_for_exit(timeout=20.0) == 0

@@ -24,6 +24,7 @@ from repro.tdp.proxycfg import (
 from repro.tdp.stdio import StdioCollector, StdioRelay
 from repro.tdp.wellknown import Attr
 from repro.transport.proxy import ProxyServer
+from tests.served import ServedListener
 
 
 class TestStdio:
@@ -146,7 +147,7 @@ class TestProxyConfig:
             src_host="node1",
         )
         # Front-end listener on the submit host.
-        frontend_listener = c.transport.listen("submit", 2090)
+        frontend_listener = ServedListener(c.transport.listen("submit", 2090))
         proxy = ProxyServer(c.transport, "gateway", 9000)
         publish_frontend_endpoint(rm, Endpoint("submit", 2090))
         publish_proxy_endpoint(rm, proxy.endpoint)
@@ -156,7 +157,7 @@ class TestProxyConfig:
         with pytest.raises(FirewallBlockedError):
             c.transport.connect("node1", Endpoint("submit", 2090))
         channel = connect_to_frontend(rt, c.transport, "node1")
-        server_side = frontend_listener.accept(timeout=5.0)
+        server_side = frontend_listener.next_end()
         channel.send({"hello": "frontend"})
         assert server_side.recv(timeout=5.0) == {"hello": "frontend"}
         channel.close()

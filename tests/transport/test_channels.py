@@ -17,8 +17,9 @@ from repro.errors import (
 )
 from repro.net.address import Endpoint
 from repro.net.topology import Network, flat_network
-from repro.transport.inmem import InMemoryTransport, loopback_transport
+from repro.transport.inmem import InMemoryTransport, _InMemChannel, loopback_transport
 from repro.transport.tcp import TcpTransport
+from tests.served import ServedListener
 
 
 @pytest.fixture(params=["inmem", "tcp"])
@@ -29,19 +30,10 @@ def transport(request):
 
 
 def connect_pair(transport):
-    """Open a connected (client, server) channel pair."""
-    listener = transport.listen("beta")
-    result: dict = {}
-
-    def acceptor():
-        result["server"] = listener.accept(timeout=5.0)
-
-    t = threading.Thread(target=acceptor)
-    t.start()
+    """Open a connected (client, served server end, listener) triple."""
+    listener = ServedListener(transport.listen("beta"))
     client = transport.connect("alpha", listener.endpoint, timeout=5.0)
-    t.join(timeout=5.0)
-    assert "server" in result
-    return client, result["server"], listener
+    return client, listener.next_end(), listener
 
 
 class TestBasicMessaging:
@@ -161,14 +153,14 @@ class TestTcpSpecifics:
     def test_frames_coalesced_with_hello_not_dropped(self):
         """One TCP segment can carry the hello preamble AND the
         client's first requests (the client sends its attach right
-        after connecting).  The accept-side preamble read must hand
-        everything past the hello to the channel, not drop it."""
+        after connecting).  The serving loop must hand everything past
+        the hello to the connection, not drop it."""
         import socket as socketlib
 
         from repro.transport import framing
 
         transport = TcpTransport()
-        listener = transport.listen("beta")
+        listener = ServedListener(transport.listen("beta"))
         real_port = transport._bound[listener.endpoint]
         raw = socketlib.create_connection(("127.0.0.1", real_port), timeout=5.0)
         try:
@@ -182,7 +174,7 @@ class TestTcpSpecifics:
                 + framing.encode_frame({"op": "put", "seq": 2})
                 + third[: len(third) // 2]
             )
-            server = listener.accept(timeout=5.0)
+            server = listener.next_end()
             raw.sendall(third[len(third) // 2:])
             assert server.remote_host == "alpha"
             got = [server.recv(timeout=5.0)["seq"] for _ in range(3)]
@@ -207,17 +199,38 @@ class TestInMemorySpecifics:
         listener.close()
 
     def test_unserializable_message_caught_at_send(self):
-        transport = loopback_transport()
-        listener = transport.listen("localhost")
-        client = transport.connect("localhost", listener.endpoint)
-        server = listener.accept(timeout=2.0)
+        client, server = _InMemChannel.pair("localhost", "localhost")
         from repro.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
             client.send({"bad": object()})  # type: ignore[dict-item]
         client.close()
         server.close()
+
+    def test_a_kept_channel_does_not_pin_a_stopped_serving_loop(self):
+        # A daemon's record may outlive its connections (a finished
+        # job's starter keeps its shadow channel): once served and
+        # closed, a channel must not keep the dispatcher alive.
+        import gc
+        import weakref
+
+        transport = loopback_transport()
+        listener = transport.listen("localhost")
+        loop = listener.serve_loop(
+            on_channel=lambda channel: channel,
+            on_message=lambda channel, message: None,
+            on_closed=lambda channel: None,
+            name="test-kept-channel",
+        )
+        client = transport.connect("localhost", listener.endpoint)
+        client.send({"n": 1})
+        loop.stop()
         listener.close()
+        dispatcher = weakref.ref(loop)
+        del loop, listener
+        gc.collect()
+        assert dispatcher() is None
+        assert client.closed
 
     def test_ephemeral_ports_distinct(self):
         transport = loopback_transport()

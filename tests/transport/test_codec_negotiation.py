@@ -3,25 +3,31 @@
 Three rows: both sides speak the binary codec (the happy path the bench
 relies on), an old client that sends a bare hello and must stay on JSON
 without ever seeing an ack, and a corrupt ``codecs`` field that must
-degrade to JSON rather than kill the connection.
+degrade to JSON rather than kill the connection.  The server side of
+every row is the serving loop.
 """
 
 import socket
 
 import pytest
 
-from repro import errors
 from repro.attrspace import protocol
 from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.transport import framing
 from repro.transport.framing import FrameReader
 from repro.transport.tcp import TcpTransport
+from tests.served import ServedListener
 
 
 @pytest.fixture
 def transport():
     return TcpTransport()
+
+
+def codec_of(end):
+    """The codec the loop negotiated for a served connection."""
+    return end.channel._conn.codec
 
 
 def recv_raw(sock, reader, timeout=5.0):
@@ -34,11 +40,11 @@ def recv_raw(sock, reader, timeout=5.0):
 
 class TestBinaryBothSides:
     def test_both_channels_negotiate_tdpb1(self, transport):
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         client = transport.connect("submit", listener.endpoint, timeout=5.0)
-        server_side = listener.accept(timeout=5.0)
+        server_side = listener.next_end()
         try:
-            assert server_side.codec == protocol.CODEC_BINARY
+            assert codec_of(server_side) == protocol.CODEC_BINARY
             # The client adopts the codec when it consumes the ack —
             # which happens on its first recv.
             server_side.send({"op": "ping"})
@@ -71,14 +77,14 @@ class TestBinaryBothSides:
 
 class TestOldClientFallback:
     def test_bare_hello_stays_json_and_gets_no_ack(self, transport):
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         sock = socket.create_connection(("127.0.0.1", listener.endpoint.port))
         reader = FrameReader()
         try:
             # A pre-negotiation peer: hello without a "codecs" field.
             sock.sendall(framing.encode_frame({"hello": "old"}))
-            server_side = listener.accept(timeout=5.0)
-            assert server_side.codec == protocol.CODEC_JSON
+            server_side = listener.next_end()
+            assert codec_of(server_side) == protocol.CODEC_JSON
 
             # The very first frame the old client sees must be protocol
             # traffic, not a hello_ack it would misparse.
@@ -104,13 +110,13 @@ class TestCorruptNegotiation:
         [],                # empty offer
     ])
     def test_corrupt_codecs_field_degrades_to_json(self, transport, codecs):
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         sock = socket.create_connection(("127.0.0.1", listener.endpoint.port))
         reader = FrameReader()
         try:
             sock.sendall(framing.encode_frame({"hello": "weird", "codecs": codecs}))
-            server_side = listener.accept(timeout=5.0)
-            assert server_side.codec == protocol.CODEC_JSON
+            server_side = listener.next_end()
+            assert codec_of(server_side) == protocol.CODEC_JSON
 
             # The key was present, so the ack is sent — naming JSON.
             ack = recv_raw(sock, reader)
@@ -123,9 +129,9 @@ class TestCorruptNegotiation:
     def test_client_ignores_unsupported_ack_codec(self, transport):
         # A server-side ack naming a codec the client does not support
         # must leave the client on JSON, not crash it.
-        listener = transport.listen("node1")
+        listener = ServedListener(transport.listen("node1"))
         client = transport.connect("submit", listener.endpoint, timeout=5.0)
-        server_side = listener.accept(timeout=5.0)
+        server_side = listener.next_end()
         try:
             # The channel only consumes the *first* pending frame as an
             # ack, so drive the adoption path directly.
@@ -154,13 +160,16 @@ class TestNegotiateCodecUnit:
         for garbage in (None, "tdpb1", 7, {"tdpb1": True}, [3, None]):
             assert protocol.negotiate_codec(garbage) == "json"
 
-    def test_channel_closed_error_type_preserved(self):
-        # The matrix above covers wire behaviour; pin the error class
-        # contract for the accept-side hello too.
+    def test_peer_gone_before_hello_is_never_announced(self):
+        # A peer that dies before its hello never becomes a channel, and
+        # the loop goes on to serve the next one.
         transport = TcpTransport()
-        listener = transport.listen("node1")
-        sock = socket.create_connection(("127.0.0.1", listener.endpoint.port))
-        sock.close()  # peer gone before any hello
-        with pytest.raises(errors.ChannelClosedError):
-            listener.accept(timeout=5.0)
-        listener.close()
+        listener = ServedListener(transport.listen("node1"))
+        try:
+            sock = socket.create_connection(("127.0.0.1", listener.endpoint.port))
+            sock.close()  # peer gone before any hello
+            client = transport.connect("submit", listener.endpoint, timeout=5.0)
+            assert listener.next_end().remote_host == "submit"
+            client.close()
+        finally:
+            listener.close()

@@ -1,7 +1,5 @@
 """Proxy tunnel tests: the Section 2.4 firewall-crossing path."""
 
-import threading
-
 import pytest
 
 from repro.errors import FirewallBlockedError, ProxyError
@@ -32,21 +30,26 @@ def firewalled():
     transport.close_all()
 
 
+class EchoServer:
+    """Answers every frame with ``{"echo": frame}``, on one serving loop."""
+
+    def __init__(self, transport, host):
+        self.listener = transport.listen(host)
+        self.endpoint = self.listener.endpoint
+        self._loop = self.listener.serve_loop(
+            on_channel=lambda chan: chan,
+            on_message=lambda chan, msg: chan.send({"echo": msg}),
+            on_closed=lambda chan: None,
+            name=f"echo-{host}",
+        )
+
+    def close(self):
+        self._loop.stop()
+        self.listener.close()
+
+
 def start_echo_server(transport, host):
-    listener = transport.listen(host)
-
-    def serve():
-        try:
-            chan = listener.accept(timeout=10.0)
-            while True:
-                msg = chan.recv(timeout=10.0)
-                chan.send({"echo": msg})
-        except Exception:  # noqa: BLE001
-            pass
-
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    return listener
+    return EchoServer(transport, host)
 
 
 class TestProxyTunnel:
@@ -153,4 +156,30 @@ class TestConnectMaybeProxied:
         listener = start_echo_server(firewalled, "submit")
         with pytest.raises(FirewallBlockedError):
             connect_maybe_proxied(firewalled, "node1", listener.endpoint, None)
+        listener.close()
+
+
+class TestProxyThreads:
+    def test_a_tunnel_starts_one_thread(self, firewalled, monkeypatch):
+        """The handshake and client->target forwarding run on the
+        proxy's serving loop; only target->client needs a pump."""
+        import threading
+
+        listener = start_echo_server(firewalled, "submit")
+        proxy = ProxyServer(firewalled, "gateway", 9000)
+        started = []
+        start = threading.Thread.start
+
+        def tapped(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", tapped)
+        chan = connect_via_proxy(firewalled, "node1", proxy.endpoint, listener.endpoint)
+        for i in range(5):
+            chan.send({"i": i})
+            assert chan.recv(timeout=5.0) == {"echo": {"i": i}}
+        assert len(started) == 1, started
+        chan.close()
+        proxy.stop()
         listener.close()
