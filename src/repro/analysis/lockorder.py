@@ -155,9 +155,9 @@ DEFAULT = LockHierarchy([
              note="daemon arrival + metric state"),
     LockDecl("paradyn.daemon.ParadynDaemon._req_lock", 20, note="request routing"),
     LockDecl("attrspace.federation.LassFederation._lock", 22,
-             note="aggregation refcounts; never "
-                  "held across upstream RPC or queue waits — the worker "
-                  "thread owns the session table and aggregate ledger without any lock"),
+             note="interests, session table, aggregate ledger; held across "
+                  "the non-blocking submit that orders a context's forwards, "
+                  "never across a dial or a blocking upstream RPC"),
     LockDecl("condor.tools.ToolRegistry._lock", 22, note="registered tool specs"),
     LockDecl("sim.loader.ProgramRegistry._lock", 22, note="registered programs"),
     LockDecl("tdp.aux.AuxServiceManager._lock", 22, note="aux service state"),

@@ -14,7 +14,8 @@ Two layers, one of everything in each:
   and subscription notifications are queued there, the queue doubles as
   the "descriptor" a daemon polls (Section 3.3), and callbacks run only
   inside :meth:`AttributeSpaceClient.service_events`, never from
-  internal threads.
+  internal threads — except a LASS's own ``subscribe_agg`` callbacks,
+  which run on the receive thread.
 
 Sessions can be **reconnecting**: constructed with a ``dial`` callable
 (or via :meth:`AttributeSpaceClient.connect`), the session treats a dead
@@ -499,20 +500,21 @@ class _Session:
         just re-created is routed in order.  Returns whether the server
         resumed the lease.
 
-        The ledger is walked until nothing in it is left to cover, and
-        that check, the swap, the flag clear and the pending snapshot
-        share one lock hold: a subscribe parked by the outage is either
-        in a walk or finds the live channel and sends itself, and every
-        other request registered before the swap is in the snapshot (and
-        is replayed).  The overlap case — a caller that read the old
-        channel just before the swap — at worst double-sends, which the
-        server's lease dedup absorbs.
+        The ledger is walked, then the pending table replayed in request
+        order, until a lock hold finds nothing left to cover or resend;
+        that hold (or a replay send finding the channel dead) swaps the
+        channel in and clears the flag.  Until then a new request parks
+        in the table for a later round, so none overtakes a replayed
+        one.  A caller that read the old channel just before the outage
+        at worst double-sends, which the server's lease dedup absorbs.
         """
         reply = self.call(self._attach_frame(), _HANDSHAKE_TIMEOUT, via=channel)
         _ok(reply, protocol.OP_ATTACH)
         self._adopt_attach_reply(reply)
         covered: set[int] = set()
+        replayed = 0  # every req at or below this has been resent
         while True:
+            answered, replay = [], []
             with self._lock:
                 ledger = [
                     (local_id, entry)
@@ -522,10 +524,17 @@ class _Session:
                 if not ledger:
                     if self._closed:
                         raise errors.SpaceClosedError("client closed")
-                    self._channel = channel
-                    self._reconnecting = False
-                    answered, replay = [], []
-                    for req, pending in sorted(self._pending.items()):
+                    fresh = sorted(
+                        (req, pending)
+                        for req, pending in self._pending.items()
+                        if req > replayed
+                    )
+                    if not fresh:
+                        self._channel = channel
+                        self._reconnecting = False
+                        break
+                    replayed = fresh[-1][0]
+                    for req, pending in fresh:
                         if pending.redone is None:
                             replay.append(pending.frame)
                         else:
@@ -535,7 +544,6 @@ class _Session:
                             answered.append(
                                 (pending, dict(pending.redone(), reply_to=req))
                             )
-                    break
             for local_id, entry in ledger:
                 sub_reply = self.call(entry.frame, _HANDSHAKE_TIMEOUT, via=channel)
                 _ok(sub_reply, entry.frame["op"])
@@ -546,15 +554,19 @@ class _Session:
                     entry.server_id = server_id
                     self._sub_routes[server_id] = local_id
                 covered.add(local_id)
-        for pending, synthetic in answered:
-            pending.complete(synthetic)
-        try:
-            for frame in replay:
-                channel.send(frame)
-        except errors.TdpError:
-            # The new channel died already; the receive loop will go
-            # around again and the next recovery replays the rest.
-            pass
+            for pending, synthetic in answered:
+                pending.complete(synthetic)
+            try:
+                for frame in replay:
+                    channel.send(frame)
+            except errors.TdpError:
+                # The new channel died already.  Swap it in all the same:
+                # nothing overtakes on a dead channel, the receive loop
+                # goes around again, and the next recovery replays the rest.
+                with self._lock:
+                    self._channel = channel
+                    self._reconnecting = False
+                break
         return bool(reply.get("resumed", False))
 
     def _session_event(self, kind: str, **info: Any) -> None:
@@ -606,12 +618,21 @@ class _Session:
                     ) -> None:
                         callback(notification, arg)
 
-                self._events.put(
-                    _Event(
-                        invoke=invoke,
-                        description=f"notify {notification.attribute}",
+                if entry.frame["op"] == protocol.OP_SUB_AGG:
+                    # A LASS applying a CASS change to its own store is
+                    # server-internal, not a tool's callback: the safe-
+                    # point rule does not hold it back, and it runs here.
+                    try:
+                        invoke()
+                    except Exception:  # noqa: BLE001 — the receive loop outlives a bad callback
+                        _log.exception("%s: aggregated notify failed", self.member)
+                else:
+                    self._events.put(
+                        _Event(
+                            invoke=invoke,
+                            description=f"notify {notification.attribute}",
+                        )
                     )
-                )
             return
         reply_to = message.get("reply_to")
         if not isinstance(reply_to, int):
@@ -1010,7 +1031,8 @@ class AttributeSpaceClient:
         the subscription to ``origin``'s fan-out dedup group — all of
         this host's aggregated subscriptions cost the upstream server one
         egress frame per event — and suppresses notifications whose
-        change originated on ``origin`` itself.
+        change originated on ``origin`` itself.  ``callback`` runs on the
+        receive thread, not from :meth:`service_events`.
         """
         local_id = self._sub_ids.next()
         return self._session.establish(

@@ -7,12 +7,11 @@ This module is the upstream collaborator an
 ``upstream`` endpoint calls out to:
 
 * **Write-through forwarding.**  A local client's put/remove/batch is
-  applied to the host's own store first (the client's reply never waits
-  on the WAN), then forwarded upstream over one leased session per
-  context, stamped with this host's *origin id* so the CASS can
-  suppress the echo back to us.  Consecutive queued writes of one
-  context coalesce into one ``OP_BATCH`` frame — the PR-5 batch
-  machinery doubles as the inter-server forwarding format.
+  applied to the host's own store first, then forwarded upstream over
+  one leased session per context, stamped with this host's *origin id*
+  so the CASS can suppress the echo back to us.  A batch forwards as
+  one ``OP_BATCH`` frame of the sub-ops that applied; per context,
+  frames leave in local apply order.
 
 * **Miss forwarding.**  A get the local store cannot answer is forwarded
   as an *asynchronous* upstream get carrying the originating client's
@@ -29,12 +28,14 @@ This module is the upstream collaborator an
   local store, whose ordinary publish re-fans them to every local
   subscriber — CASS egress is O(hosts), not O(subscribers).
 
-Threading: all upstream traffic belongs to one worker thread that owns
-the session table and aggregate ledger outright (no lock), fed through
-an action queue; per-session pump threads service the upstream clients'
-event queues (async-get completions, aggregated notifications).  The
-only shared state — the aggregation refcounts — sits behind ``_lock``
-(rank 22), which is never held across an upstream RPC or a queue wait.
+Threading: the federation has no thread of its own.  A forward, a
+forwarded get, a dial and an aggregated subscribe run on the caller's
+thread (the server's serving loop, or its lease sweeper for purges);
+a forward is one non-blocking submit onto the session, whose reply —
+like every aggregated notification — is handled on that session's
+receive thread.  ``_lock`` (rank 22) guards the interests, the session
+table and the aggregate ledger; it is held across a non-blocking
+submit, never across a dial or a blocking RPC.
 
 Because every forwarded ephemeral put rides the LASS's upstream session
 lease, a LASS that dies takes its hosts' ephemeral attributes with it at
@@ -44,26 +45,21 @@ the CASS — liveness propagates through the hierarchy for free.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
-import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import errors, obs
+from repro.attrspace import protocol
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.attrspace.notify import Notification
 from repro.attrspace.store import AttributeStore
 from repro.net.address import Endpoint
 from repro.transport.base import Transport
 from repro.util.log import get_logger
-from repro.util.sync import Latch, WaitableQueue, join_all, tracked_lock
-from repro.util.threads import spawn
+from repro.util.sync import Latch, tracked_lock
 
 _log = get_logger("attrspace.federation")
-
-#: Queued writes bound upstream coalesce into one batch frame, at most
-#: this many sub-ops each (bounds frame size and per-flush latency).
-COALESCE_LIMIT = 64
 
 #: Failure callback of a forwarded get (success lands via ``store.fill``).
 GetFailed = Callable[[Exception], None]
@@ -118,21 +114,14 @@ class ShardMap:
         return self._ring[i][1]
 
 
-@dataclass
-class _Upstream:
-    """One leased session to the CASS for one context."""
-
-    client: AttributeSpaceClient
-    pump: threading.Thread
-
-
 class LassFederation:
     """Upstream engine of one LASS: forwarding and aggregation.
 
-    Owned by the server that was constructed with an upstream.  All
-    public ``forward_*``/``note_*`` entry points are non-blocking (they
-    enqueue onto the worker's action queue) so no serving thread ever
-    stalls on the upstream link.
+    Owned by the server that was constructed with an upstream.  Every
+    entry point runs on its caller's thread — the server's serving loop,
+    or its lease sweeper for purges.  A forward never waits for its
+    answer: it is one submit onto the context's session, completed on
+    that session's receive thread.
     """
 
     def __init__(
@@ -171,42 +160,77 @@ class LassFederation:
                 "sessions_dropped",
             )
         }
+        self._lock = tracked_lock("attrspace.federation.LassFederation._lock")
+        # -- guarded by _lock ------------------------------------------------
         #: (context, pattern) -> count of local subscriptions wanting it
         self._interest: dict[tuple[str, str], int] = {}
-        self._lock = tracked_lock("attrspace.federation.LassFederation._lock")
-        self._actions: WaitableQueue[tuple] = WaitableQueue()
-        # -- worker-confined state (no lock: only _worker's thread) -----
         #: context -> its one leased session, dialled at ``upstream``
-        self._sessions: dict[str, _Upstream] = {}
+        self._sessions: dict[str, AttributeSpaceClient] = {}
         #: (context, pattern) -> upstream local sub id
         self._agg_subs: dict[tuple[str, str], int] = {}
-        self._worker = spawn(self._run, name=f"federation-{host}")
+        self._stopped = False
 
-    # -- entry points (any thread; never block on upstream) -----------------
+    # -- write path ------------------------------------------------------------
 
     def forward_put(
         self, context: str, attribute: str, value: str, ephemeral: bool = False
     ) -> None:
-        op: dict[str, Any] = {"op": "put", "attribute": attribute, "value": value}
-        if ephemeral:
-            op["ephemeral"] = True
-        self._enqueue(("write", context, op))
+        self._forward(context, [{
+            "op": protocol.OP_PUT, "attribute": attribute, "value": value,
+            "ephemeral": ephemeral,
+        }])
 
     def forward_remove(self, context: str, attribute: str) -> None:
-        self._enqueue(("write", context, {"op": "remove", "attribute": attribute}))
+        self._forward(context, [{"op": protocol.OP_REMOVE, "attribute": attribute}])
 
     def forward_batch(self, context: str, applied: list[dict[str, Any]]) -> None:
-        """Forward the data sub-ops of a batch that *applied* locally
-        (gets stay host-local; a sub-op the store rejected never gets
-        here, so nothing malformed is ever queued for upstream)."""
-        for op in applied:
-            if op["op"] == "put":
-                self.forward_put(
-                    context, str(op["attribute"]), op["value"],
-                    bool(op.get("ephemeral", False)),
+        """Forward the data sub-ops of a batch that *applied* locally, as
+        one frame (gets stay host-local; a sub-op the store rejected
+        never gets here, so nothing malformed goes upstream)."""
+        writes = [
+            op for op in applied if op["op"] in (protocol.OP_PUT, protocol.OP_REMOVE)
+        ]
+        if writes:
+            self._forward(context, writes)
+
+    def _forward(self, context: str, ops: list[dict[str, Any]]) -> None:
+        """Submit writes that applied locally, in apply order; the reply
+        (on the receive thread) counts them as ``forwards`` or
+        ``forward_failures``."""
+        count = len(ops)
+
+        def complete(reply: dict[str, Any]) -> None:
+            done = 0
+            if reply.get("ok", False):
+                subs = reply.get("replies")
+                done = count if subs is None else sum(1 for s in subs if s.get("ok"))
+            self.counters["forwards"].increment(done)
+            if done < count:
+                self.counters["forward_failures"].increment(count - done)
+                _log.warning(
+                    "%s: %d forwarded write(s) of context %r failed upstream: %s",
+                    self.origin, count - done, context, reply.get("error", "batch"),
                 )
-            elif op["op"] == "remove":
-                self.forward_remove(context, str(op["attribute"]))
+
+        try:
+            submitted = self._submit(context, self._write_frame(context, ops), complete)
+        except Exception:  # noqa: BLE001 — a bad forward must cost neither the reply nor the loop
+            _log.exception("%s: dropped %d forwarded write(s)", self.origin, count)
+            submitted = False
+        if not submitted:
+            self.counters["forward_failures"].increment(count)
+
+    def _write_frame(self, context: str, ops: list[dict[str, Any]]) -> dict[str, Any]:
+        """One put or remove travels as itself, more as one ``OP_BATCH``
+        (the ops passed the codec and the store, so they go as they are)."""
+        if len(ops) == 1:
+            return dict(ops[0], context=context, origin=self.origin)
+        return {
+            "op": protocol.OP_BATCH, "context": context, "ops": ops,
+            "origin": self.origin,
+        }
+
+    # -- read path ---------------------------------------------------------------
 
     def forward_get(
         self,
@@ -220,200 +244,52 @@ class LassFederation:
         """Forward a local miss upstream on behalf of a parked waiter.
 
         The answer lands in the local store via ``fill`` — which wakes
-        the waiter — and stays cached; ``failed(error)`` runs (on a pump
-        or the worker thread) when upstream says no instead.
+        the waiter — and stays cached; ``failed(error)`` runs instead
+        when upstream says no (both on the session's receive thread).
         ``timeout`` is the *originating client's* deadline, carried
         upstream verbatim so the CASS arms the timer.  A severed upstream
-        session replays the parked get after re-attach (the client's
-        pending-async replay), so an outage shorter than the reconnect
+        session replays the parked get after re-attach (the session's
+        pending replay), so an outage shorter than the reconnect
         policy's deadline is invisible to the waiting local client.
         """
-        self._enqueue(("get", context, attribute, timeout, bool(block), failed))
+        frame: dict[str, Any] = {
+            "op": protocol.OP_GET, "context": context,
+            "attribute": attribute, "block": bool(block),
+        }
+        if timeout is not None:
+            frame["timeout"] = timeout
 
-    def note_subscribe(self, context: str, pattern: str) -> None:
-        """A local client subscribed: ensure the upstream aggregate exists."""
-        with self._lock:
-            key = (context, pattern)
-            count = self._interest.get(key, 0)
-            self._interest[key] = count + 1
-        if count == 0:
-            self._enqueue(("sub", context, pattern))
-
-    def note_unsubscribe(self, context: str, pattern: str) -> None:
-        """A live local subscription ended (unsubscribe or its connection
-        closed); tear down the aggregate at zero."""
-        with self._lock:
-            key = (context, pattern)
-            remaining = self._interest.get(key, 0) - 1
-            if remaining > 0:
-                self._interest[key] = remaining
-                return
-            if self._interest.pop(key, None) is None:
-                return  # the context was dropped meanwhile
-        self._enqueue(("unsub", context, pattern))
-
-    def drop_context(self, context: str) -> None:
-        """The local context was destroyed: detach upstream too.
-
-        The interests go now, on the caller's thread — the store has
-        already dropped the context's subscriptions, and a subscriber
-        that re-creates the context must count as the first again.
-        """
-        with self._lock:
-            for key in [k for k in self._interest if k[0] == context]:
-                del self._interest[key]
-        self._enqueue(("drop", context))
-
-    def settle(self, timeout: float | None = 5.0) -> None:
-        """Block until every action enqueued before this call has been
-        processed — forwarded writes are acked upstream (deterministic
-        tests; completions of in-flight async gets are NOT awaited)."""
-        latch: Latch[bool] = Latch()
-        try:
-            self._actions.put(("settle", latch))
-        except errors.ChannelClosedError:
-            return
-        latch.wait(timeout=timeout)
-
-    def stop(self) -> None:
-        """Drain the action queue, close every upstream session; idempotent."""
-        self._actions.close()
-        self._worker.join(timeout=10.0)
-
-    def _enqueue(self, action: tuple) -> None:
-        try:
-            self._actions.put(action)
-        except errors.ChannelClosedError:
-            pass  # shutting down; the forward is abandoned
-
-    # -- worker thread -------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
+        def complete(reply: dict[str, Any]) -> None:
             try:
-                action = self._actions.get()
-            except errors.ChannelClosedError:
-                break
-            pending = [action]
-            while len(pending) < COALESCE_LIMIT:
-                try:
-                    pending.append(self._actions.get_nowait())
-                except (IndexError, errors.ChannelClosedError):
-                    break
-            self._process(pending)
-        self._shutdown_sessions()
-
-    def _process(self, pending: list[tuple]) -> None:
-        i = 0
-        while i < len(pending):
-            j = i + 1
-            if pending[i][0] == "write":
-                while j < len(pending) and pending[j][0] == "write":
-                    j += 1
-            try:
-                self._perform(pending[i:j])
-            except Exception:  # noqa: BLE001 — one bad action must not end all forwarding
-                _log.exception(
-                    "%s: dropped %d upstream action(s)", self.origin, j - i
+                if not reply.get("ok", False):
+                    protocol.raise_error(reply, op=protocol.OP_GET)
+                # A context destroyed meanwhile makes the fill raise; its
+                # waiters were already cancelled and ``failed`` finds none.
+                self.store.fill(
+                    attribute, reply.get("value"), context=context, writer=self.origin
                 )
-                self.counters["forward_failures"].increment(j - i)
-            i = j
-
-    def _perform(self, run: list[tuple]) -> None:
-        """One run of consecutive writes, or a single other action."""
-        action = run[0]
-        kind = action[0]
-        if kind == "write":
-            self._flush_writes(run)
-        elif kind == "get":
-            self._do_get(*action[1:])
-        elif kind == "sub":
-            self._do_sub(action[1], action[2])
-        elif kind == "unsub":
-            self._do_unsub(action[1], action[2])
-        elif kind == "drop":
-            self._drop_session(action[1])
-        elif kind == "settle":
-            action[1].open(True)
-
-    def _flush_writes(self, writes: list[tuple]) -> None:
-        """Send a run of queued writes, one batch frame per context, in
-        queue order."""
-        by_context: dict[str, list[dict[str, Any]]] = {}
-        for _kind, context, op in writes:
-            by_context.setdefault(context, []).append(op)
-        for context, ops in by_context.items():
-            client = self._session(context)
-            if client is None:
-                self.counters["forward_failures"].increment(len(ops))
-                continue
-            try:
-                if len(ops) == 1 and ops[0]["op"] == "put":
-                    client.put(
-                        ops[0]["attribute"],
-                        ops[0]["value"],
-                        ephemeral=bool(ops[0].get("ephemeral", False)),
-                        origin=self.origin,
-                    )
-                elif len(ops) == 1:
-                    client.remove(ops[0]["attribute"], origin=self.origin)
-                else:
-                    with client.batch(origin=self.origin) as batch:
-                        for op in ops:
-                            if op["op"] == "put":
-                                batch.put(
-                                    op["attribute"],
-                                    op["value"],
-                                    ephemeral=bool(op.get("ephemeral", False)),
-                                )
-                            else:
-                                batch.remove(op["attribute"])
-                self.counters["forwards"].increment(len(ops))
             except errors.TdpError as e:
-                self.counters["forward_failures"].increment(len(ops))
-                _log.warning(
-                    "%s: dropped %d forwarded write(s) of context %r: %s",
-                    self.origin, len(ops), context, e,
-                )
-                self._drop_session(context)
+                failed(e)
 
-    def _do_get(
-        self,
-        context: str,
-        attribute: str,
-        timeout: float | None,
-        block: bool,
-        failed: GetFailed,
-    ) -> None:
-        client = self._session(context)
-        if client is None:
+        if self._submit(context, frame, complete):
+            self.counters["forwarded_gets"].increment()
+        else:
             failed(
                 errors.ReconnectFailedError(
                     f"no upstream session to forward get({attribute!r})"
                 )
             )
+
+    # -- subscription aggregation ------------------------------------------------
+
+    def note_subscribe(self, context: str, pattern: str) -> None:
+        """A local client subscribed: ensure the upstream aggregate exists."""
+        key = (context, pattern)
+        with self._lock:
+            count = self._interest.get(key, 0)
+            self._interest[key] = count + 1
+        if count:
             return
-        self.counters["forwarded_gets"].increment()
-
-        def completion(value: Any, error: Exception | None, _arg: Any) -> None:
-            if error is None:
-                try:
-                    self.store.fill(
-                        attribute, value, context=context, writer=self.origin
-                    )
-                except errors.TdpError as e:
-                    # Context destroyed meanwhile: its waiters were
-                    # already cancelled and ``failed`` finds nothing.
-                    error = e
-            if error is not None:
-                failed(error)
-
-        try:
-            client.async_get(attribute, completion, timeout=timeout, block=block)
-        except errors.TdpError as e:
-            failed(e)
-
-    def _do_sub(self, context: str, pattern: str) -> None:
         client = self._session(context)
         if client is None:
             _log.warning(
@@ -423,11 +299,31 @@ class LassFederation:
             return
         self._ensure_agg(context, pattern, client)
 
+    def note_unsubscribe(self, context: str, pattern: str) -> None:
+        """A live local subscription ended (unsubscribe or its connection
+        closed); tear down the aggregate at zero."""
+        key = (context, pattern)
+        with self._lock:
+            remaining = self._interest.get(key, 0) - 1
+            if remaining > 0:
+                self._interest[key] = remaining
+                return
+            if self._interest.pop(key, None) is None:
+                return  # the context was dropped meanwhile
+            sub_id = self._agg_subs.pop(key, None)
+            client = self._sessions.get(context)
+        if sub_id is not None and client is not None:
+            # a dying session's subscriptions the server reaps with the lease
+            with contextlib.suppress(errors.TdpError):
+                client.unsubscribe(sub_id)
+
     def _ensure_agg(
         self, context: str, pattern: str, client: AttributeSpaceClient
     ) -> None:
-        if (context, pattern) in self._agg_subs:
-            return
+        key = (context, pattern)
+        with self._lock:
+            if key in self._agg_subs:
+                return
         try:
             sub_id = client.subscribe_agg(
                 pattern, self._on_upstream_notify, origin=self.origin
@@ -437,25 +333,28 @@ class LassFederation:
                 "%s: aggregated subscribe %r failed: %s", self.origin, pattern, e
             )
             return
-        self._agg_subs[(context, pattern)] = sub_id
+        with self._lock:
+            # Lost a race (a second thread subscribed, the last local
+            # subscriber left, or the session was dropped) during the RPC.
+            won = (
+                key not in self._agg_subs
+                and key in self._interest
+                and self._sessions.get(context) is client
+            )
+            if won:
+                self._agg_subs[key] = sub_id
+        if not won:
+            with contextlib.suppress(errors.TdpError):
+                client.unsubscribe(sub_id)
+            return
         self.counters["aggregated_subs"].increment()
         obs.record(
             "federation.sub_agg", actor=self.origin,
             pattern=pattern, context=context,
         )
 
-    def _do_unsub(self, context: str, pattern: str) -> None:
-        sub_id = self._agg_subs.pop((context, pattern), None)
-        upstream = self._sessions.get(context)
-        if sub_id is None or upstream is None:
-            return
-        try:
-            upstream.client.unsubscribe(sub_id)
-        except errors.TdpError:
-            pass  # session dying; the server reaps with the lease
-
     def _on_upstream_notify(self, notification: Notification, _arg: Any) -> None:
-        """Apply a CASS-fanned change to the local store (pump thread).
+        """Apply a CASS-fanned change to the local store (receive thread).
 
         The local publish re-fans it to every matching local subscriber —
         this is the second hop of the two-hop fan-out that keeps CASS
@@ -488,12 +387,65 @@ class LassFederation:
             # a malformed upstream value: the change is simply not cached.
             pass
 
-    # -- sessions (worker thread only) ---------------------------------------
+    # -- lifecycle ---------------------------------------------------------------
+
+    def drop_context(self, context: str) -> None:
+        """The local context was destroyed: detach upstream too.
+
+        The interests go with it — the store has already dropped the
+        context's subscriptions, and a subscriber that re-creates the
+        context must count as the first again.
+        """
+        with self._lock:
+            for key in [k for k in self._interest if k[0] == context]:
+                del self._interest[key]
+        self._drop_session(context)
+
+    def settle(self, timeout: float | None = 5.0) -> None:
+        """Block until every forward submitted before this call has been
+        answered upstream: one ping per live session, which the CASS
+        answers after every earlier frame on it (deterministic tests;
+        a forwarded get still parked upstream is NOT awaited).  Raises
+        :class:`~repro.errors.GetTimeoutError` if a ping outwaits ``timeout``."""
+        with self._lock:
+            clients = list(self._sessions.values())
+        latches = []
+        for client in clients:
+            latch: Latch[dict[str, Any]] = Latch()
+            try:
+                client._session.submit({"op": protocol.OP_PING}, latch.open)
+            except errors.TdpError:
+                continue  # an ended session has nothing left to answer
+            latches.append(latch)
+        for latch in latches:
+            latch.wait(timeout=timeout)
+
+    def stop(self) -> None:
+        """Close every upstream session; idempotent, and nothing dials after."""
+        with self._lock:
+            self._stopped = True
+            contexts = list(self._sessions)
+        for context in contexts:
+            self._drop_session(context)
+
+    # -- sessions ------------------------------------------------------------------
 
     def _session(self, context: str) -> AttributeSpaceClient | None:
-        upstream = self._sessions.get(context)
-        if upstream is not None:
-            return upstream.client
+        """The context's session, dialled on first use.
+
+        The dial and the aggregate re-subscriptions run on the caller's
+        thread, the serving loop included.  That is safe: the CASS never
+        waits on a LASS, so the attach round trip always completes, and
+        an upstream that refuses (or a firewall rejects) fails the dial
+        at once; a silent one costs at most the connect timeout.  Two
+        threads racing to dial one context both dial; the loser closes
+        its session.
+        """
+        with self._lock:
+            client = self._sessions.get(context)
+            stopped = self._stopped
+        if client is not None or stopped:
+            return client
         try:
             client = AttributeSpaceClient.connect(
                 self.transport,
@@ -507,49 +459,65 @@ class LassFederation:
         except errors.TdpError as e:
             _log.warning("%s: cannot open upstream session: %s", self.origin, e)
             return None
-        pump = spawn(
-            self._pump, args=(client,), name=f"federation-{self.host}-pump"
-        )
-        self._sessions[context] = _Upstream(client, pump)
-        self.counters["sessions_opened"].increment()
-        # A recreated session (prior one exhausted its reconnect policy)
-        # must win back the context's aggregated subscriptions;
-        # within-session outages re-subscribe via the client's own ledger.
         with self._lock:
-            patterns = [p for ctx, p in self._interest if ctx == context]
+            current = self._sessions.get(context)
+            won = current is None and not self._stopped
+            if won:
+                self._sessions[context] = client
+                patterns = [p for ctx, p in self._interest if ctx == context]
+        if not won:
+            client.close()
+            return current
+        self.counters["sessions_opened"].increment()
+        # A recreated session (the prior one exhausted its reconnect
+        # policy) must win back the context's aggregated subscriptions;
+        # within-session outages re-subscribe via the client's own ledger.
         for pattern in patterns:
             self._ensure_agg(context, pattern, client)
         return client
 
-    def _drop_session(self, context: str) -> None:
-        """Close and forget a context's session (forwarding failed
-        terminally, or the context is gone) with the aggregates that rode
-        it; the next action for the context opens — and re-subscribes — a
-        fresh one.  The pump exits on its own once the event queue closes."""
-        for key in [k for k in self._agg_subs if k[0] == context]:
-            del self._agg_subs[key]
-        upstream = self._sessions.pop(context, None)
-        if upstream is None:
-            return
-        self.counters["sessions_dropped"].increment()
-        try:
-            upstream.client.close()
-        except errors.TdpError:
-            pass
+    def _submit(
+        self,
+        context: str,
+        frame: dict[str, Any],
+        complete: Callable[[dict[str, Any]], None],
+    ) -> bool:
+        """Send ``frame`` on the context's session without waiting;
+        False when there is none.  A session that has ended (its
+        reconnect policy gave up) is dropped and one fresh one dialled.
 
-    def _pump(self, client: AttributeSpaceClient) -> None:
-        """Service one upstream session's event queue until it closes."""
-        while True:
-            if client.wait_event(timeout=0.25):
-                client.service_events()
-            elif client.events.closed:
+        ``_lock`` is held across the submit, which never blocks: frames
+        leave in submit order, and a drop cannot close the session
+        between the lookup and the send.
+        """
+        for _attempt in range(2):
+            client = self._session(context)
+            if client is None:
+                return False
+            with self._lock:
+                if self._sessions.get(context) is client:
+                    try:
+                        client._session.submit(frame, complete)
+                        return True
+                    except errors.TdpError:
+                        pass
+            self._drop_session(context, client)
+        return False
+
+    def _drop_session(
+        self, context: str, client: AttributeSpaceClient | None = None
+    ) -> None:
+        """Close and forget a context's session (it ended, or the context
+        is gone) with the aggregates that rode it; the next forward for
+        the context dials — and re-subscribes — a fresh one.  With
+        ``client``, only if that is still the context's session."""
+        with self._lock:
+            current = self._sessions.get(context)
+            if current is None or client not in (None, current):
                 return
-
-    def _shutdown_sessions(self) -> None:
-        pumps = [upstream.pump for upstream in self._sessions.values()]
-        for context in list(self._sessions):
-            self._drop_session(context)
-        try:
-            join_all(pumps, timeout=10.0)
-        except RuntimeError as e:
-            _log.warning("%s: pump threads leaked at shutdown: %s", self.origin, e)
+            del self._sessions[context]
+            for key in [k for k in self._agg_subs if k[0] == context]:
+                del self._agg_subs[key]
+        self.counters["sessions_dropped"].increment()
+        with contextlib.suppress(errors.TdpError):
+            current.close()

@@ -28,13 +28,14 @@ Federation is composition, not a second server: constructed with an
 ``upstream`` endpoint, the server owns a
 :class:`~repro.attrspace.federation.LassFederation` and calls out to it
 at four points, each skipped when there is no upstream — **applied**
-(writes that succeeded locally are stamped with the host origin and
-forwarded), **miss** (a get the store cannot answer parks the ordinary
-waiter and is forwarded with the client's deadline; the upstream timer,
-not a local one, bounds it), **subscribe/unsubscribe/connection-closed**
-(aggregation refcounts, driven from ``conn.subscriptions``) and
-**purged** (a departing member's ephemerals are removed upstream, a
-destroyed context dropped there).
+(what succeeded locally, stamped with the host origin, is submitted
+upstream before the local reply leaves), **miss** (a get the store
+cannot answer parks the ordinary waiter and is forwarded with the
+client's deadline; the upstream timer, not a local one, bounds it),
+**subscribe/unsubscribe/connection-closed** (aggregation refcounts,
+driven from ``conn.subscriptions``) and **purged** (a departing
+member's ephemerals are removed upstream, a destroyed context dropped
+there).
 """
 
 from __future__ import annotations
@@ -655,9 +656,9 @@ class AttributeSpaceServer:
             origin=self._origin_of(request),
         )
         self.stats["puts"].increment()
-        conn.send(protocol.ok_reply(req, version=sv.version))
         if self.federation is not None:
             self.federation.forward_put(context, attribute, value, ephemeral)
+        conn.send(protocol.ok_reply(req, version=sv.version))
 
     def _publish_stats(self, context: str) -> None:
         """Refresh the ``tdp.stats.*`` attributes of ``context`` from the
@@ -805,11 +806,11 @@ class AttributeSpaceServer:
         existed = self.store.remove(
             attribute, context=context, origin=self._origin_of(request)
         )
-        conn.send(protocol.ok_reply(req, existed=existed))
         if self.federation is not None:
             # Forward regardless of the local result: the attribute may
             # exist upstream without ever having been cached here.
             self.federation.forward_remove(context, attribute)
+        conn.send(protocol.ok_reply(req, existed=existed))
 
     def _op_list(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         context = self._context_of(request)
@@ -963,7 +964,6 @@ class AttributeSpaceServer:
                 replies.append(protocol.error_fields(result))
             else:
                 replies.append({"ok": True, **result})
-        conn.send(protocol.ok_reply(req, replies=replies))
         if self.federation is not None:
             self.federation.forward_batch(
                 context,
@@ -972,3 +972,4 @@ class AttributeSpaceServer:
                     if not isinstance(result, Exception)
                 ],
             )
+        conn.send(protocol.ok_reply(req, replies=replies))

@@ -324,8 +324,8 @@ class TestForwarding:
 
             # cut the LASS's upstream session mid-wait
             upstream = next(iter(lass.federation._sessions.values()))
-            with upstream.client._session._lock:
-                channel = upstream.client._session._channel
+            with upstream._session._lock:
+                channel = upstream._session._channel
             channel.close()
             # the reconnect replays the pending async get: a waiter parks
             # again upstream (same lease, deduped by req id)
@@ -340,6 +340,74 @@ class TestForwarding:
             b.close()
         finally:
             lass.stop()
+
+    def test_forwards_reach_the_cass_in_local_apply_order(
+        self, transport, cass, monkeypatch
+    ):
+        """500 interleaved puts, removes and batches on one context are
+        applied at the CASS in the order the LASS applied them — also
+        across upstream severs, whose replay must not be overtaken by a
+        forward submitted while the session re-attaches."""
+        import random
+
+        N = 500
+        lass = make_lass(transport, "hostA", cass.endpoint, reconnect=FAST)
+        applied = {"lass": [], "cass": []}
+        for side, store in (("lass", lass.store), ("cass", cass.store)):
+            _record_writes(monkeypatch, store, applied[side])
+        try:
+            rng = random.Random(26)
+            a = make_client(transport, "hostA", lass, member="a")
+            for i in range(N):
+                key = f"o.{rng.randrange(8)}"
+                roll = rng.random()
+                if roll < 0.45:
+                    a.put(key, str(i))
+                elif roll < 0.75:
+                    a.remove(key)
+                else:
+                    with a.batch() as batch:
+                        batch.put(key, str(i))
+                        batch.remove(f"o.{rng.randrange(8)}")
+                        batch.put(f"o.{rng.randrange(8)}", f"{i}b")
+                if i % 125 == 62:
+                    (upstream,) = lass.federation._sessions.values()
+                    with upstream._session._lock:
+                        channel = upstream._session._channel
+                    channel.close()
+            lass.federation.settle(timeout=15.0)
+            assert len(applied["lass"]) >= N
+            assert applied["cass"] == applied["lass"]
+            a.close()
+        finally:
+            lass.stop()
+
+
+def _record_writes(monkeypatch, store, log):
+    """Append every ``o.*`` put/remove ``store`` is asked to apply, in
+    call order, to ``log``."""
+    put, remove, apply_batch = store.put, store.remove, store.apply_batch
+
+    def note(op, attribute, value=None):
+        if str(attribute).startswith("o."):
+            log.append((op, attribute, value))
+
+    def recording_put(attribute, value, **kwargs):
+        note("put", attribute, value)
+        return put(attribute, value, **kwargs)
+
+    def recording_remove(attribute, **kwargs):
+        note("remove", attribute)
+        return remove(attribute, **kwargs)
+
+    def recording_batch(ops, **kwargs):
+        for sub in ops:
+            note(sub.get("op"), sub.get("attribute", ""), sub.get("value"))
+        return apply_batch(ops, **kwargs)
+
+    monkeypatch.setattr(store, "put", recording_put)
+    monkeypatch.setattr(store, "remove", recording_remove)
+    monkeypatch.setattr(store, "apply_batch", recording_batch)
 
 
 def _has(store, attribute, context):
@@ -391,45 +459,96 @@ class TestSessionTable:
         finally:
             lass.stop()
 
-    def test_dropped_sessions_leave_no_pump_behind(self, transport, cass):
-        """A LASS whose upstream flaps must not keep one dead pump
-        ``Thread`` per dropped session until ``stop()``."""
+    def test_flapping_upstream_leaves_no_thread_or_session_behind(
+        self, transport, cass, monkeypatch
+    ):
+        """An upstream whose sessions end 20 times (each outage outlasts
+        the reconnect policy, so the next forward dials a fresh session)
+        leaves one live session and its one receive thread — nothing of
+        the 20 dropped ones."""
         ROUNDS = 20
-        lass = make_lass(transport, "hostA", cass.endpoint)
+        gate = threading.Event()
+        gate.set()
+        connect = transport.connect
+
+        def gated(src, dst, *args, **kwargs):
+            if src == "hostA" and dst == cass.endpoint and not gate.is_set():
+                raise errors.ConnectError("upstream held shut")
+            return connect(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "connect", gated)
+        lass = make_lass(
+            transport, "hostA", cass.endpoint,
+            reconnect=ReconnectPolicy(base_delay=0.005, max_delay=0.01, max_attempts=2),
+        )
         try:
             fed = lass.federation
             a = make_client(transport, "hostA", lass, member="a")
-
-            def refuse(*args, **kwargs):
-                raise errors.ProtocolError("forward refused")
-
             for i in range(ROUNDS):
-                a.put(f"ok.{i}", "1")  # opens the context's session
-                fed.settle()
-                next(iter(fed._sessions.values())).client.put = refuse
-                a.put(f"bad.{i}", "1")  # the failing forward drops it
-                fed.settle()
-                assert not fed._sessions
+                a.put(f"ok.{i}", "1")  # dials the context's session if none
+                fed.settle(timeout=15.0)
+                (upstream,) = fed._sessions.values()
+                gate.clear()
+                with upstream._session._lock:
+                    channel = upstream._session._channel
+                channel.close()
+                assert wait_until(lambda: upstream.events.closed)  # policy gave up
+                gate.set()
+            a.put("after", "1")  # the failing submit drops the last dead one
+            fed.settle(timeout=15.0)
+            assert wait_until(lambda: _has(cass.store, "after", "job"))
             assert fed.counters["sessions_dropped"].value >= ROUNDS
-            a.put("after", "1")
-            fed.settle()
-            assert cass.store.try_get("after", context="job") == "1"
-
-            def live_pumps():
-                return [
-                    t for t in threading.enumerate()
-                    if t.name.startswith("federation-hostA-pump")
-                ]
-
-            assert wait_until(lambda: len(live_pumps()) == 1)
-            for name, value in vars(fed).items():
-                if isinstance(value, (list, tuple, set, dict)):
-                    members = value.values() if isinstance(value, dict) else value
-                    held = sum(isinstance(m, threading.Thread) for m in members)
-                    assert held == 0, f"{name} holds {held} threads"
+            assert len(fed._sessions) == 1
+            (live,) = fed._sessions.values()
+            assert wait_until(
+                lambda: _upstream_threads("hostA") == [live._session._receiver]
+            )
             a.close()
         finally:
             lass.stop()
+        assert wait_until(lambda: not _upstream_threads("hostA"))
+
+    def test_one_receive_thread_per_context_and_no_federation_thread(
+        self, transport, cass
+    ):
+        """The thread census: a LASS with upstream sessions for K contexts
+        runs K upstream threads — the sessions' receive threads — and
+        the federation has no thread of its own."""
+        K = 3
+        lass = make_lass(transport, "hostA", cass.endpoint)
+        clients = []
+        try:
+            for k in range(K):
+                c = make_client(
+                    transport, "hostA", lass, context=f"ctx{k}", member=f"c{k}"
+                )
+                clients.append(c)
+                c.put("x", str(k))
+                c.subscribe("x*", lambda n, arg: None)
+                with pytest.raises(errors.NoSuchAttributeError):
+                    c.try_get("ghost")
+            lass.federation.settle()
+            sessions = lass.federation._sessions
+            assert sorted(sessions) == [f"ctx{k}" for k in range(K)]
+            receivers = {s._session._receiver for s in sessions.values()}
+            assert set(_upstream_threads("hostA")) == receivers
+            assert len(receivers) == K
+            assert not [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("federation-")
+            ]
+        finally:
+            for c in clients:
+                c.close()
+            lass.stop()
+
+
+def _upstream_threads(host):
+    """The live receive threads of ``host``'s upstream sessions."""
+    return [
+        t for t in threading.enumerate()
+        if t.name == f"attr-client-lass:{host}" and t.is_alive()
+    ]
 
 
 # -- fan-out economics: CASS egress is O(hosts) -------------------------------
@@ -523,8 +642,8 @@ class TestChaos:
                     for upstream in list(
                         lass_a.federation._sessions.values()
                     ):
-                        with upstream.client._session._lock:
-                            channel = upstream.client._session._channel
+                        with upstream._session._lock:
+                            channel = upstream._session._channel
                         channel.close()
             lass_a.federation.settle(timeout=15.0)
 
@@ -551,6 +670,41 @@ class TestChaos:
             lass_b.stop()
 
 
+# -- delivery: server-internal on the receive thread, tools at safe points -----
+
+
+class TestDeliverySplit:
+    def test_aggregated_notify_applies_without_service_events(
+        self, transport, cass
+    ):
+        """An aggregated notification reaches the LASS store with nobody
+        calling ``service_events``; a plain ``subscribe`` callback on the
+        same upstream session still runs only inside ``service_events``
+        (the safe-point rule for tools, Section 3.3)."""
+        lass = make_lass(transport, "hostA", cass.endpoint)
+        try:
+            a = make_client(transport, "hostA", lass, member="a")
+            a.subscribe("k*", lambda n, arg: None)  # makes the aggregate
+            lass.federation.settle()
+            assert wait_until(lambda: len(cass.store.subscriptions) == 1)
+            upstream = lass.federation._sessions["job"]
+            plain = []
+            upstream.subscribe("k*", lambda n, arg: plain.append(n.value))
+
+            direct = make_client(transport, "submit", cass, member="seed")
+            direct.put("k", "1")
+            assert wait_until(lambda: _has(lass.store, "k", "job"))
+            assert lass.store.try_get("k", context="job") == "1"
+            assert wait_until(upstream.has_pending_events)
+            assert plain == []
+            assert upstream.service_events() == 1
+            assert plain == ["1"]
+            direct.close()
+            a.close()
+        finally:
+            lass.stop()
+
+
 # -- the tdp.stats.* surface ----------------------------------------------------
 
 
@@ -568,22 +722,37 @@ class TestStatsSurface:
             lass.stop()
 
 
-# -- only what applied locally is forwarded; the worker outlives bad input ------
+# -- only what applied locally is forwarded; a failed forward costs only itself --
 
 
 class TestRejectedWritesStayLocal:
-    def test_malformed_batch_sub_op_does_not_kill_the_worker(self, transport, cass):
+    def test_loop_keeps_serving_after_a_failed_forward(
+        self, transport, cass, monkeypatch
+    ):
+        """A rejected batch sub-op and a forward that raises run on the
+        LASS's serving loop; neither costs it a later request."""
         lass = make_lass(transport, "hostA", cass.endpoint)
         try:
+            fed = lass.federation
             a = make_client(transport, "hostA", lass, member="a")
             (reply,) = a._batch_rpc([{"op": "put"}])
             assert reply["ok"] is False
-            lass.federation.settle()
+            monkeypatch.setattr(fed, "_write_frame", lambda *args: 1 / 0)
+            a.put("lost", "1")
+            a.remove("lost")
+            monkeypatch.undo()
+
+            seen = []
+            b = make_client(transport, "hostA", lass, member="b")
+            b.subscribe("after*", lambda n, arg: seen.append(n.value))
             a.put("after", "1")
-            lass.federation.settle()
+            assert a.try_get("after") == "1"
+            assert drain(b, lambda: len(seen), 1) == 1
+            fed.settle()
             assert cass.store.try_get("after", context="job") == "1"
-            assert lass.federation._worker.is_alive()
+            assert not _has(cass.store, "lost", "job")
             a.close()
+            b.close()
         finally:
             lass.stop()
 
@@ -619,20 +788,25 @@ class TestRejectedWritesStayLocal:
         finally:
             lass.stop()
 
-    def test_worker_survives_a_crashing_action(self, transport, cass, monkeypatch):
+    def test_forward_that_raises_while_built_is_counted(
+        self, transport, cass, monkeypatch
+    ):
         lass = make_lass(transport, "hostA", cass.endpoint)
         try:
             fed = lass.federation
             a = make_client(transport, "hostA", lass, member="a")
-            monkeypatch.setattr(fed, "_flush_writes", lambda writes: 1 / 0)
-            a.put("lost", "1")
+            monkeypatch.setattr(fed, "_write_frame", lambda *args: 1 / 0)
+            a.put("lost", "1")  # applied locally all the same
+            assert a.try_get("lost") == "1"
+            a.put_many([("lost.1", "x"), ("lost.2", "y")])
             fed.settle()
-            assert fed.counters["forward_failures"].value == 1
+            assert fed.counters["forward_failures"].value == 3
+            assert fed.counters["forwards"].value == 0
             monkeypatch.undo()
             a.put("kept", "1")
             fed.settle()
             assert cass.store.try_get("kept", context="job") == "1"
-            assert fed._worker.is_alive()
+            assert fed.counters["forwards"].value == 1
             a.close()
         finally:
             lass.stop()
@@ -739,8 +913,8 @@ class TestCoherenceHoles:
 
             gate.clear()
             upstream = next(iter(lass.federation._sessions.values()))
-            with upstream.client._session._lock:
-                channel = upstream.client._session._channel
+            with upstream._session._lock:
+                channel = upstream._session._channel
             channel.close()
             assert wait_until(lambda: len(cass.store.subscriptions) == 0)
             direct.put("k", "2")
