@@ -7,18 +7,23 @@ the size series of the launch itself, medians over ``WARM_LAUNCHES``
 warm jobs: submit -> all daemons up (whole and per rank), CPU the
 process spent per job cycle, and what the simulator did meanwhile
 (scheduler slices, ``mpi.lookup`` calls) — a rank waiting for a peer
-should cost the simulator nothing.
+should cost the simulator nothing — and how often a daemon woke on a
+timer instead of being told: RM service loops whose poll timed out, and
+paradynd reads of ``proc.<pid>.status``.
 """
 
+import sys
 import time
 from statistics import median
 
 import pytest
 from conftest import print_table
 
+from repro.attrspace.client import _Session
 from repro.condor.job import JobStatus
 from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
+from repro.tdp.handle import TdpHandle
 from repro.util.clock import Stopwatch
 
 WARM_LAUNCHES = 10
@@ -50,13 +55,40 @@ def lookups(monkeypatch):
     return count
 
 
-def warm_launch(scenario, ranks, lookups):
-    """One warm job cycle: (startup s, process CPU s, slices, lookups)."""
+@pytest.fixture
+def wakes(monkeypatch):
+    """``[service-loop polls that timed out, paradynd status reads]``."""
+    count = [0, 0]
+    poll, submit = TdpHandle.poll, _Session.submit
+
+    def tapped_poll(self, timeout=None):
+        ready = poll(self, timeout)
+        count[0] += not ready and sys._getframe(1).f_code.co_name == "_service_loop"
+        return ready
+
+    def tapped_submit(self, request, complete, **kwargs):
+        if self.member.startswith("paradynd/"):
+            reads = [request, *request.get("ops", ())]
+            count[1] += sum(
+                r["op"] == "get" and str(r.get("attribute")).endswith(".status")
+                for r in reads
+            )
+        return submit(self, request, complete, **kwargs)
+
+    monkeypatch.setattr(TdpHandle, "poll", tapped_poll)
+    monkeypatch.setattr(_Session, "submit", tapped_submit)
+    return count
+
+
+def warm_launch(scenario, ranks, lookups, wakes):
+    """One warm job cycle: (startup s, process CPU s, slices, lookups,
+    service-loop timeouts, paradynd status reads)."""
     frontend, scheduler = scenario.frontend, scenario.cluster.scheduler
     seen = len(frontend.daemons())
     while any(startd.claimed for startd in scenario.pool.startds.values()):
         time.sleep(0.001)  # the previous job's machines are still being released
     slices, looked, cpu = scheduler.slices_executed, lookups[0], time.process_time()
+    timeouts, reads = wakes
     with Stopwatch() as sw:
         job = scenario.pool.submit_file(
             mpi_submit(scenario, "mpi_ring", ranks, "1")
@@ -69,11 +101,12 @@ def warm_launch(scenario, ranks, lookups):
     return (
         startup, time.process_time() - cpu,
         scheduler.slices_executed - slices, lookups[0] - looked,
+        wakes[0] - timeouts, wakes[1] - reads,
     )
 
 
 @pytest.mark.parametrize("ranks", [2, 4, 8, 16, 32])
-def test_mpi_universe_rank_sweep(benchmark, ranks, lookups):
+def test_mpi_universe_rank_sweep(benchmark, ranks, lookups, wakes):
     hosts = [f"node{i}" for i in range(ranks)]
     with ParadorScenario(execute_hosts=hosts) as scenario:
         with Stopwatch() as sw:
@@ -103,9 +136,9 @@ def test_mpi_universe_rank_sweep(benchmark, ranks, lookups):
         )
         benchmark.extra_info["ranks"] = ranks
 
-        startup, cpu, slices, looked = (
+        startup, cpu, slices, looked, timeouts, reads = (
             median(series) for series in zip(*(
-                warm_launch(scenario, ranks, lookups)
+                warm_launch(scenario, ranks, lookups, wakes)
                 for _ in range(WARM_LAUNCHES)
             ))
         )
@@ -118,6 +151,8 @@ def test_mpi_universe_rank_sweep(benchmark, ranks, lookups):
                 ["process CPU per job cycle", f"{cpu * 1e3:.1f} ms"],
                 ["scheduler slices", int(slices)],
                 ["mpi.lookup calls", int(looked)],
+                ["service-loop timeouts per rank", f"{timeouts / ranks:.1f}"],
+                ["paradynd status reads per rank", f"{reads / ranks:.1f}"],
             ],
         )
 

@@ -34,6 +34,7 @@ exhausted do pending calls fail, with
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
@@ -1071,6 +1072,11 @@ class AttributeSpaceClient:
         ``poll()`` without reading the descriptor.
         """
         return self.events.wait_nonempty(timeout=timeout)
+
+    def wake(self) -> None:
+        """Return every thread parked in :meth:`wait_event` (an event that does nothing)."""
+        with contextlib.suppress(errors.ChannelClosedError):  # closed: none are parked
+            self.events.extend([_Event(lambda: None, "wake")])  # extend notifies all
 
     def service_events(self, max_events: int | None = None) -> int:
         """Run queued callbacks in the caller's thread; returns the count.

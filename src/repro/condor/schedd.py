@@ -100,7 +100,7 @@ class Schedd:
 
     #: how long to wait before retrying a job that found no match
     RETRY_INTERVAL = 0.05
-    #: attempts before a job is marked FAILED
+    #: attempts before a job is marked FAILED (those a release prompts are free)
     MAX_ATTEMPTS = 20
 
     def __init__(
@@ -142,6 +142,12 @@ class Schedd:
         # job_id -> [(machine, startd_endpoint, claim_id, lass)] while active
         self._active_claims: dict[str, list] = {}
         self._queue: list[JobRecord] = []
+        #: job_id -> token of a job parked until a release or its timer
+        # tdp-guard: _parked -> condor.schedd.Schedd._cond
+        self._parked: dict[str, object] = {}
+        #: job_id -> how often its timer, not a release, requeued it
+        # tdp-guard: _waits -> condor.schedd.Schedd._cond
+        self._waits: dict[str, int] = {}
         self._cond = tracked_condition("condor.schedd.Schedd._cond")
         self._stopped = False
         #: ids of jobs that reached a terminal state, for the release worker
@@ -196,14 +202,13 @@ class Schedd:
     # -- negotiation / claiming ----------------------------------------------------
 
     def _negotiation_loop(self) -> None:
-        attempts: dict[str, int] = {}
         while True:
             # The stop flag is only read under _cond (the inner wait
             # loop re-checks it); an unguarded pre-check here would race
             # with stop() for no latency benefit.
             with self._cond:
                 while not self._queue and not self._stopped:
-                    self._cond.wait(timeout=0.2)
+                    self._cond.wait()  # submit, _unpark and stop notify
                 if self._stopped:
                     return
                 record = self._queue.pop(0)
@@ -212,26 +217,39 @@ class Schedd:
             except errors.TdpError as e:
                 placed = False
                 _log.warning("placement error for %s: %s", record.job_id, e)
-            if placed:
-                attempts.pop(str(record.job_id), None)
-                continue
-            n = attempts.get(str(record.job_id), 0) + 1
-            attempts[str(record.job_id)] = n
-            if n >= self.MAX_ATTEMPTS:
+            if not placed and not self._park(str(record.job_id)):
                 record.set_status(
                     JobStatus.FAILED,
                     failure_reason="no matching/claimable machines",
                 )
                 self._record("job_unplaceable", job=str(record.job_id))
-                continue
-            # Requeue after a pause (machines may free up).
-            def requeue(rec=record):
-                with self._cond:
-                    if not self._stopped:
-                        self._queue.append(rec)
-                        self._cond.notify()
 
-            self._clock.call_later(self.RETRY_INTERVAL, requeue)
+    def _park(self, job_id: str) -> bool:
+        """Hold a job that found no machines until a release frees some or its
+        timer fires; False once its timer has requeued it ``MAX_ATTEMPTS - 1`` times."""
+        token = object()
+        with self._cond:
+            if self._waits.get(job_id, 0) + 1 >= self.MAX_ATTEMPTS:
+                return False
+            self._parked[job_id] = token
+        self._clock.call_later(self.RETRY_INTERVAL, lambda: self._unpark(job_id, token))
+        return True
+
+    def _unpark(self, job_id: str | None = None, token: object = None) -> None:
+        """Requeue every parked job (a release freed machines), or
+        ``job_id`` if ``token`` is still its parking's (its timer fired)."""
+        with self._cond:
+            if job_id is None:
+                back, self._parked = list(self._parked), {}
+            elif self._parked.get(job_id) is token:
+                back = [job_id]
+                del self._parked[job_id]
+                self._waits[job_id] = self._waits.get(job_id, 0) + 1
+            else:
+                return  # a release requeued it since: this timer is stale
+            if not self._stopped:
+                self._queue.extend(self._jobs[parked] for parked in back)
+                self._cond.notify()
 
     def _matchmaker_rpc(self, message: dict) -> dict:
         return self._matchmaker.request(message)
@@ -354,11 +372,13 @@ class Schedd:
             self._release_job(job_id)
 
     def _release_job(self, job_id: str) -> None:
-        """Release the job's claims and reservations and stop its shadow.
+        """Release the job's claims, reservations, shadow and retry count.
 
         Idempotent, and a no-op for a job that never held any (dequeued,
         unplaceable)."""
         self._release_claims(self._active_claims.pop(job_id, ()))
+        with self._cond:
+            self._waits.pop(job_id, None)
         shadow = self._shadows.pop(job_id, None)
         if shadow is not None:
             shadow.stop()
@@ -372,6 +392,8 @@ class Schedd:
             except errors.TdpError:
                 pass  # a startd that is gone holds no claim
             self._release_reservation(machine)
+        if claims:
+            self._unpark()  # a job waiting for machines need not wait out its timer
 
     def _release_reservation(self, machine: str) -> None:
         try:
@@ -457,6 +479,7 @@ class Schedd:
         # Idle/queued: drop it from the queue.
         with self._cond:
             self._queue = [r for r in self._queue if str(r.job_id) != job_id]
+            self._parked.pop(job_id, None)
         record.set_status(JobStatus.REMOVED)
         self._record("job_removed", job=job_id, how="dequeued")
 

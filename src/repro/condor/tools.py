@@ -72,15 +72,16 @@ class ToolDaemonHandle(ABC):
 
 
 class ThreadToolHandle(ToolDaemonHandle):
-    """Handle over a tool daemon running a ``run(stop_event)`` callable."""
+    """Runs ``daemon.run(stop_event)``; :meth:`stop` sets the event and calls ``daemon.wake()``."""
 
-    def __init__(self, name: str, run: Callable[[threading.Event], None]):
+    def __init__(self, name: str, daemon) -> None:
+        self.daemon = daemon
         self._stop_event = threading.Event()
         self._error: BaseException | None = None
 
         def runner() -> None:
             try:
-                run(self._stop_event)
+                daemon.run(self._stop_event)
             except BaseException as e:  # noqa: BLE001 — recorded for the starter
                 self._error = e
 
@@ -93,6 +94,7 @@ class ThreadToolHandle(ToolDaemonHandle):
 
     def stop(self) -> None:
         self._stop_event.set()
+        self.daemon.wake()
 
     @property
     def failed(self) -> bool:

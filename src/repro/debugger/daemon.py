@@ -28,9 +28,10 @@ from repro.tdp.api import (
     tdp_exit,
     tdp_get,
     tdp_init,
+    tdp_wait_exit,
 )
-from repro.tdp.handle import Role
-from repro.tdp.wellknown import Attr, ProcStatus
+from repro.tdp.handle import Role, TdpHandle
+from repro.tdp.wellknown import Attr
 from repro.util.log import get_logger
 
 _log = get_logger("debugger.daemon")
@@ -84,6 +85,8 @@ class DebuggerDaemon:
         self.args = parse_tdb_args(ctx.args)
         self.reports: list[BreakpointReport] = []
         self.app_exit_code: int | None = None
+        # tdp-guard: handle -> volatile
+        self.handle: TdpHandle | None = None
 
     def _log_line(self, text: str) -> None:
         self.ctx.output_sink(text)
@@ -102,10 +105,16 @@ class DebuggerDaemon:
             context=ctx.context,
             src_host=ctx.host,
         )
+        self.handle = handle
         try:
             self._debug_session(handle, stop_event)
         finally:
             tdp_exit(handle)
+
+    def wake(self) -> None:
+        """On a stop, close the session: that ends tdb's wait for the exit."""
+        if self.handle is not None:
+            self.handle.close()
 
     def _debug_session(self, handle, stop_event: threading.Event) -> None:
         ctx = self.ctx
@@ -167,25 +176,17 @@ class DebuggerDaemon:
                 self._log_line(f"tdb: breakpoint at {site} cleared")
             tdp_continue_process(handle, pid)
 
-        # Let the target run out; report its exit through the space.
+        # Let the target run out; the RM publishes its exit code with its exit.
         try:
-            status = handle.attrs.get(Attr.proc_status(pid), timeout=30.0)
-            while not ProcStatus.is_exited(status) and not stop_event.is_set():
-                stop_event.wait(0.01)
-                status = handle.attrs.try_get(Attr.proc_status(pid))
-            if ProcStatus.is_exited(status):
-                self.app_exit_code = ProcStatus.exit_code(status)
-                self._log_line(f"tdb: target exited with code {self.app_exit_code}")
+            self.app_exit_code = tdp_wait_exit(handle, pid)
         except errors.TdpError:
-            pass
+            return
+        self._log_line(f"tdb: target exited with code {self.app_exit_code}")
 
 
 def launch_tdb(ctx: ToolLaunchContext) -> ThreadToolHandle:
     """ToolRegistry launcher for tdb."""
-    daemon = DebuggerDaemon(ctx)
-    handle = ThreadToolHandle(f"tdb-{ctx.job_id}", daemon.run)
-    handle.daemon = daemon  # type: ignore[attr-defined] — exposed for tests
-    return handle
+    return ThreadToolHandle(f"tdb-{ctx.job_id}", DebuggerDaemon(ctx))
 
 
 def register_tdb(registry: ToolRegistry, *, name: str = "tdb") -> ToolRegistry:

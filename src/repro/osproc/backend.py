@@ -11,9 +11,9 @@ Faithfulness notes (the documented substitution for the C library's
   from pure Python.
 * **attach** — ``SIGSTOP`` to the target plus tracer bookkeeping in the
   backend; real ``PTRACE_ATTACH`` is not accessible without native code.
-* **pause/continue** — ``SIGSTOP``/``SIGCONT`` with ``/proc/<pid>/stat``
-  state polling so ``pause`` returns only once the process is actually
-  in state ``T``.
+* **pause/continue** — ``SIGSTOP``/``SIGCONT``; ``pause`` returns only
+  once the process has actually stopped, which ``waitid(WSTOPPED)``
+  reports (with ``WNOWAIT``, so the exit status stays the reaper's).
 
 Stdout is pumped line-by-line into registered sinks, matching the sim
 backend's interface, so the StdioRelay works identically on both.
@@ -25,7 +25,6 @@ import os
 import signal
 import subprocess
 import threading
-import time
 from typing import Callable
 
 from repro import errors
@@ -54,17 +53,15 @@ class _Managed:
         self.exited = threading.Event()
 
 
-def _proc_stat_state(pid: int) -> str | None:
-    """Third field of /proc/<pid>/stat ('R', 'S', 'T', 'Z', ...)."""
+def _stopped(pid: int, *, block: bool) -> bool:
+    """Is the child ``pid`` stopped?  With ``block``, wait until it stops or exits.
+    ``WNOWAIT`` leaves the exit status to the reaper: a plain ``waitpid(WUNTRACED)``
+    would reap a child that exited, and ``Popen.wait`` would then read 0."""
+    options = os.WSTOPPED | os.WNOWAIT | (os.WEXITED if block else os.WNOHANG)
     try:
-        with open(f"/proc/{pid}/stat", "rb") as f:
-            data = f.read()
-    except OSError:
-        return None
-    # comm may contain spaces/parens; the state follows the LAST ')'.
-    rparen = data.rfind(b")")
-    fields = data[rparen + 1 :].split()
-    return fields[0].decode() if fields else None
+        return os.waitid(os.P_PID, pid, options) is not None
+    except ChildProcessError:
+        return False  # already reaped: exited
 
 
 class PosixBackend(ProcessBackend):
@@ -74,9 +71,6 @@ class PosixBackend(ProcessBackend):
     (``wait`` requires parenthood); ``attach`` accepts any pid the user
     may signal, but exit observation is then best-effort polling.
     """
-
-    STOP_POLL_INTERVAL = 0.005
-    STOP_TIMEOUT = 10.0
 
     def __init__(self, hostname: str = "localhost"):
         self._hostname = hostname
@@ -134,7 +128,7 @@ class PosixBackend(ProcessBackend):
         spawn(self._pump_stdout, args=(managed,), name=f"osproc-stdout-{popen.pid}")
         spawn(self._reap, args=(managed,), name=f"osproc-reap-{popen.pid}")
         if paused:
-            self._wait_state(popen.pid, "T")
+            _stopped(popen.pid, block=True)
         return self.status(popen.pid)
 
     def _pump_stdout(self, managed: _Managed) -> None:
@@ -168,37 +162,19 @@ class PosixBackend(ProcessBackend):
     def _info(self, managed: _Managed) -> ProcessInfo:
         pid = managed.popen.pid
         returncode = managed.popen.poll()
-        if returncode is not None:
-            code = returncode if returncode >= 0 else 128 - returncode
+        code = None if returncode is None else returncode if returncode >= 0 else 128 - returncode
+        if code is not None:
             status = ProcStatus.exited(code)
+        elif _stopped(pid, block=False):
+            status = ProcStatus.STOPPED if managed.ever_continued else ProcStatus.CREATED
         else:
-            state = _proc_stat_state(pid)
-            if state == "T":
-                status = (
-                    ProcStatus.CREATED if not managed.ever_continued
-                    else ProcStatus.STOPPED
-                )
-            else:
-                status = ProcStatus.RUNNING
+            status = ProcStatus.RUNNING
         return ProcessInfo(
             pid=pid,
             host=self._hostname,
             executable=managed.executable,
             status=status,
-            exit_code=None if returncode is None else (
-                returncode if returncode >= 0 else 128 - returncode
-            ),
-        )
-
-    def _wait_state(self, pid: int, state: str) -> None:
-        deadline = time.monotonic() + self.STOP_TIMEOUT
-        while time.monotonic() < deadline:
-            current = _proc_stat_state(pid)
-            if current is None or current == state or current == "Z":
-                return
-            time.sleep(self.STOP_POLL_INTERVAL)
-        raise errors.InvalidProcessStateError(
-            f"pid {pid} did not reach state {state!r} within {self.STOP_TIMEOUT}s"
+            exit_code=code,
         )
 
     # -- control ----------------------------------------------------------------
@@ -215,7 +191,7 @@ class PosixBackend(ProcessBackend):
             os.kill(pid, signal.SIGSTOP)
         except ProcessLookupError:
             raise errors.AttachError(f"cannot attach to exited pid {pid}") from None
-        self._wait_state(pid, "T")
+        _stopped(pid, block=True)
         return self.status(pid)
 
     def detach(self, pid: int, *, resume: bool = True) -> None:
@@ -241,7 +217,7 @@ class PosixBackend(ProcessBackend):
             os.kill(pid, signal.SIGSTOP)
         except ProcessLookupError:
             raise errors.InvalidProcessStateError(f"pid {pid} has exited") from None
-        self._wait_state(pid, "T")
+        _stopped(pid, block=True)
 
     def kill(self, pid: int, sig: int = 15) -> None:
         managed = self._get(pid)

@@ -22,9 +22,10 @@ enables apply mid-run and cover the remainder of the execution.
 
 from __future__ import annotations
 
-import time
+import contextlib
 from dataclasses import dataclass, field
 
+from repro import errors
 from repro.paradyn.frontend import DaemonSession
 from repro.paradyn.metrics import Metric
 
@@ -95,15 +96,13 @@ class PerformanceConsultant:
             session.cmd_enable_metric(Metric.CPU_FRACTION, function)
             session.cmd_enable_metric(Metric.IO_FRACTION, function)
         if session.app_state == "at_main":
-            # Wait for the daemon to apply the enables at its safe point,
-            # then press RUN on the user's behalf (the pilot's flow).
-            time.sleep(0.1)
+            # Press RUN for the user (the pilot's flow).  The channel is
+            # FIFO: the daemon has the enables before it sees the run.
             session.cmd_run()
 
         # Let samples settle (ideally until the app exits).
-        deadline = time.monotonic() + self._settle_timeout
-        while time.monotonic() < deadline and session.app_state != "exited":
-            time.sleep(0.01)
+        with contextlib.suppress(errors.GetTimeoutError):  # judge on what arrived
+            session.wait_state("exited", timeout=self._settle_timeout)
 
         # -- Level 1 (why) -------------------------------------------------
         utilization = session.latest(Metric.CPU_UTILIZATION.value) or 0.0

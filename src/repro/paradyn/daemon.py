@@ -6,7 +6,7 @@ steps 3–4:
 
 1. ``tdp_init`` against the host's LASS, in the job's context;
 2. blocking ``tdp_get("pid")`` — parked until the starter's ``tdp_put``;
-3. ``tdp_attach`` (via the RM, which owns control);
+3. ``tdp_subscribe`` to its status, ``tdp_attach`` (via the RM, which owns control);
 4. initialization while the application is stopped pre-``main``: "load"
    the runtime library, parse the executable's symbols, insert base
    instrumentation, connect to the front-end;
@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import errors
+from repro.attrspace.notify import Notification
 from repro.condor.tools import ThreadToolHandle, ToolLaunchContext
 from repro.net.address import Endpoint, parse_endpoint
 from repro.paradyn.dyninst import DyninstEngine
@@ -34,6 +35,7 @@ from repro.tdp.api import (
     tdp_exit,
     tdp_get,
     tdp_init,
+    tdp_subscribe,
 )
 from repro.tdp.faults import heartbeat_item
 from repro.tdp.handle import Role, TdpHandle
@@ -132,6 +134,9 @@ class ParadynDaemon:
         # tdp-guard: app_pid -> volatile
         self.app_pid: int | None = None
         self.symbols: list[str] = []
+        # tdp-guard: _status -> volatile
+        # (proc.<pid>.status as last notified, on the tool thread that reads it)
+        self._status = ProcStatus.RUNNING
         self.run_command = threading.Event()
         self._enable_requests: list[tuple[Metric, str | None]] = []
         self._req_lock = threading.Lock()
@@ -193,6 +198,8 @@ class ParadynDaemon:
         self.app_pid = pid
         self._record("tdp_get_returned", attribute=Attr.PID, value=pid)
         executable, proxy = self._read_launch_record(handle)
+        # From the attach on, the RM's word on the process is pushed to us.
+        tdp_subscribe(handle, Attr.proc_status(pid), self._on_status)
 
         # Step 3 continued: attach (the RM performs the stop).
         self._record("tdp_attach", pid=pid)
@@ -254,33 +261,30 @@ class ParadynDaemon:
         if not self.auto_run:
             # The pilot's interactive window: the application is stopped
             # at main; the front-end may set up instrumentation before
-            # issuing the run command.
-            while not self.run_command.wait(timeout=0.02):
-                if stop_event.is_set():
-                    return
-                handle.service_events()
-                self._apply_enable_requests()
+            # issuing the run command.  A stop ends the window as well.
+            self.run_command.wait()
+            if stop_event.is_set():
+                return
             self._apply_enable_requests()
         self._record("tdp_continue_process", pid=pid, until="completion")
         self._continue_to_completion(handle, pid, stop_event)
+        self._sample_until_exit(handle, stop_event)
 
-        # Sampling loop until application exit (status via the space).
+    def _sample_until_exit(self, handle: TdpHandle, stop_event: threading.Event) -> None:
+        """Sample each period, servicing events between, until the exit."""
         while not stop_event.is_set():
             handle.service_events()
             self._apply_enable_requests()
             self._emit_samples()
-            status = self._published_status(handle, pid)
-            if status is None:
-                break
-            if ProcStatus.is_exited(status):
+            if ProcStatus.is_exited(self._status):
+                code = ProcStatus.exit_code(self._status)
                 self._emit_samples(final=True)
-                self._send_frontend(
-                    {"op": "app_exited", "code": ProcStatus.exit_code(status)}
-                )
-                self._record("app_exited", code=ProcStatus.exit_code(status))
+                self._send_frontend({"op": "app_exited", "code": code})
+                self._record("app_exited", code=code)
                 self._write_trace_file()
                 return
-            stop_event.wait(self.SAMPLE_INTERVAL)
+            if not handle.poll(self.SAMPLE_INTERVAL) and handle.attrs.events.closed:
+                return  # the space is gone: no exit will be published
 
     def _read_launch_record(self, handle: TdpHandle) -> tuple[str, Endpoint | None]:
         """The executable's name and the RM's proxy (if it has one), in
@@ -325,7 +329,7 @@ class ParadynDaemon:
             else:
                 self._send_frontend({"op": "app_state", "state": "running"})
                 return
-            if not self._await_stopped(handle, pid, stop_event):
+            if not self._await_stopped(handle, stop_event):
                 return
         self._record("continue_lost", pid=pid, error=error)
         _log.warning(
@@ -335,35 +339,28 @@ class ParadynDaemon:
             {"op": "error", "error": f"continue of pid {pid} refused: {error}"}
         )
 
-    def _await_stopped(
-        self, handle: TdpHandle, pid: int, stop_event: threading.Event
-    ) -> bool:
+    def _await_stopped(self, handle: TdpHandle, stop_event: threading.Event) -> bool:
         """Wait, at most ``CONTINUE_RETRY_WAIT``, for the published status
         to read stopped.  False when there is nothing left to continue:
         the application exited, the space is gone, or we are stopping."""
         deadline = time.monotonic() + self.CONTINUE_RETRY_WAIT
         while True:
-            status = self._published_status(handle, pid)
-            if status is None or ProcStatus.is_exited(status):
+            handle.service_events()
+            if ProcStatus.is_exited(self._status) or stop_event.is_set():
                 return False
-            if (
-                status in (ProcStatus.STOPPED, ProcStatus.CREATED)
-                or time.monotonic() >= deadline
-            ):
+            if self._status in (ProcStatus.STOPPED, ProcStatus.CREATED):
                 return True
-            if stop_event.wait(self.SAMPLE_INTERVAL):
-                return False
+            if not handle.poll(deadline - time.monotonic()):
+                return not handle.attrs.events.closed
 
-    @staticmethod
-    def _published_status(handle: TdpHandle, pid: int) -> str | None:
-        """``proc.<pid>.status`` as the RM last published it; ``None``
-        once the space is gone."""
-        try:
-            return handle.attrs.try_get(Attr.proc_status(pid))
-        except errors.NoSuchAttributeError:
-            return ProcStatus.RUNNING
-        except errors.TdpError:
-            return None
+    def wake(self) -> None:
+        """On a stop, end the at-main window, which waits for ``run_command``."""
+        self.run_command.set()
+
+    def _on_status(self, notification: Notification, _arg) -> None:
+        """Keep the latest status; an exit stays if a late ``running`` lands on it."""
+        if notification.value is not None and not ProcStatus.is_exited(self._status):
+            self._status = notification.value
 
     # -- front-end link ---------------------------------------------------------------
 
@@ -447,7 +444,7 @@ class ParadynDaemon:
         try:
             self.handle.attrs.put_many(items)
         except errors.TdpError:
-            pass  # space gone: the status check in the loop will notice
+            pass  # space gone: its closed event queue ends the loop
 
     def _write_trace_file(self) -> None:
         """Leave a summary data file behind for TDP's stage-out path."""
@@ -463,7 +460,4 @@ class ParadynDaemon:
 
 def launch_paradynd(ctx: ToolLaunchContext, **daemon_kwargs) -> ThreadToolHandle:
     """ToolRegistry launcher for ``paradynd`` (register under that name)."""
-    daemon = ParadynDaemon(ctx, **daemon_kwargs)
-    handle = ThreadToolHandle(f"paradynd-{ctx.job_id}", daemon.run)
-    handle.daemon = daemon  # type: ignore[attr-defined] — exposed for tests
-    return handle
+    return ThreadToolHandle(f"paradynd-{ctx.job_id}", ParadynDaemon(ctx, **daemon_kwargs))

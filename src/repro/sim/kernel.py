@@ -107,8 +107,8 @@ class Scheduler:
             # Nothing runnable: maybe time needs to pass for sleepers.
             if self._advance_to_next_sleeper():
                 continue
-            # Genuinely idle: wait for external stimulus.
-            self._wake.wait(timeout=0.02)
+            # Genuinely idle: whoever makes a process runnable notifies.
+            self._wake.wait()
             self._wake.clear()
 
     def _reap(self) -> None:

@@ -22,11 +22,8 @@ from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.net.address import Endpoint
 from repro.tdp.process import ProcessBackend, ProcessControlService
 from repro.transport.base import Transport
-from repro.util.log import get_logger
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
-
-_log = get_logger("tdp.handle")
 
 
 class Role(enum.Enum):
@@ -92,32 +89,32 @@ class TdpHandle:
         """Block until the session has a serviceable event (or timeout)."""
         return self.lass.wait_event(timeout=timeout)
 
-    def start_service_loop(self, interval: float = 0.005) -> None:
-        """Run ``service_events`` continuously on a background thread.
+    def start_service_loop(self) -> None:
+        """Run ``service_events`` on a background thread until stopped.
 
         Daemons in this library that have no other main loop (e.g. the
         Condor starter while a job runs) use this instead of a hand-
         written poll loop; it preserves the safe-point discipline because
-        all callbacks for this handle run on this single thread.
+        all callbacks for this handle run on this single thread.  It parks in
+        ``poll`` with no timer: :meth:`stop_service_loop` or a failed session ends it.
         """
         with self._lock:
             if self._service_thread is not None:
                 return
             self._service_stop.clear()
             self._service_thread = spawn(
-                self._service_loop,
-                args=(interval,),
-                name=f"tdp-service-{self.member}",
+                self._service_loop, name=f"tdp-service-{self.member}"
             )
 
-    def _service_loop(self, interval: float) -> None:
+    def _service_loop(self) -> None:
         while not self._service_stop.is_set():
             try:
-                if not self.service_events():
-                    # Wake promptly on event arrival; the interval only
-                    # bounds how often the stop flag is re-checked.
-                    self.poll(timeout=interval)
+                self.service_events()
             except errors.TdpError:
+                return
+            if not self._service_stop.is_set() and not self.poll(None):
+                # an untimed poll comes back empty only from a closed queue
+                obs.record("handle.service_loop.end", actor=self.member, reason="session over")
                 return
 
     def stop_service_loop(self) -> None:
@@ -126,6 +123,7 @@ class TdpHandle:
             self._service_thread = None
         if thread is not None:
             self._service_stop.set()
+            self.lass.wake()
             thread.join(timeout=5.0)
 
     # -- lifecycle --------------------------------------------------------------------

@@ -261,6 +261,141 @@ def test_one_serving_contract():
     assert not in_tests, "\n".join(in_tests)
 
 
+#: The ``while`` loops in src/repro that may wake on a fixed period, by
+#: (module, function), each with its reason.  Everything else learns of
+#: an event from whoever causes it.
+TIMED_WAIT_ALLOWED = {
+    ("attrspace.server", "_sweep_leases"): (
+        "lease sweep: a lease expires by the clock, and nobody announces it"
+    ),
+    ("paradyn.daemon", "_sample_until_exit"): (
+        "sampling period: a tool's metric period is its work, not a re-check"
+    ),
+    ("condor.master", "_watch"): "The RM answers failures",
+    ("tdp.faults", "_watch_loop"): "The RM answers failures",
+}
+
+
+def timed_waits(source):
+    """``(function, line, call)`` for each timed wait inside a ``while``.
+
+    A timed wait is a ``.wait(t)``, ``.get(timeout=t)``, ``poll(t)``,
+    ``tdp_poll(h, t)`` or ``sleep(t)`` whose ``t`` is a literal or a
+    named value (``0.02``, ``interval``, ``self.SAMPLE_INTERVAL``): a
+    period, after which the loop re-checks whatever happened.  A timeout
+    computed from a deadline ends the wait once, and does not count.
+    """
+    import ast
+
+    def timeout_of(call):
+        keyword = next((k.value for k in call.keywords if k.arg == "timeout"), None)
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "get":
+            return keyword
+        if name not in ("wait", "poll", "tdp_poll", "sleep"):
+            return None
+        return keyword if keyword is not None or not call.args else call.args[-1]
+
+    def is_period(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, (int, float))
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name)
+
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.While):
+                found.extend(
+                    (function, call.lineno, ast.unparse(call))
+                    for call in ast.walk(child)
+                    if isinstance(call, ast.Call)
+                    and is_period(timeout_of(call))
+                )
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(set(found), key=lambda site: site[1])
+
+
+def test_no_timed_poll_loops():
+    """Push, not poll: no ``while`` loop in src/repro wakes on a fixed
+    period to re-check a flag or re-read an attribute it could be told
+    about, outside ``TIMED_WAIT_ALLOWED``; and no entry there is stale."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for function, line, call in timed_waits(path.read_text()):
+            found.setdefault((module, function), []).append(
+                f"{path.relative_to(SRC)}:{line}: {call}"
+            )
+    unlisted = [
+        site for key, sites in found.items()
+        if key not in TIMED_WAIT_ALLOWED for site in sites
+    ]
+    assert not unlisted, "\n".join(unlisted)
+    assert not set(TIMED_WAIT_ALLOWED) - set(found), "stale allow-list entries"
+
+
+def test_timed_poll_gate_is_not_vacuous():
+    """The shapes the gate exists to catch — the loops push-not-poll
+    deleted, as they were written — are found; untimed waits and
+    deadline-bounded ones are not."""
+    polls = '''
+def _service_loop(self, interval):
+    while not self._service_stop.is_set():
+        if not self.service_events():
+            self.poll(timeout=interval)
+def _run_inner(self, handle, stop_event):
+    while not self.run_command.wait(timeout=0.02):
+        handle.service_events()
+    while not stop_event.is_set():
+        stop_event.wait(self.SAMPLE_INTERVAL)
+def _loop(self):
+    while not self._stop:
+        self._wake.wait(timeout=0.02)
+def search(self, session):
+    while session.app_state != "exited":
+        time.sleep(0.01)
+def _wait_state(self, pid, state):
+    while time.monotonic() < deadline:
+        time.sleep(self.STOP_POLL_INTERVAL)
+def watch(handle, queue):
+    while True:
+        tdp_poll(handle, 0.5)
+        queue.get(timeout=POLL)
+'''
+    untimed = '''
+def park(self, handle, deadline):
+    while True:
+        self._cond.wait()
+        handle.poll(None)
+        handle.poll(deadline - time.monotonic())
+        self._ready.get()
+        attempts.get(job, 0)
+        self._popen.poll()
+'''
+    assert [(f, c) for f, _line, c in timed_waits(polls)] == [
+        ("_service_loop", "self.poll(timeout=interval)"),
+        ("_run_inner", "self.run_command.wait(timeout=0.02)"),
+        ("_run_inner", "stop_event.wait(self.SAMPLE_INTERVAL)"),
+        ("_loop", "self._wake.wait(timeout=0.02)"),
+        ("search", "time.sleep(0.01)"),
+        ("_wait_state", "time.sleep(self.STOP_POLL_INTERVAL)"),
+        ("watch", "tdp_poll(handle, 0.5)"),
+        ("watch", "queue.get(timeout=POLL)"),
+    ]
+    assert timed_waits(untimed) == []
+
+
 def test_lint_cli_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC)],

@@ -9,10 +9,13 @@ long-lived state behind the counts — the schedd's channel to each peer,
 the startd's CASS session — survives being cut.  The gang's line adds a
 fourth tap, the simulator's ``Service`` syscalls, beside the scheduler's
 slice count: ranks that wait for a peer must not keep the simulator
-busy while the launch's real threads work.
+busy while the launch's real threads work.  A fifth, on
+``TdpHandle.poll``, shows which daemons woke on a timer instead of
+being told.
 """
 
 import contextlib
+import sys
 import threading
 import time
 
@@ -26,6 +29,7 @@ from repro.errors import ChannelClosedError, ResourceManagerError
 from repro.mpisim.runtime import MpiRuntime
 from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
+from repro.tdp.handle import TdpHandle
 from repro.transport.inmem import InMemoryTransport
 
 PER_JOB_DAEMON_THREADS = (
@@ -35,8 +39,8 @@ PER_JOB_DAEMON_THREADS = (
 
 
 class Ledger:
-    """Frames, thread starts, dials and ``Service`` syscalls seen while
-    ``recording()``."""
+    """Frames, thread starts, dials, ``Service`` syscalls and handle
+    polls seen while ``recording()``."""
 
     def __init__(self):
         self.on = False
@@ -47,10 +51,13 @@ class Ledger:
         self.dials = []
         #: names of the ``Service`` syscalls simulated programs made
         self.services = []
+        #: (calling function, timeout, whether an event was ready)
+        self.polls = []
 
     @contextlib.contextmanager
     def recording(self):
         self.frames, self.threads, self.dials, self.services = [], [], [], []
+        self.polls = []
         self.on = True
         try:
             yield self
@@ -59,6 +66,16 @@ class Ledger:
 
     def frames_of(self, member_prefix):
         return [f for f in self.frames if f[0].startswith(member_prefix)]
+
+    def status_reads_of(self, member_prefix):
+        """Gets of a ``proc.<pid>.status``, batched or not."""
+        return [
+            f for f in self.frames_of(member_prefix)
+            if (f[1] == "get" and f[2].endswith(".status"))
+            or (f[1] == "batch" and any(
+                op == "get" and str(a).endswith(".status") for op, a in f[2]
+            ))
+        ]
 
     def dials_by(self, thread_prefix, endpoint=None):
         return [
@@ -71,9 +88,9 @@ class Ledger:
 @pytest.fixture
 def ledger(monkeypatch):
     book = Ledger()
-    submit, start, connect, call_service = (
+    submit, start, connect, call_service, poll = (
         _Session.submit, threading.Thread.start, InMemoryTransport.connect,
-        SimCluster.call_service,
+        SimCluster.call_service, TdpHandle.poll,
     )
 
     def tapped_submit(self, request, complete, **kwargs):
@@ -100,7 +117,15 @@ def ledger(monkeypatch):
             book.services.append(name)
         return call_service(self, name, proc, args)
 
+    def tapped_poll(self, timeout=None):
+        ready = poll(self, timeout)
+        if book.on:
+            caller = sys._getframe(1).f_code.co_name
+            book.polls.append((caller, timeout, ready))
+        return ready
+
     monkeypatch.setattr(_Session, "submit", tapped_submit)
+    monkeypatch.setattr(TdpHandle, "poll", tapped_poll)
     monkeypatch.setattr(SimCluster, "call_service", tapped_call_service)
     monkeypatch.setattr(threading.Thread, "start", tapped_start)
     monkeypatch.setattr(InMemoryTransport, "connect", tapped_connect)
@@ -160,11 +185,16 @@ class TestWarmMonitoredLaunch:
         ledger, job = cycle
         assert len(ledger.frames_of(f"starter/{job}")) <= 10
         paradynd = ledger.frames_of(f"paradynd/{job}")
-        first_samples = next(
-            i for i, (_m, op, detail) in enumerate(paradynd)
-            if op == "batch" and detail[0][1].startswith("paradyn.sample.")
-        )
-        assert first_samples <= 9
+        samples = [
+            f for f in paradynd
+            if f[1] == "batch" and f[2][0][1].startswith("paradyn.sample.")
+        ]
+        # Besides its sample batches, paradynd sends the same 11 frames
+        # however long the job runs: attach, the pid, the launch record,
+        # the status subscription, three control round trips, detach.
+        assert len(paradynd) - len(samples) == 11
+        assert paradynd.index(samples[0]) == 10
+        assert ledger.status_reads_of("paradynd/") == []
         assert not ledger.frames_of("disseminate/")
         assert [op for _m, op, _d in ledger.frames_of("startd@node1")] == ["batch"]
 
@@ -246,6 +276,21 @@ class TestWarmGangLaunch:
             assert len({(s.host, s.pid) for s in sessions}) == self.SIZE
             assert [s.exit_code for s in sessions] == [0] * self.SIZE
             assert MpiRuntime.ensure(scenario.cluster)._jobs == {}
+
+    def test_daemons_are_told_not_timed(self, ledger):
+        """No RM service loop wakes on a timer and no paradynd reads its
+        process's status back: each hears of the exit as a notification.
+        The one timed poll left is paradynd's sample period."""
+        hosts = [f"node{i}" for i in range(self.SIZE)]
+        with ParadorScenario(execute_hosts=hosts) as scenario:
+            self.submit_gang(scenario)
+            with ledger.recording():
+                self.submit_gang(scenario)
+        timed_out = [caller for caller, _t, ready in ledger.polls if not ready]
+        assert [c for c in timed_out if c != "_sample_until_exit"] == []
+        service = [t for c, t, _r in ledger.polls if c == "_service_loop"]
+        assert service and set(service) == {None}
+        assert ledger.status_reads_of("paradynd/") == []
 
 
 class TestLongLivedStateSurvivesACut:

@@ -131,3 +131,27 @@ class TestDebuggerUnderCondor:
         daemon = starter._tool_handle.daemon  # type: ignore[attr-defined]
         functions_hit = {r.function for r in daemon.reports}
         assert functions_hit == {"compute_a", "write_output"}
+
+    def test_stop_ends_tdb_waiting_for_the_exit(self, world):
+        """tdb waits for the exit code with no timer: a stop closes its
+        session, so the wait ends though the target never exits."""
+        cluster, pool, _trace = world
+        job = pool.submit_file(
+            "universe = Vanilla\nexecutable = spin\n+SuspendJobAtExec = True\n"
+            '+ToolDaemonCmd = "tdb"\n+ToolDaemonArgs = "-a%pid"\nqueue\n'
+        )[0]
+        job.wait_for(JobStatus.RUNNING, timeout=30.0)
+        deadline = time.monotonic() + 10.0
+        while job.app_pid is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        process = cluster.host("node1").get_process(job.app_pid)
+        while process.cpu_time == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)  # tdb has continued it
+        time.sleep(0.1)  # and is parked in tdp_wait_exit
+        tool = pool.startds["node1"].starters()[0]._tool_handle
+        started = time.monotonic()
+        tool.stop()
+        tool.join(timeout=2.0)  # raises if tdb is still waiting
+        assert time.monotonic() - started < 2.0
+        pool.schedd.remove(str(job.job_id))
+        assert job.wait_terminal(timeout=30.0) is JobStatus.REMOVED

@@ -125,7 +125,7 @@ class TestAsyncAndEvents:
     def test_service_loop_background(self, rm_handle, rt_handle):
         got = []
         tdp_subscribe(rt_handle, "go", lambda n, a: got.append(n.value))
-        rt_handle.start_service_loop(interval=0.002)
+        rt_handle.start_service_loop()
         tdp_put(rm_handle, "go", "now")
         import time
 

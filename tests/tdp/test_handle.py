@@ -16,6 +16,7 @@ from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
 from repro.tdp.api import tdp_init, tdp_subscribe
 from repro.tdp.handle import Role
+from repro.tdp.process import SimHostBackend
 
 
 @pytest.fixture
@@ -109,6 +110,46 @@ class TestOneSessionPerHandle:
             assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
             assert scenario.trace.first("tdp_put") is not None
             assert scenario.trace.first("disseminate") is None
+
+
+class TestServiceLoop:
+    @pytest.fixture
+    def rm(self, world):
+        """An RM handle running its service loop, with its
+        ``service_events`` calls counted."""
+        cluster, lass = world
+        handle = tdp_init(
+            cluster.transport, lass.endpoint, member="rm", role=Role.RM,
+            backend=SimHostBackend(cluster.host("node1")), context="job1",
+        )
+        passes = []
+        service_events = handle.service_events
+        handle.service_events = lambda: passes.append(1) or service_events()
+        handle.start_service_loop()
+        (thread,) = [t for t in threading.enumerate() if t.name == "tdp-service-rm"]
+        yield handle, thread, passes
+        handle.close()
+
+    def test_idle_loop_does_not_wake(self, rm):
+        handle, thread, passes = rm
+        time.sleep(0.2)
+        assert len(passes) <= 1
+        started = time.monotonic()
+        handle.stop_service_loop()
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
+
+    def test_loop_ends_when_its_session_fails(self, rm, world):
+        """A failed session closes the event queue, after which ``poll``
+        returns at once: the loop must end, not spin until stopped."""
+        handle, thread, passes = rm
+        _cluster, lass = world
+        lass.stop()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert handle.lass.events.closed
+        assert len(passes) < 10
+        handle.stop_service_loop()  # nothing left to stop
 
 
 class TestRepr:
