@@ -17,7 +17,7 @@ instead (the slow-subscriber policy, DESIGN.md §9).
 from __future__ import annotations
 
 import fnmatch
-import threading
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -75,12 +75,29 @@ class _Subscription:
     #: exactly one egress frame per event — the LASS re-fans locally.
     group: str | None = None
 
-    def matches(self, context: str, attribute: str) -> bool:
-        return context == self.context and fnmatch.fnmatchcase(attribute, self.pattern)
+
+class _Pattern:
+    """One distinct pattern of a context and the subscriptions on it."""
+
+    __slots__ = ("match", "subs")
+
+    def __init__(self, pattern: str):
+        # ``fnmatchcase`` semantics, compiled once; a name without glob
+        # characters matches only itself, so it is a plain compare.
+        self.match: Callable[[str], object] = (
+            re.compile(fnmatch.translate(pattern)).match
+            if any(c in pattern for c in "*?[") else pattern.__eq__
+        )
+        #: sub id -> subscription, in ascending id (= insertion) order
+        self.subs: dict[int, _Subscription] = {}
 
 
 class SubscriptionRegistry:
     """Thread-safe registry of pattern subscriptions.
+
+    Subscriptions are indexed context -> pattern -> subscriptions, so a
+    publish tests each distinct pattern of its context once, however
+    many subscribers share it.
 
     ``deliver`` callables must be non-blocking (the store invokes them
     from the putter's thread); server connections satisfy this by
@@ -89,7 +106,10 @@ class SubscriptionRegistry:
     """
 
     def __init__(self) -> None:
+        # tdp-guard: _subs -> attrspace.notify.SubscriptionRegistry._lock
         self._subs: dict[int, _Subscription] = {}
+        # tdp-guard: _index -> attrspace.notify.SubscriptionRegistry._lock
+        self._index: dict[str, dict[str, _Pattern]] = {}
         self._ids = IdAllocator()
         self._lock = tracked_lock("attrspace.notify.SubscriptionRegistry._lock")
 
@@ -108,40 +128,73 @@ class SubscriptionRegistry:
         """
         with self._lock:
             sub_id = self._ids.next()
-            self._subs[sub_id] = _Subscription(sub_id, context, pattern, deliver, group)
+            sub = _Subscription(sub_id, context, pattern, deliver, group)
+            self._subs[sub_id] = sub
+            patterns = self._index.setdefault(context, {})
+            entry = patterns.get(pattern)
+            if entry is None:
+                entry = patterns[pattern] = _Pattern(pattern)
+            entry.subs[sub_id] = sub
             return sub_id
 
     def unsubscribe(self, sub_id: int) -> bool:
         with self._lock:
-            return self._subs.pop(sub_id, None) is not None
+            return self._remove(sub_id)
 
     def unsubscribe_many(self, sub_ids: "Iterable[int]") -> list[int]:
         """Drop a batch of subscriptions in one lock hold (connection
         teardown); returns the ids that were still registered."""
         with self._lock:
-            return [s for s in sub_ids if self._subs.pop(s, None) is not None]
+            return [s for s in sub_ids if self._remove(s)]
+
+    def _remove(self, sub_id: int) -> bool:
+        # caller holds _lock
+        sub = self._subs.pop(sub_id, None)
+        if sub is None:
+            return False
+        patterns = self._index[sub.context]
+        entry = patterns[sub.pattern]
+        del entry.subs[sub_id]
+        if not entry.subs:
+            del patterns[sub.pattern]
+            if not patterns:
+                del self._index[sub.context]
+        return True
 
     def drop_context(self, context: str) -> int:
         """Remove every subscription on a context (context destruction)."""
         with self._lock:
-            doomed = [s for s in self._subs.values() if s.context == context]
-            for s in doomed:
-                del self._subs[s.sub_id]
-            return len(doomed)
+            dropped = 0
+            for entry in self._index.pop(context, {}).values():
+                for sub_id in entry.subs:
+                    del self._subs[sub_id]
+                dropped += len(entry.subs)
+            return dropped
 
     def publish(self, notification: Notification) -> int:
         """Fan a notification out to matching subscribers; returns count.
 
-        Subscriptions sharing a dedup group receive at most one delivery
-        per event between them (subscription-aggregation: one frame per
-        downstream host, however many of its patterns overlap).
+        Each distinct pattern of the event's context is matched once
+        (an exact name by a plain compare), and the subscriptions of
+        every matching pattern are delivered in ascending sub id, the
+        order they subscribed in.  Subscriptions sharing a dedup group
+        receive at most one delivery per event between them
+        (subscription-aggregation: one frame per downstream host,
+        however many of its patterns overlap) — the lowest sub id of
+        the group gets it.
         """
+        attribute = notification.attribute
         with self._lock:
-            targets = [
-                s
-                for s in self._subs.values()
-                if s.matches(notification.context, notification.attribute)
-            ]
+            patterns = self._index.get(notification.context)
+            if not patterns:
+                return 0
+            hits = [e.subs for e in patterns.values() if e.match(attribute)]
+            if len(hits) == 1:
+                targets = list(hits[0].values())
+            else:
+                targets = sorted(
+                    (s for subs in hits for s in subs.values()),
+                    key=lambda s: s.sub_id)
         delivered = 0
         seen_groups: set[str] = set()
         for s in targets:

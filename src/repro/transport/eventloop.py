@@ -19,7 +19,10 @@ thread, so an idle subscriber costs a file descriptor, not a thread:
   accepts bytes, registering write interest only while a partial frame
   is stuck.  ``offer`` reports overflow to the caller, which applies
   its slow-subscriber policy (the loop never blocks and never drops
-  silently).
+  silently).  An off-loop send wakes the loop only when it is parked:
+  the first frame of a burst writes the waker byte, and the rest find
+  the loop bound to re-check its dirty set before it parks again.  The
+  loop never parks in ``select`` with a frame queued.
 
 The handler contract (``on_channel`` / ``on_message`` / ``on_closed``) is
 :meth:`repro.transport.base.Listener.serve_loop`'s; here a channel is
@@ -179,6 +182,11 @@ class ServerSocketLoop:
         # cross-thread state (guarded by _lock)
         self._pending_close: collections.deque[_Conn] = collections.deque()
         self._dirty: set[_Conn] = set()
+        #: the loop will look at ``_dirty`` again before it parks: set by
+        #: the off-loop sender that writes the waker byte, cleared only
+        #: in the hold that finds ``_dirty`` empty right before a select
+        # tdp-guard: _wake_pending -> transport.eventloop.ServerSocketLoop._lock
+        self._wake_pending = False
         # tdp-guard: _stopped -> volatile
         # (monotonic stop latch: set under _lock, read lock-free by the
         # loop and by senders by design)
@@ -229,7 +237,12 @@ class ServerSocketLoop:
             # the batch-end _flush_dirty coalesces every frame produced
             # while dispatching one readable burst into one send().
             self._dirty.add(st)
-        if not on_loop:
+            # Off the loop, wake it unless it is already bound to
+            # re-check _dirty, which now holds this connection.
+            wake = not on_loop and not self._wake_pending
+            if wake:
+                self._wake_pending = True
+        if wake:
             self._wake()
         return True
 
@@ -269,13 +282,23 @@ class ServerSocketLoop:
                             self._flush(data)
                         if mask & selectors.EVENT_READ and not data.closing:
                             self._do_read(data)
-                self._flush_dirty()
                 self._expire_hellos()
                 self._drain_closes()
+                # Last, so frames an on_closed handler sent go out in
+                # this pass.
+                self._flush_dirty()
         finally:
             self._teardown()
 
     def _poll_timeout(self) -> float | None:
+        with self._lock:
+            if self._dirty:
+                # Queued during the flush, by a sender that saw a wake
+                # pending or on the loop thread (a send error's teardown
+                # ran on_closed): nobody will wake us, so do not park.
+                return 0.0
+            # Parking with nothing queued: the next sender wakes us.
+            self._wake_pending = False
         if not self._handshaking:
             return None
         soonest = min(st.deadline for st in self._handshaking)

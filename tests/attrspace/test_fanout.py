@@ -23,6 +23,7 @@ from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import (
     OUTBOUND_QUEUE_LIMIT,
     AttributeSpaceServer,
+    ServerRole,
 )
 from repro.net.topology import flat_network
 from repro.transport.inmem import InMemoryTransport
@@ -211,3 +212,55 @@ class TestDeadSubscriberOnTcp(TestDeadSubscriber):
 
 class TestTeardownDrainOnTcp(TestTeardownDrain):
     kind = "tcp"
+
+
+class TestWakeLedger:
+    """A fan-out burst costs the serving loop a hand-off, not a wake per
+    frame: an event the LASS applies on its upstream session's receive
+    thread reaches every local subscriber in a few loop passes."""
+
+    SUBSCRIBERS = 200
+
+    def test_a_burst_wakes_the_loop_per_pass_not_per_frame(self):
+        transport = TcpTransport()
+        cass = AttributeSpaceServer(transport, "hub", role=ServerRole.CASS)
+        lass = AttributeSpaceServer(transport, "hostA", upstream=cass.endpoint)
+        channels = []
+        try:
+            for i in range(self.SUBSCRIBERS):
+                channel = transport.connect("hostA", lass.endpoint, timeout=5.0)
+                channel.send_many([
+                    {"op": "attach", "req": 0, "context": "j",
+                     "member": f"sub-{i}"},
+                    {"op": "subscribe", "req": 1, "context": "j",
+                     "pattern": "hot.*"},
+                ])
+                channels.append(channel)
+            for channel in channels:
+                for req in (0, 1):
+                    assert channel.recv(timeout=5.0).get("ok") is True
+            lass.federation.settle(timeout=5.0)
+            assert wait_until(lambda: len(cass.store.subscriptions) == 1)
+
+            loop = lass._loop
+            wakes, passes = [], []
+            real_wake, real_flush = loop._wake, loop._flush_dirty
+            loop._wake = lambda: (wakes.append(1), real_wake())
+            loop._flush_dirty = lambda: (passes.append(1), real_flush())
+
+            writer = AttributeSpaceClient(
+                transport.connect("submit", cass.endpoint, timeout=5.0),
+                context="j", member="writer")
+            writer.put("hot.x", "v1")
+            for channel in channels:
+                frame = channel.recv(timeout=5.0)
+                assert (frame["op"], frame["value"]) == ("notify", "v1")
+            n_wakes, n_passes = len(wakes), len(passes)
+            assert n_wakes <= n_passes + 1, (n_wakes, n_passes)
+            assert n_wakes < 10, (n_wakes, n_passes)
+            writer.close()
+        finally:
+            for channel in channels:
+                channel.close()
+            lass.stop()
+            cass.stop()

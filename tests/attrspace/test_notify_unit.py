@@ -1,5 +1,10 @@
 """Unit tests for the subscription registry and notification records."""
 
+import fnmatch
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.attrspace.notify import Notification, SubscriptionRegistry
 
 
@@ -53,6 +58,92 @@ class TestSubscriptionRegistry:
             registry.subscribe("ctx", "k", deliver)
         assert registry.publish(Notification("ctx", "k", "v", "put")) == 3
         assert len(delivered) == 3
+
+
+CONTEXTS = ["c1", "c2", "c3"]
+PATTERNS = ["a", "a.b", "*", "a.*", "a.b*"]
+GROUPS = [None, "g1", "g2"]
+EVENTS = [Notification(c, a, "v", "put")
+          for c in CONTEXTS for a in ("a", "a.b", "a.bc", "a.x", "b", "ab")]
+
+_op = st.one_of(
+    st.tuples(st.just("subscribe"), st.sampled_from(CONTEXTS),
+              st.sampled_from(PATTERNS), st.sampled_from(GROUPS)),
+    st.tuples(st.just("unsubscribe"), st.integers(0, 40)),
+    st.tuples(st.just("unsubscribe_many"), st.lists(st.integers(0, 40), max_size=6)),
+    st.tuples(st.just("drop_context"), st.sampled_from(CONTEXTS)),
+)
+
+
+class Reference:
+    """The registry as a linear scan: every subscription tested against
+    every event, in subscription order, the first of a group delivered."""
+
+    def __init__(self):
+        self.subs = []  # (sub_id, context, pattern, group)
+
+    def remove(self, sub_ids):
+        gone = [s for s in self.subs if s[0] in sub_ids]
+        self.subs = [s for s in self.subs if s[0] not in sub_ids]
+        return [s[0] for s in gone]
+
+    def publish(self, n):
+        out, seen = [], set()
+        for sub_id, context, pattern, group in self.subs:
+            if context != n.context or not fnmatch.fnmatchcase(n.attribute, pattern):
+                continue
+            if group is not None:
+                if group in seen:
+                    continue
+                seen.add(group)
+            out.append(sub_id)
+        return out
+
+
+class TestRegistryIndexAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_op, max_size=40))
+    def test_publish_matches_a_linear_scan(self, ops):
+        registry, delivered, deliver = make_registry_with_sink()
+        ref = Reference()
+
+        def check():
+            for event in EVENTS:
+                delivered.clear()
+                assert registry.publish(event) == len(delivered)
+                assert [sub_id for sub_id, _ in delivered] == ref.publish(event)
+            assert len(registry) == len(ref.subs)
+
+        for op in ops:
+            if op[0] == "subscribe":
+                _, context, pattern, group = op
+                sub_id = registry.subscribe(context, pattern, deliver, group=group)
+                ref.subs.append((sub_id, context, pattern, group))
+            elif op[0] == "unsubscribe":
+                assert registry.unsubscribe(op[1]) == bool(ref.remove({op[1]}))
+            elif op[0] == "unsubscribe_many":
+                ids = list(dict.fromkeys(op[1]))
+                assert sorted(registry.unsubscribe_many(ids)) == sorted(
+                    ref.remove(set(ids)))
+            else:
+                dropped = [s[0] for s in ref.subs if s[1] == op[1]]
+                assert registry.drop_context(op[1]) == len(ref.remove(set(dropped)))
+            check()
+
+        # Removal check: take everything out, one way or another.
+        remaining = [s[0] for s in ref.subs]
+        half = len(remaining) // 2
+        assert sorted(registry.unsubscribe_many(remaining[:half])) == sorted(
+            remaining[:half])
+        for sub_id in remaining[half:]:
+            assert registry.unsubscribe(sub_id) is True
+        with registry._lock:  # no empty pattern or context left behind
+            assert registry._index == {}
+        for context in CONTEXTS:
+            assert registry.drop_context(context) == 0
+        for event in EVENTS:
+            assert registry.publish(event) == 0
+        assert len(registry) == 0
 
 
 class TestNotificationWire:

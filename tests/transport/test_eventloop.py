@@ -7,6 +7,7 @@ scaling and chaos cases go through the full attribute-space server.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -44,22 +45,31 @@ def make_transport(kind):
 
 
 class Served:
-    """A listener under ``serve_loop`` that logs every callback."""
+    """A listener under ``serve_loop`` that logs every callback.
 
-    def __init__(self, kind, refuse=False):
+    ``on_closed`` runs after the close is logged, on the serving thread.
+    """
+
+    def __init__(self, kind, refuse=False, on_closed=None):
         self.transport = make_transport(kind)
         self.listener = self.transport.listen("node1")
         self.channels = []
         self.messages = []
         self.closed = []
         self.refuse = refuse
+        self.after_close = on_closed
         self.loop = self.listener.serve_loop(
             on_channel=self._on_channel,
             on_message=lambda channel, message: self.messages.append(
                 (channel, message)),
-            on_closed=self.closed.append,
+            on_closed=self._on_closed,
             name="contract-loop",
         )
+
+    def _on_closed(self, channel):
+        self.closed.append(channel)
+        if self.after_close is not None:
+            self.after_close(channel)
 
     def _on_channel(self, channel):
         if self.refuse:
@@ -174,6 +184,63 @@ class TestServeLoop:
                     client.request({"n": 0}, timeout=1.0)
         served.stop()  # idempotent
         assert len(served.closed) == 3
+
+
+class TestOffLoopSends:
+    """The TCP loop's write path: frames queued from any thread go out,
+    and the loop never parks in ``select`` with one still queued."""
+
+    @pytest.mark.parametrize("kind", ["tcp", "tcp+faults"])
+    def test_frame_sent_from_on_closed_goes_out(self, kind):
+        # An off-loop close is torn down on the loop thread, so a frame
+        # its on_closed handler sends is queued there with no wake.
+        ends = {}
+
+        def on_closed(channel):
+            if channel is ends["a"]:
+                ends["b"].send({"gone": "a"})
+
+        served = Served(kind, on_closed=on_closed)
+        try:
+            _client_a, ends["a"] = served.connect()
+            client_b, ends["b"] = served.connect()
+            time.sleep(0.1)  # let the loop park in select
+            ends["a"].close()
+            assert client_b.recv(timeout=2.0) == {"gone": "a"}
+        finally:
+            served.stop()
+
+    @pytest.mark.parametrize("kind", ["tcp", "tcp+faults"])
+    def test_concurrent_producers_lose_and_reorder_nothing(self, kind):
+        # More producers than cores, and a short switch interval, so the
+        # senders interleave with the loop's park/wake decision.
+        producers, frames, n_channels = 4, 500, 20
+        served = Served(kind)
+        interval = sys.getswitchinterval()
+        try:
+            pairs = [served.connect() for _ in range(n_channels)]
+
+            def produce(p):
+                for i in range(frames):
+                    pairs[i % n_channels][1].send({"p": p, "i": i})
+
+            threads = [threading.Thread(target=produce, args=(p,))
+                       for p in range(producers)]
+            sys.setswitchinterval(1e-5)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            for c, (client, _end) in enumerate(pairs):
+                got = [client.recv(timeout=5.0)
+                       for _ in range(producers * frames // n_channels)]
+                for p in range(producers):
+                    assert [m["i"] for m in got if m["p"] == p] == list(
+                        range(c, frames, n_channels))
+        finally:
+            sys.setswitchinterval(interval)
+            served.stop()
 
 
 class EchoLoop:
