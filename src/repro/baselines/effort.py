@@ -121,7 +121,7 @@ INTEGRATION_REGIONS: dict[str, list[str]] = {
     "parador/adapters.py": ["register_paradynd", "make_tool_registry"],
     "condor/starter.py": [
         "Starter._launch_tool_daemon",
-        "Starter._make_tool_output_sink",
+        "Starter._write_tool_output",
     ],
     "condor/submit.py": ["ToolDaemonSpec", "_parse_bool"],
     "condor/tools.py": ["percent_names", "ToolLaunchContext"],

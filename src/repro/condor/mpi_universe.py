@@ -336,10 +336,13 @@ class MpiUniverseCoordinator:
         with self._lock:
             handles = list(self._rank_handles.values())
             self._rank_handles.clear()
+            ranks = list(self._rank_pids.values())
         for handle in handles:
             handle.stop_service_loop()
             tdp_exit(handle)
         self._runtime.end_job(self.job_id)
+        for hostname, pid in ranks:
+            self._cluster.host(hostname).reap(pid)  # the job is over
 
 
 def machine_slots_from_wire(extra_machines: list[dict]) -> list[MachineSlot]:

@@ -16,8 +16,9 @@ Flow per job (the Figure 4 interaction the FIG4 bench traces):
 4. it spawns a **shadow** and sends the startd an activation message
    naming the shadow and stdio endpoints;
 5. the shadow tracks the job to completion; once the job is in a
-   terminal state, however it got there, the release worker returns the
-   claims and the matchmaker's reservations and stops the shadow.
+   terminal state, however it got there, it leaves the queue (its
+   submitter keeps the ``JobRecord``), and the release worker returns
+   the claims and the matchmaker's reservations and stops the shadow.
 
 The schedd talks to the matchmaker and to each startd over one channel
 per peer that lives as long as the schedd does (``_PeerChannel``).
@@ -137,6 +138,7 @@ class Schedd:
         self._submit_fs = submit_fs if submit_fs is not None else {}
         self._trace = trace
         self._clusters = IdAllocator()
+        #: the jobs that are not yet terminal (condor_q's queue)
         self._jobs: dict[str, JobRecord] = {}
         self._shadows: dict[str, Shadow] = {}
         # job_id -> [(machine, startd_endpoint, claim_id, lass)] while active
@@ -189,6 +191,7 @@ class Schedd:
         return records
 
     def job(self, job_id: str) -> JobRecord:
+        """A queued or running job; a finished one is history, as in condor_q."""
         with self._cond:
             record = self._jobs.get(job_id)
         if record is None:
@@ -196,6 +199,7 @@ class Schedd:
         return record
 
     def jobs(self) -> list[JobRecord]:
+        """The jobs in the queue: those not yet terminal."""
         with self._cond:
             return list(self._jobs.values())
 
@@ -357,7 +361,10 @@ class Schedd:
     # -- release: what a job held goes back when it ends ---------------------------
 
     def _job_finished(self, record: JobRecord) -> None:
-        """``JobRecord.on_terminal`` callback: hand the job to the release worker."""
+        """``JobRecord.on_terminal`` callback: drop the job from the queue
+        and hand it to the release worker."""
+        with self._cond:
+            self._jobs.pop(str(record.job_id), None)
         try:
             self._finished.put(str(record.job_id))
         except errors.ChannelClosedError:
@@ -460,7 +467,8 @@ class Schedd:
     def remove(self, job_id: str) -> None:
         """condor_rm: remove a job — dequeue it if idle, kill it if running.
 
-        The terminal status becomes REMOVED either way.
+        The terminal status becomes REMOVED either way.  A job that has
+        already finished is not in the queue: its status stays as it ended.
         """
         record = self.job(job_id)
         claims = self._active_claims.get(job_id)

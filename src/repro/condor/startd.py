@@ -83,7 +83,6 @@ class Startd:
         )
         self._listener = transport.listen(host.name)
         self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter"}
-        self._all_starters: list[Starter] = []  # history incl. released claims
         self._lock = tracked_lock("condor.startd.Startd._lock")
         # This host's one session with the pool's CASS ("daemons talk
         # upward"), dialled by the first launch that names one.  The lock
@@ -125,9 +124,13 @@ class Startd:
             return bool(self._claims)
 
     def starters(self) -> list[Starter]:
-        """Every starter this startd ever spawned (incl. finished jobs)."""
+        """The starters of the live claims: a starter leaves with its claim."""
         with self._lock:
-            return list(self._all_starters)
+            return [
+                claim["starter"]
+                for claim in self._claims.values()
+                if claim["starter"] is not None
+            ]
 
     # -- RPC server -------------------------------------------------------------
 
@@ -259,7 +262,6 @@ class Startd:
         )
         with self._lock:
             claim["starter"] = starter
-            self._all_starters.append(starter)
         self._record("spawn_starter", claim=claim_id, job=request.get("job_id"))
         starter.start()
         return {"ok": True}

@@ -100,6 +100,10 @@ class Starter:
         #: or one attached later
         # tdp-guard: _tool -> volatile
         self._tool: ToolDaemonSpec | None = None
+        #: every line the tool daemon writes, appended to its
+        #: +ToolDaemonOutput file once the tool has ended (a buffered
+        #: file, flushed on close)
+        self._tool_output: list[str] = []
         # tdp-guard: _shadow_channel -> volatile
         self._shadow_channel: Channel | None = None
         self._relay: StdioRelay | None = None
@@ -438,7 +442,6 @@ class Starter:
         # Step 2: create the tool daemon (not paused).
         self._record("tdp_create_process", target="RT", executable=tool.cmd, mode="run")
         launcher = self._tools.resolve(tool.cmd)
-        sink = self._make_tool_output_sink(tool.output)
         context = ToolLaunchContext(
             transport=self._transport,
             host=self._host.name,
@@ -447,7 +450,7 @@ class Starter:
             args=split_arguments(tool.args_template),
             job_id=self.job_id,
             trace=self._trace,
-            output_sink=sink,
+            output_sink=self._tool_output.append,
             extras={"sim_host": self._host},
         )
         self._tool_handle = launcher(context)
@@ -472,17 +475,14 @@ class Starter:
             ],
         )
 
-    def _make_tool_output_sink(self, path: str | None):
-        if path is None:
-            return lambda line: None
+    def _write_tool_output(self) -> None:
+        """Append the ended tool's lines to its output file, in one write."""
+        tool = self._tool
+        if tool is None or not tool.output or not self._tool_output:
+            return
         fs = self._host.filesystem
-        lock = threading.Lock()
-
-        def sink(line: str) -> None:
-            with lock:
-                fs[path] = fs.get(path, "") + line + "\n"
-
-        return sink
+        lines = "".join(line + "\n" for line in self._tool_output)
+        fs[tool.output] = fs.get(tool.output, "") + lines
 
     # -- reporting / teardown ----------------------------------------------------
 
@@ -509,6 +509,7 @@ class Starter:
                 self._tool_handle.join(timeout=10.0)
             except errors.ToolError:
                 pass
+            self._write_tool_output()
         # Stage outputs only after the tool finished writing its traces.
         if self.failure is None:
             self._stage_out()
@@ -520,3 +521,5 @@ class Starter:
             tdp_exit(self._handle)
         if self._shadow_channel is not None:
             self._shadow_channel.close()
+        if self.app_pid is not None:
+            self._host.reap(self.app_pid)  # the job is over: forget its process

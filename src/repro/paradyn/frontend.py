@@ -149,8 +149,10 @@ class ParadynFrontend:
     # -- daemon registry ------------------------------------------------------------
 
     def daemons(self) -> list[DaemonSession]:
+        """Every daemon that connected, in id order (ids are assigned and
+        inserted in one ``_lock`` hold, so insertion order is id order)."""
         with self._lock:
-            return [self._daemons[k] for k in sorted(self._daemons)]
+            return list(self._daemons.values())
 
     def wait_for_daemons(self, count: int, timeout: float | None = 30.0) -> list[DaemonSession]:
         with self._daemon_arrived:
@@ -161,7 +163,7 @@ class ParadynFrontend:
                 raise errors.GetTimeoutError(
                     f"only {len(self._daemons)}/{count} paradynds connected"
                 )
-            return [self._daemons[k] for k in sorted(self._daemons)]
+            return list(self._daemons.values())
 
     # -- wire handling ------------------------------------------------------------------
 

@@ -94,6 +94,19 @@ class SimHost:
             raise NoSuchProcessError(pid, self.name)
         return proc
 
+    def reap(self, pid: int) -> None:
+        """Forget an exited process, as ``waitpid`` reaps a zombie.
+
+        An exited process stays findable by pid until the RM that created
+        it cleans up its job and reaps it; from then on ``get_process``
+        raises :class:`NoSuchProcessError`.  A living process is kept.
+        """
+        with self._lock:
+            proc = self._procs.get(pid)
+        if proc is not None and not proc.alive:
+            with self._lock:
+                del self._procs[pid]
+
     def has_process(self, pid: int) -> bool:
         with self._lock:
             return pid in self._procs

@@ -92,15 +92,9 @@ class Scheduler:
 
     def _loop(self) -> None:
         while not self._stop:
-            progressed = False
-            for proc in self.processes():
-                if self._stop:
-                    return
-                with proc.lock:
-                    runnable = proc.state is ProcessState.RUNNABLE
-                if runnable:
-                    self._slice(proc)
-                    progressed = True
+            progressed = self._run_pass()
+            if self._stop:
+                return
             self._reap()
             if progressed:
                 continue
@@ -110,6 +104,20 @@ class Scheduler:
             # Genuinely idle: whoever makes a process runnable notifies.
             self._wake.wait()
             self._wake.clear()
+
+    def _run_pass(self) -> bool:
+        """Give each runnable process one slice; True if any ran.  Its own
+        frame, so a parked scheduler holds none of the processes it ran."""
+        progressed = False
+        for proc in self.processes():
+            if self._stop:
+                break
+            with proc.lock:
+                runnable = proc.state is ProcessState.RUNNABLE
+            if runnable:
+                self._slice(proc)
+                progressed = True
+        return progressed
 
     def _reap(self) -> None:
         # Classify under each process lock first: taking p.lock (rank

@@ -78,19 +78,27 @@ class FileStager:
     ) -> list[TransferRecord]:
         """Copy tool output/trace files back after the job completes.
 
-        ``patterns`` are globs over the execution host's filesystem, so a
-        tool can say "everything matching ``trace.*``" without knowing
-        how many trace files it produced.
+        A pattern with glob characters matches over the execution host's
+        filesystem, so a tool can say "everything matching ``trace.*``"
+        without knowing how many trace files it produced; a glob that
+        matches nothing stages nothing.  Any other pattern names one file,
+        looked up by name, and :class:`StagingError` is raised when it is
+        absent.  Only globs scan the filesystem, all of them one listing.
         """
         exec_fs = self._cluster.host(exec_host).filesystem
         matched: list[str] = []
+        names: list[str] | None = None
         for pattern in patterns:
-            hits = [p for p in sorted(exec_fs) if fnmatch.fnmatchcase(p, pattern)]
-            if not hits and not any(ch in pattern for ch in "*?["):
-                raise StagingError(
-                    f"cannot stage out {pattern!r}: not present on {exec_host}"
-                )
-            matched.extend(hits)
+            if not any(ch in pattern for ch in "*?["):
+                if pattern not in exec_fs:
+                    raise StagingError(
+                        f"cannot stage out {pattern!r}: not present on {exec_host}"
+                    )
+                matched.append(pattern)
+                continue
+            if names is None:
+                names = sorted(exec_fs)
+            matched.extend(p for p in names if fnmatch.fnmatchcase(p, pattern))
         # De-duplicate while preserving order (overlapping patterns).
         seen: set[str] = set()
         unique = [p for p in matched if not (p in seen or seen.add(p))]

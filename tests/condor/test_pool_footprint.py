@@ -1,0 +1,107 @@
+"""The pool's footprint is its live jobs.
+
+A pool launches job after job.  What a finished job leaves behind is
+its ``JobRecord`` (held by the submitter), the front end's record of its
+daemon and the scenario's trace; its starter leaves with its claim and
+its processes are reaped when the job is cleaned up.  So after a warm-up
+the counts of per-job objects stay flat however many jobs follow.
+"""
+
+import gc
+import threading
+import time
+from collections import Counter
+
+from repro.attrspace.client import AttributeSpaceClient
+from repro.condor.job import JobStatus
+from repro.condor.starter import Starter
+from repro.parador.run import ParadorScenario, monitored_submit_text
+from repro.sim.process import SimProcess
+from repro.tdp.handle import TdpHandle
+
+COUNTED = (Starter, SimProcess, TdpHandle, AttributeSpaceClient, threading.Thread)
+PER_JOB_THREADS = (
+    "shadow-", "stdio-collect-", "starter-", "paradynd-", "mpi-",
+    # the receive threads of the job's sessions end after their close
+    "attr-client-starter/", "attr-client-paradynd/",
+)
+
+
+def census():
+    """Live objects of each counted class, and of every class together."""
+    gc.collect()
+    objects = gc.get_objects()
+    counts = Counter()
+    for obj in objects:
+        if isinstance(obj, COUNTED):
+            kind = threading.Thread if isinstance(obj, threading.Thread) else type(obj)
+            counts[kind.__name__] += 1
+    return counts, len(objects)
+
+
+def settle(scenario):
+    """Wait until no claim, reservation or per-job thread is left."""
+    pool = scenario.pool
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and (
+        pool.matchmaker.reserved_count()
+        or any(s.claimed for s in pool.startds.values())
+        or any(t.name.startswith(PER_JOB_THREADS) for t in threading.enumerate())
+    ):
+        time.sleep(0.005)
+
+
+def launch(scenario, text, ranks):
+    """Submit, wait for every daemon and for the job to end cleanly."""
+    seen = len(scenario.frontend.daemons())
+    job = scenario.pool.submit_file(text)[0]
+    sessions = scenario.frontend.wait_for_daemons(seen + ranks, timeout=60.0)[seen:]
+    assert job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+    for session in sessions:
+        session.wait_state("exited", timeout=30.0)
+    assert job.exit_code == 0 and [s.exit_code for s in sessions] == [0] * ranks
+
+
+def assert_flat(scenario, text, *, ranks, warm, runs):
+    for _ in range(warm):
+        launch(scenario, text, ranks)
+    settle(scenario)
+    before, objects_before = census()
+    for _ in range(runs):
+        launch(scenario, text, ranks)
+    settle(scenario)
+    after, objects_after = census()
+    per_launch = (objects_after - objects_before) / runs
+    assert after == before, (
+        f"{runs} launches grew {dict(after - before)}; "
+        f"{per_launch:.0f} objects retained per launch"
+    )
+    for startd in scenario.pool.startds.values():
+        assert not startd.claimed and startd.starters() == []
+    for host in scenario.cluster.hosts():
+        assert [p for p in host.processes() if not p.alive] == []
+    print(f"objects retained per launch: {per_launch:.0f}")
+
+
+def test_monitored_launches_leave_nothing_behind():
+    # One machine: a machine's first job dials the host's CASS session,
+    # which lives as long as its startd, so every machine must be warm.
+    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+        text = monitored_submit_text(
+            "foo", "3 0.05", frontend_host=scenario.submit_host,
+            port1=scenario.port1, port2=scenario.port2,
+        )
+        assert_flat(scenario, text, ranks=1, warm=40, runs=200)
+
+
+def test_gang_launches_leave_nothing_behind():
+    size = 8
+    with ParadorScenario(execute_hosts=[f"node{i}" for i in range(size)]) as scenario:
+        text = (
+            f"universe = MPI\nexecutable = mpi_ring\narguments = 1\n"
+            f"machine_count = {size}\n+SuspendJobAtExec = True\n"
+            f'+ToolDaemonCmd = "paradynd"\n'
+            f'+ToolDaemonArgs = "-zunix -l3 -m{scenario.submit_host} '
+            f'-p{scenario.port1} -P{scenario.port2} -a%pid"\nqueue\n'
+        )
+        assert_flat(scenario, text, ranks=size, warm=5, runs=20)

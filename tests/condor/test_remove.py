@@ -1,13 +1,17 @@
 """condor_rm tests: removing queued and running jobs."""
 
+import threading
 import time
 
 import pytest
 
 from repro.condor.job import JobStatus
 from repro.condor.pool import CondorPool
+from repro.condor.schedd import Schedd
 from repro.condor.submit import SubmitDescription
+from repro.errors import ResourceManagerError
 from repro.sim.cluster import SimCluster
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
@@ -26,9 +30,9 @@ class TestRemove:
         deadline = time.monotonic() + 10.0
         while job.app_pid is None and time.monotonic() < deadline:
             time.sleep(0.01)
+        proc = cluster.host("node1").get_process(job.app_pid)
         pool.schedd.remove(str(job.job_id))
         assert job.wait_terminal(timeout=30.0) is JobStatus.REMOVED
-        proc = cluster.host("node1").get_process(job.app_pid)
         assert not proc.alive
 
     def test_remove_idle_job(self, world):
@@ -115,10 +119,12 @@ class TestRemoveMpiJob:
             if proc.executable == "mpi_blocked"
         ]
 
-    def assert_removed_and_released(self, cluster, pool, job):
+    def assert_removed_and_released(self, ranks, pool, job):
+        """``ranks``: the gang's processes, taken while the job was live
+        (its cleanup reaps them)."""
         assert job.wait_terminal(timeout=8.0) is JobStatus.REMOVED
-        assert len(self.ranks(cluster)) == 3
-        assert not [p for p in self.ranks(cluster) if p.alive]
+        assert len(ranks) == 3
+        assert not [p for p in ranks if p.alive]
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and (
             pool.matchmaker.reserved_count()
@@ -137,24 +143,89 @@ class TestRemoveMpiJob:
             and all(p.stdout_lines for p in self.ranks(cluster))
         ):
             time.sleep(0.01)
-        assert [len(p.stdout_lines) for p in self.ranks(cluster)] == [1, 1, 1]
+        ranks = self.ranks(cluster)
+        assert [len(p.stdout_lines) for p in ranks] == [1, 1, 1]
         pool.schedd.remove(str(job.job_id))
-        self.assert_removed_and_released(cluster, pool, job)
+        self.assert_removed_and_released(ranks, pool, job)
 
     def test_a_rank_created_after_the_remove_dies_too(self, gang, monkeypatch):
         from repro.condor import mpi_universe
 
         cluster, pool = gang
-        jobs = []
+        jobs, ranks = [], []
         create = mpi_universe.tdp_create_process
 
         def remove_before_the_last_rank(*args, env, **kwargs):
             if env["MPI_RANK"] == "2":
                 pool.schedd.remove(str(jobs[0].job_id))
-            return create(*args, env=env, **kwargs)
+            info = create(*args, env=env, **kwargs)
+            ranks.append(cluster.host(info.host).get_process(info.pid))
+            return info
 
         monkeypatch.setattr(
             mpi_universe, "tdp_create_process", remove_before_the_last_rank
         )
         jobs.append(self.submit(pool))
-        self.assert_removed_and_released(cluster, pool, jobs[0])
+        self.assert_removed_and_released(ranks, pool, jobs[0])
+
+
+class TestRemoveFinishedJob:
+    """A finished job has left the queue, as condor_q shows it: condor_rm,
+    hold, release and attach find no such job, and its terminal state
+    stays as it ended."""
+
+    @pytest.fixture
+    def pool(self):
+        with SimCluster.flat(["submit", "node1"]) as cluster:
+            trace = TraceRecorder()
+            with CondorPool(
+                cluster, submit_host="submit", execute_hosts=["node1"], trace=trace
+            ) as pool:
+                yield pool, trace
+
+    def finished_job(self, pool):
+        job = pool.submit_description(SubmitDescription(executable="hello"))
+        assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+        assert job.exit_code == 0
+        return str(job.job_id), job
+
+    def assert_gone(self, pool, trace, job_id, job):
+        for verb in (pool.schedd.remove, pool.schedd.hold, pool.schedd.release,
+                     pool.schedd.job):
+            with pytest.raises(ResourceManagerError, match="no such job"):
+                verb(job_id)
+        with pytest.raises(ResourceManagerError, match="no such job"):
+            pool.schedd.attach_tool(job_id, "paradynd", "-a%pid")
+        assert job.status is JobStatus.COMPLETED and job.exit_code == 0
+        assert trace.events(action="job_removed") == []
+        assert job not in pool.schedd.jobs()
+
+    def test_after_its_claim_is_released(self, pool):
+        pool, trace = pool
+        job_id, job = self.finished_job(pool)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+            pool.matchmaker.reserved_count() or pool.startds["node1"].claimed
+        ):
+            time.sleep(0.01)
+        assert not pool.startds["node1"].claimed
+        self.assert_gone(pool, trace, job_id, job)
+
+    def test_before_its_claim_is_released(self, pool, monkeypatch):
+        """The release worker has not run yet: the finished starter still
+        holds the claim, and is not asked to kill anything."""
+        pool, trace = pool
+        released = threading.Event()
+        release_job = Schedd._release_job
+
+        def held_release(self, job_id):
+            released.wait(timeout=30.0)
+            release_job(self, job_id)
+
+        monkeypatch.setattr(Schedd, "_release_job", held_release)
+        job_id, job = self.finished_job(pool)
+        assert pool.startds["node1"].claimed
+        try:
+            self.assert_gone(pool, trace, job_id, job)
+        finally:
+            released.set()

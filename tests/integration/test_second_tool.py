@@ -11,6 +11,7 @@ import pytest
 
 from repro.condor.job import JobStatus
 from repro.condor.pool import CondorPool
+from repro.condor.starter import Starter
 from repro.condor.tools import ToolRegistry
 from repro.debugger.daemon import parse_tdb_args, register_tdb
 from repro.errors import ToolError
@@ -47,6 +48,21 @@ def world():
         )
         yield cluster, pool, trace
         pool.stop()
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every starter the test's pool spawns, taken as it starts: a startd
+    lets a starter go with its claim once the job has finished."""
+    starters = []
+    start = Starter.start
+
+    def recording_start(self):
+        starters.append(self)
+        start(self)
+
+    monkeypatch.setattr(Starter, "start", recording_start)
+    return starters
 
 
 class TestArgs:
@@ -88,11 +104,11 @@ class TestDebuggerUnderCondor:
         assert "breakpoint at compute_b cleared" in log  # -x2
         assert "target exited with code 0" in log
 
-    def test_stack_reported_at_stop(self, world):
+    def test_stack_reported_at_stop(self, world, spawned):
         cluster, pool, trace = world
         job = pool.submit_file(tdb_submit())[0]
         job.wait_terminal(timeout=60.0)
-        starter = pool.startds["node1"].starters()[0]
+        starter = spawned[0]
         daemon = starter._tool_handle.daemon  # type: ignore[attr-defined]
         assert daemon.reports, "no breakpoint reports captured"
         first = daemon.reports[0]
@@ -121,13 +137,13 @@ class TestDebuggerUnderCondor:
         pid_puts = [e for e in puts if e.details.get("attribute") == "pid"]
         assert len(pid_puts) == 2
 
-    def test_multiple_breakpoints(self, world):
+    def test_multiple_breakpoints(self, world, spawned):
         cluster, pool, trace = world
         job = pool.submit_file(
             tdb_submit(breakpoints=("compute_a", "write_output"))
         )[0]
         assert job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
-        starter = pool.startds["node1"].starters()[0]
+        starter = spawned[0]
         daemon = starter._tool_handle.daemon  # type: ignore[attr-defined]
         functions_hit = {r.function for r in daemon.reports}
         assert functions_hit == {"compute_a", "write_output"}
