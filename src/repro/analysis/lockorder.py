@@ -145,9 +145,8 @@ DEFAULT = LockHierarchy([
     LockDecl("attrspace.server.AttributeSpaceServer._conn_lock", 20,
              note="connection table"),
     LockDecl("attrspace.server.AttributeSpaceServer._lease_lock", 21,
-             note="session-lease table; nests inside _conn_lock is FORBIDDEN "
-                  "by rank — sweeper reads conn table and lease table in "
-                  "separate holds"),
+             note="session-lease table and its armed expiry deadlines; "
+                  "nests inside _conn_lock is FORBIDDEN by rank"),
     LockDecl("tdp.handle.TdpHandle._lock", 20, note="handle lifecycle/service thread"),
     LockDecl("tdp.process.ProcessControlService._lock", 20,
              note="control-request bookkeeping"),
@@ -212,8 +211,8 @@ DEFAULT = LockHierarchy([
     LockDecl("attrspace.server._SessionLease._lock", 64,
              note="one session's reply cache + inflight table; taken on "
                   "request threads (cache-before-enqueue, ahead of the "
-                  "channel offer) and under _lease_lock (sweeper "
-                  "expiry re-check)"),
+                  "channel offer) and under _lease_lock (the holder "
+                  "check when a deadline is armed or fires)"),
     LockDecl("transport.eventloop.ServerSocketLoop._lock", 65,
              note="event-loop cross-thread state: per-conn outbound "
                   "buffers, dirty/close queues, stop latch; holds cover "
@@ -231,9 +230,10 @@ DEFAULT = LockHierarchy([
     LockDecl("transport.proxy.ProxyServer._lock", 62, note="tunnel table"),
 
     # -- clocks --------------------------------------------------------------
-    LockDecl("util.clock.VirtualClock._cond", 80,
-             note="virtual now + pending-timer heap (timer service waits "
-                  "on it for due deadlines)"),
+    LockDecl("util.clock._Timers._cond", 80,
+             note="one timebase's deadline heap (the process-wide wall "
+                  "heap, or a VirtualClock's, with its now); the service "
+                  "waits on it and runs callbacks with it released"),
 
     # -- leaves (never call out while held) ----------------------------------
     LockDecl("util.sync.Latch._lock", 90, note="one-shot gate payload"),

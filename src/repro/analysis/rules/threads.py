@@ -7,11 +7,12 @@ threads hang interpreter shutdown, and there is no single place to add
 diagnostics or accounting.  All creation funnels through
 :func:`repro.util.threads.spawn`, the one sanctioned call site.
 
-The same argument holds for ``threading.Timer``: a raw wall-clock timer
-in daemon code silently breaks simulated time (a blocking-get timeout
-armed on the wall clock fires mid-scenario regardless of the virtual
-clock), so delayed callbacks go through ``Clock.call_later`` and only
-``repro.util.clock`` may touch ``threading.Timer`` directly.
+The same argument holds for ``threading.Timer``, with no sanctioned
+site at all: a raw wall-clock timer in daemon code silently breaks
+simulated time (a blocking-get timeout armed on the wall clock fires
+mid-scenario regardless of the virtual clock) and costs a thread per
+pending timeout, so delayed callbacks go through ``Clock.call_later``,
+whose timers are entries on one deadline heap per timebase.
 """
 
 from __future__ import annotations
@@ -56,20 +57,15 @@ class BareThread(Rule):
                 )
 
 
-_TIMER_SANCTIONED_MODULES = {"repro.util.clock"}
-
-
 @register
 class RawTimer(Rule):
     name = "raw-timer"
     description = (
-        "threading.Timer() outside repro.util.clock; use "
-        "Clock.call_later so timeouts follow the scenario clock"
+        "threading.Timer(); use Clock.call_later so timeouts follow "
+        "the scenario clock and cost a heap entry, not a thread"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.modname in _TIMER_SANCTIONED_MODULES:
-            return
         imported_timer_directly = any(
             isinstance(node, ast.ImportFrom)
             and node.module == "threading"

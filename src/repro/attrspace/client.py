@@ -366,7 +366,7 @@ class _Session:
 
         Without this, a close that races an outage would leak the
         membership until the lease expires.  Best-effort with a couple of
-        retries; the lease sweeper remains the backstop.
+        retries; the server's lease expiry remains the backstop.
         """
         if self._dial is None:
             return

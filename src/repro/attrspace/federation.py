@@ -30,7 +30,7 @@ This module is the upstream collaborator an
 
 Threading: the federation has no thread of its own.  A forward, a
 forwarded get, a dial and an aggregated subscribe run on the caller's
-thread (the server's serving loop, or its lease sweeper for purges);
+thread (the serving loop, or the wall-timer thread for expiry purges);
 a forward is one non-blocking submit onto the session, whose reply —
 like every aggregated notification — is handled on that session's
 receive thread.  ``_lock`` (rank 22) guards the interests, the session
@@ -119,9 +119,9 @@ class LassFederation:
 
     Owned by the server that was constructed with an upstream.  Every
     entry point runs on its caller's thread — the server's serving loop,
-    or its lease sweeper for purges.  A forward never waits for its
-    answer: it is one submit onto the context's session, completed on
-    that session's receive thread.
+    or the wall-timer thread for expiry purges.  A forward never waits
+    for its answer: it is one submit onto the context's session,
+    completed on that session's receive thread.
     """
 
     def __init__(

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import threading
-import time
 from typing import Any, Callable
 
 from repro import errors, obs
@@ -57,7 +57,6 @@ from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, TimerHandle, WallClock
 from repro.util.log import get_logger
 from repro.util.sync import AtomicCounter, tracked_lock
-from repro.util.threads import spawn
 
 _log = get_logger("attrspace.server")
 
@@ -71,6 +70,10 @@ _REPLY_CACHE_LIMIT = 256
 #: long before its backlog costs real memory.
 OUTBOUND_QUEUE_LIMIT = 512
 
+#: Lease deadlines run on wall time even on a server whose gets time out
+#: on a virtual clock: a lease measures how long a peer has been gone.
+_LEASE_CLOCK = WallClock()
+
 
 class ServerRole(enum.Enum):
     LASS = "lass"  # Local Attribute Space Server (one per execution host)
@@ -83,8 +86,8 @@ class _SessionLease:
     A lease outlives any single connection: a client that reconnects
     within the TTL presents the same session token, resumes the lease,
     and may replay in-flight requests — the reply cache and in-flight
-    table make that replay at-most-once.  A lease whose connection is
-    dead past the TTL is *expired*: the member is detached from its
+    table make that replay at-most-once.  A lease whose connection has
+    been dead for the TTL is *expired*: the member is detached from its
     contexts and its ephemeral attributes are purged.
     """
 
@@ -92,7 +95,6 @@ class _SessionLease:
         self.token = token
         self.member = member
         self.ttl = ttl
-        self._deadline = time.monotonic() + ttl
         self._contexts: set[str] = set()
         self.conn_id: int | None = None
         #: req id -> cached reply frame (insertion-ordered for trimming)
@@ -103,16 +105,11 @@ class _SessionLease:
         self._inflight: dict[int, int] = {}
         self._lock = tracked_lock("attrspace.server._SessionLease._lock")
 
-    def renew(self) -> None:
-        with self._lock:
-            self._deadline = time.monotonic() + self.ttl
-
     def resume(self, conn_id: int, ttl: float) -> None:
-        """Bind the lease to a (re)attaching connection and renew it."""
+        """Bind the lease to a (re)attaching connection."""
         with self._lock:
             self.conn_id = conn_id
             self.ttl = ttl
-            self._deadline = time.monotonic() + ttl
 
     def holder(self) -> int | None:
         """The conn_id currently bound to this lease (None if detached)."""
@@ -122,10 +119,6 @@ class _SessionLease:
     def granted_ttl(self) -> float:
         with self._lock:
             return self.ttl
-
-    def expired(self, now: float) -> bool:
-        with self._lock:
-            return now >= self._deadline
 
     def add_context(self, context: str) -> None:
         with self._lock:
@@ -283,9 +276,9 @@ class AttributeSpaceServer:
         self._lease_lock = tracked_lock(
             "attrspace.server.AttributeSpaceServer._lease_lock"
         )
-        self._lease_sweep_interval = 0.05
-        self._sweeper: threading.Thread | None = None
-        self._sweeper_started = False
+        #: session token -> the wall deadline armed when the lease's
+        #: connection died; guarded by _lease_lock
+        self._lease_expiries: dict[str, TimerHandle] = {}
         #: Per-server metrics registry: two servers in one process never
         #: share a counter, and ``obs dump`` names each server's series.
         self.metrics = obs.MetricsRegistry(self.name)
@@ -330,11 +323,11 @@ class AttributeSpaceServer:
         self._loop.stop()
         self._listener.close()
         with self._lease_lock:
-            sweeper = self._sweeper
-            self._sweeper = None
+            expiries = list(self._lease_expiries.values())
+            self._lease_expiries.clear()
             self._leases.clear()
-        if sweeper is not None:
-            sweeper.join(timeout=5.0)
+        for timer in expiries:
+            timer.cancel()
         if self.federation is not None:
             self.federation.stop()
 
@@ -380,8 +373,10 @@ class AttributeSpaceServer:
         # Graceful: frames already queued on the channel still go out.
         conn.channel.close()
         # The lease (if any) is deliberately NOT released here: the whole
-        # point is surviving the connection.  The sweeper expires it when
-        # no successor connection resumes it within the TTL.
+        # point is surviving the connection.  It expires TTL after this
+        # close unless a successor connection resumes it first.
+        if conn.lease is not None:
+            self._arm_lease_expiry(conn.lease, conn.conn_id)
 
     def _disconnect_slow(self, conn: _Connection) -> None:
         """Slow-subscriber policy: cut off a connection whose outbound
@@ -461,7 +456,6 @@ class AttributeSpaceServer:
         """
         lease = conn.lease
         assert lease is not None
-        lease.renew()
         cached = lease.cached_reply(req)
         if cached is not None:
             self.stats["replayed_replies"].increment()
@@ -518,8 +512,6 @@ class AttributeSpaceServer:
             # session token needs no echo: the client owns it already).
             reply["lease_ttl"] = float(ttl)
         conn.send(reply)
-        if leased:
-            self._ensure_sweeper()
 
     def _acquire_lease(
         self, token: str, member: str, ttl: float, conn: _Connection
@@ -531,6 +523,9 @@ class AttributeSpaceServer:
                 lease = _SessionLease(token, member, ttl)
                 self._leases[token] = lease
             lease.resume(conn.conn_id, ttl)
+            expiry = self._lease_expiries.pop(token, None)
+        if expiry is not None:
+            expiry.cancel()
         if resumed:
             self.stats["resumed_sessions"].increment()
             obs.record(
@@ -543,57 +538,35 @@ class AttributeSpaceServer:
             )
         return lease, resumed
 
-    def _ensure_sweeper(self) -> None:
+    def _arm_lease_expiry(self, lease: _SessionLease, conn_id: int) -> None:
+        """``conn_id``, the lease's connection, died: expire the lease
+        TTL from now unless a successor connection resumes it first."""
         with self._lease_lock:
-            if self._sweeper_started or self._stopped.is_set():
+            if self._leases.get(lease.token) is not lease or lease.holder() != conn_id:
+                return  # released, or already resumed elsewhere
+            self._lease_expiries[lease.token] = _LEASE_CLOCK.call_later(
+                lease.granted_ttl(),
+                functools.partial(self._expire_if_dead, lease, conn_id),
+            )
+
+    def _expire_if_dead(self, lease: _SessionLease, conn_id: int) -> None:
+        """The lease's deadline (wall timer thread): expiry is the
+        deferred ``tdp_exit`` — the member is detached from every lease
+        context and its ephemeral attributes are purged, so a crashed
+        daemon cannot pin a context (or a stale heartbeat) open forever.
+        A resume since ``conn_id`` died wins over expiry."""
+        with self._lease_lock:
+            if self._leases.get(lease.token) is not lease or lease.holder() != conn_id:
                 return
-            self._sweeper_started = True
-        sweeper = spawn(self._sweep_leases, name=f"{self.name}-leases")
-        # Publish the handle under the lock: a concurrent stop() must
-        # either see it (and join it) or see _stopped already set.
-        with self._lease_lock:
-            self._sweeper = sweeper
-
-    def _sweep_leases(self) -> None:
-        """Expire leases whose connection died and whose TTL has lapsed.
-
-        Expiry is the deferred ``tdp_exit``: the member is detached from
-        every lease context and its ephemeral attributes are purged, so a
-        crashed daemon cannot pin a context (or a stale heartbeat) open
-        forever.
-        """
-        while not self._stopped.wait(self._lease_sweep_interval):
-            now = time.monotonic()
-            with self._lease_lock:
-                candidates = list(self._leases.items())
-            for token, lease in candidates:
-                if not lease.expired(now):
-                    continue
-                conn_id = lease.holder()
-                with self._conn_lock:
-                    alive = conn_id is not None and conn_id in self._connections
-                if alive:
-                    # A live (if idle) connection keeps its lease.
-                    lease.renew()
-                    continue
-                with self._lease_lock:
-                    # Re-check under the table lock: a concurrent resume
-                    # renews the deadline and must win over expiry.
-                    if self._leases.get(token) is not lease or not lease.expired(
-                        time.monotonic()
-                    ):
-                        continue
-                    del self._leases[token]
-                self._expire_lease(lease)
-
-    def _expire_lease(self, lease: _SessionLease) -> None:
+            del self._leases[lease.token]
+            self._lease_expiries.pop(lease.token, None)
         self.stats["expired_leases"].increment()
         obs.record(
             "lease.expired", actor=self.name,
             token=lease.token[:8], member=lease.member,
         )
         _log.warning(
-            "%s: lease %s (%s) expired after %.3gs silence",
+            "%s: lease %s (%s) expired %.3gs after its connection closed",
             self.name, lease.token[:8], lease.member, lease.granted_ttl(),
         )
         for context in lease.contexts():
@@ -625,10 +598,14 @@ class AttributeSpaceServer:
             if isinstance(session, str):
                 with self._lease_lock:
                     lease = self._leases.get(session)
+        expiry = None
         if lease is not None and lease.drop_context(context):
             with self._lease_lock:
                 if self._leases.get(lease.token) is lease:
                     del self._leases[lease.token]
+                    expiry = self._lease_expiries.pop(lease.token, None)
+        if expiry is not None:
+            expiry.cancel()  # detached over a fresh channel after a cut
         conn.send(protocol.ok_reply(req))
 
     def _origin_of(self, request: dict[str, Any]) -> str | None:

@@ -7,13 +7,13 @@ latency measurements use wall time.  Code that needs "a clock" takes a
 :class:`Clock` so either can be injected.
 
 Deferred callbacks go through the same abstraction: :meth:`Clock.call_later`
-arms a one-shot timer on the clock's own timebase.  On a
-:class:`WallClock` that is a real ``threading.Timer`` (this module is the
-one sanctioned site for it — see the ``raw-timer`` lint rule); on a
-:class:`VirtualClock` the timer fires when :meth:`~VirtualClock.advance`
-moves virtual time past the deadline, so a scenario-clock run cannot
-have wall-time timeouts firing under it.  Either way the callback runs
-on a dedicated timer thread with no locks held.
+arms a one-shot timer on the clock's own timebase — an entry on that
+timebase's deadline heap, served by one lazily started thread.  Every
+:class:`WallClock` shares one process-wide heap; each
+:class:`VirtualClock` has its own, whose timers fire only when
+:meth:`~VirtualClock.advance` passes them, so a scenario-clock run cannot
+have wall-time timeouts firing under it.  Callbacks run one after another
+on the timebase's thread with no locks held, so they must not block.
 """
 
 from __future__ import annotations
@@ -24,29 +24,128 @@ import threading
 import time
 from abc import ABC, abstractmethod
 
+from repro.util.log import get_logger
 from repro.util.sync import tracked_condition
+
+_log = get_logger("util.clock")
 
 
 class TimerHandle:
-    """Cancellation handle for one :meth:`Clock.call_later` registration.
+    """One :meth:`Clock.call_later` registration: its entry in the
+    timebase's deadline heap, and the handle that cancels it."""
 
-    ``cancel()`` is idempotent and returns True when it prevented the
-    callback from running (best-effort: a callback already started on
-    the timer thread cannot be recalled).
-    """
+    __slots__ = ("deadline", "seq", "callback", "_timers")
 
-    def __init__(self, cancel_fn) -> None:
-        self._cancel_fn = cancel_fn
-        # tdp-guard: _cancelled -> volatile
-        # (best-effort cancel latch: a racing double-cancel calls the
-        # underlying idempotent timer cancel twice, which is benign)
-        self._cancelled = False
+    def __init__(self, deadline: float, seq: int, callback, timers: "_Timers") -> None:
+        self.deadline = deadline
+        self.seq = seq
+        #: None once the timer fired or was cancelled
+        self.callback = callback
+        self._timers = timers
+
+    def __lt__(self, other: "TimerHandle") -> bool:
+        return (self.deadline, self.seq) < (other.deadline, other.seq)
 
     def cancel(self) -> bool:
-        if self._cancelled:
-            return False
-        self._cancelled = True
-        return bool(self._cancel_fn())
+        """Idempotent; True when it prevented the callback from running
+        (a callback already started cannot be recalled).  The callback
+        reference is dropped at once."""
+        return self._timers._cancel(self)
+
+
+class _Timers:
+    """One timebase's deadline heap and the lazily started thread that
+    serves it.  As written the timebase is virtual: ``_now`` moves only
+    when a :class:`VirtualClock` advances it, which wakes the service."""
+
+    _thread_name = "vclock-timers"
+
+    def __init__(self, start: float = 0.0) -> None:
+        # Guards now and the heap; the service thread waits on it for
+        # the head deadline.
+        self._cond = tracked_condition("util.clock._Timers._cond")
+        self._now = float(start)
+        self._heap: list[TimerHandle] = []
+        self._seq = itertools.count()
+        #: cancelled entries still in the heap
+        self._cancelled = 0
+        self._service: threading.Thread | None = None
+
+    def _time(self) -> float:
+        """The timebase's now; called with ``_cond`` held."""
+        return self._now
+
+    def _wait_for(self, head: TimerHandle | None) -> None:
+        """Park the service thread (``_cond`` held) until ``head`` may be due."""
+        self._cond.wait()  # VirtualClock.advance notifies
+
+    def call_later(self, delay: float, callback) -> TimerHandle:
+        with self._cond:
+            entry = TimerHandle(
+                self._time() + max(0.0, float(delay)), next(self._seq), callback, self
+            )
+            heapq.heappush(self._heap, entry)
+            if self._service is None:
+                from repro.util.threads import spawn
+
+                self._service = spawn(self._serve, name=self._thread_name)
+            elif self._heap[0] is entry:
+                self._cond.notify()  # a new head: the service's wait is too long
+        return entry
+
+    def _cancel(self, entry: TimerHandle) -> bool:
+        with self._cond:
+            if entry.callback is None:
+                return False
+            entry.callback = None
+            self._cancelled += 1
+            if 2 * self._cancelled > len(self._heap):
+                # Most of the heap is dead weight (timeouts satisfied
+                # early): rebuild it, as asyncio's event loop does.
+                self._heap = [e for e in self._heap if e.callback is not None]
+                heapq.heapify(self._heap)
+                self._cancelled = 0
+            return True
+
+    def _serve(self) -> None:
+        """Timer-service loop: pop due timers, run their callbacks.
+
+        Runs forever (daemon thread); parked on the condition whenever
+        nothing is due, so an idle timebase costs nothing.
+        """
+        while True:
+            with self._cond:
+                while True:
+                    heap = self._heap
+                    if heap and heap[0].callback is None:
+                        heapq.heappop(heap)
+                        self._cancelled -= 1
+                    elif heap and heap[0].deadline <= self._time():
+                        entry = heapq.heappop(heap)
+                        callback, entry.callback = entry.callback, None
+                        break
+                    else:
+                        self._wait_for(heap[0] if heap else None)
+            try:
+                callback()
+            except Exception:  # noqa: BLE001 — one callback must not kill the timebase
+                _log.exception("timer callback %r failed", callback)
+            del callback  # a fired timer keeps nothing alive
+
+
+class _WallTimers(_Timers):
+    """The process-wide wall-time heap every :class:`WallClock` shares."""
+
+    _thread_name = "wall-timers"
+
+    def _time(self) -> float:
+        return time.monotonic()
+
+    def _wait_for(self, head: TimerHandle | None) -> None:
+        self._cond.wait(None if head is None else head.deadline - time.monotonic())
+
+
+_WALL_TIMERS = _WallTimers()
 
 
 class Clock(ABC):
@@ -73,34 +172,10 @@ class WallClock(Clock):
         return time.monotonic()
 
     def call_later(self, delay: float, callback) -> TimerHandle:
-        timer = threading.Timer(max(0.0, float(delay)), callback)
-        timer.daemon = True
-        timer.name = "wallclock-timer"
-        timer.start()
-
-        def cancel() -> bool:
-            timer.cancel()
-            return True
-
-        return TimerHandle(cancel)
+        return _WALL_TIMERS.call_later(delay, callback)
 
 
-class _VTimer:
-    """One pending virtual-clock timer (heap entry)."""
-
-    __slots__ = ("deadline", "seq", "callback", "cancelled")
-
-    def __init__(self, deadline: float, seq: int, callback) -> None:
-        self.deadline = deadline
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def __lt__(self, other: "_VTimer") -> bool:
-        return (self.deadline, self.seq) < (other.deadline, other.seq)
-
-
-class VirtualClock(Clock):
+class VirtualClock(_Timers, Clock):
     """Virtual time advanced explicitly by the simulation kernel.
 
     Thread-safe: the scheduler thread advances it while daemon threads
@@ -114,16 +189,6 @@ class VirtualClock(Clock):
     a timeout callback is free to take store/connection locks.
     """
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-        # One condition guards now + the timer heap: readers/advancers
-        # take it as the old _lock, and the timer-service thread waits
-        # on it for due deadlines.
-        self._cond = tracked_condition("util.clock.VirtualClock._cond")
-        self._timers: list[_VTimer] = []
-        self._timer_seq = itertools.count()
-        self._service: threading.Thread | None = None
-
     def now(self) -> float:
         with self._cond:
             return self._now
@@ -134,7 +199,7 @@ class VirtualClock(Clock):
             raise ValueError(f"cannot advance virtual clock by {delta!r}")
         with self._cond:
             self._now += delta
-            if self._timers:
+            if self._heap:
                 self._cond.notify_all()
             return self._now
 
@@ -143,51 +208,9 @@ class VirtualClock(Clock):
         with self._cond:
             if t > self._now:
                 self._now = t
-                if self._timers:
+                if self._heap:
                     self._cond.notify_all()
             return self._now
-
-    def call_later(self, delay: float, callback) -> TimerHandle:
-        entry: _VTimer
-        with self._cond:
-            entry = _VTimer(
-                self._now + max(0.0, float(delay)), next(self._timer_seq), callback
-            )
-            heapq.heappush(self._timers, entry)
-            if self._service is None:
-                from repro.util.threads import spawn
-
-                self._service = spawn(self._serve_timers, name="vclock-timers")
-            self._cond.notify_all()
-
-        def cancel() -> bool:
-            with self._cond:
-                entry.cancelled = True
-                return True
-
-        return TimerHandle(cancel)
-
-    def _serve_timers(self) -> None:
-        """Timer-service loop: pop due timers, run their callbacks.
-
-        Runs forever (daemon thread); parked on the condition whenever
-        nothing is due, so an idle clock costs nothing.
-        """
-        while True:
-            due: list[_VTimer] = []
-            with self._cond:
-                while True:
-                    while self._timers and self._timers[0].cancelled:
-                        heapq.heappop(self._timers)
-                    if self._timers and self._timers[0].deadline <= self._now:
-                        due.append(heapq.heappop(self._timers))
-                        continue
-                    if due:
-                        break
-                    self._cond.wait()
-            for entry in due:
-                if not entry.cancelled:
-                    entry.callback()
 
 
 class StopwatchResult:

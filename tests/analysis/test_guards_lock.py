@@ -74,7 +74,7 @@ def test_known_guards_are_pinned():
     assert fields["sim.process.SimProcess.stop_reason"]["witness"] is True
     assert fields["attrspace.client._Session._channel"]["guard"] \
         == "attrspace.client._Session._lock"
-    assert fields["attrspace.server._SessionLease._deadline"]["witness"] is True
+    assert fields["attrspace.server._SessionLease.conn_id"]["witness"] is True
     # Declared disciplines survive the round-trip: a benign-race latch
     # and a thread-confinement.
     assert fields["condor.startd.Startd._stopped"]["guard"] == "volatile"

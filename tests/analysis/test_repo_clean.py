@@ -265,9 +265,6 @@ def test_one_serving_contract():
 #: (module, function), each with its reason.  Everything else learns of
 #: an event from whoever causes it.
 TIMED_WAIT_ALLOWED = {
-    ("attrspace.server", "_sweep_leases"): (
-        "lease sweep: a lease expires by the clock, and nobody announces it"
-    ),
     ("paradyn.daemon", "_sample_until_exit"): (
         "sampling period: a tool's metric period is its work, not a re-check"
     ),

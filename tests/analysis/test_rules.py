@@ -364,7 +364,7 @@ class TestRawTimer:
         findings = lint_snippet(tmp_path, code, rule="raw-timer")
         assert len(findings) == 1
 
-    def test_clock_module_exempt(self, tmp_path):
+    def test_clock_module_not_exempt(self, tmp_path):
         code = """
             import threading
             t = threading.Timer(1.0, callback)
@@ -372,7 +372,7 @@ class TestRawTimer:
         findings = lint_snippet(
             tmp_path, code, modname="repro.util.clock", rule="raw-timer"
         )
-        assert findings == []
+        assert len(findings) == 1
 
     def test_other_timer_classes_not_flagged(self, tmp_path):
         code = """

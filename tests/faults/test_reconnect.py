@@ -164,8 +164,8 @@ class TestLeases:
             client.put("beat", "x", ephemeral=True)
             assert witness.try_get("beat") == "x"
 
-            # Vanish without detaching: the sweeper must reclaim the
-            # session once the lease runs out.
+            # Vanish without detaching: the lease deadline armed at the
+            # cut must reclaim the session once the TTL runs out.
             client.close(detach=False)
             assert wait_until(
                 lambda: server.stats["expired_leases"].value >= 1, timeout=5.0
@@ -190,8 +190,8 @@ class TestLeases:
             witness.close()
 
     def test_live_connection_keeps_lease_renewed(self, transport, server):
-        # TTL far below the test duration: only sweeper-side renewal for
-        # live connections keeps this session alive.
+        # TTL far below the test duration: a lease's deadline is armed
+        # only when its connection dies, so a live one never expires.
         client = reconnecting_client(transport, server, lease_ttl=0.1)
         try:
             client.put("beat", "x", ephemeral=True)
@@ -200,6 +200,75 @@ class TestLeases:
             assert server.stats["expired_leases"].value == 0
         finally:
             client.close()
+
+
+    @staticmethod
+    def _attach(channel, token, ttl, req=1):
+        channel.send({
+            "op": "attach", "req": req, "context": "job", "member": "m",
+            "session": token, "lease_ttl": ttl,
+        })
+        reply = channel.recv(timeout=5.0)
+        assert reply["ok"] is True
+        return reply
+
+    def test_idle_session_cut_after_its_ttl_still_resumes(self, transport, server):
+        """The TTL is the grace after the cut, however long the session
+        sat idle before it: the deadline counts from the disconnect."""
+        ttl = 0.5
+        first = transport.connect("submit", server.endpoint, timeout=5.0)
+        assert self._attach(first, "tok-idle", ttl)["resumed"] is False
+        time.sleep(0.95)  # idle for almost two TTLs on a live connection
+        first.close()  # the cut
+        time.sleep(0.15)  # reconnect well inside the grace
+
+        second = transport.connect("submit", server.endpoint, timeout=5.0)
+        try:
+            assert self._attach(second, "tok-idle", ttl, req=2)["resumed"] is True
+            assert server.stats["expired_leases"].value == 0
+        finally:
+            second.close()
+
+    def test_expiry_comes_no_sooner_than_the_ttl_after_the_cut(
+        self, transport, server
+    ):
+        ttl = 0.3
+        witness = raw_client(transport, server, member="witness")
+        channel = transport.connect("submit", server.endpoint, timeout=5.0)
+        try:
+            self._attach(channel, "tok-cut", ttl)
+            channel.send({"op": "put", "req": 2, "context": "job",
+                          "attribute": "beat", "value": "x", "ephemeral": True})
+            assert channel.recv(timeout=5.0)["ok"] is True
+            time.sleep(2 * ttl)  # idle past the TTL before the cut
+
+            cut = time.monotonic()
+            channel.close()
+            assert wait_until(
+                lambda: server.stats["expired_leases"].value >= 1, timeout=5.0,
+                interval=0.001,
+            )
+            assert time.monotonic() - cut >= ttl
+            with pytest.raises(errors.NoSuchAttributeError):
+                witness.try_get("beat")
+        finally:
+            witness.close()
+
+    def test_detach_after_the_cut_disarms_the_expiry(self, transport, server):
+        first = transport.connect("submit", server.endpoint, timeout=5.0)
+        self._attach(first, "tok-gone", 30.0)
+        first.close()
+        assert wait_until(lambda: "tok-gone" in server._lease_expiries)
+
+        # The out-of-band detach a closing client sends mid-outage.
+        second = transport.connect("submit", server.endpoint, timeout=5.0)
+        try:
+            second.send({"op": "detach", "req": 1, "context": "job",
+                         "member": "m", "session": "tok-gone"})
+            assert second.recv(timeout=5.0)["ok"] is True
+            assert server._leases == {} and server._lease_expiries == {}
+        finally:
+            second.close()
 
 
 class TestReplayDedup:
@@ -282,7 +351,7 @@ class TestSeededChaos:
     def test_chaos_with_field_witness_live(self, monkeypatch):
         """Seeded chaos (TDP_FAULTPLAN=seed:42) with the guard witness armed.
 
-        The chaos plan forces reconnect paths, sweeper activity, and
+        The chaos plan forces reconnect paths, lease deadlines, and
         cross-thread session churn — the exact traffic the guard
         manifest claims is lock-disciplined.  With every witnessed field
         wrapped, any unguarded touch on those paths raises
