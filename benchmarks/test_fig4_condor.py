@@ -14,6 +14,7 @@ from repro.condor.pool import CondorPool
 from repro.condor.submit import SubmitDescription
 from repro.sim.cluster import SimCluster
 from repro.util.clock import Stopwatch
+from repro.util.log import TraceRecorder
 
 
 def run_one_job(pool):
@@ -26,7 +27,8 @@ def run_one_job(pool):
 
 def test_fig4_daemon_interactions(benchmark):
     cluster = SimCluster.flat(["submit", "node1", "node2"]).start()
-    pool = CondorPool(cluster, submit_host="submit", execute_hosts=["node1", "node2"])
+    pool = CondorPool(cluster, submit_host="submit", execute_hosts=["node1", "node2"],
+                      trace=TraceRecorder(clock=cluster.clock))
     try:
         latency, job = run_one_job(pool)
         trace = pool.trace

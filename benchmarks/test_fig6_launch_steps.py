@@ -15,10 +15,11 @@ from conftest import print_table
 
 from repro.condor.job import JobStatus
 from repro.parador.run import ParadorScenario
+from repro.util.log import TraceRecorder
 
 
 def run_pilot(trace_holder):
-    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+    with ParadorScenario(execute_hosts=["node1"], trace=TraceRecorder()) as scenario:
         run = scenario.submit_monitored("foo", "3 0.05")
         status = run.job.wait_terminal(timeout=60.0)
         run.session.wait_state("exited", timeout=30.0)

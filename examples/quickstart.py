@@ -13,10 +13,12 @@ Run:  python examples/quickstart.py
 
 from repro.paradyn.metrics import Metric
 from repro.parador.run import ParadorScenario
+from repro.util.log import TraceRecorder
 
 
 def main() -> None:
-    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+    trace = TraceRecorder()
+    with ParadorScenario(execute_hosts=["node1"], trace=trace) as scenario:
         # "foo" is the executable name from the paper's Figure 5B — a
         # multi-phase workload with a planted bottleneck in compute_b.
         run = scenario.submit_monitored("foo", "10 0.1")
@@ -30,7 +32,7 @@ def main() -> None:
         print(f"application CPU observed by the tool: {cpu:.3f}s (virtual)")
         print()
         print("TDP protocol trace (starter + paradynd):")
-        for event in scenario.trace.events():
+        for event in trace.events():
             if event.actor in ("starter", "paradynd"):
                 print(f"  {event}")
 

@@ -25,15 +25,17 @@ import sys
 
 def cmd_quickstart(_args: argparse.Namespace) -> int:
     from repro.parador.run import ParadorScenario
+    from repro.util.log import TraceRecorder
 
-    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+    trace = TraceRecorder()
+    with ParadorScenario(execute_hosts=["node1"], trace=trace) as scenario:
         run = scenario.submit_monitored("foo", "5 0.1")
         status = run.job.wait_terminal(timeout=60.0)
         run.session.wait_state("exited", timeout=30.0)
         print(f"job {run.job.job_id}: {status.value} (exit {run.job.exit_code})")
         print(f"tool observed {run.session.latest('proc_cpu'):.4f}s of app CPU")
         print()
-        for event in scenario.trace.events():
+        for event in trace.events():
             if event.actor in ("starter", "paradynd"):
                 print(f"  {event}")
     return 0
@@ -42,7 +44,7 @@ def cmd_quickstart(_args: argparse.Namespace) -> int:
 def cmd_fig3(_args: argparse.Namespace) -> int:
     from repro.attrspace.server import AttributeSpaceServer, ServerRole
     from repro.sim.cluster import SimCluster
-    from repro.util.log import TraceRecorder
+    from repro.util.log import TraceRecorder, record_event
 
     # Reuse the bench's sequence drivers (they live in benchmarks/, which
     # is not a package; inline minimal versions here instead).
@@ -64,20 +66,20 @@ def cmd_fig3(_args: argparse.Namespace) -> int:
                           backend=SimHostBackend(cluster.host("node1")))
             rm.control.serve_tool_requests()
             rm.start_service_loop()
-            trace.record("RM", "tdp_init")
+            record_event(trace, "RM", "tdp_init")
             create_mode = CreateMode.PAUSED if mode == "create" else CreateMode.RUN
             info = tdp_create_process(rm, executable, mode=create_mode)
-            trace.record("RM", "tdp_create_process", target="AP",
-                         mode=create_mode.value)
+            record_event(trace, "RM", "tdp_create_process",
+                         target="AP", mode=create_mode.value)
             tdp_put(rm, Attr.PID, str(info.pid))
             rt = tdp_init(cluster.transport, lass.endpoint, member="RT",
                           role=Role.RT, context=context, src_host="node1")
-            trace.record("RT", "tdp_init")
+            record_event(trace, "RT", "tdp_init")
             pid = int(tdp_get(rt, Attr.PID, timeout=10.0))
             tdp_attach(rt, pid)
-            trace.record("RT", "tdp_attach", pid=pid)
+            record_event(trace, "RT", "tdp_attach", pid=pid)
             tdp_continue_process(rt, pid)
-            trace.record("RT", "tdp_continue_process", pid=pid)
+            record_event(trace, "RT", "tdp_continue_process", pid=pid)
             if mode == "create":
                 tdp_wait_exit(rt, pid, timeout=10.0)
             else:

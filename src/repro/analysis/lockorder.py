@@ -249,10 +249,9 @@ DEFAULT = LockHierarchy([
              note="sample reservoir + running aggregates"),
     LockDecl("util.ids.IdAllocator._lock", 94, note="id counter"),
     LockDecl("obs.trace.SpanStore._lock", 95, note="finished-span ring"),
-    LockDecl("util.log.TraceRecorder._lock", 96, note="trace event append"),
-    LockDecl("obs.recorder.FlightRecorder._lock", 97,
-             note="event ring append; ranked above every other lock so "
-                  "obs.record is legal from any daemon context"),
+    LockDecl("util.log.TraceRecorder._lock", 97,
+             note="trace or flight-ring append; ranked above every other "
+                  "lock so an event may be recorded from any daemon context"),
 ])
 
 _ACTIVE = DEFAULT

@@ -242,8 +242,7 @@ class AttributeSpaceServer:
         self.host = host
         #: timebase for blocking-get timeouts: wall time by default; the
         #: sim's startds inject their cluster's VirtualClock so scenario
-        #: runs cannot have wall-time timers firing under virtual time
-        #: (the TraceRecorder precedent).
+        #: runs cannot have wall-time timers firing under virtual time.
         self.clock = clock if clock is not None else WallClock()
         #: the paper's LASS access rule ("a process … cannot access the
         #: LASS's of other nodes"): when set, connections from any other

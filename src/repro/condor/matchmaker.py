@@ -18,7 +18,7 @@ from repro import errors
 from repro.condor.classad import ClassAd, matches, rank
 from repro.net.address import Endpoint
 from repro.transport.base import Channel, Transport
-from repro.util.log import TraceRecorder, get_logger
+from repro.util.log import TraceRecorder, get_logger, record_event
 
 _log = get_logger("condor.matchmaker")
 
@@ -55,8 +55,7 @@ class Matchmaker:
         self._listener.close()
 
     def _record(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record("matchmaker", action, **details)
+        record_event(self._trace, "matchmaker", action, **details)
 
     # -- RPC server ----------------------------------------------------------
 

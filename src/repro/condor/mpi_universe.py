@@ -52,7 +52,7 @@ from repro.tdp.handle import Role, TdpHandle
 from repro.tdp.process import SimHostBackend
 from repro.tdp.wellknown import Attr, CreateMode
 from repro.transport.base import Transport
-from repro.util.log import TraceRecorder
+from repro.util.log import TraceRecorder, record_event
 from repro.util.strings import join_arguments, split_arguments
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
@@ -117,8 +117,7 @@ class MpiUniverseCoordinator:
         self.master_pid: int | None = None
 
     def _record(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record(f"mpi-coord/{self.job_id}", action, **details)
+        record_event(self._trace, f"mpi-coord/{self.job_id}", action, **details)
 
     @property
     def start_failure(self) -> str | None:

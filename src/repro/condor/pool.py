@@ -2,8 +2,10 @@
 
 One call builds the Figure 4 world: a matchmaker and schedd on the
 submit host, a startd (with its LASS) on every execution host, and a
-master supervising them.  The pool owns the trace recorder that the
-figure-regeneration benches read.
+master supervising them.  Its daemons record protocol events into
+``trace`` when the caller passes one (the figure-regeneration benches
+do, with ``TraceRecorder(clock=cluster.clock)`` for simulated
+timestamps); a pool built without one keeps no event per launch.
 """
 
 from __future__ import annotations
@@ -44,11 +46,7 @@ class CondorPool:
     ):
         self.cluster = cluster
         self.submit_host = submit_host
-        # Default to the cluster's virtual clock so pool traces carry
-        # simulated timestamps (wall time would mis-order against vtime).
-        self.trace = (
-            trace if trace is not None else TraceRecorder(clock=cluster.clock)
-        )
+        self.trace = trace
         self.tools = tool_registry if tool_registry is not None else ToolRegistry()
         self.matchmaker = Matchmaker(
             cluster.transport, submit_host, trace=self.trace

@@ -36,7 +36,7 @@ from repro.net.address import Endpoint, parse_endpoint
 from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, WallClock
 from repro.util.ids import IdAllocator, fresh_token
-from repro.util.log import TraceRecorder, get_logger
+from repro.util.log import TraceRecorder, get_logger, record_event
 from repro.util.sync import WaitableQueue, tracked_condition, tracked_lock
 from repro.util.threads import spawn
 
@@ -158,8 +158,7 @@ class Schedd:
         spawn(self._release_loop, name="schedd-release")
 
     def _record(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record("schedd", action, **details)
+        record_event(self._trace, "schedd", action, **details)
 
     # -- submission -------------------------------------------------------------
 

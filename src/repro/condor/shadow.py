@@ -21,7 +21,7 @@ from repro.condor.job import JobRecord, JobStatus
 from repro.net.address import Endpoint
 from repro.tdp.stdio import StdioCollector
 from repro.transport.base import Channel, Transport
-from repro.util.log import TraceRecorder, get_logger
+from repro.util.log import TraceRecorder, get_logger, record_event
 from repro.util.sync import tracked_lock
 
 _log = get_logger("condor.shadow")
@@ -90,8 +90,7 @@ class Shadow:
         return self.stdio.endpoint
 
     def _record_event(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record("shadow", action, **details)
+        record_event(self._trace, "shadow", action, **details)
 
     def _starter_connected(self, channel: Channel) -> Channel:
         self._record_event("starter_connected", peer=channel.remote_host)

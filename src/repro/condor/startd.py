@@ -32,7 +32,7 @@ from repro.condor.tools import ToolRegistry
 from repro.net.address import Endpoint, parse_endpoint
 from repro.sim.host import SimHost
 from repro.transport.base import Channel, Transport
-from repro.util.log import TraceRecorder, get_logger
+from repro.util.log import TraceRecorder, get_logger, record_event
 from repro.util.sync import tracked_lock
 
 _log = get_logger("condor.startd")
@@ -115,8 +115,7 @@ class Startd:
         self.lass.stop()
 
     def _record(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record(f"startd@{self.host.name}", action, **details)
+        record_event(self._trace, f"startd@{self.host.name}", action, **details)
 
     @property
     def claimed(self) -> bool:

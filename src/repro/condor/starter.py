@@ -42,7 +42,7 @@ from repro.tdp.process import SimHostBackend
 from repro.tdp.stdio import StdioRelay
 from repro.tdp.wellknown import Attr, CreateMode
 from repro.transport.base import Channel, Transport
-from repro.util.log import TraceRecorder, get_logger
+from repro.util.log import TraceRecorder, get_logger, record_event
 from repro.util.strings import join_arguments, split_arguments
 from repro.util.threads import spawn
 
@@ -126,8 +126,7 @@ class Starter:
             raise errors.GetTimeoutError(f"starter {self.job_id} still running")
 
     def _record(self, action: str, **details) -> None:
-        if self._trace is not None:
-            self._trace.record("starter", action, **details)
+        record_event(self._trace, "starter", action, **details)
 
     # -- user-initiated suspension (condor_hold / condor_release) ----------
 

@@ -32,7 +32,7 @@ from repro.tdp.api import (
 )
 from repro.tdp.handle import Role, TdpHandle
 from repro.tdp.wellknown import Attr
-from repro.util.log import get_logger
+from repro.util.log import get_logger, record_event
 
 _log = get_logger("debugger.daemon")
 
@@ -90,8 +90,7 @@ class DebuggerDaemon:
 
     def _log_line(self, text: str) -> None:
         self.ctx.output_sink(text)
-        if self.ctx.trace is not None:
-            self.ctx.trace.record("tdb", "log", text=text)
+        record_event(self.ctx.trace, "tdb", "log", text=text)
 
     def run(self, stop_event: threading.Event) -> None:
         ctx = self.ctx

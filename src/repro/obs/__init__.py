@@ -46,7 +46,7 @@ from repro.obs.trace import (
     spans,
     store,
 )
-from repro.obs.recorder import FlightEvent, FlightRecorder, record, recorder
+from repro.obs.recorder import record, recorder
 from repro.obs import export
 
 __all__ = [
@@ -71,8 +71,6 @@ __all__ = [
     "span",
     "spans",
     "store",
-    "FlightEvent",
-    "FlightRecorder",
     "record",
     "recorder",
     "export",

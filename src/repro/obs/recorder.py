@@ -1,11 +1,12 @@
-"""The flight recorder: a bounded ring of structured events per process.
+"""The flight ring: a bounded :class:`~repro.util.log.TraceRecorder` per process.
 
 Every daemon records milestones (session lost/reestablished, lease
 expiry, fault injections with their plan seed + site, sim process exits,
-finished spans) into one process-global ring.  The ring is fixed-size —
-recording never grows memory without bound — and cheap to keep on in
-long runs, which is the point: when a test fails or a chaos run goes
-sideways, the last few thousand events are already in memory.
+finished spans) into one process-global ring, and every protocol event
+reaches it through :func:`repro.util.log.record_event`.  The ring is
+fixed-size — recording never grows memory without bound — and cheap to
+keep on in long runs, which is the point: when a test fails or a chaos
+run goes sideways, the last few thousand events are already in memory.
 
 Consumers: the pytest failure hook (``tests/conftest.py``) attaches the
 tail of the ring to failed-test reports; ``python -m repro obs dump``
@@ -16,95 +17,24 @@ Recording is a no-op while obs is disabled (:mod:`repro.obs.state`).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import state
-from repro.util.sync import tracked_lock
+from repro.util.log import TraceEvent, TraceRecorder
 
 #: Default ring capacity (events retained per process).
 RING_CAPACITY = 4096
 
-
-@dataclass(frozen=True)
-class FlightEvent:
-    """One recorded event: ring-global seq, monotonic timestamp, payload."""
-
-    seq: int
-    ts: float
-    kind: str
-    actor: str
-    fields: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "ts": round(self.ts, 9),
-            "kind": self.kind,
-            "actor": self.actor,
-            **self.fields,
-        }
-
-    def __str__(self) -> str:
-        det = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"[{self.seq:5d}] {self.ts:14.6f} {self.actor:<18} {self.kind:<26} {det}"
+_RING = TraceRecorder(capacity=RING_CAPACITY)
 
 
-class FlightRecorder:
-    """Thread-safe fixed-size ring of :class:`FlightEvent`."""
-
-    def __init__(self, capacity: int = RING_CAPACITY):
-        import collections
-
-        self.capacity = capacity
-        self._ring: "Any" = collections.deque(maxlen=capacity)
-        self._seq = 0
-        self._lock = tracked_lock("obs.recorder.FlightRecorder._lock")
-
-    def record(self, kind: str, actor: str = "", **fields: Any) -> FlightEvent | None:
-        """Append one event; returns it, or ``None`` while obs is off."""
-        if not state.enabled():
-            return None
-        with self._lock:
-            self._seq += 1
-            ev = FlightEvent(
-                seq=self._seq, ts=time.monotonic(), kind=kind, actor=actor,
-                fields=fields,
-            )
-            self._ring.append(ev)
-            return ev
-
-    def events(self, kind: str | None = None, actor: str | None = None) -> list[FlightEvent]:
-        with self._lock:
-            snapshot = list(self._ring)
-        return [
-            e for e in snapshot
-            if (kind is None or e.kind == kind) and (actor is None or e.actor == actor)
-        ]
-
-    def tail(self, n: int) -> list[FlightEvent]:
-        with self._lock:
-            snapshot = list(self._ring)
-        return snapshot[-n:]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
+def recorder() -> TraceRecorder:
+    """The process-global flight ring."""
+    return _RING
 
 
-_RECORDER = FlightRecorder()
-
-
-def recorder() -> FlightRecorder:
-    """The process-global flight recorder."""
-    return _RECORDER
-
-
-def record(kind: str, actor: str = "", **fields: Any) -> FlightEvent | None:
+def record(action: str, /, actor: str = "", **details: Any) -> TraceEvent | None:
     """Record into the process-global ring (no-op while obs is off)."""
-    return _RECORDER.record(kind, actor=actor, **fields)
+    if not state.enabled():
+        return None
+    return _RING.record(actor, action, **details)

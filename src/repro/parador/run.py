@@ -92,11 +92,8 @@ class ParadorScenario:
         )
         self._owns_cluster = cluster is None
         self.submit_host = submit_host
-        # Default trace timestamps come from the scenario's virtual clock,
-        # not wall time: simulated daemons record simulated instants.
-        self.trace = (
-            trace if trace is not None else TraceRecorder(clock=self.cluster.clock)
-        )
+        # The daemons record into ``trace`` only when the caller keeps one.
+        self.trace = trace
         self.cluster.start()
         register_mpi_programs(self.cluster.registry)
         # The pilot started the Paradyn front-end first; it publishes the

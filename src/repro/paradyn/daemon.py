@@ -43,7 +43,7 @@ from repro.tdp.proxycfg import frontend_endpoint
 from repro.tdp.wellknown import Attr, ProcStatus
 from repro.transport.base import Channel
 from repro.transport.proxy import connect_maybe_proxied
-from repro.util.log import get_logger
+from repro.util.log import get_logger, record_event
 from repro.util.threads import spawn
 
 _log = get_logger("paradyn.daemon")
@@ -145,8 +145,7 @@ class ParadynDaemon:
     # -- trace/report helpers ---------------------------------------------------
 
     def _record(self, action: str, **details) -> None:
-        if self.ctx.trace is not None:
-            self.ctx.trace.record("paradynd", action, **details)
+        record_event(self.ctx.trace, "paradynd", action, **details)
         self.ctx.output_sink(f"{action} {details}" if details else action)
 
     def _send_frontend(self, message: dict) -> None:

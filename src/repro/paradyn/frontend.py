@@ -36,7 +36,9 @@ class DaemonSession:
     pid: int
     executable: str
     functions: list[str]
-    channel: Channel
+    #: the daemon's connection; ``None`` once it closed (the session
+    #: outlives it: its series and state stay readable)
+    channel: Channel | None
     app_state: str = "attached"
     exit_code: int | None = None
     #: (metric, focus) -> list of (time, value), appended as samples arrive
@@ -101,15 +103,23 @@ class DaemonSession:
     # -- commands -----------------------------------------------------------------
 
     def cmd_run(self) -> None:
-        self.channel.send({"op": "cmd_run"})
+        self._send({"op": "cmd_run"})
 
     def cmd_enable_metric(self, metric: Metric, function: str | None) -> None:
-        self.channel.send(
+        self._send(
             {"op": "cmd_enable_metric", "metric": metric.value, "function": function}
         )
 
     def cmd_kill(self) -> None:
-        self.channel.send({"op": "cmd_kill"})
+        self._send({"op": "cmd_kill"})
+
+    def _send(self, message: dict) -> None:
+        channel = self.channel
+        if channel is None:
+            raise errors.ChannelClosedError(
+                f"paradynd {self.daemon_id} disconnected"
+            )
+        channel.send(message)
 
 
 @dataclass
@@ -134,7 +144,7 @@ class ParadynFrontend:
         self._loop = self._listener.serve_loop(
             on_channel=_Link,
             on_message=self._on_message,
-            on_closed=lambda link: None,
+            on_closed=self._on_closed,
             name=f"paradyn-frontend-{host}",
         )
 
@@ -174,6 +184,11 @@ class ParadynFrontend:
             link.session = self._register(link.channel, message)
         else:
             link.channel.close()  # not a paradynd
+
+    @staticmethod
+    def _on_closed(link: _Link) -> None:
+        if link.session is not None:
+            link.session.channel = None
 
     def _register(self, channel: Channel, hello: dict) -> DaemonSession:
         with self._lock:

@@ -199,6 +199,9 @@ class _InMemDispatcher:
                         on_closed(live.pop(channel))
                 elif channel in live:  # else refused, or already closed
                     on_message(live[channel], message)
+                # Let go before parking: the loop must not pin the last
+                # connection it served once that one has closed.
+                channel = message = token = None
         finally:
             for channel, token in live.items():
                 channel.close()

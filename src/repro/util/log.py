@@ -4,18 +4,22 @@ Two consumers need run-time event records:
 
 * Humans debugging a scenario — handled by the stdlib ``logging`` tree
   rooted at ``"repro"``.
-* The figure-regeneration benches — the paper's "figures" are protocol
-  traces (Figs. 3 and 6 are call sequences), so :class:`TraceRecorder`
-  captures ordered, queryable event tuples that the benches assert on and
-  pretty-print.
+* Protocol traces and the flight ring.  The paper's "figures" are
+  protocol traces (Figs. 3 and 6 are call sequences).  One event class,
+  :class:`TraceEvent`, one recorder class, :class:`TraceRecorder`, and
+  one record path, :func:`record_event`, serve both: a daemon appends to
+  the trace its caller passed in (if any), and to the process's bounded
+  flight ring (:mod:`repro.obs.recorder`) while obs is on.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
+
+from repro.util.sync import tracked_lock
 
 
 def get_logger(name: str) -> logging.Logger:
@@ -42,49 +46,48 @@ class TraceEvent:
             action is None or self.action == action
         )
 
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON-lines record: ``seq``, ``ts``, ``kind``, ``actor``,
+        then the details."""
+        return {
+            "seq": self.seq,
+            "ts": round(self.time, 9),
+            "kind": self.action,
+            "actor": self.actor,
+            **self.details,
+        }
+
     def __str__(self) -> str:
         det = " ".join(f"{k}={v}" for k, v in self.details.items())
-        return f"[{self.seq:4d}] {self.actor:<16} {self.action:<28} {det}"
+        return f"[{self.seq:5d}] {self.time:14.6f} {self.actor:<18} {self.action:<26} {det}"
 
 
 class TraceRecorder:
     """Thread-safe ordered recorder of :class:`TraceEvent` objects.
 
-    A single recorder is threaded through one scenario (e.g. one Parador
-    run); every daemon that participates records into it.  The benches
-    for Figures 3 and 6 then assert the exact sequences the paper draws.
+    Unbounded by default: a scenario's trace keeps every event, and the
+    benches for Figures 3 and 6 assert the exact sequences the paper
+    draws.  With ``capacity`` it is a ring that keeps the latest
+    ``capacity`` events (the process's flight ring).
     """
 
-    def __init__(self, clock=None):
+    def __init__(self, clock=None, capacity: int | None = None):
         from repro.util.clock import WallClock
 
         self._clock = clock if clock is not None else WallClock()
-        self._events: list[TraceEvent] = []
-        self._lock = threading.Lock()
+        self._events: collections.deque[TraceEvent] = collections.deque(maxlen=capacity)
+        self._lock = tracked_lock("util.log.TraceRecorder._lock")
         self._seq = 0
 
-    def record(self, actor: str, action: str, **details: Any) -> TraceEvent:
+    def record(self, actor: str, action: str, /, **details: Any) -> TraceEvent:
         """Append one event and return it."""
+        # Read the clock before the hold: a VirtualClock's read takes its
+        # own lock, ranked below this one.
+        now = self._clock.now()
         with self._lock:
             self._seq += 1
-            ev = TraceEvent(
-                seq=self._seq,
-                time=self._clock.now(),
-                actor=actor,
-                action=action,
-                details=dict(details),
-            )
+            ev = TraceEvent(self._seq, now, actor, action, details)
             self._events.append(ev)
-        # Mirror into the flight recorder (outside our own lock) so one
-        # obs dump interleaves protocol events with spans and daemon
-        # records.  Imported lazily: util.log must be importable before
-        # repro.obs exists (obs itself logs through here).
-        from repro import obs
-
-        obs.record(
-            action, actor=actor,
-            **{k: v for k, v in details.items() if k not in ("kind", "actor")},
-        )
         return ev
 
     def events(
@@ -94,6 +97,14 @@ class TraceRecorder:
         with self._lock:
             evs = list(self._events)
         return [e for e in evs if e.matches(actor, action)]
+
+    def tail(self, n: int) -> list[TraceEvent]:
+        """The latest ``n`` events."""
+        return self.events()[-n:]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._events.clear()
 
     def actions(self, actor: str | None = None) -> list[str]:
         """Just the action names, in order (the shape Figures 3/6 show)."""
@@ -142,16 +153,22 @@ class TraceRecorder:
         lines.extend(str(e) for e in self.events())
         return "\n".join(lines)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events())
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
 
 
-class NullRecorder(TraceRecorder):
-    """Recorder that drops everything (default when tracing is off)."""
+def record_event(
+    trace: TraceRecorder | None, actor: str, action: str, /, **details: Any
+) -> None:
+    """The one record path for a protocol event.
 
-    def record(self, actor: str, action: str, **details: Any) -> TraceEvent:
-        return TraceEvent(seq=0, time=0.0, actor=actor, action=action, details=details)
+    Appends to ``trace`` when the caller keeps one, and to the flight
+    ring while obs is on; with neither, no event is built.
+    """
+    if trace is not None:
+        trace.record(actor, action, **details)
+    # Imported here: repro.obs builds its ring from this module.
+    from repro import obs
+
+    obs.record(action, actor, **details)

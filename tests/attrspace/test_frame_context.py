@@ -63,10 +63,10 @@ class TestFrameError:
         try:
             protocol.frame_error("bad", frame={"op": "put", "req": 3})
             events = [e for e in obs.recorder().tail(50)
-                      if e.kind == "protocol.frame_error"]
+                      if e.action == "protocol.frame_error"]
             assert len(events) == 1
-            assert "'op': 'put'" in events[0].fields["frame"]
-            assert "op='put'" in events[0].fields["error"]
+            assert "'op': 'put'" in events[0].details["frame"]
+            assert "op='put'" in events[0].details["error"]
         finally:
             obs.set_enabled(was_enabled)
             obs.reset()
@@ -80,8 +80,8 @@ class TestFrameError:
                 "big", frame={"op": "put", "req": 1, "value": "x" * 10_000}
             )
             event = [e for e in obs.recorder().tail(50)
-                     if e.kind == "protocol.frame_error"][0]
-            assert len(event.fields["frame"]) <= 512
+                     if e.action == "protocol.frame_error"][0]
+            assert len(event.details["frame"]) <= 512
         finally:
             obs.set_enabled(was_enabled)
             obs.reset()

@@ -31,6 +31,7 @@ from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
 from repro.tdp.handle import TdpHandle
 from repro.transport.inmem import InMemoryTransport
+from repro.util.log import TraceRecorder
 
 PER_JOB_DAEMON_THREADS = (
     "matchmaker-conn", "startd-conn-", "schedd-release-",
@@ -313,7 +314,9 @@ class TestLongLivedStateSurvivesACut:
     def test_dead_cass_session_is_redialled_at_the_next_launch(self, ledger):
         """CASS mode: the front-end's address reaches paradynd only by
         dissemination, so a monitored job completing proves the read."""
-        with ParadorScenario(execute_hosts=["node1"], use_cass=True) as scenario:
+        with ParadorScenario(
+            execute_hosts=["node1"], use_cass=True, trace=TraceRecorder()
+        ) as scenario:
             cass = scenario.pool.schedd.cass.endpoint
             with ledger.recording():
                 run_monitored(scenario)

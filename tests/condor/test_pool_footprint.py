@@ -1,10 +1,13 @@
 """The pool's footprint is its live jobs.
 
 A pool launches job after job.  What a finished job leaves behind is
-its ``JobRecord`` (held by the submitter), the front end's record of its
-daemon and the scenario's trace; its starter leaves with its claim and
-its processes are reaped when the job is cleaned up.  So after a warm-up
-the counts of per-job objects stay flat however many jobs follow.
+its ``JobRecord`` (held by the submitter) and the front end's record of
+its daemon, without the daemon's closed connection; its starter leaves
+with its claim, its processes are reaped when the job is cleaned up,
+and a pool built without a trace keeps no event of it.  So after a
+warm-up the counts of per-job objects stay flat however many jobs
+follow.  Counted with obs off: the process's flight ring keeps up to
+its capacity of events whatever the launches leave.
 """
 
 import gc
@@ -12,20 +15,36 @@ import threading
 import time
 from collections import Counter
 
+import pytest
+
+from repro import obs
 from repro.attrspace.client import AttributeSpaceClient
 from repro.condor.job import JobStatus
 from repro.condor.starter import Starter
 from repro.parador.run import ParadorScenario, monitored_submit_text
 from repro.sim.process import SimProcess
 from repro.tdp.handle import TdpHandle
+from repro.transport.inmem import _InMemChannel
 from repro.util.clock import WallClock
+from repro.util.log import TraceEvent
 
-COUNTED = (Starter, SimProcess, TdpHandle, AttributeSpaceClient, threading.Thread)
+COUNTED = (
+    Starter, SimProcess, TdpHandle, AttributeSpaceClient, TraceEvent,
+    _InMemChannel, threading.Thread,
+)
 PER_JOB_THREADS = (
     "shadow-", "stdio-collect-", "starter-", "paradynd-", "mpi-",
     # the receive threads of the job's sessions end after their close
     "attr-client-starter/", "attr-client-paradynd/",
 )
+
+
+@pytest.fixture(autouse=True)
+def obs_off():
+    was = obs.enabled()
+    obs.set_enabled(False)
+    yield
+    obs.set_enabled(was)
 
 
 def census():

@@ -9,13 +9,15 @@ from repro.condor.pool import CondorPool
 from repro.condor.submit import SubmitDescription
 from repro.sim.cluster import SimCluster
 from repro.util.clock import VirtualClock
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
 def world():
     with SimCluster.flat(["submit", "node1", "node2"]) as cluster:
         pool = CondorPool(
-            cluster, submit_host="submit", execute_hosts=["node1", "node2"]
+            cluster, submit_host="submit", execute_hosts=["node1", "node2"],
+            trace=TraceRecorder(clock=cluster.clock),
         )
         yield cluster, pool
         pool.stop()

@@ -21,11 +21,14 @@ import pytest
 from repro.condor.job import JobStatus
 from repro.parador.run import ParadorScenario, monitored_submit_text
 from repro.tdp.wellknown import Attr
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
 def scenario():
-    with ParadorScenario(execute_hosts=["node1"], use_cass=True) as s:
+    with ParadorScenario(
+        execute_hosts=["node1"], use_cass=True, trace=TraceRecorder()
+    ) as s:
         yield s
 
 
@@ -92,7 +95,9 @@ class TestCassManagedFramework:
 
 class TestPilotModeStillDefault:
     def test_default_scenario_uses_port_args(self):
-        with ParadorScenario(execute_hosts=["node1"]) as scenario:
+        with ParadorScenario(
+            execute_hosts=["node1"], trace=TraceRecorder()
+        ) as scenario:
             run = scenario.submit_monitored("hello", "x")
             assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
             # In pilot mode the dissemination step has nothing published

@@ -188,9 +188,9 @@ class TestParadorChromeExport:
         from repro.parador.run import ParadorScenario
 
         with ParadorScenario(execute_hosts=["node1"]) as scenario:
-            # The scenario's default recorder ticks on the cluster's
-            # virtual clock (simulated daemons record simulated instants).
-            assert scenario.trace._clock is scenario.cluster.clock
+            # A scenario keeps a protocol trace only when its caller
+            # passes one; the spans below do not depend on it.
+            assert scenario.trace is None
             run = scenario.submit_monitored("foo", "5 0.1")
             assert run.job.wait_terminal(timeout=60.0) is not None
             run.session.wait_state("exited", timeout=30.0)

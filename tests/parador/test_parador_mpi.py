@@ -10,6 +10,7 @@ from repro.condor import mpi_universe
 from repro.condor.job import JobStatus
 from repro.mpisim.runtime import MpiRuntime
 from repro.parador.run import ParadorScenario
+from repro.util.log import TraceRecorder
 
 
 def mpi_submit_text(scenario, executable, machine_count, arguments=""):
@@ -56,7 +57,9 @@ def runtime_is_empty(scenario):
 
 @pytest.fixture
 def scenario():
-    with ParadorScenario(execute_hosts=["node1", "node2", "node3"]) as s:
+    with ParadorScenario(
+        execute_hosts=["node1", "node2", "node3"], trace=TraceRecorder()
+    ) as s:
         yield s
         assert runtime_is_empty(s)
 
@@ -162,7 +165,7 @@ class TestRankThatCannotStart:
     @pytest.fixture
     def scenario(self):
         hosts = [f"node{i}" for i in range(4)]
-        with ParadorScenario(execute_hosts=hosts) as s:
+        with ParadorScenario(execute_hosts=hosts, trace=TraceRecorder()) as s:
             yield s
             assert runtime_is_empty(s)
 

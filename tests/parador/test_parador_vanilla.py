@@ -8,11 +8,12 @@ from repro.condor.job import JobStatus
 from repro.paradyn.consultant import PerformanceConsultant
 from repro.paradyn.metrics import Metric
 from repro.parador.run import ParadorScenario
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
 def scenario():
-    with ParadorScenario(execute_hosts=["node1"]) as s:
+    with ParadorScenario(execute_hosts=["node1"], trace=TraceRecorder()) as s:
         yield s
 
 

@@ -12,6 +12,7 @@ from repro.errors import InvalidProcessStateError
 from repro.paradyn.daemon import ParadynDaemon
 from repro.parador.run import ParadorScenario
 from repro.tdp.process import SimHostBackend
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def refuse_continues(monkeypatch):
 
 def test_refused_once_is_retried_and_the_job_runs(refuse_continues):
     calls = refuse_continues(2, 2)
-    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+    with ParadorScenario(execute_hosts=["node1"], trace=TraceRecorder()) as scenario:
         run = scenario.submit_monitored("foo", "2 0.05")
         assert run.session.wait_state("running", "exited", timeout=30.0)
         assert run.job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
@@ -51,9 +52,9 @@ def test_refused_once_is_retried_and_the_job_runs(refuse_continues):
 
 def test_still_refused_is_reported_not_papered_over(refuse_continues, caplog):
     calls = refuse_continues(2, 10**9)
-    with ParadorScenario(execute_hosts=["node1"]) as scenario, caplog.at_level(
-        logging.WARNING, logger="repro.paradyn.frontend"
-    ):
+    with ParadorScenario(
+        execute_hosts=["node1"], trace=TraceRecorder()
+    ) as scenario, caplog.at_level(logging.WARNING, logger="repro.paradyn.frontend"):
         run = scenario.submit_monitored("foo", "2 0.05")
         deadline = time.monotonic() + 30.0
         while scenario.trace.first("continue_lost") is None:

@@ -7,10 +7,11 @@ stop."""
 
 from repro.condor.job import JobStatus
 from repro.parador.run import ParadorScenario
+from repro.util.log import TraceRecorder
 
 
 def test_a_lost_session_ends_paradynd_at_once():
-    with ParadorScenario(execute_hosts=["node1"]) as scenario:
+    with ParadorScenario(execute_hosts=["node1"], trace=TraceRecorder()) as scenario:
         run = scenario.submit_monitored("spin")
         assert run.session.wait_state("running", timeout=30.0)
         tool = scenario.pool.startds["node1"].starters()[0]._tool_handle

@@ -1,11 +1,13 @@
 """Paradyn front-end unit tests (daemon registry, series, commands)."""
 
 import threading
+import time
 
 import pytest
 
-from repro.errors import GetTimeoutError
+from repro.errors import ChannelClosedError, GetTimeoutError
 from repro.paradyn.frontend import ParadynFrontend
+from repro.paradyn.metrics import Metric
 from repro.sim.cluster import SimCluster
 
 
@@ -123,8 +125,6 @@ class TestCommands:
         channel = connect_fake_daemon(cluster, frontend)
         [session] = frontend.wait_for_daemons(1, timeout=10.0)
         session.cmd_run()
-        from repro.paradyn.metrics import Metric
-
         session.cmd_enable_metric(Metric.CALL_COUNT, "compute_b")
         session.cmd_kill()
         received = [channel.recv(timeout=5.0) for _ in range(3)]
@@ -133,3 +133,25 @@ class TestCommands:
         ]
         assert received[1]["function"] == "compute_b"
         channel.close()
+
+    def test_closed_session_drops_its_connection(self, world):
+        cluster, frontend = world
+        channel = connect_fake_daemon(cluster, frontend)
+        [session] = frontend.wait_for_daemons(1, timeout=10.0)
+        channel.send({"op": "app_exited", "code": 0})
+        channel.send({"op": "bye"})
+        channel.close()
+        deadline = time.monotonic() + 5.0
+        while session.channel is not None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert session.channel is None
+        # the session stays, with what it recorded
+        assert frontend.daemons() == [session]
+        assert session.app_state == "exited" and session.exit_code == 0
+        for command in (
+            session.cmd_run,
+            session.cmd_kill,
+            lambda: session.cmd_enable_metric(Metric.CALL_COUNT, None),
+        ):
+            with pytest.raises(ChannelClosedError):
+                command()

@@ -17,6 +17,7 @@ from repro.sim.cluster import SimCluster
 from repro.tdp.api import tdp_init, tdp_subscribe
 from repro.tdp.handle import Role
 from repro.tdp.process import SimHostBackend
+from repro.util.log import TraceRecorder
 
 
 @pytest.fixture
@@ -46,7 +47,8 @@ class TestOneSessionPerHandle:
         starter's handle is one session (the CASS is read through the
         startd's, not one of the job's own), and none outlives the job."""
         with ParadorScenario(
-            execute_hosts=["node1"], use_cass=True, auto_run=False
+            execute_hosts=["node1"], use_cass=True, auto_run=False,
+            trace=TraceRecorder(),
         ) as scenario:
             run = scenario.submit_monitored("foo", "2 0.05")
             run.session.wait_state("at_main", timeout=30.0)
@@ -100,7 +102,8 @@ class TestOneSessionPerHandle:
         net.add_host("node1", "cluster")
         zone.inbound.allow(src="submit")
         with SimCluster(net) as cluster, ParadorScenario(
-            execute_hosts=["node1"], cluster=cluster
+            execute_hosts=["node1"], cluster=cluster,
+            trace=TraceRecorder(clock=cluster.clock),
         ) as scenario:
             cass = scenario.pool.schedd.cass
             zone.outbound.deny(dst="submit", port=cass.endpoint.port)

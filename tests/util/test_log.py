@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.util.clock import VirtualClock
-from repro.util.log import NullRecorder, TraceRecorder
+from repro.util.log import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -86,11 +86,3 @@ class TestTraceRecorder:
         events = trace.events()
         assert len(events) == 800
         assert sorted(e.seq for e in events) == list(range(1, 801))
-
-
-class TestNullRecorder:
-    def test_drops_everything(self):
-        trace = NullRecorder()
-        trace.record("x", "a")
-        assert len(trace) == 0
-        assert trace.events() == []
