@@ -10,7 +10,7 @@ becomes a silent wire incompatibility.
 Two detection layers:
 
 * any string literal (or f-string head) using a reserved dotted shape —
-  ``proc.``/``ctl.req.``/``ctl.rep.``/``hb.``/``fault.``/``aux.`` prefixes
+  ``proc.``/``ctl.req.``/``ctl.rep.``/``presence.``/``fault.``/``aux.`` prefixes
   or the exact names ``rt.frontend``/``rm.proxy``/``stdio.endpoint``;
 * the short standard names (``pid``, ``executable_name``, ``app_host``,
   ``app_args``) only when passed as the attribute argument of an
@@ -38,7 +38,7 @@ _SCOPED_PACKAGES = (
 )
 _EXEMPT_MODULES = {"repro.tdp.wellknown"}
 
-_RESERVED_PREFIXES = ("proc.", "ctl.req.", "ctl.rep.", "hb.", "fault.", "aux.")
+_RESERVED_PREFIXES = ("proc.", "ctl.req.", "ctl.rep.", "presence.", "fault.", "aux.")
 _RESERVED_EXACT = {"rt.frontend", "rm.proxy", "stdio.endpoint"}
 _STANDARD_SHORT = {"pid", "executable_name", "app_host", "app_args"}
 

@@ -807,7 +807,7 @@ class AttributeSpaceClient:
         ``items`` is an iterable of ``(attribute, value)`` pairs or
         ``(attribute, value, ephemeral)`` triples (the triple form
         overrides the batch-wide ``ephemeral`` flag per item, so a
-        heartbeat can ride along with durable values).  Returns the
+        session-scoped value can ride along with durable ones).  Returns the
         stored version numbers, positionally.  Raises the first sub-op's
         error, if any — later sub-ops are still applied first (the batch
         is a pipeline, not a transaction).

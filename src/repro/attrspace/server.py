@@ -181,7 +181,9 @@ class _Connection:
         self.pending_waiters: set[tuple[str, str, int]] = set()
         #: server sub id -> the (context, pattern) it registered
         self.subscriptions: dict[int, tuple[str, str]] = {}
-        self.contexts_joined: list[str] = []
+        #: context -> member name, for each context attached and not yet
+        #: detached: what an unleased connection departs when it closes
+        self.joined: dict[str, str] = {}
         self.timers: dict[int, TimerHandle] = {}
         # tdp-guard: lease -> volatile
         # (bound once during attach before any later op on this
@@ -371,11 +373,19 @@ class AttributeSpaceServer:
                 self.federation.note_unsubscribe(*conn.subscriptions[sub_id])
         # Graceful: frames already queued on the channel still go out.
         conn.channel.close()
-        # The lease (if any) is deliberately NOT released here: the whole
-        # point is surviving the connection.  It expires TTL after this
-        # close unless a successor connection resumes it first.
+        # A lease is deliberately NOT released here: the whole point is
+        # surviving the connection.  It expires TTL after this close
+        # unless a successor connection resumes it first.  Without one,
+        # the session ends with its connection: it departs every context
+        # it still holds, exactly as its detach would have.
         if conn.lease is not None:
             self._arm_lease_expiry(conn.lease, conn.conn_id)
+            return
+        for context, member in conn.joined.items():
+            try:
+                self._depart(context, member, conn.writer_id)
+            except errors.ContextError:
+                pass  # context already destroyed
 
     def _disconnect_slow(self, conn: _Connection) -> None:
         """Slow-subscriber policy: cut off a connection whose outbound
@@ -504,7 +514,7 @@ class AttributeSpaceServer:
             conn.member = member
             lease.add_context(context)
         self.store.attach(context, member)
-        conn.contexts_joined.append(context)
+        conn.joined[context] = member
         reply = protocol.ok_reply(req, context=context, resumed=resumed)
         if leased:
             # The granted TTL, which the client adopts (the request's
@@ -552,7 +562,7 @@ class AttributeSpaceServer:
         """The lease's deadline (wall timer thread): expiry is the
         deferred ``tdp_exit`` — the member is detached from every lease
         context and its ephemeral attributes are purged, so a crashed
-        daemon cannot pin a context (or a stale heartbeat) open forever.
+        daemon cannot pin a context (or claim its presence) forever.
         A resume since ``conn_id`` died wins over expiry."""
         with self._lease_lock:
             if self._leases.get(lease.token) is not lease or lease.holder() != conn_id:
@@ -570,16 +580,16 @@ class AttributeSpaceServer:
         )
         for context in lease.contexts():
             try:
-                self._depart(context, lease.member)
+                self._depart(context, lease.member, lease.member)
             except errors.ContextError:
                 pass  # context already destroyed
 
-    def _depart(self, context: str, member: str) -> None:
-        """``member`` leaves ``context`` (clean exit or lease expiry) and
-        takes its session-scoped values with it — upstream too: the purge
-        forwards as removes, and a context that died here is dropped
-        there."""
-        purged = self.store.purge_ephemeral(context, member)
+    def _depart(self, context: str, member: str, writer: str) -> None:
+        """``member`` leaves ``context`` (detach, closed connection or
+        lease expiry) and takes the session-scoped values it stored as
+        ``writer`` with it — upstream too: the purge forwards as
+        removes, and a context that died here is dropped there."""
+        purged = self.store.purge_ephemeral(context, writer)
         destroyed = self.store.detach(context, member)
         if self.federation is not None:
             for attribute in purged:
@@ -590,13 +600,18 @@ class AttributeSpaceServer:
     def _op_detach(self, conn: _Connection, req: int, request: dict[str, Any]) -> None:
         context = self._context_of(request)
         member = str(request.get("member", conn.peer))
-        self._depart(context, member)
+        conn.joined.pop(context, None)
         lease = conn.lease
         if lease is None:
             session = request.get("session")
             if isinstance(session, str):
                 with self._lease_lock:
                     lease = self._leases.get(session)
+        # The writer id this session's puts were stored under: the lease
+        # member, found by token on an out-of-band detach too.
+        self._depart(
+            context, member, lease.member if lease is not None else conn.writer_id
+        )
         expiry = None
         if lease is not None and lease.drop_context(context):
             with self._lease_lock:

@@ -45,9 +45,10 @@ class StoredValue:
     """A value plus bookkeeping (who put it, when, how many times updated).
 
     ``ephemeral`` values are tied to their writer's session: the server
-    purges them when the writer detaches or its lease expires (the
-    liveness attributes of :mod:`repro.tdp.faults` use this so a dead
-    daemon's heartbeat cannot outlive it).
+    purges them when the writer detaches, its unleased connection
+    closes or its lease expires (the presence attributes of
+    :mod:`repro.tdp.faults` use this so a dead daemon cannot claim to
+    be alive).
     """
 
     value: str
@@ -436,10 +437,10 @@ class AttributeStore:
     def purge_ephemeral(self, context: str, owner: str) -> list[str]:
         """Delete every ephemeral attribute ``owner`` wrote in ``context``.
 
-        Called when a member detaches or its session lease expires.
-        Subscribers see ordinary remove notifications — a daemon watching
-        ``heartbeat.*`` learns about the death the same way it would
-        learn about an explicit remove.  Returns the purged names.
+        Called when a member detaches, its unleased connection closes or
+        its session lease expires.  Subscribers see ordinary remove
+        notifications — an RM watching ``presence.*`` learns about the
+        death the same way it would learn about an explicit remove.  Returns the purged names.
         """
         with self._lock:
             ctx = self._contexts.get(context)

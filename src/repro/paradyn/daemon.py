@@ -13,8 +13,12 @@ steps 3–4:
 5. ``tdp_continue_process`` — run the application to the start of
    ``main`` (a breakpoint), report, then (on the user's run command, or
    immediately with ``auto_run``) continue for real;
-6. sample enabled metrics periodically, stream them to the front-end,
-   and heartbeat until the application exits.
+6. sample enabled metrics periodically and stream them to the
+   front-end until the application exits.
+
+Its presence (``presence.paradynd/<job>``, ephemeral) rides in the
+batch that reads the launch record, before the attach: the RM learns of
+paradynd's death when the server removes it with the session.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from repro.tdp.api import (
     tdp_init,
     tdp_subscribe,
 )
-from repro.tdp.faults import heartbeat_item
 from repro.tdp.handle import Role, TdpHandle
 from repro.tdp.proxycfg import frontend_endpoint
 from repro.tdp.wellknown import Attr, ProcStatus
@@ -196,7 +199,7 @@ class ParadynDaemon:
         pid = int(tdp_get(handle, Attr.PID, timeout=60.0))
         self.app_pid = pid
         self._record("tdp_get_returned", attribute=Attr.PID, value=pid)
-        executable, proxy = self._read_launch_record(handle)
+        executable, proxy = self._announce(handle)
         # From the attach on, the RM's word on the process is pushed to us.
         tdp_subscribe(handle, Attr.proc_status(pid), self._on_status)
 
@@ -285,13 +288,17 @@ class ParadynDaemon:
             if not handle.poll(self.SAMPLE_INTERVAL) and handle.attrs.events.closed:
                 return  # the space is gone: no exit will be published
 
-    def _read_launch_record(self, handle: TdpHandle) -> tuple[str, Endpoint | None]:
-        """The executable's name and the RM's proxy (if it has one), in
-        one frame: an RM publishes both no later than the ``pid`` that
-        woke us."""
+    def _announce(self, handle: TdpHandle) -> tuple[str, Endpoint | None]:
+        """Put this daemon's presence and read the executable's name and
+        the RM's proxy (if it has one), in one frame: an RM publishes
+        both no later than the ``pid`` that woke us."""
         reads = []
         try:
             with handle.attrs.batch() as batch:
+                batch.put(
+                    Attr.presence(f"paradynd/{self.ctx.job_id}"), self.ctx.host,
+                    ephemeral=True,
+                )
                 reads = [
                     batch.try_get(Attr.EXECUTABLE_NAME),
                     batch.try_get(Attr.RM_PROXY),
@@ -430,16 +437,15 @@ class ParadynDaemon:
                     "final": final,
                 }
             )
-        # Publish the whole sampling pass — every value plus this pass's
-        # heartbeat — to the attribute space in one batched frame, so
-        # other TDP participants see live data without per-sample RPCs.
+        # Publish the whole sampling pass to the attribute space in one
+        # batched frame, so other TDP participants see live data without
+        # per-sample RPCs.
         if self.handle is None:
             return
         items: list[tuple[str, str, bool]] = [
             (Attr.metric_sample(s.metric, s.focus), f"{s.value:.6f}", True)
             for s in samples
         ]
-        items.append(heartbeat_item(f"paradynd/{self.ctx.job_id}"))
         try:
             self.handle.attrs.put_many(items)
         except errors.TdpError:

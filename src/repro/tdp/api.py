@@ -86,9 +86,9 @@ def tdp_put(
     """Blocking put: returns once the attribute is stored in the space.
 
     ``ephemeral`` ties the attribute to this daemon's session: the server
-    purges it when the daemon detaches or its session lease expires, so
-    liveness claims (heartbeats, endpoint advertisements) cannot outlive
-    their author.
+    purges it when the daemon detaches, its connection closes (unleased)
+    or its session lease expires, so liveness claims (presence, endpoint
+    advertisements) cannot outlive their author.
     """
     handle._check_open()
     with obs.span("tdp_put", actor=handle.member, attribute=attribute):
@@ -109,7 +109,7 @@ def tdp_put_many(
     Equivalent to a ``tdp_put`` per item, but the server applies the
     whole list under one store-lock hold and concurrent readers see it
     atomically — the bulk-state-operation lever of the hot publishers
-    (metric samples, heartbeats, process-launch attribute sets).
+    (metric samples, process-launch attribute sets).
     """
     handle._check_open()
     items = list(items)

@@ -7,24 +7,29 @@ is "ongoing work and beyond the scope of this paper".  We ship the
 pragmatic subset that the interface list implies:
 
 * **AP faults** via backend exit listeners (abnormal exit / signal);
-* **RT and AS faults** via heartbeat attributes with deadlines —
-  daemons ``beat()`` periodically; a missed deadline is a fault;
+* **RT and AS faults** via presence: a daemon puts one ephemeral
+  ``presence.<entity>`` attribute when it joins, and the server removes
+  it when the daemon's session ends — a detach, a closed unleased
+  connection, or a lease that expired TTL after its cut.  A removal the
+  RM did not expect (no ``unwatch`` first) is the fault;
 * **propagation** via ``fault.<entity>`` attributes, so every TDP
   participant can subscribe to ``fault.*`` and react.
+
+Not detected: a daemon that stays connected but goes silent.  The
+session is the liveness contract, so a leased daemon is declared failed
+its lease TTL after its connection dies, and never while it holds one.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 from repro import errors
+from repro.attrspace.notify import Notification
 from repro.tdp.handle import TdpHandle
-from repro.tdp.wellknown import Attr, ProcStatus
+from repro.tdp.wellknown import Attr
 from repro.util.log import get_logger
 from repro.util.sync import tracked_lock
-from repro.util.threads import spawn
 
 _log = get_logger("tdp.faults")
 
@@ -36,43 +41,20 @@ class FaultRecord:
     reason: str
 
 
-def heartbeat_item(entity_id: str) -> tuple[str, str, bool]:
-    """The ``(attribute, value, ephemeral)`` triple of one liveness beat.
-
-    Hot publishers batch this into their existing ``put_many`` (one
-    frame carries the samples *and* the beat); :func:`heartbeat` wraps
-    it for daemons with nothing else to send.
-    """
-    return (Attr.heartbeat(entity_id), repr(time.monotonic()), True)
-
-
-def heartbeat(handle: TdpHandle, entity_id: str) -> None:
-    """Daemon-side: record liveness (a monotonically fresh timestamp).
-
-    Ephemeral: the heartbeat is tied to the daemon's session, so a dead
-    daemon's last beat is purged when its lease expires instead of
-    lingering as a stale claim of liveness.
-    """
-    handle.attrs.put_many([heartbeat_item(entity_id)])
-
-
 class FaultMonitor:
     """RM-side watcher: declares faults and publishes them to the space.
 
-    ``watch_process`` covers the AP; ``watch_heartbeat`` covers RT/AS
-    daemons.  Detected faults are published as ``fault.<entity>``
-    attributes and recorded locally for the RM's own response logic.
+    ``watch_process`` covers the AP; ``watch`` covers RT/AS daemons.
+    Detected faults are published as ``fault.<entity>`` attributes and
+    recorded locally for the RM's own response logic.
     """
 
-    def __init__(self, handle: TdpHandle, *, check_interval: float = 0.05):
+    def __init__(self, handle: TdpHandle):
         self._handle = handle
-        self._interval = check_interval
         self._lock = tracked_lock("tdp.faults.FaultMonitor._lock")
-        self._deadlines: dict[str, tuple[str, float, float]] = {}
-        # entity_id -> (kind, max_silence, last_seen_monotonic)
+        #: entity_id -> the subscription on its presence
+        self._watches: dict[str, int] = {}
         self.faults: list[FaultRecord] = []
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # -- AP monitoring ----------------------------------------------------------
 
@@ -88,58 +70,38 @@ class FaultMonitor:
 
         control._backend.on_exit(pid, on_exit)
 
-    # -- heartbeat monitoring ------------------------------------------------------
+    # -- presence monitoring -------------------------------------------------------
 
-    def watch_heartbeat(
-        self, entity_kind: str, entity_id: str, max_silence: float
-    ) -> None:
-        """Declare a fault if no heartbeat arrives for ``max_silence`` s."""
+    def watch(self, entity_kind: str, entity_id: str) -> None:
+        """Declare a fault when ``entity_id``'s presence is removed.
+
+        The declaration runs at the handle's safe point
+        (``tdp_service_events``), like every other callback.  Only a
+        removal after this call is seen.
+        """
+
+        def on_presence(notification: Notification, _arg) -> None:
+            if notification.kind == "remove" and self._forget(entity_id):
+                self._declare(entity_kind, entity_id, "presence removed")
+
+        sub = self._handle.attrs.subscribe(Attr.presence(entity_id), on_presence)
         with self._lock:
-            self._deadlines[entity_id] = (entity_kind, max_silence, time.monotonic())
-        self._ensure_thread()
-
-    def _ensure_thread(self) -> None:
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._thread = spawn(self._watch_loop, name="fault-monitor")
-
-    def _watch_loop(self) -> None:
-        try:
-            while not self._stop.wait(self._interval):
-                now = time.monotonic()
-                with self._lock:
-                    entries = list(self._deadlines.items())
-                for entity_id, (kind, max_silence, last_seen) in entries:
-                    # Refresh last_seen from the space.
-                    try:
-                        raw = self._handle.attrs.try_get(Attr.heartbeat(entity_id))
-                        seen = float(raw)
-                    except (errors.NoSuchAttributeError, ValueError):
-                        seen = last_seen
-                    except errors.TdpError:
-                        return  # space gone: monitor dies with the session
-                    with self._lock:
-                        if entity_id not in self._deadlines:
-                            continue
-                        self._deadlines[entity_id] = (kind, max_silence, max(seen, last_seen))
-                        effective = self._deadlines[entity_id][2]
-                    if now - effective > max_silence:
-                        with self._lock:
-                            self._deadlines.pop(entity_id, None)
-                        self._declare(kind, entity_id, f"no heartbeat for {max_silence}s")
-        finally:
-            # However the loop exits — stop(), or a transient space error
-            # — release the thread slot so the next watch_heartbeat can
-            # respawn the monitor instead of trusting a dead thread.
-            with self._lock:
-                if self._thread is threading.current_thread():
-                    self._thread = None
+            self._watches[entity_id] = sub
 
     def unwatch(self, entity_id: str) -> None:
         """Stop watching (clean shutdown is not a fault)."""
+        self._forget(entity_id)
+
+    def _forget(self, entity_id: str) -> bool:
         with self._lock:
-            self._deadlines.pop(entity_id, None)
+            sub = self._watches.pop(entity_id, None)
+        if sub is None:
+            return False
+        try:
+            self._handle.attrs.unsubscribe(sub)
+        except errors.TdpError:
+            pass  # space gone: the subscription went with it
+        return True
 
     # -- fault declaration -------------------------------------------------------------
 
@@ -154,9 +116,8 @@ class FaultMonitor:
             pass
 
     def stop(self) -> None:
-        self._stop.set()
+        """Unwatch every daemon still watched."""
         with self._lock:
-            thread = self._thread
-            self._thread = None
-        if thread is not None:
-            thread.join(timeout=5.0)
+            watched = list(self._watches)
+        for entity_id in watched:
+            self._forget(entity_id)

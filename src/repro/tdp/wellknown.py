@@ -84,10 +84,13 @@ class Attr:
 
     METRIC_SAMPLE_PATTERN = "paradyn.sample.*"
 
-    # -- heartbeats / fault detection (extension; paper defers fault model) -----
+    # -- presence / fault detection (extension; paper defers fault model) ------
     @staticmethod
-    def heartbeat(entity: str) -> str:
-        return f"hb.{entity}"
+    def presence(entity: str) -> str:
+        """An ephemeral claim that ``entity``'s session is alive: its
+        removal (detach, closed connection, lease expiry) is the fault
+        signal :class:`~repro.tdp.faults.FaultMonitor` subscribes to."""
+        return f"presence.{entity}"
 
     @staticmethod
     def fault(entity: str) -> str:

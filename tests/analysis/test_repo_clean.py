@@ -269,7 +269,6 @@ TIMED_WAIT_ALLOWED = {
         "sampling period: a tool's metric period is its work, not a re-check"
     ),
     ("condor.master", "_watch"): "The RM answers failures",
-    ("tdp.faults", "_watch_loop"): "The RM answers failures",
 }
 
 

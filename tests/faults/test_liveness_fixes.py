@@ -1,8 +1,6 @@
 """Regression tests for the liveness bugs fixed alongside the fault work:
 
 * a timed-out client RPC used to leak its pending-table entry forever;
-* the fault monitor's watch thread could die on a transient space error
-  and never be respawned;
 * a TCP channel whose socket write failed did not latch itself closed,
   so every later send poked the dead socket again.
 """
@@ -15,21 +13,10 @@ from repro import errors
 from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.net.topology import flat_network
-from repro.tdp.faults import FaultMonitor
-from repro.tdp.wellknown import Attr
 from repro.transport.faultinject import FaultInjectTransport, FaultPlan
 from repro.transport.inmem import InMemoryTransport
 from repro.transport.tcp import TcpTransport
 from tests.served import ServedListener
-
-
-def wait_until(predicate, timeout=5.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 class TestRpcTimeoutLeak:
@@ -83,72 +70,6 @@ class TestRpcTimeoutLeak:
             client.close()
             other.close()
             server.stop()
-
-
-class _StubAttrs:
-    """Duck-typed stand-in for the handle's attribute-space session."""
-
-    def __init__(self):
-        self.fail = False
-        self.heartbeats: dict[str, str] = {}
-        self.puts: list[tuple[str, str]] = []
-
-    def try_get(self, attribute):
-        if self.fail:
-            raise errors.SpaceClosedError("space down")
-        if attribute in self.heartbeats:
-            return self.heartbeats[attribute]
-        raise errors.NoSuchAttributeError(attribute)
-
-    def put(self, attribute, value, **kwargs):
-        self.puts.append((attribute, value))
-
-
-class _StubHandle:
-    def __init__(self):
-        self.attrs = _StubAttrs()
-        self.control = None
-
-
-def _watch_thread(monitor):
-    # _thread is lock-guarded (guards.lock.json); the runtime witness
-    # flags bare cross-thread peeks, so tests read it under the lock.
-    with monitor._lock:
-        return monitor._thread
-
-
-class TestFaultMonitorRespawn:
-    def test_watch_thread_respawns_after_transient_error(self):
-        handle = _StubHandle()
-        monitor = FaultMonitor(handle, check_interval=0.01)
-        try:
-            monitor.watch_heartbeat("rt", "tool-1", max_silence=60.0)
-            first = _watch_thread(monitor)
-            assert first is not None
-
-            # A transient space error kills the loop; the thread slot
-            # must be released, not left pointing at a corpse.
-            handle.attrs.fail = True
-            assert wait_until(lambda: _watch_thread(monitor) is None)
-            assert wait_until(lambda: not first.is_alive())
-
-            # The next watch call respawns the monitor and it works.
-            handle.attrs.fail = False
-            monitor.watch_heartbeat("rt", "tool-2", max_silence=0.05)
-            assert _watch_thread(monitor) is not None
-            assert wait_until(
-                lambda: any(r.entity_id == "tool-2" for r in monitor.faults)
-            )
-            assert any(a == Attr.fault("tool-2") for a, _ in handle.attrs.puts)
-        finally:
-            monitor.stop()
-
-    def test_stop_clears_thread(self):
-        handle = _StubHandle()
-        monitor = FaultMonitor(handle, check_interval=0.01)
-        monitor.watch_heartbeat("as", "svc", max_silence=60.0)
-        monitor.stop()
-        assert _watch_thread(monitor) is None
 
 
 class TestTcpClosedLatch:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro import errors
+from repro.attrspace import protocol
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.net.topology import flat_network
@@ -188,6 +189,55 @@ class TestLeases:
             assert server._leases == {}
         finally:
             witness.close()
+
+    @pytest.mark.parametrize("detach", [True, False], ids=["close", "crash"])
+    @pytest.mark.parametrize("leased", [True, False], ids=["leased", "unleased"])
+    def test_ephemeral_ends_with_its_session(self, transport, server, leased, detach):
+        """However a session ends, its ephemerals end with it: at once,
+        except a leased session cut without a detach, which keeps them
+        its TTL long in case it resumes."""
+        ttl = 0.3
+        owner = (
+            reconnecting_client(transport, server, member="owner", lease_ttl=ttl)
+            if leased else raw_client(transport, server, member="owner")
+        )
+        witness = raw_client(transport, server, member="witness")
+
+        def gone():
+            try:
+                witness.try_get("beat")
+            except errors.NoSuchAttributeError:
+                return True
+            return False
+
+        try:
+            owner.put("beat", "x", ephemeral=True)
+            ended = time.monotonic()
+            owner.close(detach=detach)
+            if leased and not detach:
+                assert not gone()  # held for a resume
+                assert wait_until(gone, timeout=5.0, interval=0.001)
+                assert time.monotonic() - ended >= ttl
+            else:
+                assert wait_until(gone, timeout=1.0)
+        finally:
+            witness.close()
+
+    def test_unleased_crash_drops_its_membership(self, transport, server):
+        """The last member of a context crashes: the context is
+        destroyed, and a get parked on it wakes with ContextError."""
+        owner = raw_client(transport, server, member="owner")
+        getter = transport.connect("submit", server.endpoint, timeout=5.0)
+        try:
+            getter.send({"op": "get", "req": 1, "context": "job",
+                         "attribute": "never", "block": True, "timeout": None})
+            assert wait_until(lambda: server.stats["blocked_gets"].value >= 1)
+            owner.close(detach=False)
+            with pytest.raises(errors.ContextError):
+                protocol.raise_error(getter.recv(timeout=5.0))
+            assert "job" not in server.store.contexts()
+        finally:
+            getter.close()
 
     def test_live_connection_keeps_lease_renewed(self, transport, server):
         # TTL far below the test duration: a lease's deadline is armed

@@ -25,7 +25,7 @@ class TestAttrNames:
             Attr.proc_exit_code(1),
             Attr.ctl_request("tok-1"),
             Attr.ctl_reply("tok-1"),
-            Attr.heartbeat("paradynd/0"),
+            Attr.presence("paradynd/0"),
             Attr.fault("paradynd/0"),
             Attr.aux_endpoint("mrnet"),
             Attr.aux_status("mrnet"),
