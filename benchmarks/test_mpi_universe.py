@@ -8,7 +8,7 @@ warm jobs: submit -> all daemons up (whole and per rank), CPU the
 process spent per job cycle, and what the simulator did meanwhile
 (scheduler slices, ``mpi.lookup`` calls) — a rank waiting for a peer
 should cost the simulator nothing — and how often a daemon woke on a
-timer instead of being told: RM service loops whose poll timed out, and
+timer instead of being told: RM poll loops whose poll timed out, and
 paradynd reads of ``proc.<pid>.status``.
 """
 
@@ -57,13 +57,13 @@ def lookups(monkeypatch):
 
 @pytest.fixture
 def wakes(monkeypatch):
-    """``[service-loop polls that timed out, paradynd status reads]``."""
+    """``[RM poll-loop polls that timed out, paradynd status reads]``."""
     count = [0, 0]
     poll, submit = TdpHandle.poll, _Session.submit
 
     def tapped_poll(self, timeout=None):
         ready = poll(self, timeout)
-        count[0] += not ready and sys._getframe(1).f_code.co_name == "_service_loop"
+        count[0] += not ready and sys._getframe(1).f_code.co_name == "serve"
         return ready
 
     def tapped_submit(self, request, complete, **kwargs):
@@ -82,7 +82,7 @@ def wakes(monkeypatch):
 
 def warm_launch(scenario, ranks, lookups, wakes):
     """One warm job cycle: (startup s, process CPU s, slices, lookups,
-    service-loop timeouts, paradynd status reads)."""
+    RM poll-loop timeouts, paradynd status reads)."""
     frontend, scheduler = scenario.frontend, scenario.cluster.scheduler
     seen = len(frontend.daemons())
     while any(startd.claimed for startd in scenario.pool.startds.values()):
@@ -151,7 +151,7 @@ def test_mpi_universe_rank_sweep(benchmark, ranks, lookups, wakes):
                 ["process CPU per job cycle", f"{cpu * 1e3:.1f} ms"],
                 ["scheduler slices", int(slices)],
                 ["mpi.lookup calls", int(looked)],
-                ["service-loop timeouts per rank", f"{timeouts / ranks:.1f}"],
+                ["RM poll-loop timeouts per rank", f"{timeouts / ranks:.1f}"],
                 ["paradynd status reads per rank", f"{reads / ranks:.1f}"],
             ],
         )

@@ -10,9 +10,10 @@ at comments).
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -240,3 +241,38 @@ def dotted_name(node: ast.AST) -> str | None:
 
 
 WalkFilter = Callable[[ast.AST], bool]
+
+
+# ---------------------------------------------------------------------------
+# Lock files: the committed manifests (protocol.lock.json, guards.lock.json)
+# ---------------------------------------------------------------------------
+
+
+def render_lock(lock: dict) -> str:
+    """Serialize a lock payload in the committed (human-diffable) form."""
+    return json.dumps(lock, indent=2, sort_keys=True) + "\n"
+
+
+def load_lock(path: Any) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def lock_drift(committed: dict, current: dict) -> list[str]:
+    """Human-readable differences between two lock payloads (empty = none)."""
+
+    def walk(prefix: str, a: Any, b: Any, out: list[str]) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(set(a) | set(b)):
+                where = f"{prefix}.{key}" if prefix else str(key)
+                if key not in a:
+                    out.append(f"added: {where} = {b[key]!r}")
+                elif key not in b:
+                    out.append(f"removed: {where} (was {a[key]!r})")
+                else:
+                    walk(where, a[key], b[key], out)
+        elif a != b:
+            out.append(f"changed: {prefix}: {a!r} -> {b!r}")
+
+    problems: list[str] = []
+    walk("", committed, current, problems)
+    return problems

@@ -68,7 +68,12 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.analysis.core import ModuleSource
+from repro.analysis.core import (  # the lock-file helpers are re-exported
+    ModuleSource,
+    load_lock,
+    lock_drift,
+    render_lock,
+)
 from repro.analysis.lockgraph import (
     ClassInfo,
     FieldAccess,
@@ -761,40 +766,6 @@ def to_lock(report: GuardReport) -> dict:
         "waivers": dict(sorted(WAIVERS.items())),
         "witness_exempt": dict(sorted(WITNESS_EXEMPT.items())),
     }
-
-
-def render_lock(lock: dict) -> str:
-    import json as _json
-
-    return _json.dumps(lock, indent=2, sort_keys=True) + "\n"
-
-
-def load_lock(path: Any) -> dict:
-    import json as _json
-    import pathlib
-
-    return _json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-
-
-def lock_drift(committed: dict, current: dict) -> list[str]:
-    """Human-readable differences between two lock payloads (empty = none)."""
-
-    def walk(prefix: str, a: Any, b: Any, out: list[str]) -> None:
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(set(a) | set(b)):
-                where = f"{prefix}.{key}" if prefix else str(key)
-                if key not in a:
-                    out.append(f"added: {where} = {b[key]!r}")
-                elif key not in b:
-                    out.append(f"removed: {where} (was {a[key]!r})")
-                else:
-                    walk(where, a[key], b[key], out)
-        elif a != b:
-            out.append(f"changed: {prefix}: {a!r} -> {b!r}")
-
-    problems: list[str] = []
-    walk("", committed, current, problems)
-    return problems
 
 
 def witnessed_fields(lock: dict) -> dict[str, str]:

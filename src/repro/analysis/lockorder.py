@@ -238,6 +238,8 @@ DEFAULT = LockHierarchy([
 
     # -- leaves (never call out while held) ----------------------------------
     LockDecl("util.sync.Latch._lock", 90, note="one-shot gate payload"),
+    LockDecl("condor.tools.ThreadToolHandle._lock", 90,
+             note="tool's end flag + end callbacks; they run after release"),
     LockDecl("obs.metrics.MetricsRegistry._lock", 90,
              note="metric name table; get-or-create only, metric values "
                   "are read after the table hold is released"),

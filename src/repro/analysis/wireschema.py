@@ -61,7 +61,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.analysis.core import ModuleSource
+from repro.analysis.core import (  # the lock-file helpers are re-exported
+    ModuleSource,
+    dotted_name,
+    load_lock,
+    lock_drift,
+    render_lock,
+)
 
 PROTOCOL_MODULE = "repro.attrspace.protocol"
 CLIENT_MODULE = "repro.attrspace.client"
@@ -213,17 +219,6 @@ def waived(schema_key: str, direction: str, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _const_type(value: Any) -> str:
     if value is None:
         return "null"
@@ -288,7 +283,7 @@ def _expr_types(node: ast.AST, annotations: dict[str, set[str]]) -> set[str]:
     if isinstance(node, ast.Name):
         return set(annotations.get(node.id, set()))
     if isinstance(node, ast.Call):
-        dn = _dotted(node.func)
+        dn = dotted_name(node.func)
         if dn is not None and dn.split(".")[-1] in _CAST_CALLS:
             return {_CAST_CALLS[dn.split(".")[-1]]}
     if isinstance(node, ast.IfExp):
@@ -314,7 +309,7 @@ def _isinstance_types(fn: ast.AST, var: str) -> set[str]:
             continue
         specs = spec.elts if isinstance(spec, ast.Tuple) else [spec]
         for s in specs:
-            dn = _dotted(s)
+            dn = dotted_name(s)
             if dn is not None and dn.split(".")[-1] in _CAST_CALLS:
                 types.add(_CAST_CALLS[dn.split(".")[-1]])
     return types
@@ -348,12 +343,12 @@ def _string_dict_literal(node: ast.AST) -> dict[str, str] | None:
         if k is None:
             return None
         if isinstance(k, ast.Constant) and isinstance(k.value, str):
-            dn = _dotted(v)
+            dn = dotted_name(v)
             if dn is None:
                 return None
             out[k.value] = dn.split(".")[-1]
         else:
-            dn = _dotted(k)
+            dn = dotted_name(k)
             if dn is None or not (isinstance(v, ast.Constant) and isinstance(v.value, str)):
                 return None
             out[dn.split(".")[-1]] = v.value
@@ -379,7 +374,7 @@ def _error_maps(proto: ModuleSource, schema: ErrorSchema) -> None:
         elif name == "_TYPE_NAMES" and isinstance(value, ast.Dict):
             schema.encode_map_site = (proto.path, stmt.lineno)
             for k, v in zip(value.keys, value.values):
-                dn = _dotted(k) if k is not None else None
+                dn = dotted_name(k) if k is not None else None
                 if dn is not None and isinstance(v, ast.Constant) \
                         and isinstance(v.value, str):
                     schema.encode_order.append((dn.split(".")[-1], v.value))
@@ -489,7 +484,7 @@ def _collect_dict_reads(
     # second pass: casts and isinstance guards on read results
     for node in ast.walk(scope):
         if isinstance(node, ast.Call):
-            dn = _dotted(node.func)
+            dn = dotted_name(node.func)
             if dn is not None and dn.split(".")[-1] in _CAST_CALLS and node.args:
                 inner = node.args[0]
                 fname = _read_field_name(inner, var)
@@ -546,7 +541,7 @@ def _op_of_dict(node: ast.Dict, consts: dict[str, str]) -> str | None:
         if isinstance(k, ast.Constant) and k.value == "op":
             if isinstance(v, ast.Constant) and isinstance(v.value, str):
                 return v.value
-            dn = _dotted(v)
+            dn = dotted_name(v)
             if dn is not None:
                 return consts.get(dn.split(".")[-1])
     return None
@@ -791,7 +786,7 @@ def _client_frames_and_reads(
                 if op is not None:
                     reply_vars[node.targets[0].id] = op
             elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
-                dn = _dotted(node.value.func)
+                dn = dotted_name(node.value.func)
                 if dn is not None and dn.split(".")[-1] in frame_senders:
                     continue  # returns the helper's own result, not the reply
                 op = _frame_arg_op(node.value, var_sites, dict_site_ids, builders, consts)
@@ -813,7 +808,7 @@ def _client_frames_and_reads(
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
-            dn = _dotted(node.func)
+            dn = dotted_name(node.func)
             callee = dn.split(".")[-1] if dn else None
             for i, arg in enumerate(node.args):
                 op = None
@@ -868,7 +863,7 @@ def _client_frames_and_reads(
                 continue
             var = _any_dict_read_var(test.left)
             rhs = test.comparators[0]
-            rhs_dn = _dotted(rhs)
+            rhs_dn = dotted_name(rhs)
             rhs_op = consts.get(rhs_dn.split(".")[-1]) if rhs_dn else (
                 rhs.value if isinstance(rhs, ast.Constant) else None
             )
@@ -878,7 +873,7 @@ def _client_frames_and_reads(
             _collect_dict_reads(branch, var, schema.notify.reply_reads, client.path, {})
             for call in ast.walk(branch):
                 if isinstance(call, ast.Call):
-                    dn = _dotted(call.func)
+                    dn = dotted_name(call.func)
                     if dn is not None and dn.split(".")[-1] == "from_wire":
                         for name, use in notify_reads.fields.items():
                             _merge_read(schema.notify.reply_reads, use)
@@ -933,7 +928,7 @@ def _wrap_cast_types(fn: ast.AST, var: str, view: SideView) -> None:
     """``int(reply["version"])``-style casts refine reply field types."""
     for node in ast.walk(fn):
         if isinstance(node, ast.Call):
-            dn = _dotted(node.func)
+            dn = dotted_name(node.func)
             if dn is not None and dn.split(".")[-1] in _CAST_CALLS and node.args:
                 fname = _read_field_name(node.args[0], var)
                 if fname and fname in view.fields:
@@ -942,13 +937,13 @@ def _wrap_cast_types(fn: ast.AST, var: str, view: SideView) -> None:
 
 def _builder_call_op(call: ast.Call, builders: dict[str, str]) -> str | None:
     """Op built by ``self._x_frame()`` or ``dict(self._x_frame(), ...)``."""
-    dn = _dotted(call.func)
+    dn = dotted_name(call.func)
     if dn is not None and dn.split(".")[-1] in builders:
         return builders[dn.split(".")[-1]]
     if dn == "dict" and call.args:
         inner = call.args[0]
         if isinstance(inner, ast.Call):
-            idn = _dotted(inner.func)
+            idn = dotted_name(inner.func)
             if idn is not None and idn.split(".")[-1] in builders:
                 return builders[idn.split(".")[-1]]
     return None
@@ -1084,7 +1079,7 @@ def _server_handlers(
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue
-                dn = _dotted(node.func)
+                dn = dotted_name(node.func)
                 if dn is None:
                     continue
                 callee = dn.split(".")[-1]
@@ -1103,7 +1098,7 @@ def _server_handlers(
         reply_vars: set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Call):
-                dn = _dotted(node.func)
+                dn = dotted_name(node.func)
                 if dn is not None and dn.split(".")[-1] == "ok_reply":
                     site = _FrameSite(op, {}, node.lineno, set())
                     for kw in node.keywords:
@@ -1117,7 +1112,7 @@ def _server_handlers(
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name) \
                     and isinstance(node.value, ast.Call):
-                dn = _dotted(node.value.func)
+                dn = dotted_name(node.value.func)
                 if dn is not None and dn.split(".")[-1] == "ok_reply":
                     reply_vars.add(node.targets[0].id)
         for node in ast.walk(fn):
@@ -1147,7 +1142,7 @@ def _server_handlers(
                 if k is None:
                     # **x.to_wire() expansion
                     if isinstance(v, ast.Call):
-                        dn = _dotted(v.func)
+                        dn = dotted_name(v.func)
                         if dn is not None and dn.split(".")[-1] == "to_wire":
                             for nm, use in notify_writes.fields.items():
                                 site.fields[nm] = FieldUse(
@@ -1261,7 +1256,7 @@ def _raised_errors(modules: list[ModuleSource], schema: ErrorSchema) -> None:
             exc = node.exc
             if isinstance(exc, ast.Call):
                 exc = exc.func
-            dn = _dotted(exc)
+            dn = dotted_name(exc)
             if dn is None:
                 continue
             name = dn.split(".")[-1]
@@ -1281,7 +1276,7 @@ def _synthesized_error_types(client: ModuleSource, schema: ErrorSchema) -> None:
         return
     for node in ast.walk(client.tree):
         if isinstance(node, ast.Call):
-            dn = _dotted(node.func)
+            dn = dotted_name(node.func)
             if dn is not None and dn.split(".")[-1] == fail_fn and node.args:
                 first = node.args[0]
                 if isinstance(first, ast.Constant) and isinstance(first.value, str):
@@ -1459,41 +1454,6 @@ def infer_from_tree(src_root: Any = None) -> WireSchema:
             f"{SERVER_MODULE} under {src_root}"
         )
     return schema
-
-
-def render_lock(lock: dict) -> str:
-    """Serialize a lock payload in the committed (human-diffable) form."""
-    import json as _json
-
-    return _json.dumps(lock, indent=2, sort_keys=True) + "\n"
-
-
-def load_lock(path: Any) -> dict:
-    import json as _json
-    import pathlib
-
-    return _json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-
-
-def lock_drift(committed: dict, current: dict) -> list[str]:
-    """Human-readable differences between two lock payloads (empty = none)."""
-
-    def walk(prefix: str, a: Any, b: Any, out: list[str]) -> None:
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(set(a) | set(b)):
-                where = f"{prefix}.{key}" if prefix else str(key)
-                if key not in a:
-                    out.append(f"added: {where} = {b[key]!r}")
-                elif key not in b:
-                    out.append(f"removed: {where} (was {a[key]!r})")
-                else:
-                    walk(where, a[key], b[key], out)
-        elif a != b:
-            out.append(f"changed: {prefix}: {a!r} -> {b!r}")
-
-    problems: list[str] = []
-    walk("", committed, current, problems)
-    return problems
 
 
 # ---------------------------------------------------------------------------

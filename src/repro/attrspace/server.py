@@ -569,6 +569,13 @@ class AttributeSpaceServer:
                 return
             del self._leases[lease.token]
             self._lease_expiries.pop(lease.token, None)
+        for context in lease.contexts():
+            try:
+                self._depart(context, lease.member, lease.member)
+            except errors.ContextError:
+                pass  # context already destroyed
+        # Counted once its effect is visible: a reader woken by the count
+        # finds the member's ephemeral values gone.
         self.stats["expired_leases"].increment()
         obs.record(
             "lease.expired", actor=self.name,
@@ -578,11 +585,6 @@ class AttributeSpaceServer:
             "%s: lease %s (%s) expired %.3gs after its connection closed",
             self.name, lease.token[:8], lease.member, lease.granted_ttl(),
         )
-        for context in lease.contexts():
-            try:
-                self._depart(context, lease.member, lease.member)
-            except errors.ContextError:
-                pass  # context already destroyed
 
     def _depart(self, context: str, member: str, writer: str) -> None:
         """``member`` leaves ``context`` (detach, closed connection or

@@ -80,6 +80,10 @@ class JobRecord:
         failure_reason: str | None = None,
     ) -> None:
         with self._cond:
+            if self.status in TERMINAL:
+                # How a job ended is final: a reply that raced its end
+                # (say, a release answered as it exited) does not revive it.
+                return
             self.status = status
             if exit_code is not None:
                 self.exit_code = exit_code

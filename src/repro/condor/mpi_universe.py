@@ -23,12 +23,15 @@ The paper's flow, reproduced step by step:
 Simplification (documented): worker-rank creation is performed by this
 coordinator using the claimed machines' hosts and LASSes directly,
 standing in for the per-machine starters that real Condor would run —
-one short-lived thread per claimed machine, all running at once, as the
-machines' own starters would; every protocol step they would perform
-(per-host LASS context, RM-side control service, pid publication,
-paradynd handshake) is preserved.  A rank that cannot be started fails
-the job: its peers would wait for it for good, so the coordinator kills
-every rank that was created and the master starter reports the failure.
+one thread per worker rank, for the rank's life, all running at once, as
+the machines' own starters would: it starts its rank, then answers that
+rank's tool requests until the rank has exited and its tool daemon has
+ended, the rule the master starter keeps for rank 0.  Every protocol step
+they would perform (per-host LASS context, RM-side control service, pid
+publication, paradynd handshake) is preserved.  A rank that cannot be
+started fails the job: its peers would wait for it for good, so its
+thread kills every rank that was created and the master starter reports
+the failure.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 from repro import errors
 from repro.condor.submit import SubmitDescription
-from repro.condor.tools import ToolRegistry
+from repro.condor.tools import ThreadToolHandle, ToolLaunchContext, ToolRegistry, serve_until_ended
 from repro.mpisim.runtime import MpiRuntime, RankInfo
 from repro.net.address import Endpoint, parse_endpoint
 from repro.sim.host import SimHost
@@ -52,9 +55,10 @@ from repro.tdp.handle import Role, TdpHandle
 from repro.tdp.process import SimHostBackend
 from repro.tdp.wellknown import Attr, CreateMode
 from repro.transport.base import Transport
+from repro.util.clock import deadline_after, time_left
 from repro.util.log import TraceRecorder, record_event
 from repro.util.strings import join_arguments, split_arguments
-from repro.util.sync import tracked_lock
+from repro.util.sync import Latch, tracked_lock
 from repro.util.threads import spawn
 
 
@@ -101,12 +105,12 @@ class MpiUniverseCoordinator:
         self._runtime = MpiRuntime.ensure(self._cluster)
         self._rank_handles: dict[int, TdpHandle] = {}
         self._rank_pids: dict[int, tuple[str, int]] = {}  # rank -> (host, pid)
-        self._tool_handles: list = []
+        #: per worker rank: its thread, and its exit code (None: not started)
+        self._rank_threads: list[tuple[threading.Thread, Latch[int | None]]] = []
         self._start_failure: str | None = None
         #: latched by the first kill: a rank created after it dies too
         self._killed = False
         self._lock = tracked_lock("condor.mpi_universe.MpiUniverseCoordinator._lock")
-        self._workers_started = threading.Event()
         # tdp-guard: _master_handle -> volatile
         # (written once by start_master, before rank 0 exists to reach
         # the mpi.init that starts the only other reader)
@@ -167,50 +171,50 @@ class MpiUniverseCoordinator:
         return info.pid
 
     def _on_master_running(self, master: RankInfo) -> None:
-        """Rank 0 reached mpi.init: create the remaining ranks.
-
-        Runs on the scheduler thread (service-hook context), so the
-        actual work is handed to a coordinator thread — creating paused
-        processes and doing TDP handshakes must not block the scheduler.
-        """
+        """Rank 0 reached mpi.init: start every worker rank at once, each
+        on its own thread, as each machine's own starter would — not on
+        this one, the scheduler's (service-hook context)."""
         self._record("master_running", pid=master.pid)
-        spawn(self._start_workers, name=f"mpi-workers-{self.job_id}")
+        # Under the lock: a kill, which ends rank 0 and so lets
+        # wait_all_exited read the list, finds it whole or finds no gang.
+        with self._lock:
+            if self._killed:
+                return
+            for rank in range(1, self.size):
+                exited: Latch[int | None] = Latch()
+                name = f"mpi-rank-{self.job_id}-{rank}"
+                thread = spawn(self._run_rank, args=(rank, exited), name=name)
+                self._rank_threads.append((thread, exited))
 
-    def _start_workers(self) -> None:
-        """Start every worker rank at once, one thread per machine — what
-        each machine's own starter would be doing at this moment."""
+    def _run_rank(self, rank: int, exited: Latch[int | None]) -> None:
+        """Start one worker rank, then answer its tools: until it exits,
+        opening ``exited`` with its code, and on until its tool daemon
+        has ended — a tool whose request raced the rank's exit or kill
+        still hears back."""
         try:
-            starters = [
-                spawn(
-                    self._start_worker_or_fail,
-                    args=(rank,),
-                    name=f"mpi-rank-{self.job_id}-{rank}",
-                )
-                for rank in range(1, self.size)
-            ]
-            for starter in starters:
-                starter.join()
-            # Siblings of a failed rank have by now finished their own
-            # start or failed it, so nothing is created after the kill.
-            if self.start_failure is not None:
-                self._kill_created_ranks()
-        finally:
-            self._workers_started.set()
-
-    def _start_worker_or_fail(self, rank: int) -> None:
-        try:
-            self._start_one_worker(rank)
+            handle, pid, tool = self._start_one_worker(rank)
         except Exception as e:  # noqa: BLE001 — whatever stopped it fails the job
             self._record("rank_start_failed", rank=rank, error=str(e))
             with self._lock:
                 if self._start_failure is None:
                     self._start_failure = f"rank {rank} could not be started: {e}"
+            self._rank_exited(exited, None)
+            self._kill_created_ranks()
+            return
+        self._rank_exited(exited, handle.serve_until_exit(pid))
+        if tool is not None:
+            serve_until_ended(handle, tool)
+
+    def _rank_exited(self, exited: Latch[int | None], code: int | None) -> None:
+        exited.open(code)
+        assert self._master_handle is not None
+        self._master_handle.attrs.wake()  # rank 0's RM serves until every rank is done
 
     def _kill_created_ranks(self) -> None:
         """A gang with a rank missing never finishes: its peers wait for
         the one that is not coming.  Kill what exists, each rank through
         the RM handle that created it, and latch the kill so a rank still
-        being created is killed by its own starter thread."""
+        being created is killed by its own thread."""
         with self._lock:
             self._killed = True
             created = [
@@ -224,7 +228,7 @@ class MpiUniverseCoordinator:
             except errors.ProcessError:
                 pass  # already gone; the rest still have to be killed
 
-    def _start_one_worker(self, rank: int) -> None:
+    def _start_one_worker(self, rank: int) -> tuple[TdpHandle, int, ThreadToolHandle | None]:
         slot = self._machines[rank]
         host = self._cluster.host(slot.hostname)
         context = f"{self.job_id}.r{rank}"
@@ -243,7 +247,6 @@ class MpiUniverseCoordinator:
             self._rank_handles[rank] = handle  # cleanup() owns it from here
         assert handle.control is not None
         handle.control.serve_tool_requests()
-        handle.start_service_loop()
 
         monitored = self._desc.monitored
         mode = CreateMode.PAUSED if monitored else CreateMode.RUN
@@ -263,13 +266,12 @@ class MpiUniverseCoordinator:
             killed = self._killed
         if killed:
             handle.control.kill(info.pid)
-            return
+            return handle, info.pid, None
 
+        tool_handle = None
         if monitored:
             tool = self._desc.tool_daemon
             assert tool is not None
-            from repro.condor.tools import ToolLaunchContext
-
             self._record("tdp_create_process", target=f"RT.r{rank}", mode="run")
             launcher = self._tools.resolve(tool.cmd)
             ctx = ToolLaunchContext(
@@ -285,8 +287,6 @@ class MpiUniverseCoordinator:
                 extras={"sim_host": host, "force_auto_run": True},
             )
             tool_handle = launcher(ctx)
-            with self._lock:
-                self._tool_handles.append(tool_handle)
             self._record("tdp_put", rank=rank, attribute=Attr.PID, value=str(info.pid))
             # One batched frame per rank: pid plus its standard
             # companions land atomically before this rank's paradynd,
@@ -302,42 +302,47 @@ class MpiUniverseCoordinator:
             )
             # paradynd will attach and (auto_run) immediately continue —
             # "they immediately issue a run command".
+        return handle, info.pid, tool_handle
 
     # -- completion -----------------------------------------------------------------
 
     def wait_all_exited(self, master_handle: TdpHandle, timeout: float | None = None) -> int:
-        """Wait for every rank; returns 0 if all clean, else first nonzero."""
-        assert master_handle.control is not None
+        """Answer rank 0's tools until every rank has exited (for at most
+        ``timeout`` seconds in all); returns 0 if every rank exited
+        clean, else the first nonzero code."""
         assert self.master_pid is not None
-        codes = [master_handle.control.wait_exit(self.master_pid, timeout=timeout)]
-        # Workers exist only if the master ever ran; after its exit the
-        # worker-creation thread has either run or never will.
-        if self._workers_started.wait(timeout=10.0):
-            with self._lock:
-                workers = [
-                    (self._rank_handles[rank], pid)
-                    for rank, (_host, pid) in sorted(self._rank_pids.items())
-                    if rank
-                ]
-            for handle, pid in workers:
-                assert handle.control is not None
-                codes.append(handle.control.wait_exit(pid, timeout=timeout))
+        deadline = deadline_after(timeout)
+        codes = [master_handle.serve_until_exit(self.master_pid, timeout=timeout)]
+        # Worker ranks start on rank 0's mpi.init: once it has exited,
+        # every rank thread has been spawned or never will be.
+        with self._lock:
+            latches = [exited for _thread, exited in self._rank_threads]
+        master_handle.serve(
+            until=lambda: all(exited.is_open() for exited in latches),
+            timeout=time_left(deadline),
+        )
+        for exited in latches:
+            code = exited.wait(time_left(deadline))
+            if code is not None:
+                codes.append(code)
         self._record("all_ranks_exited", codes=",".join(map(str, codes)))
         return next((c for c in codes if c != 0), 0)
 
     def cleanup(self) -> None:
-        for tool_handle in self._tool_handles:
-            try:
-                tool_handle.join(timeout=5.0)
-            except errors.ToolError:
-                pass
-            tool_handle.stop()
+        with self._lock:
+            running = not all(exited.is_open() for _thread, exited in self._rank_threads)
+        if running:
+            self._kill_created_ranks()  # the master starter failed mid-run
+        with self._lock:
+            threads = [thread for thread, _exited in self._rank_threads]
+        # Each rank thread ends once its tool has ended or had its grace.
+        for thread in threads:
+            thread.join()
         with self._lock:
             handles = list(self._rank_handles.values())
             self._rank_handles.clear()
             ranks = list(self._rank_pids.values())
         for handle in handles:
-            handle.stop_service_loop()
             tdp_exit(handle)
         self._runtime.end_job(self.job_id)
         for hostname, pid in ranks:

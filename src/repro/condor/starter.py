@@ -23,10 +23,11 @@ from typing import Callable
 from repro import errors
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.condor.tools import (
-    ToolDaemonHandle,
+    ThreadToolHandle,
     ToolLaunchContext,
     ToolRegistry,
     percent_names,
+    serve_until_ended,
 )
 from repro.net.address import Endpoint
 from repro.sim.host import SimHost
@@ -95,7 +96,7 @@ class Starter:
         # tdp-guard: _handle -> volatile
         self._handle: TdpHandle | None = None
         # tdp-guard: _tool_handle -> volatile
-        self._tool_handle: ToolDaemonHandle | None = None
+        self._tool_handle: ThreadToolHandle | None = None
         #: the spec the running tool was launched from: the submit file's,
         #: or one attached later
         # tdp-guard: _tool -> volatile
@@ -241,7 +242,6 @@ class Starter:
         self._handle = handle
         assert handle.control is not None
         handle.control.serve_tool_requests()
-        handle.start_service_loop()
 
         self._stage_in()
 
@@ -290,8 +290,9 @@ class Starter:
             self._launch_tool_daemon(handle, info.pid, desc.tool_daemon)
 
         # Step 4: the job runs (under tool control when monitored); the
-        # starter waits and reports its completion to the shadow.
-        self.exit_code = handle.control.wait_exit(info.pid, timeout=None)
+        # starter answers the tool's requests until it exits, then
+        # reports its completion to the shadow.
+        self.exit_code = handle.serve_until_exit(info.pid)
         self._record("job_exited", pid=info.pid, code=self.exit_code)
         self._report({"op": "job_exited", "code": self.exit_code})
 
@@ -494,28 +495,20 @@ class Starter:
             pass
 
     def _cleanup(self) -> None:
+        if self._tool_handle is not None:
+            # The tool observes the job's exit (final samples, trace
+            # file) with its requests still answered.
+            assert self._handle is not None
+            serve_until_ended(self._handle, self._tool_handle)
+            self._write_tool_output()
         if self._mpi_coordinator is not None:
             self._mpi_coordinator.cleanup()
-        if self._tool_handle is not None:
-            # Give the tool daemon a grace period to observe the job's
-            # exit (final samples, trace file) before asking it to stop.
-            try:
-                self._tool_handle.join(timeout=5.0)
-            except errors.ToolError:
-                pass
-            self._tool_handle.stop()
-            try:
-                self._tool_handle.join(timeout=10.0)
-            except errors.ToolError:
-                pass
-            self._write_tool_output()
         # Stage outputs only after the tool finished writing its traces.
         if self.failure is None:
             self._stage_out()
         if self._relay is not None:
             self._relay.close()
         if self._handle is not None:
-            self._handle.stop_service_loop()
             self._record("tdp_exit", context=self.job_id)
             tdp_exit(self._handle)
         if self._shadow_channel is not None:

@@ -16,16 +16,19 @@ it is running under TDP and fetches the value with ``tdp_get``.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ToolError
 from repro.net.address import Endpoint
+from repro.tdp.handle import TdpHandle
 from repro.transport.base import Transport
+from repro.util.clock import deadline_after, time_left
 from repro.util.log import TraceRecorder
+from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
 
 _PERCENT_RE = re.compile(r"%([A-Za-z_][A-Za-z0-9_]*)")
@@ -55,57 +58,93 @@ class ToolLaunchContext:
     extras: dict = field(default_factory=dict)
 
 
-class ToolDaemonHandle(ABC):
-    """A launched tool daemon, as seen by the starter."""
-
-    @abstractmethod
-    def join(self, timeout: float | None = None) -> None:
-        """Wait for the daemon to finish its work."""
-
-    @abstractmethod
-    def stop(self) -> None:
-        """Ask the daemon to shut down; idempotent."""
-
-    @property
-    @abstractmethod
-    def failed(self) -> bool: ...
-
-
-class ThreadToolHandle(ToolDaemonHandle):
-    """Runs ``daemon.run(stop_event)``; :meth:`stop` sets the event and calls ``daemon.wake()``."""
+class ThreadToolHandle:
+    """A launched tool daemon, as seen by the starter: runs
+    ``daemon.run(stop_event)`` on its own thread; :meth:`stop` sets the
+    event and calls ``daemon.wake()``."""
 
     def __init__(self, name: str, daemon) -> None:
         self.daemon = daemon
         self._stop_event = threading.Event()
         self._error: BaseException | None = None
+        self._ended = threading.Event()
+        self._end_callbacks: list[Callable[[], None]] = []
+        self._lock = tracked_lock("condor.tools.ThreadToolHandle._lock")
 
         def runner() -> None:
             try:
                 daemon.run(self._stop_event)
             except BaseException as e:  # noqa: BLE001 — recorded for the starter
                 self._error = e
+            finally:
+                with self._lock:
+                    self._ended.set()
+                    callbacks = list(self._end_callbacks)
+                for callback in callbacks:
+                    callback()
 
         self._thread = spawn(runner, name=name)
 
     def join(self, timeout: float | None = None) -> None:
+        """Wait for the daemon to finish its work."""
         self._thread.join(timeout)
         if self._thread.is_alive():
             raise ToolError(f"tool daemon {self._thread.name} did not finish")
 
     def stop(self) -> None:
+        """Ask the daemon to shut down; idempotent."""
         self._stop_event.set()
         self.daemon.wake()
 
+    def on_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the daemon has ended (at once if it has)."""
+        with self._lock:
+            if not self._ended.is_set():
+                self._end_callbacks.append(callback)
+                return
+        callback()
+
     @property
-    def failed(self) -> bool:
-        return self._error is not None
+    def ended(self) -> bool:
+        return self._ended.is_set()
 
     @property
     def error(self) -> BaseException | None:
         return self._error
 
 
-ToolLauncher = Callable[[ToolLaunchContext], ToolDaemonHandle]
+ToolLauncher = Callable[[ToolLaunchContext], ThreadToolHandle]
+
+#: after its job's exit, a tool daemon has ``TOOL_GRACE`` seconds to end
+#: on its own (final samples, trace file), then ``TOOL_STOP_GRACE`` more
+#: once asked to stop
+TOOL_GRACE = 5.0
+TOOL_STOP_GRACE = 10.0
+
+
+def serve_until_ended(handle: TdpHandle, tool: ThreadToolHandle) -> None:
+    """Once its job has exited, answer ``tool``'s requests on the RM's
+    ``handle`` from the calling thread until the tool daemon has ended.
+
+    The RM serves its tool from the process's launch to the tool's end,
+    so a request that raced the exit (an attach, a continue, a pause)
+    gets its error reply at once rather than waiting out its timeout.
+    The tool's end wakes the handle.
+    """
+    tool.on_end(handle.attrs.wake)
+    if not _serve_for(handle, tool, TOOL_GRACE):
+        tool.stop()
+        _serve_for(handle, tool, TOOL_STOP_GRACE)
+
+
+def _serve_for(handle: TdpHandle, tool: ThreadToolHandle, grace: float) -> bool:
+    """Serve until ``tool`` has ended or ``grace`` has run out; True if it
+    ended.  A failed session ends the serving, not the grace."""
+    deadline = deadline_after(grace)
+    handle.serve(until=lambda: tool.ended, timeout=grace)
+    with contextlib.suppress(ToolError):
+        tool.join(timeout=time_left(deadline))
+    return tool.ended
 
 
 class ToolRegistry:

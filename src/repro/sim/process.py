@@ -106,6 +106,8 @@ class SimProcess:
             StopReason.CREATED_PAUSED if paused else None
         )
         self._stop_requested: StopReason | None = None
+        #: how many times the process has entered STOPPED (see stop())
+        self._stops = 0
 
         # Interpreter state (scheduler thread only).
         self._generator = program
@@ -219,6 +221,30 @@ class SimProcess:
                 return
             # RUNNABLE: the scheduler honors the flag between syscalls.
             self._stop_requested = reason
+
+    def stop(
+        self, reason: StopReason = StopReason.TRACER, timeout: float | None = None
+    ) -> ProcessState:
+        """Request a stop and block until it has taken effect, or the
+        process exited.
+
+        The wait is for the stop, not for the state: a continue from
+        another controller may resume the process before this waiter
+        runs again, and the stop it asked for has still happened.
+        """
+        with self.state_changed:
+            stops = self._stops
+            self.request_stop(reason)
+            if self.state is ProcessState.STOPPED:
+                return self.state
+            if not self.state_changed.wait_for(
+                lambda: self._stops > stops or self.state is ProcessState.EXITED,
+                timeout=timeout,
+            ):
+                raise InvalidProcessStateError(
+                    f"{self!r} did not stop within {timeout}s"
+                )
+            return self.state
 
     def continue_process(self) -> None:
         """Resume a STOPPED process (``tdp_continue_process`` mechanism).
@@ -442,4 +468,5 @@ class SimProcess:
         self.state = state
         if state is ProcessState.STOPPED:
             self.stop_reason = reason
+            self._stops += 1
         self.state_changed.notify_all()

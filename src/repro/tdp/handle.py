@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 import threading
+from typing import Callable
 
 from repro import errors, obs
 from repro.attrspace.client import AttributeSpaceClient, ReconnectPolicy
 from repro.net.address import Endpoint
 from repro.tdp.process import ProcessBackend, ProcessControlService
 from repro.transport.base import Transport
+from repro.util.clock import WallClock, deadline_after, time_left
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
 
@@ -33,6 +35,9 @@ class Role(enum.Enum):
     RT = "rt"    # run-time tool daemon: requests control via the RM
     AP = "ap"    # application-side helper (stdio endpoints etc.)
     AS = "as"    # auxiliary service daemon
+
+
+_SERVE_CLOCK = WallClock()
 
 
 class TdpHandle:
@@ -89,33 +94,70 @@ class TdpHandle:
         """Block until the session has a serviceable event (or timeout)."""
         return self.lass.wait_event(timeout=timeout)
 
-    def start_service_loop(self) -> None:
-        """Run ``service_events`` on a background thread until stopped.
+    def serve(self, until: Callable[[], bool], timeout: float | None = None) -> None:
+        """Run ``service_events`` on the calling thread until ``until()``
+        holds, ``timeout`` seconds have passed, or the session ends (the
+        handle was closed, or the session failed and closed its event
+        queue).
 
-        Daemons in this library that have no other main loop (e.g. the
-        Condor starter while a job runs) use this instead of a hand-
-        written poll loop; it preserves the safe-point discipline because
-        all callbacks for this handle run on this single thread.  It parks in
-        ``poll`` with no timer: :meth:`stop_service_loop` or a failed session ends it.
+        The poll loop of the paper's event model: every callback for this
+        handle runs on the one thread that serves it, at this safe point.
+        It parks in ``poll`` with no timer, so whatever makes ``until``
+        true must wake the handle (:meth:`AttributeSpaceClient.wake`); a
+        ``timeout`` is one wall timer that does so.
+        """
+        if timeout is not None:
+            deadline = deadline_after(timeout)
+            timer = _SERVE_CLOCK.call_later(timeout, self.attrs.wake)
+            try:
+                self.serve(lambda: until() or time_left(deadline) == 0)
+            finally:
+                timer.cancel()
+            return
+        while True:
+            try:
+                self.service_events()
+            except errors.TdpError:
+                return
+            if until():
+                return
+            if not self.poll(None):
+                # an untimed poll comes back empty only from a closed queue
+                obs.record("handle.serve.end", actor=self.member, reason="session over")
+                return
+
+    def serve_until_exit(self, pid: int, timeout: float | None = None) -> int:
+        """Answer this handle's tool requests on the calling thread until
+        ``pid`` exits; returns its exit code (``GetTimeoutError`` after
+        ``timeout`` seconds).
+
+        The RM's poll loop: the thread that waits for a process is the
+        one that services its tools.  The control service's exit
+        listener wakes the handle once it has published the exit.  A
+        failed session leaves a plain wait for the exit.
+        """
+        control = self.control
+        assert control is not None, "only an RM handle controls processes"
+        deadline = deadline_after(timeout)
+        self.serve(until=lambda: control.status(pid).exit_code is not None, timeout=timeout)
+        return control.wait_exit(pid, timeout=time_left(deadline))
+
+    def start_service_loop(self) -> None:
+        """Run :meth:`serve` on a background thread until stopped.
+
+        For a daemon with no loop of its own to serve from (a tool
+        front-end, a test's RM); a daemon that waits for a process serves
+        from that wait instead (:meth:`serve_until_exit`).
+        :meth:`stop_service_loop` or a failed session ends it.
         """
         with self._lock:
             if self._service_thread is not None:
                 return
             self._service_stop.clear()
             self._service_thread = spawn(
-                self._service_loop, name=f"tdp-service-{self.member}"
+                self.serve, args=(self._service_stop.is_set,),
+                name=f"tdp-service-{self.member}",
             )
-
-    def _service_loop(self) -> None:
-        while not self._service_stop.is_set():
-            try:
-                self.service_events()
-            except errors.TdpError:
-                return
-            if not self._service_stop.is_set() and not self.poll(None):
-                # an untimed poll comes back empty only from a closed queue
-                obs.record("handle.service_loop.end", actor=self.member, reason="session over")
-                return
 
     def stop_service_loop(self) -> None:
         with self._lock:

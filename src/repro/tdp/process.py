@@ -144,13 +144,7 @@ class SimHostBackend(ProcessBackend):
         self._host.get_process(pid).continue_process()
 
     def pause(self, pid: int) -> None:
-        from repro.sim.process import ProcessState
-
-        proc = self._host.get_process(pid)
-        proc.request_stop()
-        proc.wait_for_state(
-            ProcessState.STOPPED, ProcessState.EXITED, timeout=self.PAUSE_TIMEOUT
-        )
+        self._host.get_process(pid).stop(timeout=self.PAUSE_TIMEOUT)
 
     def kill(self, pid: int, signal: int = 15) -> None:
         self._host.get_process(pid).terminate(signal)
@@ -235,6 +229,7 @@ class ProcessControlService:
                 )
             except errors.TdpError:
                 _log.debug("could not publish exit of pid %s (handle closed)", pid)
+            self._attrs.wake()  # an RM parked in serve_until_exit
 
         self._backend.on_exit(pid, on_exit)
 

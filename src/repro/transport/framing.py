@@ -93,10 +93,15 @@ def decode_body(body: bytes, binary: bool = False) -> dict[str, Any]:
     return _body_codec().decode_body(body)
 
 
+def decode_frame(frame: bytes) -> dict[str, Any]:
+    """Deserialize one whole frame, length prefix included."""
+    (header,) = _LEN.unpack_from(frame)
+    return decode_body(frame[_LEN.size :], bool(header & _BINARY_FLAG))
+
+
 def roundtrip(message: dict[str, Any]) -> dict[str, Any]:
     """Encode+decode a message (serializability check for in-mem channels)."""
-    frame = encode_frame(message)
-    return decode_body(frame[_LEN.size :])
+    return decode_frame(encode_frame(message))
 
 
 class FrameReader:

@@ -67,13 +67,12 @@ class _InMemChannel(Channel):
 
     def offer(self, message: Message, maxsize: int | None) -> bool:
         """``send`` unless the peer has ``maxsize`` frames unread."""
+        frame = framing.encode_frame(message)  # enforce serializability
         if obs.enabled():
             reg = obs.registry()
             reg.counter("transport.inmem.frames").increment()
-            reg.counter("transport.inmem.bytes").increment(
-                len(framing.encode_frame(message))
-            )
-        message = framing.roundtrip(message)  # enforce serializability
+            reg.counter("transport.inmem.bytes").increment(len(frame))
+        message = framing.decode_frame(frame)
         with self._lock:
             if self._closed:
                 raise ChannelClosedError(f"send on closed channel {self._local}->{self._remote}")

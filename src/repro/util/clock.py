@@ -213,6 +213,17 @@ class VirtualClock(_Timers, Clock):
             return self._now
 
 
+def deadline_after(timeout: float | None) -> float | None:
+    """The wall-clock moment ``timeout`` seconds from now (None: never)."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def time_left(deadline: float | None) -> float | None:
+    """Seconds until a :func:`deadline_after` moment, never negative
+    (None: no bound)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
 class StopwatchResult:
     """Mutable elapsed-time holder filled in when a Stopwatch exits."""
 

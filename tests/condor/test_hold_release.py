@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.condor.job import JobStatus
+from repro.condor.job import JobId, JobRecord, JobStatus
 from repro.condor.pool import CondorPool
 from repro.condor.submit import SubmitDescription
 from repro.errors import ResourceManagerError
@@ -78,6 +78,15 @@ class TestHoldRelease:
             time.sleep(0.01)
         with pytest.raises(ResourceManagerError):
             pool.schedd.hold(str(job.job_id))
+
+    def test_a_finished_job_stays_finished(self):
+        """A reply that raced the job's end (a release answered as it
+        exited) does not revive it: how a job ended is final."""
+        record = JobRecord(JobId(1), SubmitDescription(executable="hello"))
+        record.set_status(JobStatus.COMPLETED, exit_code=0)
+        record.set_status(JobStatus.RUNNING)
+        assert record.status is JobStatus.COMPLETED
+        assert record.wait_terminal(timeout=1.0) is JobStatus.COMPLETED
 
     def test_status_stream_reflects_hold(self, world):
         """The tool-visible story: proc.<pid>.status shows stopped/running."""

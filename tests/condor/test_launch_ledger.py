@@ -11,7 +11,8 @@ fourth tap, the simulator's ``Service`` syscalls, beside the scheduler's
 slice count: ranks that wait for a peer must not keep the simulator
 busy while the launch's real threads work.  A fifth, on
 ``TdpHandle.poll``, shows which daemons woke on a timer instead of
-being told.
+being told; a sixth, on ``ProcessControlService._on_request``, which
+thread answered each tool request.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ from repro.mpisim.runtime import MpiRuntime
 from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
 from repro.tdp.handle import TdpHandle
+from repro.tdp.process import ProcessControlService
 from repro.transport.inmem import InMemoryTransport
 from repro.util.log import TraceRecorder
 
@@ -40,8 +42,8 @@ PER_JOB_DAEMON_THREADS = (
 
 
 class Ledger:
-    """Frames, thread starts, dials, ``Service`` syscalls and handle
-    polls seen while ``recording()``."""
+    """Frames, thread starts, dials, ``Service`` syscalls, handle polls
+    and tool-request answers seen while ``recording()``."""
 
     def __init__(self):
         self.on = False
@@ -54,11 +56,13 @@ class Ledger:
         self.services = []
         #: (calling function, timeout, whether an event was ready)
         self.polls = []
+        #: (answering RM's member, the thread it answered on)
+        self.answers = []
 
     @contextlib.contextmanager
     def recording(self):
         self.frames, self.threads, self.dials, self.services = [], [], [], []
-        self.polls = []
+        self.polls, self.answers = [], []
         self.on = True
         try:
             yield self
@@ -89,9 +93,9 @@ class Ledger:
 @pytest.fixture
 def ledger(monkeypatch):
     book = Ledger()
-    submit, start, connect, call_service, poll = (
+    submit, start, connect, call_service, poll, on_request = (
         _Session.submit, threading.Thread.start, InMemoryTransport.connect,
-        SimCluster.call_service, TdpHandle.poll,
+        SimCluster.call_service, TdpHandle.poll, ProcessControlService._on_request,
     )
 
     def tapped_submit(self, request, complete, **kwargs):
@@ -125,7 +129,13 @@ def ledger(monkeypatch):
             book.polls.append((caller, timeout, ready))
         return ready
 
+    def tapped_on_request(self, notification, arg):
+        if book.on:
+            book.answers.append((self._owner, threading.current_thread().name))
+        return on_request(self, notification, arg)
+
     monkeypatch.setattr(_Session, "submit", tapped_submit)
+    monkeypatch.setattr(ProcessControlService, "_on_request", tapped_on_request)
     monkeypatch.setattr(TdpHandle, "poll", tapped_poll)
     monkeypatch.setattr(SimCluster, "call_service", tapped_call_service)
     monkeypatch.setattr(threading.Thread, "start", tapped_start)
@@ -227,10 +237,18 @@ class TestWarmMonitoredLaunch:
         # the cluster clock's timer service starts once, with the first
         # blocking get that has to park: whichever job that falls in
         started = [name for name in ledger.threads if name != "vclock-timers"]
-        assert len(started) <= 9, ", ".join(started)
+        assert len(started) <= 8, ", ".join(started)
         assert not [
             name for name in started if name.startswith(PER_JOB_DAEMON_THREADS)
         ]
+
+    def test_tool_requests_are_answered_on_the_starter_thread(self, cycle):
+        """The starter is the RM's poll loop: the thread that waits for
+        the job answers its tool, and no service thread is started."""
+        ledger, job = cycle
+        assert ledger.answers
+        assert set(ledger.answers) == {(f"starter/{job}", f"starter-{job}")}
+        assert not [n for n in ledger.threads if n.startswith("tdp-service-")]
 
     def test_schedd_dials_nothing_after_the_first_job(self, cycle):
         ledger, _job = cycle
@@ -278,8 +296,39 @@ class TestWarmGangLaunch:
             assert [s.exit_code for s in sessions] == [0] * self.SIZE
             assert MpiRuntime.ensure(scenario.cluster)._jobs == {}
 
+    def test_threads_started_per_warm_gang(self, ledger):
+        """Each worker rank's thread starts the rank and answers its
+        tools; no service thread per rank, no thread to spawn the ranks."""
+        hosts = [f"node{i}" for i in range(self.SIZE)]
+        with ParadorScenario(execute_hosts=hosts) as scenario:
+            self.submit_gang(scenario)
+            with ledger.recording():
+                job, _sessions = self.submit_gang(scenario)
+        started = [name for name in ledger.threads if name != "vclock-timers"]
+        assert len(started) <= 44, ", ".join(started)
+        assert not [
+            name for name in started
+            if name.startswith(("tdp-service-", "mpi-workers-"))
+        ]
+        ranks = sorted(n for n in started if n.startswith(f"mpi-rank-{job.job_id}-"))
+        assert ranks == [f"mpi-rank-{job.job_id}-{r}" for r in range(1, self.SIZE)]
+
+    def test_each_rank_answers_its_tools_on_its_own_thread(self, ledger):
+        """Rank r's requests are answered on the thread that started it;
+        rank 0's on the master starter's."""
+        hosts = [f"node{i}" for i in range(self.SIZE)]
+        with ParadorScenario(execute_hosts=hosts) as scenario:
+            self.submit_gang(scenario)
+            with ledger.recording():
+                job, _sessions = self.submit_gang(scenario)
+        expected = {(f"starter/{job.job_id}", f"starter-{job.job_id}")} | {
+            (f"starter/{job.job_id}.r{r}", f"mpi-rank-{job.job_id}-{r}")
+            for r in range(1, self.SIZE)
+        }
+        assert set(ledger.answers) == expected
+
     def test_daemons_are_told_not_timed(self, ledger):
-        """No RM service loop wakes on a timer and no paradynd reads its
+        """No RM poll loop wakes on a timer and no paradynd reads its
         process's status back: each hears of the exit as a notification.
         The one timed poll left is paradynd's sample period."""
         hosts = [f"node{i}" for i in range(self.SIZE)]
@@ -289,7 +338,7 @@ class TestWarmGangLaunch:
                 self.submit_gang(scenario)
         timed_out = [caller for caller, _t, ready in ledger.polls if not ready]
         assert [c for c in timed_out if c != "_sample_until_exit"] == []
-        service = [t for c, t, _r in ledger.polls if c == "_service_loop"]
+        service = [t for c, t, _r in ledger.polls if c == "serve"]
         assert service and set(service) == {None}
         assert ledger.status_reads_of("paradynd/") == []
 
@@ -371,6 +420,10 @@ class TestRequestsPerPeerAreSerialised:
                 ("activate", "begin"), ("activate", "end"),
                 (verb, "begin"), (verb, "end"),
             ]
+            if job.status is JobStatus.HELD:
+                # the hold reached the job's process: let it finish
+                with contextlib.suppress(ResourceManagerError):
+                    pool.schedd.release(str(job.job_id))
             job.wait_terminal(timeout=30.0)
 
 

@@ -33,7 +33,7 @@ COUNTED = (
     _InMemChannel, threading.Thread,
 )
 PER_JOB_THREADS = (
-    "shadow-", "stdio-collect-", "starter-", "paradynd-", "mpi-",
+    "shadow-", "stdio-collect-", "stdio-relay-", "starter-", "paradynd-", "mpi-",
     # the receive threads of the job's sessions end after their close
     "attr-client-starter/", "attr-client-paradynd/",
 )
@@ -59,14 +59,28 @@ def census():
     return counts, len(objects)
 
 
+def closed_connections_held():
+    """Connections already closed but not yet let go of: a server that
+    has not yet handled a close, a worker that has not yet returned from
+    the teardown that closed it.  None once a pool is quiet: its
+    long-lived connections are open."""
+    gc.collect()
+    return sum(
+        1 for obj in gc.get_objects()
+        if isinstance(obj, _InMemChannel) and obj.closed
+    )
+
+
 def settle(scenario):
-    """Wait until no claim, reservation or per-job thread is left."""
+    """Wait until no claim, reservation, per-job thread or closed
+    connection is left."""
     pool = scenario.pool
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline and (
         pool.matchmaker.reserved_count()
         or any(s.claimed for s in pool.startds.values())
         or any(t.name.startswith(PER_JOB_THREADS) for t in threading.enumerate())
+        or closed_connections_held()
     ):
         time.sleep(0.005)
 

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from repro import errors
 from repro.condor.job import JobStatus
+from repro.paradyn import daemon as paradyn_daemon
 from repro.parador.run import ParadorScenario
 from repro.util.log import TraceRecorder
 
@@ -159,3 +161,42 @@ class TestAttachModePipeline:
         # from create mode where the tool saw everything from zero.
         final_cpu = session.latest("proc_cpu")
         assert final_cpu is not None and final_cpu >= pre_attach_cpu
+
+
+class TestToolThatAttachesAfterTheExit:
+    """A monitored job that runs from the start (+SuspendJobAtExec False)
+    and exits before its paradynd attaches: the starter still answers the
+    attach, with an error, and tears the job down at once instead of
+    after the tool's grace, which the tool would spend waiting out its
+    request."""
+
+    def test_late_attach_is_answered_and_the_job_torn_down(self, scenario, monkeypatch):
+        outcome = []
+        real_attach = paradyn_daemon.tdp_attach
+
+        def attach_after_the_exit(handle, pid):
+            scenario.cluster.host("node1").get_process(pid).wait_for_exit(timeout=30.0)
+            start = time.monotonic()
+            try:
+                real_attach(handle, pid)
+            except errors.ProcessError as e:
+                outcome.append((time.monotonic() - start, str(e)))
+                raise
+
+        monkeypatch.setattr(paradyn_daemon, "tdp_attach", attach_after_the_exit)
+        job = scenario.pool.submit_file(
+            "universe = Vanilla\nexecutable = hello\n+SuspendJobAtExec = False\n"
+            '+ToolDaemonCmd = "paradynd"\n'
+            f'+ToolDaemonArgs = "{paradynd_args(scenario)}"\nqueue\n'
+        )[0]
+        assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+        ended = time.monotonic()
+        deadline = ended + 30.0
+        while not scenario.trace.events(actor="starter", action="tdp_exit") and (
+            time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        torn_down = time.monotonic() - ended
+        [(waited, error)] = outcome
+        assert "exited" in error and waited < 2.0
+        assert torn_down < 4.0  # the tool's grace is 5 s, then 10 s more

@@ -113,6 +113,27 @@ class TestPauseResume:
         with pytest.raises(InvalidProcessStateError):
             proc.request_stop()
 
+    def test_pause_outlived_by_a_concurrent_continue_returns(self, cluster):
+        """A pause whose stop took effect returns even when another
+        controller continues the process before the pausing thread runs
+        again: it waits for the stop, not for the state."""
+        from repro.tdp.process import SimHostBackend
+
+        proc = cluster.host("node1").create_process("spin")
+        set_state = proc._set_state
+
+        def continued_at_once(state, reason):
+            set_state(state, reason)
+            if state is ProcessState.STOPPED:  # the other controller's continue
+                set_state(ProcessState.RUNNABLE, None)
+
+        proc._set_state = continued_at_once
+        backend = SimHostBackend(cluster.host("node1"))
+        backend.PAUSE_TIMEOUT = 2.0
+        backend.pause(proc.pid)
+        del proc._set_state
+        proc.terminate()
+
     def test_redundant_stop_is_noop(self, cluster):
         proc = cluster.host("node1").create_process("spin")
         proc.request_stop()

@@ -14,9 +14,15 @@ from repro.errors import FirewallBlockedError
 from repro.net.topology import Network
 from repro.parador.run import ParadorScenario
 from repro.sim.cluster import SimCluster
-from repro.tdp.api import tdp_init, tdp_subscribe
+from repro.tdp.api import (
+    tdp_continue_process,
+    tdp_create_process,
+    tdp_init,
+    tdp_subscribe,
+)
 from repro.tdp.handle import Role
 from repro.tdp.process import SimHostBackend
+from repro.tdp.wellknown import CreateMode
 from repro.util.log import TraceRecorder
 
 
@@ -153,6 +159,63 @@ class TestServiceLoop:
         assert handle.lass.events.closed
         assert len(passes) < 10
         handle.stop_service_loop()  # nothing left to stop
+
+
+class TestServeUntilExit:
+    @pytest.fixture
+    def rm_rt(self, world):
+        cluster, lass = world
+        rm = tdp_init(
+            cluster.transport, lass.endpoint, member="rm", role=Role.RM,
+            backend=SimHostBackend(cluster.host("node1")), context="job1",
+        )
+        rt = tdp_init(
+            cluster.transport, lass.endpoint, member="rt", role=Role.RT,
+            src_host="node1", context="job1",
+        )
+        yield rm, rt
+        rt.close()
+        rm.close()
+
+    def test_tool_requests_answered_on_the_waiting_thread(self, rm_rt, monkeypatch):
+        """The thread that waits for the process answers its tool, and
+        returns the exit code once the exit has woken it: no service
+        thread, no timer."""
+        rm, rt = rm_rt
+        answered = []
+        on_request = rm.control._on_request
+        monkeypatch.setattr(rm.control, "_on_request", lambda *a: (
+            answered.append(threading.current_thread().name), on_request(*a)
+        ))
+        rm.control.serve_tool_requests()
+        info = tdp_create_process(rm, "hello", ["x"], mode=CreateMode.PAUSED)
+        polls, parked = [], threading.Event()
+        poll = rm.poll
+        rm.poll = lambda timeout=None: (
+            polls.append(timeout), parked.set(), poll(timeout)
+        )[-1]
+
+        def continue_once_parked():
+            assert parked.wait(timeout=5.0)
+            tdp_continue_process(rt, info.pid)
+
+        tool = threading.Thread(target=continue_once_parked, name="tool")
+        tool.start()
+        assert rm.serve_until_exit(info.pid) == 0
+        tool.join(timeout=5.0)
+        assert not tool.is_alive()
+        assert answered and set(answered) == {threading.current_thread().name}
+        assert polls and set(polls) == {None}
+        assert not [n for n in thread_names() if n.startswith("tdp-service-")]
+
+    def test_failed_session_falls_back_to_waiting(self, rm_rt, world):
+        rm, _rt = rm_rt
+        cluster, lass = world
+        info = tdp_create_process(rm, "hello", ["x"], mode=CreateMode.PAUSED)
+        lass.stop()
+        assert wait_until(lambda: rm.lass.events.closed)
+        cluster.host("node1").get_process(info.pid).continue_process()
+        assert rm.serve_until_exit(info.pid) == 0
 
 
 class TestRepr:

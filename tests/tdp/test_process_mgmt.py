@@ -77,8 +77,14 @@ class TestFig3BAttachMode:
     """Figure 3B: AP already running under the RM; RT attaches later."""
 
     def test_full_sequence(self, rm_handle, rt_handle, cluster):
-        # RM: application has been running for a while.
+        from repro.sim.process import ProcessState
+
+        # RM: application has been running for a while (it has reached
+        # its first wait for a request).
         info = tdp_create_process(rm_handle, "server_loop", mode=CreateMode.RUN)
+        cluster.host("node1").get_process(info.pid).wait_for_state(
+            ProcessState.BLOCKED, timeout=10.0
+        )
         tdp_put(rm_handle, Attr.PID, str(info.pid))
         rm_handle.control.serve_tool_requests()
         rm_handle.start_service_loop()
@@ -87,7 +93,6 @@ class TestFig3BAttachMode:
         pid = int(tdp_get(rt_handle, Attr.PID, timeout=10.0))
         tdp_attach(rt_handle, pid)
         proc = cluster.host("node1").get_process(pid)
-        from repro.sim.process import ProcessState
 
         assert proc.state is ProcessState.STOPPED
         assert proc.started  # unlike create-paused, it HAS run

@@ -207,6 +207,36 @@ class TestInMemorySpecifics:
         client.close()
         server.close()
 
+    def test_a_send_encodes_its_frame_once_with_obs_on(self, monkeypatch):
+        """The frame counted for ``transport.inmem.bytes`` is the frame
+        the serializability check decodes: one encode per send."""
+        from repro import obs
+        from repro.transport import framing
+
+        encodes = []
+        encode_frame = framing.encode_frame
+
+        def counted(message, codec=None):
+            encodes.append(message)
+            return encode_frame(message, codec)
+
+        monkeypatch.setattr(framing, "encode_frame", counted)
+        was = obs.enabled()
+        obs.set_enabled(True)
+        obs.reset()
+        client, server = _InMemChannel.pair("localhost", "localhost")
+        try:
+            client.send({"n": 1})
+            assert server.recv(timeout=1.0) == {"n": 1}
+            assert len(encodes) == 1
+            bytes_sent = obs.registry().counter("transport.inmem.bytes").value
+            assert bytes_sent == len(encode_frame({"n": 1}))
+        finally:
+            client.close()
+            server.close()
+            obs.reset()
+            obs.set_enabled(was)
+
     def test_a_kept_channel_does_not_pin_a_stopped_serving_loop(self):
         # A daemon's record may outlive its connections (a finished
         # job's starter keeps its shadow channel): once served and

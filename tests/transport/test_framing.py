@@ -83,6 +83,14 @@ class TestCodecDelegation:
         assert framing.decode_body(body) == {"n": 7}
         assert seen == [body]
 
+    def test_decode_frame_reads_the_codec_flag(self):
+        from repro.attrspace import protocol
+
+        message = {"op": "put", "req": 3, "attribute": "a", "value": "v"}
+        binary = framing.encode_frame(message, protocol.CODEC_BINARY)
+        assert framing.decode_frame(binary) == message
+        assert framing.decode_frame(framing.encode_frame(message)) == message
+
     def test_codec_module_is_cached(self):
         assert framing._body_codec() is framing._body_codec()
 
