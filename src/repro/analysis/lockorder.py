@@ -126,9 +126,10 @@ DEFAULT = LockHierarchy([
     LockDecl("sim.cluster.SimCluster._lock", 14,
              note="cluster topology; held while delivering to a process"),
     LockDecl("condor.mpi_universe.MpiUniverseCoordinator._lock", 14,
-             note="one gang's launch record: per-rank RM handles, pids, "
-                  "tool handles and the first start failure, written by "
-                  "the per-machine starter threads; never calls out held"),
+             note="one job's ranks: per-rank RM handles, pids and "
+                  "threads, the job's disseminated attributes and the "
+                  "first start failure, written by the rank threads; "
+                  "never calls out held"),
     LockDecl("mpisim.runtime.MpiRuntime._lock", 16,
              note="MPI rank rendezvous state: per-job rank tables, master "
                   "hooks and parked waiters; released before a waiter is "

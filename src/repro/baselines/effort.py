@@ -50,7 +50,7 @@ def count_source_lines(path: Path) -> int:
 def count_region_lines(path: Path, qualnames: list[str]) -> int:
     """Source lines of the named defs/classes in one file.
 
-    ``qualnames`` are dotted paths like ``"Starter._launch_tool_daemon"``;
+    ``qualnames`` are dotted paths like ``"Starter._write_tool_output"``;
     lines are counted with the same rules as :func:`count_source_lines`
     (no blanks, comments, or docstrings).
     """
@@ -119,12 +119,10 @@ def count_region_lines(path: Path, qualnames: list[str]) -> int:
 #: the registration glue — everything a non-TDP build would not contain.
 INTEGRATION_REGIONS: dict[str, list[str]] = {
     "parador/adapters.py": ["register_paradynd", "make_tool_registry"],
-    "condor/starter.py": [
-        "Starter._launch_tool_daemon",
-        "Starter._write_tool_output",
-    ],
+    "condor/starter.py": ["Starter._write_tool_output"],
+    "condor/mpi_universe.py": ["MpiUniverseCoordinator.launch_tool"],
     "condor/submit.py": ["ToolDaemonSpec", "_parse_bool"],
-    "condor/tools.py": ["percent_names", "ToolLaunchContext"],
+    "condor/tools.py": ["ToolLaunchContext"],
     "paradyn/daemon.py": [
         "ParadynDaemon.run",
         "ParadyndArgs.tdp_mode",

@@ -1,4 +1,5 @@
-"""The Condor MPI universe under TDP (paper Section 4.3).
+"""The Condor MPI universe under TDP (paper Section 4.3), and the one
+rank launch every job runs.
 
 The paper's flow, reproduced step by step:
 
@@ -14,33 +15,34 @@ The paper's flow, reproduced step by step:
    are created with a paradynd attached to each one of them.  Processes
    are created and stopped, paradynds attach to them and, after
    reporting to the front-end, they immediately issue a run command" —
-   rank 0's ``mpi.init`` (it only happens once the user ran it) triggers
-   the coordinator, which creates each remaining rank paused on its
-   claimed machine, stands up the per-host RM presence, launches a
-   paradynd per rank (``auto_run`` — they immediately continue), and
-   the job completes when every rank has exited.
+   rank 0's ``mpi.init`` (it only happens once the user ran it) starts
+   every remaining rank the way rank 0 was started, each with its own
+   paradynd (``auto_run`` — they immediately continue), and the job
+   completes when every rank has exited.
 
-Simplification (documented): worker-rank creation is performed by this
-coordinator using the claimed machines' hosts and LASSes directly,
-standing in for the per-machine starters that real Condor would run —
-one thread per worker rank, for the rank's life, all running at once, as
-the machines' own starters would: it starts its rank, then answers that
-rank's tool requests until the rank has exited and its tool daemon has
-ended, the rule the master starter keeps for rank 0.  Every protocol step
-they would perform (per-host LASS context, RM-side control service, pid
-publication, paradynd handshake) is preserved.  A rank that cannot be
-started fails the job: its peers would wait for it for good, so its
-thread kills every rank that was created and the master starter reports
-the failure.
+Every rank — a vanilla job's one process, rank 0, each worker rank — is
+launched by :meth:`MpiUniverseCoordinator.launch`: ``tdp_init`` on the
+rank's context, stage-in to the rank's host, create (paused for
+``+SuspendJobAtExec``), stdout to the job's relay, the tool daemon, and one launch
+record carrying the pid, its companions, the job's disseminated
+attributes and the RM's proxy.  A vanilla job is a gang of one.
+
+Simplification (documented): the coordinator starts the worker ranks on
+their claimed machines' hosts and LASSes itself, one thread per rank for
+the rank's life, standing in for the per-machine starters that real
+Condor would run.  A rank that cannot be started fails the job: its
+peers would wait for it for good, so its thread kills every rank that
+was created and the master starter reports the failure.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro import errors
-from repro.condor.submit import SubmitDescription
+from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.condor.tools import ThreadToolHandle, ToolLaunchContext, ToolRegistry, serve_until_ended
 from repro.mpisim.runtime import MpiRuntime, RankInfo
 from repro.net.address import Endpoint, parse_endpoint
@@ -51,8 +53,10 @@ from repro.tdp.api import (
     tdp_init,
     tdp_put_many,
 )
+from repro.tdp.files import FileStager
 from repro.tdp.handle import Role, TdpHandle
 from repro.tdp.process import SimHostBackend
+from repro.tdp.stdio import StdioRelay
 from repro.tdp.wellknown import Attr, CreateMode
 from repro.transport.base import Transport
 from repro.util.clock import deadline_after, time_left
@@ -71,38 +75,47 @@ class MachineSlot:
 
 
 class MpiUniverseCoordinator:
-    """Runs one MPI-universe job from the master starter's position."""
+    """Launches and keeps one job's ranks from its starter's position:
+    rank 0 on the starter's thread, every other rank on its own."""
 
     def __init__(
         self,
         *,
         transport: Transport,
-        master_host: SimHost,
-        master_lass: Endpoint,
+        host: SimHost,
+        lass_endpoint: Endpoint,
         job_id: str,
         description: SubmitDescription,
         extra_machines: list[MachineSlot],
         tool_registry: ToolRegistry,
         trace: TraceRecorder | None = None,
+        proxy: Endpoint | None = None,
+        stdio_endpoint: Endpoint | None = None,
+        submit_host: str | None = None,
+        read_cass: Callable[[tuple[str, ...]], list[tuple[str, str]]] | None = None,
     ):
         self._transport = transport
-        self._master_host = master_host
-        self._master_lass = master_lass
         self.job_id = job_id
         self._desc = description
-        self._machines = [
-            MachineSlot(master_host.name, master_lass),
-            *extra_machines,
-        ]
+        self._machines = [MachineSlot(host.name, lass_endpoint), *extra_machines]
         self._tools = tool_registry
         self._trace = trace
-        self.size = description.machine_count
+        self._proxy = proxy
+        self._stdio_endpoint = stdio_endpoint
+        self._submit_host = submit_host
+        #: the startd's best-effort read of pool-global attributes from
+        #: the CASS (``None``: the pool has none)
+        self._read_cass = read_cass
+        #: what that read found, for every rank's launch record: read by
+        #: the job's first tool launch
+        self._published: list[tuple[str, str]] | None = None
+        self._mpi = description.universe == "mpi"
+        self.size = description.machine_count if self._mpi else 1
         if len(self._machines) < self.size:
             raise errors.UniverseError(
                 f"MPI job needs {self.size} machines, got {len(self._machines)}"
             )
-        self._cluster = master_host.cluster
-        self._runtime = MpiRuntime.ensure(self._cluster)
+        self._cluster = host.cluster
         self._rank_handles: dict[int, TdpHandle] = {}
         self._rank_pids: dict[int, tuple[str, int]] = {}  # rank -> (host, pid)
         #: per worker rank: its thread, and its exit code (None: not started)
@@ -111,17 +124,23 @@ class MpiUniverseCoordinator:
         #: latched by the first kill: a rank created after it dies too
         self._killed = False
         self._lock = tracked_lock("condor.mpi_universe.MpiUniverseCoordinator._lock")
-        # tdp-guard: _master_handle -> volatile
-        # (written once by start_master, before rank 0 exists to reach
-        # the mpi.init that starts the only other reader)
-        self._master_handle: TdpHandle | None = None
-        # tdp-guard: master_pid -> volatile
-        # (written once when the master rank is created, before the
-        # launch report that makes control requests possible)
-        self.master_pid: int | None = None
+        # tdp-guard: _relay -> volatile
+        # (written once by rank 0's launch, before it arms the mpi.init
+        # hook that starts the other ranks' threads)
+        self._relay: StdioRelay | None = None
+        if self._mpi:
+            self._runtime = MpiRuntime.ensure(self._cluster)
+            self._runtime.create_job(job_id, self.size)
+            self._record("mpi_master_create", machines=self.size)
 
     def _record(self, action: str, **details) -> None:
         record_event(self._trace, f"mpi-coord/{self.job_id}", action, **details)
+
+    def _record_rank(self, rank: int, action: str, **details) -> None:
+        """One step of a rank's launch, as its RM's: rank 0's RM is the
+        starter itself."""
+        actor = "starter" if rank == 0 else f"mpi-coord/{self.job_id}"
+        record_event(self._trace, actor, action, **details)
 
     @property
     def start_failure(self) -> str | None:
@@ -130,9 +149,15 @@ class MpiUniverseCoordinator:
         with self._lock:
             return self._start_failure
 
-    # -- environment ------------------------------------------------------------
+    # -- one rank's launch --------------------------------------------------------
+
+    @staticmethod
+    def _suffix(rank: int) -> str:
+        return f".r{rank}" if rank else ""
 
     def _rank_env(self, rank: int) -> dict[str, str]:
+        if not self._mpi:
+            return self._desc.environment
         return {
             **self._desc.environment,
             "MPI_JOB": self.job_id,
@@ -140,40 +165,195 @@ class MpiUniverseCoordinator:
             "MPI_SIZE": str(self.size),
         }
 
-    # -- the flow -----------------------------------------------------------------
+    def launch(
+        self, rank: int, tool_output: Callable[[str], None] = lambda line: None
+    ) -> tuple[TdpHandle, int, ThreadToolHandle | None]:
+        """Start ``rank`` on its machine: Figure 6's steps 1-3.
 
-    def start_master(self, master_handle: TdpHandle) -> int:
-        """Create rank 0 (paused when monitored) under the starter's handle.
-
-        Returns rank 0's pid.  Worker creation is armed on rank 0's
-        ``mpi.init``; the starter then launches rank 0's paradynd and
-        publishes the pid exactly as in the vanilla path.
+        Returns the rank's RM handle, its process's pid and its tool
+        daemon (``None``: unmonitored, or killed as it was created);
+        ``tool_output`` takes each line the tool writes.
         """
-        self._master_handle = master_handle
-        self._runtime.create_job(self.job_id, self.size)
-        self._runtime.on_master_init(self.job_id, self._on_master_running)
+        slot = self._machines[rank]
+        host = self._cluster.host(slot.hostname)
+        context = self.job_id + self._suffix(rank)
+        # The per-machine RM presence: its own context on its host's LASS.
+        self._record_rank(rank, "tdp_init", context=context, host=host.name)
+        handle = tdp_init(
+            self._transport,
+            slot.lass_endpoint,
+            member=f"starter/{context}",
+            role=Role.RM,
+            context=context,
+            backend=SimHostBackend(host),
+        )
+        with self._lock:
+            self._rank_handles[rank] = handle  # cleanup() owns it from here
+        assert handle.control is not None
+        handle.control.serve_tool_requests()
+        self._stage_in(rank, host.name)
+
+        desc = self._desc
         mode = (
             CreateMode.PAUSED
-            if (self._desc.monitored and self._desc.suspend_job_at_exec)
+            if (desc.monitored and desc.suspend_job_at_exec)
             else CreateMode.RUN
         )
-        self._record("create_master", rank=0, mode=mode.value)
-        info = tdp_create_process(
-            master_handle,
-            self._desc.executable,
-            self._desc.arguments,
-            env=self._rank_env(0),
-            mode=mode,
+        self._record_rank(
+            rank, "tdp_create_process", target="AP" + self._suffix(rank),
+            executable=desc.executable, mode=mode.value, host=host.name,
         )
-        self.master_pid = info.pid
+        info = tdp_create_process(
+            handle, desc.executable, desc.arguments,
+            env=self._rank_env(rank), mode=mode,
+        )
         with self._lock:
-            self._rank_pids[0] = (self._master_host.name, info.pid)
-        return info.pid
+            self._rank_pids[rank] = (host.name, info.pid)
+            killed = self._killed
+        if killed:
+            handle.control.kill(info.pid)
+            return handle, info.pid, None
+
+        proc = host.get_process(info.pid)
+        if rank == 0 and self._stdio_endpoint is not None:
+            # As in MPI, only rank 0 takes stdin.
+            self._relay = StdioRelay(
+                self._transport,
+                host.name,
+                self._stdio_endpoint,
+                proxy=self._proxy,
+                feed_stdin=proc.feed_stdin,
+                close_stdin=proc.close_stdin,
+            )
+        if self._relay is not None:
+            proc.add_stdout_sink(self._relay.forward_stdout)
+
+        tool = None
+        if desc.tool_daemon is not None:
+            tool = self.launch_tool(rank, desc.tool_daemon, tool_output)
+        if rank == 0 and self._mpi:
+            # Rank 0's launch is whole (an unmonitored rank 0 may already
+            # have reached mpi.init): the other ranks start now or then.
+            self._runtime.on_master_init(self.job_id, self._on_master_running)
+        return handle, info.pid, tool
+
+    def _stage_in(self, rank: int, host: str) -> None:
+        """Transfer job + tool input files to the rank's host.
+
+        Implements the submit file's ``transfer_input_files`` (which in
+        the pilot shipped the paradynd binary, Fig. 5B) and
+        ``+ToolDaemonTransferInput`` — TDP's "tool daemon configuration
+        … files transferred to the execution nodes".
+        """
+        if self._submit_host is None:
+            return
+        paths = list(self._desc.transfer_input_files)
+        if self._desc.tool_daemon is not None:
+            paths.extend(self._desc.tool_daemon.transfer_input)
+        if not paths:
+            return
+        submit_fs = self._cluster.host(self._submit_host).filesystem
+        present = [p for p in paths if p in submit_fs]
+        if present:
+            FileStager(self._cluster).stage_in(self._submit_host, host, present)
+            self._record_rank(rank, "stage_in", files=",".join(present))
+        missing = sorted(set(paths) - set(present))
+        if missing:
+            # The pilot listed 'paradynd' even though our tools are not
+            # files; absent inputs are logged, not fatal.
+            self._record_rank(rank, "stage_in_skipped", files=",".join(missing))
+
+    def launch_tool(
+        self, rank: int, tool: ToolDaemonSpec, output_sink: Callable[[str], None]
+    ) -> ThreadToolHandle:
+        """Start ``tool`` against ``rank``'s process and publish its
+        launch record: the tool half of :meth:`launch`, and on its own a
+        tool attaching to the running application (Figure 3B)."""
+        slot = self._machines[rank]
+        suffix = self._suffix(rank)
+        context = self.job_id + suffix
+        with self._lock:
+            handle = self._rank_handles[rank]
+            _host, pid = self._rank_pids[rank]
+        # The launch record, beside the pid and its standard companions:
+        # the job's pool-global attributes ("port arguments …
+        # disseminated to remote sites as attribute values", Section
+        # 4.3) and the RM's proxy, which the tool needs to cross the
+        # private network (Section 2.4: TDP "merely leverages existing
+        # [proxies]" and names them to the tool).
+        record = self._global_attributes(rank)
+        if self._proxy is not None:
+            record.append((Attr.RM_PROXY, str(self._proxy)))
+            self._record_rank(
+                rank, "tdp_put", attribute=Attr.RM_PROXY, value=str(self._proxy)
+            )
+
+        # Step 2: create the tool daemon (not paused).
+        self._record_rank(
+            rank, "tdp_create_process", target="RT" + suffix,
+            executable=tool.cmd, mode="run",
+        )
+        launcher = self._tools.resolve(tool.cmd)
+        tool_handle = launcher(ToolLaunchContext(
+            transport=self._transport,
+            host=slot.hostname,
+            lass_endpoint=slot.lass_endpoint,
+            context=context,
+            args=split_arguments(tool.args_template),
+            job_id=context,
+            trace=self._trace,
+            output_sink=output_sink,
+            extras={
+                "sim_host": self._cluster.host(slot.hostname),
+                # Worker-rank tools run immediately after attach — the
+                # paper's "they immediately issue a run command".
+                **({"force_auto_run": True} if rank else {}),
+            },
+        ))
+
+        # Step 3: one batched frame, so the tool daemon blocked on
+        # ``pid`` wakes to find the whole launch record in place.
+        self._record_rank(rank, "tdp_put", attribute=Attr.PID, value=str(pid))
+        tdp_put_many(handle, [
+            *record,
+            (Attr.PID, str(pid)),
+            (Attr.EXECUTABLE_NAME, self._desc.executable),
+            (Attr.APP_HOST, slot.hostname),
+            (Attr.APP_ARGS, join_arguments(self._desc.arguments)),
+        ])
+        return tool_handle
+
+    def _global_attributes(self, rank: int) -> list[tuple[str, str]]:
+        """The pool-global attributes the CASS holds, read on the startd's
+        session once per job, by its first tool launch.
+
+        This implements the paper's stated completion of the pilot:
+        "port arguments should be published by [the] Paradyn front-end
+        and disseminated to remote sites as attribute values" (Section
+        4.3).  The tool daemon then finds its front-end via
+        ``tdp_get("rt.frontend")`` with no ports on its command line.
+        """
+        with self._lock:
+            published = self._published
+        if published is None:
+            published = []
+            if self._read_cass is not None:
+                published = self._read_cass(
+                    (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
+                )
+            for attribute, value in published:
+                self._record_rank(rank, "disseminate", attribute=attribute, value=value)
+            with self._lock:
+                self._published = published
+        return list(published)
+
+    # -- the gang -------------------------------------------------------------------
 
     def _on_master_running(self, master: RankInfo) -> None:
-        """Rank 0 reached mpi.init: start every worker rank at once, each
-        on its own thread, as each machine's own starter would — not on
-        this one, the scheduler's (service-hook context)."""
+        """Rank 0 reached mpi.init and its launch is whole: start every
+        worker rank at once, each on its own thread, as each machine's own
+        starter would — not on this one (the scheduler's service hook, or
+        rank 0's starter)."""
         self._record("master_running", pid=master.pid)
         # Under the lock: a kill, which ends rank 0 and so lets
         # wait_all_exited read the list, finds it whole or finds no gang.
@@ -192,14 +372,14 @@ class MpiUniverseCoordinator:
         has ended — a tool whose request raced the rank's exit or kill
         still hears back."""
         try:
-            handle, pid, tool = self._start_one_worker(rank)
+            handle, pid, tool = self.launch(rank)
         except Exception as e:  # noqa: BLE001 — whatever stopped it fails the job
             self._record("rank_start_failed", rank=rank, error=str(e))
             with self._lock:
                 if self._start_failure is None:
                     self._start_failure = f"rank {rank} could not be started: {e}"
             self._rank_exited(exited, None)
-            self._kill_created_ranks()
+            self.kill()
             return
         self._rank_exited(exited, handle.serve_until_exit(pid))
         if tool is not None:
@@ -207,102 +387,28 @@ class MpiUniverseCoordinator:
 
     def _rank_exited(self, exited: Latch[int | None], code: int | None) -> None:
         exited.open(code)
-        assert self._master_handle is not None
-        self._master_handle.attrs.wake()  # rank 0's RM serves until every rank is done
+        with self._lock:
+            master = self._rank_handles[0]
+        master.attrs.wake()  # rank 0's RM serves until every rank is done
 
-    def _kill_created_ranks(self) -> None:
-        """A gang with a rank missing never finishes: its peers wait for
-        the one that is not coming.  Kill what exists, each rank through
-        the RM handle that created it, and latch the kill so a rank still
-        being created is killed by its own thread."""
+    def kill(self) -> None:
+        """Kill the job: every rank that exists, each through the RM
+        handle that created it, with the kill latched so a rank still
+        being created is killed by its own thread.  A gang with a rank
+        missing never finishes — its peers wait for the one that is not
+        coming — so this is condor_rm's and a failed start's answer."""
         with self._lock:
             self._killed = True
             created = [
-                (self._rank_handles[rank] if rank else self._master_handle, pid)
+                (self._rank_handles[rank], pid)
                 for rank, (_host, pid) in sorted(self._rank_pids.items())
             ]
         for handle, pid in created:
-            assert handle is not None and handle.control is not None
+            assert handle.control is not None
             try:
                 handle.control.kill(pid)
             except errors.ProcessError:
                 pass  # already gone; the rest still have to be killed
-
-    def _start_one_worker(self, rank: int) -> tuple[TdpHandle, int, ThreadToolHandle | None]:
-        slot = self._machines[rank]
-        host = self._cluster.host(slot.hostname)
-        context = f"{self.job_id}.r{rank}"
-        # The per-machine RM presence (the starter that machine's startd
-        # would have spawned).
-        self._record("tdp_init", rank=rank, host=slot.hostname, context=context)
-        handle = tdp_init(
-            self._transport,
-            slot.lass_endpoint,
-            member=f"starter/{context}",
-            role=Role.RM,
-            context=context,
-            backend=SimHostBackend(host),
-        )
-        with self._lock:
-            self._rank_handles[rank] = handle  # cleanup() owns it from here
-        assert handle.control is not None
-        handle.control.serve_tool_requests()
-
-        monitored = self._desc.monitored
-        mode = CreateMode.PAUSED if monitored else CreateMode.RUN
-        self._record(
-            "tdp_create_process", target=f"AP.r{rank}", mode=mode.value,
-            host=slot.hostname,
-        )
-        info = tdp_create_process(
-            handle,
-            self._desc.executable,
-            self._desc.arguments,
-            env=self._rank_env(rank),
-            mode=mode,
-        )
-        with self._lock:
-            self._rank_pids[rank] = (slot.hostname, info.pid)
-            killed = self._killed
-        if killed:
-            handle.control.kill(info.pid)
-            return handle, info.pid, None
-
-        tool_handle = None
-        if monitored:
-            tool = self._desc.tool_daemon
-            assert tool is not None
-            self._record("tdp_create_process", target=f"RT.r{rank}", mode="run")
-            launcher = self._tools.resolve(tool.cmd)
-            ctx = ToolLaunchContext(
-                transport=self._transport,
-                host=slot.hostname,
-                lass_endpoint=slot.lass_endpoint,
-                context=context,
-                args=split_arguments(tool.args_template),
-                job_id=context,
-                trace=self._trace,
-                # Worker-rank tools run immediately after attach — the
-                # paper's "they immediately issue a run command".
-                extras={"sim_host": host, "force_auto_run": True},
-            )
-            tool_handle = launcher(ctx)
-            self._record("tdp_put", rank=rank, attribute=Attr.PID, value=str(info.pid))
-            # One batched frame per rank: pid plus its standard
-            # companions land atomically before this rank's paradynd,
-            # blocked on ``pid``, is woken.
-            tdp_put_many(
-                handle,
-                [
-                    (Attr.PID, str(info.pid)),
-                    (Attr.EXECUTABLE_NAME, self._desc.executable),
-                    (Attr.APP_HOST, slot.hostname),
-                    (Attr.APP_ARGS, join_arguments(self._desc.arguments)),
-                ],
-            )
-            # paradynd will attach and (auto_run) immediately continue —
-            # "they immediately issue a run command".
-        return handle, info.pid, tool_handle
 
     # -- completion -----------------------------------------------------------------
 
@@ -310,9 +416,10 @@ class MpiUniverseCoordinator:
         """Answer rank 0's tools until every rank has exited (for at most
         ``timeout`` seconds in all); returns 0 if every rank exited
         clean, else the first nonzero code."""
-        assert self.master_pid is not None
+        with self._lock:
+            _host, master_pid = self._rank_pids[0]
         deadline = deadline_after(timeout)
-        codes = [master_handle.serve_until_exit(self.master_pid, timeout=timeout)]
+        codes = [master_handle.serve_until_exit(master_pid, timeout=timeout)]
         # Worker ranks start on rank 0's mpi.init: once it has exited,
         # every rank thread has been spawned or never will be.
         with self._lock:
@@ -325,26 +432,30 @@ class MpiUniverseCoordinator:
             code = exited.wait(time_left(deadline))
             if code is not None:
                 codes.append(code)
-        self._record("all_ranks_exited", codes=",".join(map(str, codes)))
         return next((c for c in codes if c != 0), 0)
 
     def cleanup(self) -> None:
-        with self._lock:
-            running = not all(exited.is_open() for _thread, exited in self._rank_threads)
-        if running:
-            self._kill_created_ranks()  # the master starter failed mid-run
+        """The job is over: kill what still runs (the master starter
+        failed mid-run), wait for each rank thread — it ends once its
+        tool has ended or had its grace — end every rank's session and
+        reap its process."""
+        self.kill()
         with self._lock:
             threads = [thread for thread, _exited in self._rank_threads]
-        # Each rank thread ends once its tool has ended or had its grace.
         for thread in threads:
             thread.join()
         with self._lock:
-            handles = list(self._rank_handles.values())
-            self._rank_handles.clear()
+            handles = sorted(self._rank_handles.items())
             ranks = list(self._rank_pids.values())
-        for handle in handles:
+            self._rank_handles.clear()
+            self._rank_pids.clear()  # a late kill finds nothing to kill
+        for rank, handle in handles:
+            self._record_rank(rank, "tdp_exit", context=self.job_id + self._suffix(rank))
             tdp_exit(handle)
-        self._runtime.end_job(self.job_id)
+        if self._relay is not None:
+            self._relay.close()
+        if self._mpi:
+            self._runtime.end_job(self.job_id)
         for hostname, pid in ranks:
             self._cluster.host(hostname).reap(pid)  # the job is over
 

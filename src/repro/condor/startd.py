@@ -74,12 +74,13 @@ class Startd:
         self._proxy = proxy
         self.ad = machine_ad if machine_ad is not None else default_machine_ad(host)
         # The RM starts the LASS on each execution host (Section 2.1).
-        # It runs on the cluster's clock: blocking-get timeouts in a
-        # scenario run fire on virtual time, not wall time.
+        # Like the schedd and the CASS it runs on wall time: a tool's
+        # blocking-get timeout measures real patience, and the virtual
+        # clock, which advances only with the simulated processes, is
+        # the application's.
         self.lass = AttributeSpaceServer(
             transport, host.name, role=ServerRole.LASS,
             name=f"lass@{host.name}", local_only=True,
-            clock=host.cluster.clock,
         )
         self._listener = transport.listen(host.name)
         self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter"}

@@ -13,6 +13,10 @@ is the daemon that speaks TDP (Figure 6):
 * **Step 4** — the tool controls the application; the starter reports
   status to the shadow and, when the job completes, stages files out and
   tears the context down.
+
+Steps 1-3 are the one rank launch of
+:class:`~repro.condor.mpi_universe.MpiUniverseCoordinator`, which starts
+every rank of a job the same way: a vanilla job is a gang of one.
 """
 
 from __future__ import annotations
@@ -21,30 +25,15 @@ import threading
 from typing import Callable
 
 from repro import errors
+from repro.condor.mpi_universe import MpiUniverseCoordinator, machine_slots_from_wire
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
-from repro.condor.tools import (
-    ThreadToolHandle,
-    ToolLaunchContext,
-    ToolRegistry,
-    percent_names,
-    serve_until_ended,
-)
+from repro.condor.tools import ThreadToolHandle, ToolRegistry, serve_until_ended
 from repro.net.address import Endpoint
 from repro.sim.host import SimHost
-from repro.tdp.api import (
-    tdp_create_process,
-    tdp_exit,
-    tdp_init,
-    tdp_put,
-    tdp_put_many,
-)
-from repro.tdp.handle import Role, TdpHandle
-from repro.tdp.process import SimHostBackend
-from repro.tdp.stdio import StdioRelay
-from repro.tdp.wellknown import Attr, CreateMode
+from repro.tdp.files import FileStager
+from repro.tdp.handle import TdpHandle
 from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger, record_event
-from repro.util.strings import join_arguments, split_arguments
 from repro.util.threads import spawn
 
 _log = get_logger("condor.starter")
@@ -85,14 +74,14 @@ class Starter:
         #: the startd's best-effort read of pool-global attributes from
         #: the CASS (``None``: the pool has none)
         self._read_cass = read_cass
-        # tdp-guard: _mpi_coordinator -> volatile
-        # (written once by the run thread before app_pid, which a kill
-        # request needs first)
-        self._mpi_coordinator = None
+        # tdp-guard: _gang -> volatile
+        # (written once by the run thread before rank 0's launch; a kill
+        # request that comes before it finds no job to kill)
+        self._gang: MpiUniverseCoordinator | None = None
         # Launch-sequenced publishes: the run thread writes each handle
-        # exactly once during startup, and control methods (invoked via
-        # the startd/shadow only after the job_started report) read
-        # them; a pre-launch reader correctly sees None.
+        # once rank 0 is launched, and control methods (invoked via the
+        # startd/shadow only after the job_started report) read them; a
+        # pre-launch reader correctly sees None.
         # tdp-guard: _handle -> volatile
         self._handle: TdpHandle | None = None
         # tdp-guard: _tool_handle -> volatile
@@ -107,7 +96,6 @@ class Starter:
         self._tool_output: list[str] = []
         # tdp-guard: _shadow_channel -> volatile
         self._shadow_channel: Channel | None = None
-        self._relay: StdioRelay | None = None
         # tdp-guard: app_pid -> volatile
         # (written once when the application is created, before the
         # job_started report that makes control requests possible)
@@ -178,35 +166,29 @@ class Starter:
         attach/continue coordination apply; there is just no pre-main
         window.
         """
-        handle = self._handle
-        if handle is None or self.app_pid is None:
+        gang = self._gang
+        if gang is None or self.app_pid is None:
             return False
         if self._tool_handle is not None:
             return False  # one controlling tool at a time (ptrace rule)
         spec = ToolDaemonSpec(cmd=cmd, args_template=args_template, output=output)
         self._record("attach_tool", cmd=cmd, pid=self.app_pid)
         try:
-            self._launch_tool_daemon(handle, self.app_pid, spec)
+            self._tool_handle = gang.launch_tool(0, spec, self._tool_output.append)
         except errors.TdpError as e:
             self._record("attach_tool_failed", error=str(e))
             return False
+        self._tool = spec
         return True
 
     def kill_job(self) -> bool:
-        """Terminate the application on user request (condor_rm): every
-        rank of an MPI job, whose other ranks would wait for rank 0 for
-        good."""
-        handle = self._handle
-        if handle is None or handle.control is None or self.app_pid is None:
+        """Terminate the job on user request (condor_rm): every rank of
+        it, as an MPI job's other ranks would wait for rank 0 for good.
+        A rank still being launched dies as it is created."""
+        gang = self._gang
+        if gang is None:
             return False
-        coordinator = self._mpi_coordinator
-        try:
-            if coordinator is not None:
-                coordinator._kill_created_ranks()
-            else:
-                handle.control.kill(self.app_pid)
-        except errors.TdpError:
-            return False
+        gang.kill()
         self._record("job_killed", pid=self.app_pid)
         return True
 
@@ -227,103 +209,39 @@ class Starter:
         self._shadow_channel = self._transport.connect(
             self._host.name, self._shadow_endpoint
         )
-        desc = self._desc
-
-        # Step 1: initialize the TDP framework for this job's context.
-        self._record("tdp_init", context=self.job_id, host=self._host.name)
-        handle = tdp_init(
-            self._transport,
-            self._lass_endpoint,
-            member=f"starter/{self.job_id}",
-            role=Role.RM,
-            context=self.job_id,
-            backend=SimHostBackend(self._host),
+        gang = MpiUniverseCoordinator(
+            transport=self._transport,
+            host=self._host,
+            lass_endpoint=self._lass_endpoint,
+            job_id=self.job_id,
+            description=self._desc,
+            extra_machines=machine_slots_from_wire(self._extra_machines),
+            tool_registry=self._tools,
+            trace=self._trace,
+            proxy=self._proxy,
+            stdio_endpoint=self._stdio_endpoint,
+            submit_host=self._submit_host,
+            read_cass=self._read_cass,
         )
+        self._gang = gang
+
+        # Steps 1-3: rank 0 (the job's one process, unless it is a gang)
+        # is created, its tool launched and its launch record published.
+        handle, pid, tool = gang.launch(0, self._tool_output.append)
         self._handle = handle
-        assert handle.control is not None
-        handle.control.serve_tool_requests()
-
-        self._stage_in()
-
-        if desc.universe == "mpi":
-            self._run_mpi(handle)
-            return
-
-        monitored = desc.monitored
-        mode = (
-            CreateMode.PAUSED
-            if (monitored and desc.suspend_job_at_exec)
-            else CreateMode.RUN
-        )
-
-        # Create the application (paused for monitored jobs): Fig. 6 step 1.
-        self._record(
-            "tdp_create_process",
-            target="AP",
-            executable=desc.executable,
-            mode=mode.value,
-        )
-        info = tdp_create_process(
-            handle,
-            desc.executable,
-            desc.arguments,
-            env=desc.environment,
-            mode=mode,
-        )
-        self.app_pid = info.pid
-        self._report({"op": "job_started", "pid": info.pid, "mode": mode.value})
-
-        # Wire the job's stdio to the shadow's collector.
-        proc = self._host.get_process(info.pid)
-        if self._stdio_endpoint is not None:
-            self._relay = StdioRelay(
-                self._transport,
-                self._host.name,
-                self._stdio_endpoint,
-                proxy=self._proxy,
-                feed_stdin=proc.feed_stdin,
-                close_stdin=proc.close_stdin,
-            )
-            proc.add_stdout_sink(self._relay.forward_stdout)
-
-        if desc.tool_daemon is not None:
-            self._launch_tool_daemon(handle, info.pid, desc.tool_daemon)
+        if tool is not None:
+            self._tool_handle, self._tool = tool, self._desc.tool_daemon
+        self.app_pid = pid
+        self._report({"op": "job_started", "pid": pid})
 
         # Step 4: the job runs (under tool control when monitored); the
-        # starter answers the tool's requests until it exits, then
-        # reports its completion to the shadow.
-        self.exit_code = handle.serve_until_exit(info.pid)
-        self._record("job_exited", pid=info.pid, code=self.exit_code)
+        # starter answers rank 0's tool requests until every rank has
+        # exited, then reports the job's completion to the shadow.
+        self.exit_code = gang.wait_all_exited(handle, timeout=None)
+        self._record("job_exited", pid=pid, code=self.exit_code)
+        if gang.start_failure is not None:
+            raise errors.UniverseError(gang.start_failure)
         self._report({"op": "job_exited", "code": self.exit_code})
-
-    def _stage_in(self) -> None:
-        """Transfer job + tool input files to this execution node.
-
-        Implements the submit file's ``transfer_input_files`` (which in
-        the pilot shipped the paradynd binary, Fig. 5B) and
-        ``+ToolDaemonTransferInput`` — TDP's "tool daemon configuration
-        … files transferred to the execution nodes".
-        """
-        if self._submit_host is None:
-            return
-        paths = list(self._desc.transfer_input_files)
-        if self._desc.tool_daemon is not None:
-            paths.extend(self._desc.tool_daemon.transfer_input)
-        if not paths:
-            return
-        from repro.tdp.files import FileStager
-
-        stager = FileStager(self._host.cluster)
-        submit_fs = self._host.cluster.host(self._submit_host).filesystem
-        present = [p for p in paths if p in submit_fs]
-        if present:
-            stager.stage_in(self._submit_host, self._host.name, present)
-            self._record("stage_in", files=",".join(present))
-        missing = sorted(set(paths) - set(present))
-        if missing:
-            # The pilot listed 'paradynd' even though our tools are not
-            # files; absent inputs are logged, not fatal.
-            self._record("stage_in_skipped", files=",".join(missing))
 
     def _stage_out(self) -> None:
         """Transfer declared outputs and tool trace files back.
@@ -341,8 +259,6 @@ class Starter:
                 patterns.append(tool.output)
         if not patterns:
             return
-        from repro.tdp.files import FileStager
-
         stager = FileStager(self._host.cluster)
         exec_fs = self._host.filesystem
         globs = [p for p in patterns if any(ch in p for ch in "*?[")]
@@ -358,122 +274,6 @@ class Starter:
             self._record(
                 "stage_out", files=",".join(r.path for r in records)
             )
-
-    def _run_mpi(self, handle: TdpHandle) -> None:
-        """The MPI universe (paper Section 4.3): master rank first, the
-        remaining ranks on rank 0's mpi.init, one paradynd per rank."""
-        from repro.condor.mpi_universe import (
-            MpiUniverseCoordinator,
-            machine_slots_from_wire,
-        )
-
-        desc = self._desc
-        coordinator = MpiUniverseCoordinator(
-            transport=self._transport,
-            master_host=self._host,
-            master_lass=self._lass_endpoint,
-            job_id=self.job_id,
-            description=desc,
-            extra_machines=machine_slots_from_wire(self._extra_machines),
-            tool_registry=self._tools,
-            trace=self._trace,
-        )
-        self._mpi_coordinator = coordinator
-        self._record("mpi_master_create", machines=desc.machine_count)
-        pid = coordinator.start_master(handle)
-        self.app_pid = pid
-        self._report({"op": "job_started", "pid": pid, "mode": "mpi"})
-
-        proc = self._host.get_process(pid)
-        if self._stdio_endpoint is not None:
-            self._relay = StdioRelay(
-                self._transport,
-                self._host.name,
-                self._stdio_endpoint,
-                proxy=self._proxy,
-                feed_stdin=proc.feed_stdin,
-                close_stdin=proc.close_stdin,
-            )
-            proc.add_stdout_sink(self._relay.forward_stdout)
-
-        if desc.tool_daemon is not None:
-            self._launch_tool_daemon(handle, pid, desc.tool_daemon)
-
-        self.exit_code = coordinator.wait_all_exited(handle, timeout=None)
-        self._record("job_exited", pid=pid, code=self.exit_code)
-        if coordinator.start_failure is not None:
-            raise errors.UniverseError(coordinator.start_failure)
-        self._report({"op": "job_exited", "code": self.exit_code})
-
-    def _disseminate_global_attributes(self, handle: TdpHandle) -> None:
-        """Copy pool-global attributes from the CASS into the job's LASS
-        context: one batched read on the startd's session, one batched
-        write on the job's.
-
-        This implements the paper's stated completion of the pilot:
-        "port arguments should be published by [the] Paradyn front-end
-        and disseminated to remote sites as attribute values" (Section
-        4.3).  The tool daemon then finds its front-end via
-        ``tdp_get("rt.frontend")`` with no ports on its command line.
-        """
-        if self._read_cass is None:
-            return
-        items = self._read_cass(
-            (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
-        )
-        if not items:
-            return
-        handle.attrs.put_many(items)
-        for attribute, value in items:
-            self._record("disseminate", attribute=attribute, value=value)
-
-    def _launch_tool_daemon(
-        self, handle: TdpHandle, app_pid: int, tool: ToolDaemonSpec
-    ) -> None:
-        desc = self._desc
-        self._disseminate_global_attributes(handle)
-        if self._proxy is not None:
-            # Advertise the RM's existing proxy so the tool daemon can
-            # cross the private network (Section 2.4: TDP "merely
-            # leverages existing [proxies]" and names them to the tool).
-            tdp_put(handle, Attr.RM_PROXY, str(self._proxy))
-            self._record("tdp_put", attribute=Attr.RM_PROXY, value=str(self._proxy))
-
-        # Step 2: create the tool daemon (not paused).
-        self._record("tdp_create_process", target="RT", executable=tool.cmd, mode="run")
-        launcher = self._tools.resolve(tool.cmd)
-        context = ToolLaunchContext(
-            transport=self._transport,
-            host=self._host.name,
-            lass_endpoint=self._lass_endpoint,
-            context=self.job_id,
-            args=split_arguments(tool.args_template),
-            job_id=self.job_id,
-            trace=self._trace,
-            output_sink=self._tool_output.append,
-            extras={"sim_host": self._host},
-        )
-        self._tool_handle = launcher(context)
-        self._tool = tool
-
-        # Step 3: publish what the %names in ToolDaemonArgs requested —
-        # always including the pid, the pilot's core handshake.
-        requested = set(percent_names(tool.args_template)) | {"pid"}
-        assert "pid" in requested
-        self._record("tdp_put", attribute=Attr.PID, value=str(app_pid))
-        # The pid and its standard companions (always published so any
-        # tool can discover the application without extra %names) go out
-        # as one batched frame: the tool daemon blocked on ``pid`` wakes
-        # to find the whole launch record already in place.
-        tdp_put_many(
-            handle,
-            [
-                (Attr.PID, str(app_pid)),
-                (Attr.EXECUTABLE_NAME, desc.executable),
-                (Attr.APP_HOST, self._host.name),
-                (Attr.APP_ARGS, join_arguments(desc.arguments)),
-            ],
-        )
 
     def _write_tool_output(self) -> None:
         """Append the ended tool's lines to its output file, in one write."""
@@ -501,17 +301,10 @@ class Starter:
             assert self._handle is not None
             serve_until_ended(self._handle, self._tool_handle)
             self._write_tool_output()
-        if self._mpi_coordinator is not None:
-            self._mpi_coordinator.cleanup()
+        if self._gang is not None:
+            self._gang.cleanup()  # ends every rank's session, reaps its process
         # Stage outputs only after the tool finished writing its traces.
         if self.failure is None:
             self._stage_out()
-        if self._relay is not None:
-            self._relay.close()
-        if self._handle is not None:
-            self._record("tdp_exit", context=self.job_id)
-            tdp_exit(self._handle)
         if self._shadow_channel is not None:
             self._shadow_channel.close()
-        if self.app_pid is not None:
-            self._host.reap(self.app_pid)  # the job is over: forget its process

@@ -9,15 +9,15 @@ traces) the TDP create call, preserving the protocol sequence.
 The ``%name`` placeholders in ``+ToolDaemonArgs`` are the pilot's
 "temporary mechanism to show which information the starter should put
 into LASS and which information should paradynd get from there"
-(Section 4.3): the starter *publishes* each named attribute and passes
-the argument through *verbatim*; a tool that sees a ``%`` argument knows
-it is running under TDP and fetches the value with ``tdp_get``.
+(Section 4.3): the starter's launch record *publishes* the named
+attributes (the pid and its companions) and the argument passes through
+*verbatim*; a tool that sees a ``%`` argument knows it is running under
+TDP and fetches the value with ``tdp_get``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,15 +30,6 @@ from repro.util.clock import deadline_after, time_left
 from repro.util.log import TraceRecorder
 from repro.util.sync import tracked_lock
 from repro.util.threads import spawn
-
-_PERCENT_RE = re.compile(r"%([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def percent_names(args_template: str) -> list[str]:
-    """The attribute names a ToolDaemonArgs template asks the starter to
-    publish (e.g. ``"-a%pid"`` -> ``["pid"]``)."""
-    return _PERCENT_RE.findall(args_template)
-
 
 @dataclass
 class ToolLaunchContext:

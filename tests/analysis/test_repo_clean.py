@@ -121,6 +121,27 @@ def test_only_the_server_defines_op_handlers():
     assert not any(handlers.values()), {k: v for k, v in handlers.items() if v}
 
 
+def test_one_rank_launch():
+    """One launch path: every rank of every job — a vanilla job's one
+    process, MPI rank 0, each worker rank — is started, tooled and
+    published by the same code, so a rank cannot drift from the others."""
+    import ast
+
+    calls: dict[str, list[str]] = {
+        "tdp_init": [], "tdp_create_process": [], "ToolLaunchContext": [],
+    }
+    for path in sorted((SRC / "condor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in calls:
+                    calls[name].append(f"{path.name}:{node.lineno}")
+    assert {name: len(sites) for name, sites in calls.items()} == {
+        name: 1 for name in calls
+    }, calls
+
+
 def test_only_the_session_layer_touches_the_channel():
     """One session layer: above ``_Session`` nothing sends or receives on
     a channel or reads the outage flags, and a request enters the one

@@ -103,3 +103,23 @@ class TestPilotModeStillDefault:
             # In pilot mode the dissemination step has nothing published
             # centrally, so the daemon used its -m/-p arguments.
             assert scenario.trace.first("disseminate") is None
+
+
+class TestCassManagedGang:
+    def test_every_rank_finds_its_frontend_through_the_space(self):
+        """A 3-rank monitored gang with no ``-m/-p/-P``: every rank's
+        context holds the disseminated ``rt.frontend``, so every rank's
+        paradynd reaches the front end before its first continue."""
+        with ParadorScenario(
+            execute_hosts=["node1", "node2", "node3"], use_cass=True,
+        ) as scenario:
+            job = scenario.pool.submit_file(
+                "universe = MPI\nexecutable = mpi_ring\narguments = 1\n"
+                "machine_count = 3\n+SuspendJobAtExec = True\n"
+                '+ToolDaemonCmd = "paradynd"\n'
+                '+ToolDaemonArgs = "-zunix -l3 -a%pid"\nqueue\n'
+            )[0]
+            assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+            assert job.exit_code == 0
+            sessions = scenario.frontend.wait_for_daemons(3, timeout=5.0)
+            assert len({(s.host, s.pid) for s in sessions}) == 3

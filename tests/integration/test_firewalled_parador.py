@@ -23,7 +23,7 @@ from repro.util.log import TraceRecorder
 PROXY_PORT = 9000
 
 
-def build_topology() -> Network:
+def build_topology(nodes=("node1",)) -> Network:
     """submit (pool control plane + proxy) / desktop (user) / private nodes."""
     net = Network()
     net.add_zone("campus")
@@ -31,7 +31,8 @@ def build_topology() -> Network:
     cluster_zone = net.add_private_zone("cluster", allow_outbound=True)
     net.add_host("submit", "campus")
     net.add_host("desktop", "user-desktop")
-    net.add_host("node1", "cluster")
+    for node in nodes:
+        net.add_host(node, "cluster")
     # The pool's control plane may dial into the cluster (schedd->startd).
     cluster_zone.inbound.allow(src="submit")
     # The desktop accepts connections only from the submit machine (where
@@ -138,4 +139,38 @@ class TestFirewalledPilot:
         finally:
             pool.stop()
             frontend.stop()
+            cluster.stop()
+
+
+class TestFirewalledGang:
+    def test_every_rank_reaches_the_frontend_through_the_proxy(self):
+        """A 2-rank gang on two private nodes: rank 1's context names the
+        RM's proxy as rank 0's does, so both paradynds reach the desktop."""
+        from repro.mpisim.programs import register_mpi_programs
+
+        nodes = ["node1", "node2"]
+        cluster = SimCluster(build_topology(nodes)).start()
+        register_mpi_programs(cluster.registry)
+        proxy = ProxyServer(cluster.transport, "submit", PROXY_PORT)
+        frontend = ParadynFrontend(cluster.transport, "desktop")
+        pool = CondorPool(
+            cluster, submit_host="submit", execute_hosts=nodes,
+            tool_registry=make_tool_registry(), proxy=proxy.endpoint,
+        )
+        ep = frontend.endpoint
+        try:
+            job = pool.submit_file(
+                "universe = MPI\nexecutable = mpi_ring\narguments = 1\n"
+                "machine_count = 2\n+SuspendJobAtExec = True\n"
+                '+ToolDaemonCmd = "paradynd"\n'
+                f'+ToolDaemonArgs = "-zunix -l3 -m{ep.host} -p{ep.port} '
+                f'-P{ep.port + 1} -a%pid"\nqueue\n'
+            )[0]
+            assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+            sessions = frontend.wait_for_daemons(2, timeout=5.0)
+            assert {s.host for s in sessions} == set(nodes)
+        finally:
+            pool.stop()
+            frontend.stop()
+            proxy.stop()
             cluster.stop()
