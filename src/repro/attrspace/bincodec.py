@@ -191,6 +191,22 @@ def encode(message: dict[str, Any]) -> bytes:
     return b"".join(out)
 
 
+def encode_field(key: str, value: Any) -> bytes:
+    """One field's bytes exactly as :func:`encode` writes them in a body."""
+    out: list[bytes] = []
+    _encode_key(out, key)
+    _encode_value(out, value, 0)
+    return b"".join(out)
+
+
+def op_header_size(body: bytes) -> int:
+    """Bytes before an op-tagged body's first field: the op tag and the
+    field count, which already counts that field."""
+    if not body or body[0] == _TAG_RAW:
+        raise ProtocolError("tdpb1 body has no op tag to splice after")
+    return 3
+
+
 def _encode_key(out: list[bytes], key: Any) -> None:
     if not isinstance(key, str):
         raise ProtocolError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.util.ids import IdAllocator
@@ -40,6 +40,10 @@ class Notification:
     #: echo back to the origin host and a LASS can recognize (and skip)
     #: its own changes arriving via an aggregated subscription.
     origin: str | None = None
+    #: codec -> this event's encoded notify body, shared by every
+    #: subscriber's frame (the server's ``deliver`` fills it); it lives
+    #: exactly as long as the event, one publish
+    bodies: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_wire(self) -> dict:
         return {

@@ -179,6 +179,31 @@ def encode_body(message: dict[str, Any], codec: str = CODEC_JSON) -> bytes:
         raise errors.ProtocolError(f"unserializable message: {e}") from e
 
 
+def encode_field(key: str, value: Any, codec: str = CODEC_JSON) -> bytes:
+    """One field's bytes as :func:`encode_body` writes them when the
+    field is followed by another: JSON's ``"key":value,``, or tdpb1's
+    key id and tagged value."""
+    if codec == CODEC_BINARY:
+        return bincodec.encode_field(key, value)
+    try:
+        return (json.dumps({key: value}, separators=(",", ":"))[1:-1] + ",").encode("utf-8")
+    except (TypeError, ValueError) as e:
+        raise errors.ProtocolError(f"unserializable field {key!r}: {e}") from e
+
+
+def op_header_size(body: bytes, op: str, codec: str = CODEC_JSON) -> int:
+    """Bytes of ``body`` before its first field after the op: a field
+    spliced in there is where :func:`encode_body` puts a message's
+    second key.  The JSON header is ``{"op":"<op>",``; a tdpb1 header's
+    field count already counts the field that follows it."""
+    if codec == CODEC_BINARY:
+        return bincodec.op_header_size(body)
+    header = ('{"op":' + json.dumps(op) + ",").encode("utf-8")
+    if not body.startswith(header):
+        raise errors.ProtocolError(f"JSON body does not open with op {op!r}")
+    return len(header)
+
+
 def decode_body(data: bytes, binary: bool = False) -> dict[str, Any]:
     """Deserialize a frame body; raises ProtocolError on malformed input.
 

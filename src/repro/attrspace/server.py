@@ -10,12 +10,13 @@ thread performed the matching PUT.
 
 Every outbound frame (reply or notification push) is a bounded
 ``offer`` onto the connection's push-mode channel, so producers never
-block on a peer: a put that fans out to a hundred subscribers costs a
-hundred enqueues.  The **slow-subscriber policy** is explicit: a
-connection with ``OUTBOUND_QUEUE_LIMIT`` frames unread (it stopped
-reading while notifications kept coming) is disconnected — counted in
-the ``slow_subscriber_disconnects`` statistic — rather than allowed to
-stall the put path.  Reconnecting clients recover through their session
+block on a peer: a put that fans out to a hundred subscribers costs one
+encode and a hundred enqueues — each frame is the event's one encoded
+body with its subscriber's ``sub`` spliced in.  The **slow-subscriber
+policy** is explicit: a connection with ``OUTBOUND_QUEUE_LIMIT`` frames
+unread (it stopped reading while notifications kept coming) is
+disconnected — counted in the ``slow_subscriber_disconnects`` statistic
+— rather than allowed to stall the put path.  Reconnecting clients recover through their session
 lease like after any other disconnect.
 
 Roles (paper Section 2.1): a **LASS** runs on each execution host,
@@ -53,6 +54,7 @@ from repro.attrspace.federation import LassFederation
 from repro.attrspace.notify import Notification
 from repro.attrspace.store import DEFAULT_CONTEXT, AttributeStore
 from repro.net.address import Endpoint
+from repro.transport import framing
 from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, TimerHandle, WallClock
 from repro.util.log import get_logger
@@ -73,6 +75,12 @@ OUTBOUND_QUEUE_LIMIT = 512
 #: Lease deadlines run on wall time even on a server whose gets time out
 #: on a virtual clock: a lease measures how long a peer has been gone.
 _LEASE_CLOCK = WallClock()
+
+
+def _notify_frame(sub_id: int, notification: Notification) -> dict[str, Any]:
+    """The notify push: its one definition.  ``sub`` comes right after
+    the op, where a shared body splices each subscriber's own."""
+    return {"op": protocol.OP_NOTIFY, "sub": sub_id, **notification.to_wire()}
 
 
 class ServerRole(enum.Enum):
@@ -215,6 +223,11 @@ class _Connection:
             # must find the reply rather than re-execute a completed
             # operation.
             lease.cache_reply(reply_to, message)
+        self.push(message)
+
+    def push(self, message: dict[str, Any] | bytes) -> None:
+        """Enqueue a frame, or one already encoded in the channel's
+        codec, under the slow-subscriber policy."""
         try:
             if not self.channel.offer(message, OUTBOUND_QUEUE_LIMIT):
                 self.server._disconnect_slow(self)
@@ -826,16 +839,19 @@ class AttributeSpaceServer:
         ``origin`` (aggregated subscriptions) names the subscribing host:
         deliveries of its own changes are suppressed and all its
         subscriptions share one fan-out dedup group."""
+        codec = conn.channel.codec
+        # this subscription's encoded ``sub``, set once its id is known
+        sub_field = b""
 
         def deliver(sub_id: int, notification: Notification) -> None:
             if origin is not None and notification.origin == origin:
                 return  # echo suppression: the origin host already has it
             self.stats["notifications"].increment()
-            frame = {"op": protocol.OP_NOTIFY, "sub": sub_id, **notification.to_wire()}
             if obs.enabled():
                 # Delivery runs on the putter's thread under its span, so
                 # this span (and the context injected into the push) hangs
                 # off the originating put's trace.
+                frame = _notify_frame(sub_id, notification)
                 with obs.span(
                     span,
                     actor=self.name,
@@ -844,12 +860,21 @@ class AttributeSpaceServer:
                 ):
                     obs.inject(frame)
                     conn.send(frame)
-            else:
-                conn.send(frame)
+                return
+            # One encode per event and codec: every subscriber's frame
+            # is the event's shared body with its own ``sub`` spliced in.
+            body = notification.bodies.get(codec)
+            if body is None:
+                body = notification.bodies[codec] = framing.SharedBody(
+                    _notify_frame(sub_id, notification), "sub", codec
+                )
+            # (a publish may race the subscribe to its first delivery)
+            conn.push(body.frame(sub_field or protocol.encode_field("sub", sub_id, codec)))
 
         sub_id = self.store.subscriptions.subscribe(
             context, pattern, deliver, group=origin
         )
+        sub_field = protocol.encode_field("sub", sub_id, codec)
         conn.subscriptions[sub_id] = (context, pattern)
         if self.federation is not None:
             self.federation.note_subscribe(context, pattern)

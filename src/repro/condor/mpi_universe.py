@@ -43,7 +43,13 @@ from typing import Callable
 
 from repro import errors
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
-from repro.condor.tools import ThreadToolHandle, ToolLaunchContext, ToolRegistry, serve_until_ended
+from repro.condor.tools import (
+    ThreadToolHandle,
+    ToolLaunchContext,
+    ToolRegistry,
+    serve_until_ended,
+    write_tool_output,
+)
 from repro.mpisim.runtime import MpiRuntime, RankInfo
 from repro.net.address import Endpoint, parse_endpoint
 from repro.sim.host import SimHost
@@ -166,7 +172,7 @@ class MpiUniverseCoordinator:
         }
 
     def launch(
-        self, rank: int, tool_output: Callable[[str], None] = lambda line: None
+        self, rank: int, tool_output: Callable[[str], None]
     ) -> tuple[TdpHandle, int, ThreadToolHandle | None]:
         """Start ``rank`` on its machine: Figure 6's steps 1-3.
 
@@ -370,9 +376,11 @@ class MpiUniverseCoordinator:
         """Start one worker rank, then answer its tools: until it exits,
         opening ``exited`` with its code, and on until its tool daemon
         has ended — a tool whose request raced the rank's exit or kill
-        still hears back."""
+        still hears back.  Then the tool's output is written on the
+        rank's host, as rank 0's starter writes rank 0's."""
+        tool_output: list[str] = []
         try:
-            handle, pid, tool = self.launch(rank)
+            handle, pid, tool = self.launch(rank, tool_output.append)
         except Exception as e:  # noqa: BLE001 — whatever stopped it fails the job
             self._record("rank_start_failed", rank=rank, error=str(e))
             with self._lock:
@@ -384,6 +392,10 @@ class MpiUniverseCoordinator:
         self._rank_exited(exited, handle.serve_until_exit(pid))
         if tool is not None:
             serve_until_ended(handle, tool)
+            spec = self._desc.tool_daemon
+            assert spec is not None
+            host = self._cluster.host(self._machines[rank].hostname)
+            write_tool_output(host.filesystem, spec.output, tool_output)
 
     def _rank_exited(self, exited: Latch[int | None], code: int | None) -> None:
         exited.open(code)

@@ -27,7 +27,12 @@ from typing import Callable
 from repro import errors
 from repro.condor.mpi_universe import MpiUniverseCoordinator, machine_slots_from_wire
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
-from repro.condor.tools import ThreadToolHandle, ToolRegistry, serve_until_ended
+from repro.condor.tools import (
+    ThreadToolHandle,
+    ToolRegistry,
+    serve_until_ended,
+    write_tool_output,
+)
 from repro.net.address import Endpoint
 from repro.sim.host import SimHost
 from repro.tdp.files import FileStager
@@ -278,11 +283,8 @@ class Starter:
     def _write_tool_output(self) -> None:
         """Append the ended tool's lines to its output file, in one write."""
         tool = self._tool
-        if tool is None or not tool.output or not self._tool_output:
-            return
-        fs = self._host.filesystem
-        lines = "".join(line + "\n" for line in self._tool_output)
-        fs[tool.output] = fs.get(tool.output, "") + lines
+        if tool is not None:
+            write_tool_output(self._host.filesystem, tool.output, self._tool_output)
 
     # -- reporting / teardown ----------------------------------------------------
 

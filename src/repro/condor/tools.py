@@ -128,6 +128,14 @@ def serve_until_ended(handle: TdpHandle, tool: ThreadToolHandle) -> None:
         _serve_for(handle, tool, TOOL_STOP_GRACE)
 
 
+def write_tool_output(filesystem: dict[str, str], path: str | None, lines: list[str]) -> None:
+    """Append an ended tool daemon's lines to its ``+ToolDaemonOutput``
+    file on the host it ran on, in one write (a buffered file, flushed
+    on close)."""
+    if path and lines:
+        filesystem[path] = filesystem.get(path, "") + "".join(line + "\n" for line in lines)
+
+
 def _serve_for(handle: TdpHandle, tool: ThreadToolHandle, grace: float) -> bool:
     """Serve until ``tool`` has ended or ``grace`` has run out; True if it
     ended.  A failed session ends the serving, not the grace."""

@@ -126,7 +126,7 @@ class LoopChannel(Channel):
     def send(self, message: Message) -> None:
         self._loop._enqueue(self._conn, message, None)
 
-    def offer(self, message: Message, maxsize: int | None) -> bool:
+    def offer(self, message: Message | bytes, maxsize: int | None) -> bool:
         """Enqueue unless the outbound buffer holds ``maxsize`` frames.
 
         Mirrors ``WaitableQueue.offer`` so the server's slow-subscriber
@@ -134,6 +134,11 @@ class LoopChannel(Channel):
         draining and the caller decides its fate.
         """
         return self._loop._enqueue(self._conn, message, maxsize)
+
+    @property
+    def codec(self) -> str | None:
+        """The body codec the hello negotiated."""
+        return self._conn.codec
 
     def recv(self, timeout: float | None = None) -> Message:
         raise ProtocolError("loop-managed channel delivers via on_message")
@@ -215,8 +220,11 @@ class ServerSocketLoop:
 
     # -- outbound path (any thread) ------------------------------------------
 
-    def _enqueue(self, st: _Conn, message: Message, maxsize: int | None) -> bool:
-        payload = framing.encode_frame(message, codec=st.codec)
+    def _enqueue(self, st: _Conn, message: Message | bytes, maxsize: int | None) -> bool:
+        payload = (
+            message if type(message) is bytes
+            else framing.encode_frame(message, codec=st.codec)
+        )
         if obs.enabled():
             reg = obs.registry()
             reg.counter("transport.tcp.frames").increment()

@@ -201,11 +201,16 @@ class FaultInjectChannel(Channel):
     def send(self, message: Message) -> None:
         self._perturbed(self._inner.send, message)
 
-    def offer(self, message: Message, maxsize: int | None) -> bool:
-        """A served inner channel's bounded ``send``, same plan."""
+    def offer(self, message: Message | bytes, maxsize: int | None) -> bool:
+        """A served inner channel's bounded ``send``, same plan; an
+        encoded frame passes through unchanged."""
         return self._perturbed(lambda m: self._inner.offer(m, maxsize), message)
 
-    def _perturbed(self, deliver, message: Message) -> bool:
+    @property
+    def codec(self) -> str | None:
+        return self._inner.codec
+
+    def _perturbed(self, deliver, message: Message | bytes) -> bool:
         """Run ``deliver(message)`` as the plan dictates; False only
         when ``deliver`` itself refused the frame (a full ``offer``)."""
         action, index = self._decide_indexed()

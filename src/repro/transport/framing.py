@@ -18,7 +18,8 @@ that otherwise only shows up when switching to real sockets.
 Body serialization is delegated to the sanctioned codec in
 ``repro.attrspace.protocol`` (imported lazily — the attrspace package
 sits above the transports in the layering); this module owns only the
-length-prefix framing and size limits.
+length-prefix framing, size limits and the :class:`SharedBody` splice
+that lets one encoded body serve a whole notification fan-out.
 """
 
 from __future__ import annotations
@@ -72,18 +73,54 @@ def encode_frame(message: dict[str, Any], codec: str | None = None) -> bytes:
     ``codec=None`` means the default JSON body.  The chosen codec is
     recorded in the frame header, so mixed-codec streams decode cleanly.
     """
+    body, flag = _encode_body(message, codec)
+    if len(body) > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame too large: {len(body)} bytes")
+    return _LEN.pack(len(body) | flag) + body
+
+
+def _encode_body(message: dict[str, Any], codec: str | None) -> tuple[bytes, int]:
+    """A message's body and its header's codec flag."""
     if not isinstance(message, dict):
         raise ProtocolError(f"message must be a dict, got {type(message).__name__}")
     P = _body_codec()
     if codec is None or codec == P.CODEC_JSON:
-        body = P.encode_body(message)
-        flag = 0
-    else:
-        body = P.encode_body(message, codec)
-        flag = _BINARY_FLAG
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame too large: {len(body)} bytes")
-    return _LEN.pack(len(body) | flag) + body
+        return P.encode_body(message), 0
+    return P.encode_body(message, codec), _BINARY_FLAG
+
+
+class SharedBody:
+    """One encoded body for many frames that differ only in one field.
+
+    Built from one whole message whose second key (right after ``op``)
+    is ``key``; :meth:`frame` splices another value's
+    ``protocol.encode_field`` bytes into that key's place.  The result is
+    byte for byte ``encode_frame`` of the message with that value — a
+    fan-out's frames share one encode and differ only in the splice.
+    """
+
+    __slots__ = ("_head", "_tail", "_size", "_flag")
+
+    def __init__(self, message: dict[str, Any], key: str, codec: str | None = None):
+        body, self._flag = _encode_body(message, codec)
+        if len(body) > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame too large: {len(body)} bytes")
+        P = _body_codec()
+        codec = codec or P.CODEC_JSON
+        cut = P.op_header_size(body, message.get("op"), codec)
+        field = P.encode_field(key, message[key], codec)
+        if body[cut:cut + len(field)] != field:
+            raise ProtocolError(f"{key!r} is not the field after the op")
+        self._head = body[:cut]
+        self._tail = body[cut + len(field):]
+        self._size = len(body) - len(field)
+
+    def frame(self, field: bytes) -> bytes:
+        """The length-prefixed frame with ``field`` spliced in."""
+        return b"".join((
+            _LEN.pack((self._size + len(field)) | self._flag),
+            self._head, field, self._tail,
+        ))
 
 
 def decode_body(body: bytes, binary: bool = False) -> dict[str, Any]:

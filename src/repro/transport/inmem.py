@@ -65,9 +65,10 @@ class _InMemChannel(Channel):
     def send(self, message: Message) -> None:
         self.offer(message, None)
 
-    def offer(self, message: Message, maxsize: int | None) -> bool:
+    def offer(self, message: Message | bytes, maxsize: int | None) -> bool:
         """``send`` unless the peer has ``maxsize`` frames unread."""
-        frame = framing.encode_frame(message)  # enforce serializability
+        # Encode, which enforces serializability, unless the sender did.
+        frame = message if type(message) is bytes else framing.encode_frame(message)
         if obs.enabled():
             reg = obs.registry()
             reg.counter("transport.inmem.frames").increment()
@@ -143,6 +144,11 @@ class _InMemChannel(Channel):
     def closed(self) -> bool:
         with self._lock:
             return self._closed
+
+    @property
+    def codec(self) -> str:
+        """Every in-memory frame is JSON."""
+        return framing.json_codec()
 
     @property
     def local_host(self) -> str:

@@ -121,6 +121,35 @@ def test_only_the_server_defines_op_handlers():
     assert not any(handlers.values()), {k: v for k, v in handlers.items() if v}
 
 
+def test_one_notify_frame_definition():
+    """One notify frame: a single literal keyed ``"op": OP_NOTIFY`` (the
+    server's ``_notify_frame``), which the shared-body and the traced
+    deliveries both build from — so the bytes a fan-out splices, the
+    frames a trace stamps and the schema ``wireschema`` infers from that
+    literal are one definition."""
+    import ast
+
+    def is_notify(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "OP_NOTIFY"
+            or isinstance(node, ast.Name) and node.id == "OP_NOTIFY"
+            or isinstance(node, ast.Constant) and node.value == "notify"
+        )
+
+    literals, builds = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "op" and is_notify(v)
+                for k, v in zip(node.keys, node.values)
+            ):
+                literals.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_notify_frame":
+                builds.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert len(literals) == 1 and literals[0].startswith("attrspace/server.py:"), literals
+    assert len(builds) == 2 and all(b.startswith("attrspace/server.py:") for b in builds), builds
+
+
 def test_one_rank_launch():
     """One launch path: every rank of every job — a vanilla job's one
     process, MPI rank 0, each worker rank — is started, tooled and

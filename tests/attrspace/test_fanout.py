@@ -13,12 +13,14 @@ the inmem dispatcher and the TCP selectors loop.  The ``*OnTcp``
 subclasses re-run each class over real sockets.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
-from repro import errors
+from repro import errors, obs
+from repro.attrspace import protocol
 from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import (
     OUTBOUND_QUEUE_LIMIT,
@@ -26,6 +28,7 @@ from repro.attrspace.server import (
     ServerRole,
 )
 from repro.net.topology import flat_network
+from repro.transport import framing
 from repro.transport.inmem import InMemoryTransport
 from repro.transport.tcp import TcpTransport
 
@@ -264,3 +267,135 @@ class TestWakeLedger:
                 channel.close()
             lass.stop()
             cass.stop()
+
+
+class TestSharedNotifyBody:
+    """A fan-out encodes its notify body once per event and codec: every
+    subscriber's frame is that body with its own ``sub`` spliced in."""
+
+    SUBSCRIBERS = 200
+
+    @pytest.fixture
+    def cass(self):
+        transport = TcpTransport()
+        server = AttributeSpaceServer(transport, "hub", role=ServerRole.CASS)
+        yield transport, server
+        server.stop()
+
+    @pytest.fixture
+    def tracing(self):
+        """Set observability on or off for one case, then restore it."""
+        was_enabled = obs.enabled()
+        yield obs.set_enabled
+        obs.set_enabled(was_enabled)
+
+    @pytest.fixture
+    def notify_encodes(self, monkeypatch):
+        """Count the notify bodies the codec encodes."""
+        counted = []
+        encode = protocol.encode_body
+
+        def counting(message, *args):
+            if message.get("op") == protocol.OP_NOTIFY:
+                counted.append(message["sub"])
+            return encode(message, *args)
+
+        monkeypatch.setattr(protocol, "encode_body", counting)
+        return counted
+
+    @staticmethod
+    def subscribe(channel, member):
+        """Attach and subscribe to ``hot.*``; returns the sub id."""
+        channel.send_many([
+            {"op": "attach", "req": 0, "context": "j", "member": member},
+            {"op": "subscribe", "req": 1, "context": "j", "pattern": "hot.*"},
+        ])
+        replies = [channel.recv(timeout=5.0) for _ in range(2)]
+        assert all(reply.get("ok") is True for reply in replies), replies
+        return replies[1]["sub"]
+
+    def put(self, transport, server, value):
+        writer = AttributeSpaceClient(
+            transport.connect("submit", server.endpoint, timeout=5.0),
+            context="j", member="writer")
+        writer.put("hot.x", value)
+        writer.close()
+
+    def subscribers(self, transport, server):
+        channels = {}
+        for i in range(self.SUBSCRIBERS):
+            channel = transport.connect("hostA", server.endpoint, timeout=5.0)
+            channels[self.subscribe(channel, f"sub-{i}")] = channel
+        return channels
+
+    def test_one_put_encodes_its_notify_body_once(self, cass, notify_encodes, tracing):
+        tracing(False)
+        transport, server = cass
+        channels = self.subscribers(transport, server)
+        try:
+            self.put(transport, server, "v1")
+            for sub, channel in channels.items():
+                frame = channel.recv(timeout=5.0)
+                assert frame == {
+                    "op": "notify", "sub": sub, "context": "j", "attribute": "hot.x",
+                    "value": "v1", "kind": "put", "origin": None,
+                }
+            assert len(notify_encodes) == 1, len(notify_encodes)
+            assert server.stats["notifications"].value == self.SUBSCRIBERS
+        finally:
+            for channel in channels.values():
+                channel.close()
+
+    def test_a_json_and_a_binary_subscriber_read_one_notification(
+        self, cass, notify_encodes, tracing
+    ):
+        tracing(False)
+        transport, server = cass
+        binary = transport.connect("hostA", server.endpoint, timeout=5.0)
+        sock = socket.create_connection(("127.0.0.1", server.endpoint.port))
+        reader, pending = framing.FrameReader(), []
+
+        def recv_json():
+            sock.settimeout(5.0)
+            while not pending:
+                pending.extend(reader.feed(sock.recv(65536)))
+            return pending.pop(0)
+
+        try:
+            # A bare hello: the server stays on JSON for this peer.
+            sock.sendall(b"".join(framing.encode_frame(m) for m in (
+                {"hello": "hostB"},
+                {"op": "attach", "req": 0, "context": "j", "member": "json"},
+                {"op": "subscribe", "req": 1, "context": "j", "pattern": "hot.*"},
+            )))
+            assert recv_json().get("ok") is True
+            json_sub = recv_json()["sub"]
+            binary_sub = self.subscribe(binary, "binary")
+            assert binary._send_codec == protocol.CODEC_BINARY
+            self.put(transport, server, "v2")
+            got_json, got_binary = recv_json(), binary.recv(timeout=5.0)
+            assert got_json.pop("sub") == json_sub
+            assert got_binary.pop("sub") == binary_sub
+            assert got_json == got_binary == {
+                "op": "notify", "context": "j", "attribute": "hot.x",
+                "value": "v2", "kind": "put", "origin": None,
+            }
+            assert len(notify_encodes) == 2  # once per codec
+        finally:
+            sock.close()
+            binary.close()
+
+    def test_every_traced_delivery_carries_its_own_context(self, cass, tracing):
+        tracing(True)
+        transport, server = cass
+        channels = self.subscribers(transport, server)
+        try:
+            self.put(transport, server, "v3")
+            frames = [channel.recv(timeout=5.0) for channel in channels.values()]
+            assert [f["sub"] for f in frames] == list(channels)
+            contexts = [f[protocol.OBS_FIELD] for f in frames]
+            assert len({c["t"] for c in contexts}) == 1  # the put's trace
+            assert len({c["s"] for c in contexts}) == self.SUBSCRIBERS
+        finally:
+            for channel in channels.values():
+                channel.close()

@@ -14,12 +14,15 @@ Two layers of defense:
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors
 from repro.analysis import wireschema
 from repro.attrspace import protocol
 from repro.attrspace.client import AttributeSpaceClient
-from repro.attrspace.server import AttributeSpaceServer, ServerRole
+from repro.attrspace.notify import Notification
+from repro.attrspace.server import AttributeSpaceServer, ServerRole, _notify_frame
 from repro.net.topology import flat_network
 from repro.transport import framing
 from repro.transport.inmem import InMemoryTransport
@@ -459,3 +462,36 @@ def test_binary_unknown_field_names_roundtrip():
     # future op extension does not require a codec bump.
     frame = {"op": "ping", "req": 1, "brand_new_field": ["x", 1]}
     assert binary_roundtrip(frame) == frame
+
+
+# -- shared notify bodies -----------------------------------------------------
+
+#: short text, and text past tdpb1's one-byte length (255 UTF-8 bytes)
+_texts = st.text(max_size=12) | st.text(min_size=256, max_size=300)
+#: sub ids in tdpb1's int8, int32 and int64 ranges
+_subs = (
+    st.integers(-128, 127)
+    | st.integers(-(2**31), 2**31 - 1)
+    | st.integers(-(2**63), 2**63 - 1)
+)
+_notifications = st.builds(
+    Notification,
+    context=_texts,
+    attribute=_texts,
+    value=st.none() | _texts,
+    kind=st.sampled_from(["put", "remove"]),
+    origin=st.none() | _texts,
+)
+
+
+@given(notification=_notifications, first=_subs, sub=_subs)
+@settings(max_examples=300, deadline=None)
+def test_shared_body_frame_is_the_per_subscriber_frame(notification, first, sub):
+    """The frame a subscriber gets from a body shared with the rest of
+    its fan-out is byte for byte the frame encoded for it alone."""
+    for codec in protocol.SUPPORTED_CODECS:
+        shared = framing.SharedBody(_notify_frame(first, notification), "sub", codec)
+        frame = shared.frame(protocol.encode_field("sub", sub, codec))
+        alone = {"op": "notify", "sub": sub, **notification.to_wire()}
+        assert frame == framing.encode_frame(alone, codec)
+        assert framing.decode_frame(frame) == alone

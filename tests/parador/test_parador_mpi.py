@@ -112,6 +112,23 @@ class TestMonitoredMpiJob:
         value = float(job.stdout_lines[0].split("=")[1])
         assert value == pytest.approx(math.pi, abs=1e-3)
 
+    def test_every_ranks_tool_output_is_written_on_its_host(self, scenario):
+        """``+ToolDaemonOutput`` names a file on each rank's host: a
+        worker rank's paradynd writes its own, as rank 0's does."""
+        text = mpi_submit_text(scenario, "mpi_ring", 2, "1").replace(
+            "queue\n", '+ToolDaemonOutput = "daemon.out"\nqueue\n'
+        )
+        job = scenario.pool.submit_file(text)[0]
+        assert job.wait_terminal(timeout=90.0) is JobStatus.COMPLETED
+
+        def written():
+            return {
+                host for host in ("node1", "node2", "node3")
+                if scenario.cluster.host(host).filesystem.get("daemon.out")
+            }
+
+        assert wait_until(lambda: len(written()) == 2, timeout=30.0), written()
+
     def test_mpi_trace_has_per_rank_launch_steps(self, scenario):
         job = scenario.pool.submit_file(
             mpi_submit_text(scenario, "mpi_ring", 3, "1")
