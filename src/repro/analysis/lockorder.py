@@ -223,7 +223,7 @@ DEFAULT = LockHierarchy([
     LockDecl("transport.inmem._InMemListener._lock", 66,
              note="inmem serving core: routes a connect to the accept "
                   "backlog or the serve_loop dispatcher; the dispatcher "
-                  "itself is lock-free (one thread, one WaitableQueue)"),
+                  "itself is one thread on one SimpleQueue"),
     LockDecl("transport.inmem._InMemChannel._lock", 62,
              note="queue pair state; a served end's lock is held across "
                   "the post onto the dispatcher's ready-queue"),
@@ -244,8 +244,12 @@ DEFAULT = LockHierarchy([
     LockDecl("obs.metrics.MetricsRegistry._lock", 90,
              note="metric name table; get-or-create only, metric values "
                   "are read after the table hold is released"),
-    LockDecl("util.sync.WaitableQueue._cond", 91,
-             note="queue contents; wait() drops it while blocked"),
+    LockDecl("util.sync.WaitableQueue._lock", 91,
+             note="queue contents + parked readers' gates; a reader "
+                  "drops it while parked on its gate"),
+    LockDecl("transport.inmem._InMemDispatcher._lock", 91,
+             note="stop flag; orders each post onto the ready-queue "
+                  "against the stop sentinel"),
     LockDecl("util.sync.AtomicCounter._lock", 92, note="counter word"),
     LockDecl("obs.metrics.Counter._lock", 92, note="metric counter word"),
     LockDecl("obs.metrics.Gauge._lock", 92, note="metric gauge word"),

@@ -12,6 +12,7 @@ thread, so N idle connections cost no threads.
 
 from __future__ import annotations
 
+import queue
 import threading
 from typing import Any
 
@@ -162,36 +163,40 @@ class _InMemChannel(Channel):
 class _InMemDispatcher:
     """The ``serve_loop`` handle: one thread over one shared ready-queue
     of accept, frame and close events, so per-connection frame order is
-    queue order.  ``stop()`` closes the queue: what is already posted
-    drains, then every live channel is closed with its ``on_closed``.
+    queue order.  The queue has that one reader, so it is a
+    ``queue.SimpleQueue``: a hand-off is one C-level ``put``/``get``.
+    ``stop()`` posts a sentinel: what is already posted drains, then
+    every live channel is closed with its ``on_closed``.
     """
 
     def __init__(self, on_channel, on_message, on_closed, name: str):
-        self._ready: WaitableQueue[tuple] = WaitableQueue()
+        self._ready: queue.SimpleQueue[tuple | None] = queue.SimpleQueue()
+        self._lock = tracked_lock("transport.inmem._InMemDispatcher._lock")
+        self._stopped = False
         self._thread = spawn(
             self._run, args=(on_channel, on_message, on_closed), name=name
         )
 
     def post(self, kind: int, channel: _InMemChannel, message: Message | None = None) -> None:
-        try:
-            self._ready.put((kind, channel, message))
-        except ChannelClosedError:
-            if kind != _CLOSE:  # a close after stop(): teardown covers it
-                raise
+        with self._lock:  # orders every post against the sentinel
+            if not self._stopped:
+                self._ready.put((kind, channel, message))
+            elif kind != _CLOSE:  # a close after stop(): teardown covers it
+                raise ChannelClosedError("post on stopped dispatcher")
 
     def stop(self) -> None:
-        self._ready.close()
+        with self._lock:
+            if not self._stopped:
+                self._stopped = True
+                self._ready.put(None)
         if threading.get_ident() != self._thread.ident:
             self._thread.join(timeout=5.0)
 
     def _run(self, on_channel, on_message, on_closed) -> None:
         live: dict[_InMemChannel, Any] = {}  # accepted channel -> token
         try:
-            while True:
-                try:
-                    kind, channel, message = self._ready.get()
-                except ChannelClosedError:
-                    return  # stop()
+            while (event := self._ready.get()) is not None:  # None: stop()
+                kind, channel, message = event
                 if kind == _ACCEPT:
                     token = on_channel(channel)
                     if token is None:
@@ -206,7 +211,7 @@ class _InMemDispatcher:
                     on_message(live[channel], message)
                 # Let go before parking: the loop must not pin the last
                 # connection it served once that one has closed.
-                channel = message = token = None
+                channel = message = token = event = None
         finally:
             for channel, token in live.items():
                 channel.close()

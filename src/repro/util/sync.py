@@ -8,6 +8,11 @@ a small set of audited primitives rather than ad-hoc sleeps:
 * :class:`WaitableQueue` — an unbounded FIFO whose ``close()`` wakes
   blocked readers, used for channel receive queues and event queues.
 
+Both park a waiting thread in one C-level ``acquire`` of a raw lock, its
+gate, which the thread that makes the wait worth ending releases: every
+in-memory frame, reply and event crosses threads without a
+``threading.Condition`` in between.
+
 It also hosts the **runtime lockset witness** — the dynamic half of the
 concurrency sanitizer.  Daemons create their locks through
 :func:`tracked_lock` / :func:`tracked_rlock` / :func:`tracked_condition`,
@@ -35,9 +40,11 @@ thread's lockset — the dynamic half of the static
 
 from __future__ import annotations
 
+import _thread
 import collections
 import os
 import threading
+import time
 from typing import Any, Generic, Iterable, TypeVar
 
 from repro.errors import (
@@ -445,43 +452,80 @@ def disarm_guard_witness() -> None:
         uninstall_guard_witness(cls)
 
 
+def _acquire(gate: Any, timeout: float | None) -> bool:
+    """One C-level wait on ``gate``, a held raw lock, until another
+    thread releases it; True if it did.  A timeout of zero or less
+    waits not at all, as ``threading``'s waits treat it."""
+    if timeout is None:
+        return gate.acquire()
+    return timeout > 0 and gate.acquire(True, timeout)
+
+
 class Latch(Generic[T]):
     """One-shot gate: ``open(value)`` releases every ``wait()``.
 
     Re-opening is idempotent (the first value wins), so racing producers
     are safe.  ``wait`` raises :class:`~repro.errors.GetTimeoutError` on
     timeout, matching the blocking-get semantics it usually backs.
+
+    A waiter blocks in one C-level ``acquire`` of ``_gate``, a raw lock
+    held from construction: ``open`` releases it once, and each waiter
+    that gets through releases it again for the next.
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._gate = _thread.allocate_lock()
+        self._gate.acquire()
         self._value: T | None = None
+        # tdp-guard: _open -> volatile
+        # (set once, under _lock and after _value; a reader that sees it
+        # set sees the value too, and one that sees it clear waits)
+        self._open = False
         self._lock = tracked_lock("util.sync.Latch._lock")
 
     def open(self, value: T) -> bool:
         """Open the latch with ``value``; returns False if already open."""
         with self._lock:
-            if self._event.is_set():
+            if self._open:
                 return False
             self._value = value
-            self._event.set()
-            return True
+            self._open = True
+        self._gate.release()
+        return True
 
     def is_open(self) -> bool:
-        return self._event.is_set()
+        return self._open
 
     def peek(self) -> T | None:
         """The latched value, or None if not yet open."""
         with self._lock:
-            return self._value if self._event.is_set() else None
+            return self._value if self._open else None
 
     def wait(self, timeout: float | None = None) -> T:
         """Block until open; return the latched value."""
         witness_blocking("Latch.wait")
-        if not self._event.wait(timeout):
-            raise GetTimeoutError(f"latch wait timed out after {timeout}s")
-        assert self._event.is_set()
+        if not self._open:
+            if _acquire(self._gate, timeout):
+                self._gate.release()  # pass the gate on to the next waiter
+            elif not self._open:
+                raise GetTimeoutError(f"latch wait timed out after {timeout}s")
         return self._value  # type: ignore[return-value]
+
+
+#: the slot of a parked getter that no put has handed an item
+_EMPTY: Any = object()
+
+
+class _Getter:
+    """A parked :meth:`WaitableQueue.get`: its gate, held until a put
+    fills ``item`` and releases it (or ``close`` releases it empty)."""
+
+    __slots__ = ("gate", "item")
+
+    def __init__(self) -> None:
+        self.gate = _thread.allocate_lock()
+        self.gate.acquire()
+        self.item: Any = _EMPTY
 
 
 class WaitableQueue(Generic[T]):
@@ -491,19 +535,48 @@ class WaitableQueue(Generic[T]):
     with :class:`~repro.errors.ChannelClosedError` once the queue drains,
     which is what a channel receive loop needs on disconnect.  Items
     queued before close are still delivered (graceful drain).
+
+    A reader with nothing to read parks on a gate of its own — a raw
+    lock it holds, released by whoever ends its wait — so each hand-off
+    is one C-level ``acquire``.  A put hands its item straight to the
+    oldest parked ``get``, which returns it without taking the queue's
+    lock again; the deque is empty while a getter is parked, so order
+    holds.  An item that lands in the deque wakes every parked
+    :meth:`wait_nonempty` peeker; a peeker does not consume, and never
+    absorbs the wakeup a getter needs.  The gates are not tracked locks:
+    the thread that releases one never acquired it, which the witness's
+    per-thread lockset would misread.
     """
 
     def __init__(self) -> None:
         self._items: collections.deque[T] = collections.deque()
-        self._cond = tracked_condition("util.sync.WaitableQueue._cond")
+        #: parked getters, oldest first, and parked peekers' gates
+        self._getters: collections.deque[_Getter] = collections.deque()
+        self._peekers: list[Any] = []
+        self._lock = tracked_lock("util.sync.WaitableQueue._lock")
         self._closed = False
 
+    def _add(self, item: T) -> None:
+        """Hand ``item`` to the oldest parked getter, else queue it
+        (caller holds ``_lock``)."""
+        if self._getters:
+            getter = self._getters.popleft()
+            getter.item = item
+            getter.gate.release()
+            return
+        self._items.append(item)
+        self._wake_peekers()
+
+    def _wake_peekers(self) -> None:
+        for gate in self._peekers:
+            gate.release()
+        self._peekers.clear()
+
     def put(self, item: T) -> None:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ChannelClosedError("put on closed queue")
-            self._items.append(item)
-            self._cond.notify()
+            self._add(item)
 
     def offer(self, item: T, maxsize: int | None) -> bool:
         """Bounded non-blocking put: enqueue unless ``maxsize`` items are
@@ -514,13 +587,12 @@ class WaitableQueue(Generic[T]):
         subscriber).  Raises ``ChannelClosedError`` on a closed queue,
         like :meth:`put`.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ChannelClosedError("offer on closed queue")
             if maxsize is not None and len(self._items) >= maxsize:
                 return False
-            self._items.append(item)
-            self._cond.notify()
+            self._add(item)
             return True
 
     def get(self, timeout: float | None = None) -> T:
@@ -530,16 +602,38 @@ class WaitableQueue(Generic[T]):
         ``GetTimeoutError`` on timeout.
         """
         witness_blocking("WaitableQueue.get")
-        with self._cond:
-            if not self._cond.wait_for(lambda: self._items or self._closed, timeout):
-                raise GetTimeoutError(f"queue get timed out after {timeout}s")
+        with self._lock:
             if self._items:
                 return self._items.popleft()
-            raise ChannelClosedError("queue closed")
+            if self._closed:
+                raise ChannelClosedError("queue closed")
+            getter = _Getter()
+            self._getters.append(getter)
+        try:
+            woken = _acquire(getter.gate, timeout)
+        except BaseException:  # interrupted: an item handed over meanwhile stays queued
+            with self._lock:
+                if getter in self._getters:
+                    self._getters.remove(getter)
+                elif getter.item is not _EMPTY:
+                    self._items.appendleft(getter.item)
+                    self._wake_peekers()
+            raise
+        if not woken:
+            with self._lock:
+                parked = getter in self._getters
+                if parked:
+                    self._getters.remove(getter)
+            if parked:
+                raise GetTimeoutError(f"queue get timed out after {timeout}s")
+            # else a put or close released the gate as the deadline passed
+        if getter.item is _EMPTY:
+            raise ChannelClosedError("queue closed")  # close() releases empty-handed
+        return getter.item
 
     def get_nowait(self) -> T:
         """Pop immediately; raises ``IndexError`` if empty (closed or not)."""
-        with self._cond:
+        with self._lock:
             if not self._items:
                 if self._closed:
                     raise ChannelClosedError("queue closed")
@@ -553,38 +647,52 @@ class WaitableQueue(Generic[T]):
         the queue closed empty.
         """
         witness_blocking("WaitableQueue.wait_nonempty")
-        with self._cond:
-            self._cond.wait_for(lambda: self._items or self._closed, timeout)
-            return bool(self._items)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                if self._items or self._closed:
+                    return bool(self._items)
+                gate = _thread.allocate_lock()
+                gate.acquire()
+                self._peekers.append(gate)
+            if not _acquire(gate, None if deadline is None else deadline - time.monotonic()):
+                with self._lock:
+                    if gate in self._peekers:  # nothing released it: the deadline passed
+                        self._peekers.remove(gate)
+                        return False
+            # released: look again (a getter may have taken the item first)
 
     def drain(self) -> list[T]:
         """Atomically remove and return all currently queued items."""
-        with self._cond:
+        with self._lock:
             items = list(self._items)
             self._items.clear()
             return items
 
     def close(self) -> None:
         """Close the queue; idempotent."""
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            for getter in self._getters:
+                getter.gate.release()
+            self._getters.clear()
+            self._wake_peekers()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
     def extend(self, items: Iterable[T]) -> None:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ChannelClosedError("extend on closed queue")
-            self._items.extend(items)
-            self._cond.notify_all()
+            for item in items:
+                self._add(item)
 
 
 def join_all(threads: Iterable[threading.Thread], timeout: float = 10.0) -> None:
@@ -593,8 +701,6 @@ def join_all(threads: Iterable[threading.Thread], timeout: float = 10.0) -> None
     Tests use this to guarantee daemon threads exit — a hung daemon is a
     bug, not something to leak past the test.
     """
-    import time
-
     deadline = time.monotonic() + timeout
     stuck: list[str] = []
     for t in threads:

@@ -442,6 +442,55 @@ def park(self, handle, deadline):
     assert timed_waits(untimed) == []
 
 
+def test_handoffs_block_in_c():
+    """The in-memory path's hand-offs park in one C-level wait (a raw
+    lock's ``acquire`` or ``SimpleQueue.get``): ``Latch``,
+    ``WaitableQueue`` and the inmem dispatcher name no
+    ``threading.Condition``, ``threading.Event`` or ``tracked_condition``,
+    whose bookkeeping runs in Python on every wait and wake."""
+    import ast
+
+    banned = {"Condition", "Event", "tracked_condition"}
+    classes = {
+        SRC / "util" / "sync.py": {"Latch", "WaitableQueue"},
+        SRC / "transport" / "inmem.py": {"_InMemDispatcher"},
+    }
+    found, named = [], set()
+    for path, names in classes.items():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                named.add(node.name)
+                found.extend(
+                    f"{node.name}:{ref.lineno}: {ast.unparse(ref)}"
+                    for ref in ast.walk(node)
+                    if (isinstance(ref, ast.Name) and ref.id in banned)
+                    or (isinstance(ref, ast.Attribute) and ref.attr in banned)
+                )
+    assert named == set().union(*classes.values())
+    assert not found, "\n".join(found)
+
+
+#: Ceiling on the test suite's sleeps and polls, which load can outrun.
+#: Only falls: a change that replaces polls with event waits lowers it.
+TEST_POLL_CEILING = 195
+
+
+def test_test_polls_only_fall():
+    """The count of ``time.sleep`` and ``wait_until`` calls under tests/
+    may not rise: a new test waits on the event it means (a ``Latch``,
+    a subscription, ``JobRecord.wait_for``), not on a poll."""
+    import re
+
+    poll = re.compile(r"\btime\.sleep\(|\bwait_until\(")
+    count = sum(
+        len(poll.findall(path.read_text()))
+        for path in (REPO_ROOT / "tests").rglob("*.py")
+    )
+    assert count <= TEST_POLL_CEILING, (
+        f"{count} sleeps/polls under tests/, ceiling {TEST_POLL_CEILING}"
+    )
+
+
 def test_lint_cli_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint", str(SRC)],
