@@ -125,20 +125,13 @@ DEFAULT = LockHierarchy([
                   "its services with the cluster"),
     LockDecl("sim.cluster.SimCluster._lock", 14,
              note="cluster topology; held while delivering to a process"),
-    LockDecl("condor.mpi_universe.MpiUniverseCoordinator._lock", 14,
-             note="one job's ranks: per-rank RM handles, pids and "
-                  "threads, the job's disseminated attributes and the "
-                  "first start failure, written by the rank threads; "
-                  "never calls out held"),
+    LockDecl("condor.mpi_universe.RankLaunch._lock", 14,
+             note="one rank's pid, kill latch and the shadow channel it "
+                  "waits for its run on; never calls out held"),
     LockDecl("mpisim.runtime.MpiRuntime._lock", 16,
              note="MPI rank rendezvous state: per-job rank tables, master "
                   "hooks and parked waiters; released before a waiter is "
                   "woken"),
-    LockDecl("condor.startd.Startd._cass_lock", 18, blocking_ok=True,
-             note="the host's one lazily-dialled CASS session: one launch "
-                  "at a time dials, re-dials and reads on it; guards only "
-                  "that session, is taken with no other lock held, and "
-                  "ranks below everything a client call can reach"),
 
     # -- daemon state locks --------------------------------------------------
     LockDecl("condor.startd.Startd._lock", 20, note="claim table"),

@@ -120,7 +120,7 @@ def count_region_lines(path: Path, qualnames: list[str]) -> int:
 INTEGRATION_REGIONS: dict[str, list[str]] = {
     "parador/adapters.py": ["register_paradynd", "make_tool_registry"],
     "condor/starter.py": ["Starter._write_tool_output"],
-    "condor/mpi_universe.py": ["MpiUniverseCoordinator.launch_tool"],
+    "condor/mpi_universe.py": ["RankLaunch.launch_tool"],
     "condor/submit.py": ["ToolDaemonSpec", "_parse_bool"],
     "condor/tools.py": ["ToolLaunchContext"],
     "paradyn/daemon.py": [

@@ -89,11 +89,8 @@ class Matchmaker:
         startd = str(request.get("startd"))
         if not name or name == "None":
             return {"ok": False, "error": "machine ad missing Name"}
-        lass = str(request.get("lass", ""))
         with self._lock:
-            self._machines[name] = {
-                "ad": ad, "startd": startd, "lass": lass, "reserved": False,
-            }
+            self._machines[name] = {"ad": ad, "startd": startd, "reserved": False}
         self._record("advertise_machine", machine=name)
         return {"ok": True}
 
@@ -133,7 +130,7 @@ class Matchmaker:
             for _name, entry in chosen:
                 entry["reserved"] = True
         result = [
-            {"machine": name, "startd": entry["startd"], "lass": entry["lass"]}
+            {"machine": name, "startd": entry["startd"]}
             for name, entry in chosen
         ]
         self._record(

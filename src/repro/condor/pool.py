@@ -47,6 +47,8 @@ class CondorPool:
         self.cluster = cluster
         self.submit_host = submit_host
         self.trace = trace
+        #: the RM's proxy every startd names to its jobs' tools
+        self.proxy = proxy
         self.tools = tool_registry if tool_registry is not None else ToolRegistry()
         self.matchmaker = Matchmaker(
             cluster.transport, submit_host, trace=self.trace
@@ -84,7 +86,6 @@ class CondorPool:
                     "op": "advertise_machine",
                     "ad": startd.ad.attrs,
                     "startd": str(startd.endpoint),
-                    "lass": str(startd.lass.endpoint),
                 },
                 timeout=10.0,
             )
@@ -103,6 +104,7 @@ class CondorPool:
                 self.cluster.host(hostname),
                 self.tools,
                 trace=self.trace,
+                proxy=self.proxy,
             )
             self.startds[hostname] = fresh
             self._advertise(fresh)

@@ -13,18 +13,25 @@ Flow per job (the Figure 4 interaction the FIG4 bench traces):
    machine matches;
 3. it runs the **claiming protocol** against each matched startd (which
    may refuse — then the reservation is released and the job retried);
-4. it spawns a **shadow** and sends the startd an activation message
-   naming the shadow and stdio endpoints;
-5. the shadow tracks the job to completion; once the job is in a
-   terminal state, however it got there, it leaves the queue (its
-   submitter keeps the ``JobRecord``), and the release worker returns
-   the claims and the matchmaker's reservations and stops the shadow.
+4. it spawns a **shadow** and activates every claim with its rank,
+   the workers first and rank 0 last: each startd spawns the starter of
+   its rank, and the activation names the shadow and stdio endpoints
+   and carries the pool-global attributes the schedd's CASS holds;
+5. the shadow tracks the job to completion — every rank of it; once the
+   job is in a terminal state, however it got there, it leaves the
+   queue (its submitter keeps the ``JobRecord``), and the release worker
+   returns the claims (each starter ends with its claim) and the
+   matchmaker's reservations and stops the shadow.
 
 The schedd talks to the matchmaker and to each startd over one channel
 per peer that lives as long as the schedd does (``_PeerChannel``).
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+from typing import Callable
 
 from repro import errors
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
@@ -33,6 +40,7 @@ from repro.condor.shadow import Shadow
 from repro.condor.startd import description_to_wire
 from repro.condor.submit import SubmitDescription, parse_submit_file
 from repro.net.address import Endpoint, parse_endpoint
+from repro.tdp.wellknown import Attr
 from repro.transport.base import Channel, Transport
 from repro.util.clock import Clock, WallClock
 from repro.util.ids import IdAllocator, fresh_token
@@ -41,6 +49,10 @@ from repro.util.sync import WaitableQueue, tracked_condition, tracked_lock
 from repro.util.threads import spawn
 
 _log = get_logger("condor.schedd")
+
+#: the CASS items every rank's launch record carries ("port arguments …
+#: disseminated to remote sites as attribute values", Section 4.3)
+DISSEMINATED = (Attr.RT_FRONTEND, Attr.RM_PROXY, Attr.STDIO_ENDPOINT)
 
 
 class _PeerChannel:
@@ -141,8 +153,8 @@ class Schedd:
         #: the jobs that are not yet terminal (condor_q's queue)
         self._jobs: dict[str, JobRecord] = {}
         self._shadows: dict[str, Shadow] = {}
-        # job_id -> [(machine, startd_endpoint, claim_id, lass)] while active
-        self._active_claims: dict[str, list] = {}
+        # job_id -> [(machine, startd_endpoint, claim_id)] in rank order, while active
+        self._active_claims: dict[str, list[tuple[str, Endpoint, str]]] = {}
         self._queue: list[JobRecord] = []
         #: job_id -> token of a job parked until a release or its timer
         # tdp-guard: _parked -> condor.schedd.Schedd._cond
@@ -152,8 +164,9 @@ class Schedd:
         self._waits: dict[str, int] = {}
         self._cond = tracked_condition("condor.schedd.Schedd._cond")
         self._stopped = False
-        #: ids of jobs that reached a terminal state, for the release worker
-        self._finished: WaitableQueue[str] = WaitableQueue()
+        #: the release worker's chores: release a job that reached a
+        #: terminal state, or kill the gang of one whose rank failed
+        self._chores: WaitableQueue[Callable[[], None]] = WaitableQueue()
         self._negotiator = spawn(self._negotiation_loop, name="schedd-negotiate")
         spawn(self._release_loop, name="schedd-release")
 
@@ -287,8 +300,7 @@ class Schedd:
         )
 
         # Claiming protocol against each matched startd.
-        # entries: (machine, startd_endpoint, claim_id, lass_endpoint_str)
-        claims: list[tuple[str, Endpoint, str, str]] = []
+        claims: list[tuple[str, Endpoint, str]] = []
         for m in matches:
             startd_endpoint = parse_endpoint(str(m["startd"]))
             claim_id = fresh_token("claim")
@@ -308,54 +320,64 @@ class Schedd:
                     self._release_reservation(unclaimed["machine"])
                 record.set_status(JobStatus.IDLE)
                 return False
-            claims.append(
-                (m["machine"], startd_endpoint, claim_id, str(m.get("lass", "")))
-            )
+            claims.append((m["machine"], startd_endpoint, claim_id))
         record.machines = [c[0] for c in claims]
         record.set_status(JobStatus.CLAIMED)
 
-        # Spawn the shadow for this request, then activate the claim(s).
+        # Spawn the shadow for this request, then activate the claims.
+        job_id = str(record.job_id)
         shadow = Shadow(
             self._transport,
             self.submit_host,
             record,
             submit_fs=self._submit_fs,
             trace=self._trace,
+            kill_gang=functools.partial(self._chore, self._kill_claims, job_id),
         )
-        self._shadows[str(record.job_id)] = shadow
-        self._record("spawn_shadow", job=str(record.job_id))
+        self._shadows[job_id] = shadow
+        self._record("spawn_shadow", job=job_id)
 
-        job_wire = description_to_wire(record.description)
-        primary_machine, primary_endpoint, primary_claim, _primary_lass = claims[0]
         activation = {
             "op": "activate_claim",
-            "claim_id": primary_claim,
-            "job_id": str(record.job_id),
+            "job_id": job_id,
             "submit_host": self.submit_host,
-            "cass": str(self.cass.endpoint) if self.cass is not None else "",
-            "job": job_wire,
+            "job": description_to_wire(record.description),
             "shadow": str(shadow.endpoint),
             "stdio": str(shadow.stdio_endpoint),
-            "extra_machines": [
-                {"machine": mach, "startd": str(ep), "claim": cid, "lass": lass}
-                for mach, ep, cid, lass in claims[1:]
-            ],
+            "disseminate": self._disseminated(),
         }
-        self._active_claims[str(record.job_id)] = claims
-        self._record("activate_claim", machine=primary_machine, claim=primary_claim)
-        try:
-            answer = self._startd_rpc(primary_endpoint, activation)
-        except errors.TdpError:
-            # Not running and not terminal: free the machines and the
-            # shadow now, the negotiation loop retries the job.
-            self._release_job(str(record.job_id))
-            record.set_status(JobStatus.IDLE)
-            raise
-        if not answer.get("ok"):
-            record.set_status(
-                JobStatus.FAILED, failure_reason=str(answer.get("error"))
-            )
+        self._active_claims[job_id] = claims
+        # The workers first, rank 0 (the primary) last: a worker's starter
+        # parks until rank 0 runs, so no activation competes for the
+        # interpreter with a launch already under way.
+        gang = list(enumerate(claims[:record.description.ranks]))
+        for rank, (machine, endpoint, claim_id) in gang[1:] + gang[:1]:
+            self._record("activate_claim", machine=machine, claim=claim_id)
+            try:
+                answer = self._startd_rpc(
+                    endpoint, {**activation, "claim_id": claim_id, "rank": rank}
+                )
+            except errors.TdpError:
+                # Not running and not terminal: free the machines and the
+                # shadow now, the negotiation loop retries the job.
+                self._release_job(job_id)
+                record.set_status(JobStatus.IDLE)
+                raise
+            if not answer.get("ok"):
+                # Terminal: the release worker frees every claim, and each
+                # activated starter ends with its claim.
+                reason = str(answer.get("error"))
+                if rank:
+                    reason = f"rank {rank} could not be started: {reason}"
+                record.set_status(JobStatus.FAILED, failure_reason=reason)
+                break
         return True  # running, or terminal: do not retry
+
+    def _disseminated(self) -> list[list[str]]:
+        """Those of :data:`DISSEMINATED` the schedd's CASS holds, read
+        from its store for each activation."""
+        held = self.cass.store.snapshot() if self.cass is not None else {}
+        return [[attribute, held[attribute]] for attribute in DISSEMINATED if attribute in held]
 
     # -- release: what a job held goes back when it ends ---------------------------
 
@@ -364,18 +386,23 @@ class Schedd:
         and hand it to the release worker."""
         with self._cond:
             self._jobs.pop(str(record.job_id), None)
+        self._chore(self._release_job, str(record.job_id))
+
+    def _chore(self, work: Callable[[str], None], job_id: str) -> None:
+        """Hand ``work(job_id)`` to the release worker: the caller (a
+        job's terminal callback, a shadow's serving thread) must not block."""
         try:
-            self._finished.put(str(record.job_id))
+            self._chores.put(functools.partial(work, job_id))
         except errors.ChannelClosedError:
             pass  # schedd stopped: the pool is going away with its claims
 
     def _release_loop(self) -> None:
         while True:
             try:
-                job_id = self._finished.get()
+                chore = self._chores.get()
             except errors.ChannelClosedError:
                 return
-            self._release_job(job_id)
+            chore()
 
     def _release_job(self, job_id: str) -> None:
         """Release the job's claims, reservations, shadow and retry count.
@@ -390,7 +417,7 @@ class Schedd:
             shadow.stop()
 
     def _release_claims(self, claims) -> None:
-        for machine, endpoint, claim_id, _lass in claims:
+        for machine, endpoint, claim_id in claims:
             try:
                 self._startd_rpc(
                     endpoint, {"op": "release_claim", "claim_id": claim_id}
@@ -420,7 +447,7 @@ class Schedd:
     def hold(self, job_id: str) -> None:
         """Suspend a running job (the RM pauses it; tools see 'stopped')."""
         record = self.job(job_id)
-        _machine, endpoint, claim_id, _lass = self._primary_claim(job_id)
+        _machine, endpoint, claim_id = self._primary_claim(job_id)
         answer = self._startd_rpc(
             endpoint, {"op": "suspend_job", "claim_id": claim_id}
         )
@@ -434,7 +461,7 @@ class Schedd:
     def release(self, job_id: str) -> None:
         """Resume a held job."""
         record = self.job(job_id)
-        _machine, endpoint, claim_id, _lass = self._primary_claim(job_id)
+        _machine, endpoint, claim_id = self._primary_claim(job_id)
         answer = self._startd_rpc(
             endpoint, {"op": "resume_job", "claim_id": claim_id}
         )
@@ -451,11 +478,12 @@ class Schedd:
         """Ask the execution-side RM to attach a run-time tool to a
         RUNNING job (the Figure 3B flow through the batch system)."""
         self.job(job_id)  # validates existence
-        _machine, endpoint, claim_id, _lass = self._primary_claim(job_id)
+        _machine, endpoint, claim_id = self._primary_claim(job_id)
         answer = self._startd_rpc(
             endpoint,
             {"op": "attach_tool", "claim_id": claim_id, "cmd": cmd,
-             "args": args, "output": output},
+             "args": args, "output": output,
+             "disseminate": self._disseminated()},
         )
         if not answer.get("ok"):
             raise errors.ResourceManagerError(
@@ -470,17 +498,9 @@ class Schedd:
         already finished is not in the queue: its status stays as it ended.
         """
         record = self.job(job_id)
-        claims = self._active_claims.get(job_id)
-        if claims:
+        if self._active_claims.get(job_id):
             record.removal_requested = True
-            _machine, endpoint, claim_id, _lass = claims[0]
-            answer = self._startd_rpc(
-                endpoint, {"op": "kill_job", "claim_id": claim_id}
-            )
-            if not answer.get("ok"):
-                raise errors.ResourceManagerError(
-                    f"remove failed: {answer.get('error')}"
-                )
+            self._kill_claims(job_id)
             self._record("job_removed", job=job_id, how="killed")
             return
         # Idle/queued: drop it from the queue.
@@ -490,6 +510,14 @@ class Schedd:
         record.set_status(JobStatus.REMOVED)
         self._record("job_removed", job=job_id, how="dequeued")
 
+    def _kill_claims(self, job_id: str) -> None:
+        """Kill every rank of the job, each through its claim's starter.
+        The startd keeps a kill that comes before the claim's activation:
+        the starter it then spawns creates nothing."""
+        for _machine, endpoint, claim_id in self._active_claims.get(job_id, ()):
+            with contextlib.suppress(errors.TdpError):
+                self._startd_rpc(endpoint, {"op": "kill_job", "claim_id": claim_id})
+
     # -- lifecycle ----------------------------------------------------------------
 
     def stop(self) -> None:
@@ -497,7 +525,7 @@ class Schedd:
             self._stopped = True
             self._cond.notify_all()
             peers = [self._matchmaker, *self._startds.values()]
-        self._finished.close()
+        self._chores.close()
         for peer in peers:
             peer.close()
         for shadow in list(self._shadows.values()):

@@ -6,24 +6,25 @@ job, it spawns the condor_starter" (Section 4.1).
 
 The startd also starts the host's LASS at boot — the paper assigns LASS
 startup to the RM ("The LASS's are started by the RM", Section 2.1) and
-the startd is the RM's per-host presence.  For the same reason it owns
-the host's one session with the pool's CASS: per-job starters read
-pool-global attributes through it instead of each dialling the CASS.
+the startd is the RM's per-host presence.
 
 Wire protocol (schedd -> startd):
 
 * ``claim_request {claim_id, job_ad}`` — the claiming protocol; the
   startd re-verifies willingness and may refuse.
-* ``activate_claim {claim_id, job, shadow, stdio}`` — spawn a starter.
-* ``release_claim {claim_id}``
+* ``activate_claim {claim_id, job, rank, shadow, stdio, disseminate}`` —
+  spawn the starter of the job's ``rank`` on this machine, answered once
+  the starter has named its rank to the shadow;
+  ``disseminate`` holds the pool-global attributes the schedd read from
+  its CASS, for the rank's launch record.
+* ``kill_job {claim_id}`` — kill the claim's rank; a kill that comes
+  before the activation is kept, and the starter then creates nothing.
+* ``release_claim {claim_id}`` — the claim's starter ends with it.
 """
 
 from __future__ import annotations
 
-import functools
-
 from repro import errors
-from repro.attrspace.client import AttributeSpaceClient
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.condor.classad import ClassAd, matches
 from repro.condor.starter import Starter
@@ -83,13 +84,8 @@ class Startd:
             name=f"lass@{host.name}", local_only=True,
         )
         self._listener = transport.listen(host.name)
-        self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter"}
+        self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter", "killed"}
         self._lock = tracked_lock("condor.startd.Startd._lock")
-        # This host's one session with the pool's CASS ("daemons talk
-        # upward"), dialled by the first launch that names one.  The lock
-        # serialises the launches' reads on it, dial included.
-        self._cass: AttributeSpaceClient | None = None
-        self._cass_lock = tracked_lock("condor.startd.Startd._cass_lock")
         # tdp-guard: _stopped -> volatile
         # (monotonic stop latch: set once by stop(), read by the master's
         # liveness probe)
@@ -109,10 +105,6 @@ class Startd:
         self._stopped = True
         self._loop.stop()  # closes the schedd connections it serves
         self._listener.close()
-        with self._cass_lock:
-            if self._cass is not None:
-                self._cass.close()
-                self._cass = None
         self.lass.stop()
 
     def _record(self, action: str, **details) -> None:
@@ -139,10 +131,11 @@ class Startd:
 
         Suspend, resume, kill and attach wait on the host's LASS (the
         starter's control service publishes the new process state
-        there) and attach may read the CASS; neither server ever calls
-        this startd, so the wait cannot close a cycle.  Nobody starves
-        behind it either: the startd's one peer is the schedd, whose
-        ``_PeerChannel`` sends it one request at a time anyway.
+        there), an activation on its starter's dial to the shadow;
+        neither ever calls this startd, so the wait cannot close a
+        cycle.  Nobody starves behind it either: the startd's one peer
+        is the schedd, whose ``_PeerChannel`` sends it one request at a
+        time anyway.
         """
         op = request.get("op")
         try:
@@ -166,44 +159,6 @@ class Startd:
         except errors.TdpError:
             channel.close()  # as if the connection was lost: the schedd re-dials
 
-    # -- the host's CASS session -----------------------------------------------------
-
-    def _read_cass(
-        self, endpoint: Endpoint, wanted: tuple[str, ...]
-    ) -> list[tuple[str, str]]:
-        """Those of ``wanted`` the CASS at ``endpoint`` holds, read in one
-        frame.  Best effort: nothing when the CASS cannot be reached."""
-        with self._cass_lock:
-            # Twice at most: a session that died since the last launch
-            # fails the first pass and is dialled again for the second.
-            for _ in range(2):
-                if self._cass is None:
-                    try:
-                        self._cass = AttributeSpaceClient(
-                            self._transport.connect(self.host.name, endpoint),
-                            member=f"startd@{self.host.name}",
-                        )
-                    except errors.TdpError:
-                        # No route from a private node without a pinhole:
-                        # the LASS-only pilot configuration.
-                        return []
-                reads = []
-                try:
-                    with self._cass.batch() as batch:
-                        reads = [batch.try_get(attribute) for attribute in wanted]
-                except errors.NoSuchAttributeError:
-                    pass  # the batch raises its first miss; the hits are resolved
-                except errors.TdpError:
-                    self._cass.close()
-                    self._cass = None
-                    continue
-                return [
-                    (attribute, read.value)
-                    for attribute, read in zip(wanted, reads)
-                    if read.ok
-                ]
-        return []
-
     # -- claiming protocol ---------------------------------------------------------
 
     def _claim_request(self, request: dict) -> dict:
@@ -218,7 +173,7 @@ class Startd:
             if self._claims:
                 self._record("claim_refused", claim=claim_id, reason="busy")
                 return {"ok": False, "error": "machine already claimed"}
-            self._claims[claim_id] = {"job_ad": job_ad, "starter": None}
+            self._claims[claim_id] = {"job_ad": job_ad, "starter": None, "killed": False}
         self.ad.attrs["State"] = "Claimed"
         self._record("claim_accepted", claim=claim_id, job=job_ad.get("JobId"))
         return {"ok": True}
@@ -250,20 +205,20 @@ class Startd:
             tool_registry=self._tools,
             trace=self._trace,
             proxy=self._proxy,
-            extra_machines=list(request.get("extra_machines", [])),
             submit_host=str(request.get("submit_host", "")) or None,
-            read_cass=(
-                functools.partial(
-                    self._read_cass, parse_endpoint(str(request["cass"]))
-                )
-                if request.get("cass")
-                else None
-            ),
+            rank=int(request.get("rank", 0)),
+            disseminated=_pairs(request.get("disseminate")),
         )
+        # Requests are served one at a time: no kill comes in between.
+        if claim["killed"]:
+            starter.kill_job()
+        try:
+            starter.start()
+        except errors.TdpError as e:
+            return {"ok": False, "error": str(e)}
         with self._lock:
             claim["starter"] = starter
         self._record("spawn_starter", claim=claim_id, job=request.get("job_id"))
-        starter.start()
         return {"ok": True}
 
     def _suspend_resume(self, request: dict, *, suspend: bool) -> dict:
@@ -289,6 +244,7 @@ class Startd:
             str(request.get("cmd", "")),
             str(request.get("args", "")),
             request.get("output"),
+            _pairs(request.get("disseminate")),
         )
         if not ok:
             return {"ok": False, "error": "could not attach tool (already monitored?)"}
@@ -298,22 +254,31 @@ class Startd:
         claim_id = str(request.get("claim_id"))
         with self._lock:
             claim = self._claims.get(claim_id)
-        starter = claim.get("starter") if claim else None
-        if starter is None:
-            return {"ok": False, "error": f"no active starter for {claim_id!r}"}
-        if not starter.kill_job():
-            return {"ok": False, "error": "job not in a killable state"}
+            if claim is None:
+                return {"ok": False, "error": f"no such claim {claim_id!r}"}
+            claim["killed"] = True
+            starter = claim["starter"]
+        if starter is not None:
+            starter.kill_job()
+        self._record("job_killed", claim=claim_id)
         return {"ok": True}
 
     def _release_claim(self, request: dict) -> dict:
         claim_id = str(request.get("claim_id"))
         with self._lock:
-            self._claims.pop(claim_id, None)
+            claim = self._claims.pop(claim_id, None)
             busy = bool(self._claims)
+        if claim is not None and claim["starter"] is not None:
+            claim["starter"].kill_job()  # the starter ends with its claim
         if not busy:
             self.ad.attrs["State"] = "Unclaimed"
         self._record("claim_released", claim=claim_id)
         return {"ok": True}
+
+
+def _pairs(wire) -> list[tuple[str, str]]:
+    """Disseminated attributes from their wire form, ``[[name, value], ...]``."""
+    return [(str(name), str(value)) for name, value in wire or []]
 
 
 def _description_from_wire(wire: dict) -> SubmitDescription:

@@ -14,18 +14,21 @@ is the daemon that speaks TDP (Figure 6):
   status to the shadow and, when the job completes, stages files out and
   tears the context down.
 
-Steps 1-3 are the one rank launch of
-:class:`~repro.condor.mpi_universe.MpiUniverseCoordinator`, which starts
-every rank of a job the same way: a vanilla job is a gang of one.
+One starter runs one rank of one job: each claimed machine's startd
+spawns the starter of its rank.  Steps 1-3 are the one rank launch of
+:class:`~repro.condor.mpi_universe.RankLaunch`, which starts every rank
+the same way: a vanilla job is a gang of one.  A worker rank's starter
+first waits for the shadow's ``run``, sent once rank 0 is running; its
+steps are traced as the gang's (``mpi-coord/<job>``), rank 0's as the
+starter's.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 from repro import errors
-from repro.condor.mpi_universe import MpiUniverseCoordinator, machine_slots_from_wire
+from repro.condor.mpi_universe import RankLaunch
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.condor.tools import (
     ThreadToolHandle,
@@ -33,19 +36,20 @@ from repro.condor.tools import (
     serve_until_ended,
     write_tool_output,
 )
+from repro.mpisim.runtime import RankInfo
 from repro.net.address import Endpoint
 from repro.sim.host import SimHost
 from repro.tdp.files import FileStager
-from repro.tdp.handle import TdpHandle
 from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger, record_event
+from repro.util.sync import Latch
 from repro.util.threads import spawn
 
 _log = get_logger("condor.starter")
 
 
 class Starter:
-    """One starter instance == one job execution on one machine."""
+    """One starter instance == one rank of one job on one machine."""
 
     def __init__(
         self,
@@ -60,36 +64,36 @@ class Starter:
         tool_registry: ToolRegistry,
         trace: TraceRecorder | None = None,
         proxy: Endpoint | None = None,
-        extra_machines: list[dict] | None = None,
         submit_host: str | None = None,
-        read_cass: Callable[[tuple[str, ...]], list[tuple[str, str]]] | None = None,
+        rank: int,
+        disseminated: list[tuple[str, str]],
     ):
         self._transport = transport
         self._host = host
-        self._lass_endpoint = lass_endpoint
         self.job_id = job_id
+        self.rank = rank
         self._desc = description
         self._shadow_endpoint = shadow_endpoint
-        self._stdio_endpoint = stdio_endpoint
-        self._tools = tool_registry
         self._trace = trace
-        self._proxy = proxy
-        self._extra_machines = list(extra_machines or [])
         self._submit_host = submit_host
-        #: the startd's best-effort read of pool-global attributes from
-        #: the CASS (``None``: the pool has none)
-        self._read_cass = read_cass
-        # tdp-guard: _gang -> volatile
-        # (written once by the run thread before rank 0's launch; a kill
-        # request that comes before it finds no job to kill)
-        self._gang: MpiUniverseCoordinator | None = None
-        # Launch-sequenced publishes: the run thread writes each handle
-        # once rank 0 is launched, and control methods (invoked via the
-        # startd/shadow only after the job_started report) read them; a
-        # pre-launch reader correctly sees None.
-        # tdp-guard: _handle -> volatile
-        self._handle: TdpHandle | None = None
+        #: the pool-global attributes the schedd read from its CASS
+        self._disseminated = disseminated
+        self._launch = RankLaunch(
+            transport=transport,
+            host=host,
+            lass_endpoint=lass_endpoint,
+            job_id=job_id,
+            rank=rank,
+            description=description,
+            tool_registry=tool_registry,
+            trace=trace,
+            proxy=proxy,
+            stdio_endpoint=stdio_endpoint,
+            submit_host=submit_host,
+        )
         # tdp-guard: _tool_handle -> volatile
+        # (written by the run thread once the rank is launched, or by an
+        # attach; control methods run only after the job_started report)
         self._tool_handle: ThreadToolHandle | None = None
         #: the spec the running tool was launched from: the submit file's,
         #: or one attached later
@@ -100,27 +104,36 @@ class Starter:
         #: file, flushed on close)
         self._tool_output: list[str] = []
         # tdp-guard: _shadow_channel -> volatile
-        self._shadow_channel: Channel | None = None
-        # tdp-guard: app_pid -> volatile
-        # (written once when the application is created, before the
-        # job_started report that makes control requests possible)
-        self.app_pid: int | None = None
+        # (written once by the run thread, before it opens _named)
+        self._shadow_channel: Channel
+        #: opened by the run thread once it has named the rank to the
+        #: shadow (None), or with why it could not
+        self._named: Latch[str | None] = Latch()
         self.exit_code: int | None = None
         self.failure: str | None = None
         self._done = threading.Event()
         self._thread = spawn(
-            self._run_guarded, name=f"starter-{job_id}", start=False
+            self._run_guarded,
+            name=f"mpi-rank-{job_id}-{rank}" if rank else f"starter-{job_id}",
+            start=False,
         )
 
     def start(self) -> None:
+        """Run, once the run thread has named the rank to the shadow; raise
+        (the activation fails) if it cannot: the shadow knows every rank."""
         self._thread.start()
+        error = self._named.wait()
+        if error is not None:
+            raise errors.ResourceManagerError(f"cannot reach the shadow: {error}")
 
     def wait(self, timeout: float | None = None) -> None:
         if not self._done.wait(timeout):
             raise errors.GetTimeoutError(f"starter {self.job_id} still running")
 
-    def _record(self, action: str, **details) -> None:
-        record_event(self._trace, "starter", action, **details)
+    @property
+    def app_pid(self) -> int | None:
+        """The rank's process, from its creation to the cleanup."""
+        return self._launch.pid
 
     # -- user-initiated suspension (condor_hold / condor_release) ----------
 
@@ -132,23 +145,23 @@ class Starter:
         space, so an attached tool sees a legitimate 'stopped' rather
         than suspecting a fault.
         """
-        handle = self._handle
-        if handle is None or handle.control is None or self.app_pid is None:
+        handle, pid = self._launch.handle, self.app_pid
+        if handle is None or handle.control is None or pid is None:
             return False
         try:
-            handle.control.pause(self.app_pid)
+            handle.control.pause(pid)
         except errors.TdpError:
             return False
-        self._record("job_suspended", pid=self.app_pid)
+        self._launch.record("job_suspended", pid=pid)
         self._report({"op": "job_suspended"})
         return True
 
     def resume_job(self) -> bool:
-        handle = self._handle
-        if handle is None or handle.control is None or self.app_pid is None:
+        handle, pid = self._launch.handle, self.app_pid
+        if handle is None or handle.control is None or pid is None:
             return False
         try:
-            handle.control.continue_process(self.app_pid)
+            handle.control.continue_process(pid)
         except errors.InvalidProcessStateError:
             # Already running: an attached tool may have continued it in
             # the window (its continue requests are equally legitimate —
@@ -157,11 +170,17 @@ class Starter:
             pass
         except errors.TdpError:
             return False
-        self._record("job_resumed", pid=self.app_pid)
+        self._launch.record("job_resumed", pid=pid)
         self._report({"op": "job_resumed"})
         return True
 
-    def attach_tool(self, cmd: str, args_template: str, output: str | None = None) -> bool:
+    def attach_tool(
+        self,
+        cmd: str,
+        args_template: str,
+        output: str | None,
+        disseminated: list[tuple[str, str]],
+    ) -> bool:
         """Launch a run-time tool against the ALREADY-RUNNING application.
 
         Figure 3B through the batch system: "at a later time, a RT tool
@@ -171,35 +190,41 @@ class Starter:
         attach/continue coordination apply; there is just no pre-main
         window.
         """
-        gang = self._gang
-        if gang is None or self.app_pid is None:
+        pid = self.app_pid
+        if pid is None:
             return False
         if self._tool_handle is not None:
             return False  # one controlling tool at a time (ptrace rule)
         spec = ToolDaemonSpec(cmd=cmd, args_template=args_template, output=output)
-        self._record("attach_tool", cmd=cmd, pid=self.app_pid)
+        self._launch.record("attach_tool", cmd=cmd, pid=pid)
         try:
-            self._tool_handle = gang.launch_tool(0, spec, self._tool_output.append)
+            self._tool_handle = self._launch.launch_tool(
+                spec, self._tool_output.append, disseminated
+            )
         except errors.TdpError as e:
-            self._record("attach_tool_failed", error=str(e))
+            self._launch.record("attach_tool_failed", error=str(e))
             return False
         self._tool = spec
         return True
 
-    def kill_job(self) -> bool:
-        """Terminate the job on user request (condor_rm): every rank of
-        it, as an MPI job's other ranks would wait for rank 0 for good.
-        A rank still being launched dies as it is created."""
-        gang = self._gang
-        if gang is None:
-            return False
-        gang.kill()
-        self._record("job_killed", pid=self.app_pid)
-        return True
+    def kill_job(self) -> None:
+        """Kill the rank (condor_rm, a failed gang, the claim's release);
+        a starter not yet running its rank creates nothing."""
+        self._launch.kill()
 
     # -- main flow ----------------------------------------------------------
 
     def _run_guarded(self) -> None:
+        try:
+            self._shadow_channel = self._transport.connect(
+                self._host.name, self._shadow_endpoint
+            )
+            self._shadow_channel.send({"op": "hello", "rank": self.rank})
+        except Exception as e:  # noqa: BLE001 — the activation reports it
+            self._named.open(str(e))
+            self._done.set()
+            return
+        self._named.open(None)
         try:
             self._run()
         except Exception as e:  # noqa: BLE001 — reported to the shadow
@@ -211,42 +236,45 @@ class Starter:
             self._done.set()
 
     def _run(self) -> None:
-        self._shadow_channel = self._transport.connect(
-            self._host.name, self._shadow_endpoint
-        )
-        gang = MpiUniverseCoordinator(
-            transport=self._transport,
-            host=self._host,
-            lass_endpoint=self._lass_endpoint,
-            job_id=self.job_id,
-            description=self._desc,
-            extra_machines=machine_slots_from_wire(self._extra_machines),
-            tool_registry=self._tools,
-            trace=self._trace,
-            proxy=self._proxy,
-            stdio_endpoint=self._stdio_endpoint,
-            submit_host=self._submit_host,
-            read_cass=self._read_cass,
-        )
-        self._gang = gang
+        launch = self._launch
+        if not launch.await_run(self._shadow_channel):
+            return  # the gang ended before this rank was started
 
-        # Steps 1-3: rank 0 (the job's one process, unless it is a gang)
-        # is created, its tool launched and its launch record published.
-        handle, pid, tool = gang.launch(0, self._tool_output.append)
-        self._handle = handle
+        # Steps 1-3: the rank is created, its tool launched and its
+        # launch record published.
+        try:
+            pid, tool = launch.launch(
+                self._tool_output.append, self._disseminated, self._master_running
+            )
+        except Exception as e:
+            if not self.rank:
+                raise
+            # Its peers would wait for it for good: the shadow fails the
+            # job and the gang is killed.
+            launch.record("rank_start_failed", rank=self.rank, error=str(e))
+            raise errors.UniverseError(
+                f"rank {self.rank} could not be started: {e}"
+            ) from e
         if tool is not None:
             self._tool_handle, self._tool = tool, self._desc.tool_daemon
-        self.app_pid = pid
-        self._report({"op": "job_started", "pid": pid})
+        if not self.rank:
+            self._report({"op": "job_started", "pid": pid})
 
         # Step 4: the job runs (under tool control when monitored); the
-        # starter answers rank 0's tool requests until every rank has
-        # exited, then reports the job's completion to the shadow.
-        self.exit_code = gang.wait_all_exited(handle, timeout=None)
-        self._record("job_exited", pid=pid, code=self.exit_code)
-        if gang.start_failure is not None:
-            raise errors.UniverseError(gang.start_failure)
+        # starter answers its rank's tool requests until the rank has
+        # exited, then reports the exit to the shadow, which keeps the gang.
+        assert launch.handle is not None
+        self.exit_code = launch.handle.serve_until_exit(pid)
+        launch.record("job_exited", pid=pid, code=self.exit_code)
         self._report({"op": "job_exited", "code": self.exit_code})
+
+    def _master_running(self, master: RankInfo) -> None:
+        """Rank 0 reached mpi.init: tell the shadow, which starts the other
+        ranks.  Runs in the simulator's service hook, so it only sends."""
+        record_event(
+            self._trace, f"mpi-coord/{self.job_id}", "master_running", pid=master.pid
+        )
+        self._report({"op": "master_running"})
 
     def _stage_out(self) -> None:
         """Transfer declared outputs and tool trace files back.
@@ -273,10 +301,10 @@ class Starter:
                 self._host.name, self._submit_host, literals + globs
             )
         except errors.StagingError as e:
-            self._record("stage_out_failed", error=str(e))
+            self._launch.record("stage_out_failed", error=str(e))
             return
         if records:
-            self._record(
+            self._launch.record(
                 "stage_out", files=",".join(r.path for r in records)
             )
 
@@ -289,8 +317,6 @@ class Starter:
     # -- reporting / teardown ----------------------------------------------------
 
     def _report(self, message: dict) -> None:
-        if self._shadow_channel is None:
-            return
         try:
             self._shadow_channel.send(message)
         except errors.TdpError:
@@ -298,15 +324,15 @@ class Starter:
 
     def _cleanup(self) -> None:
         if self._tool_handle is not None:
-            # The tool observes the job's exit (final samples, trace
+            # The tool observes the rank's exit (final samples, trace
             # file) with its requests still answered.
-            assert self._handle is not None
-            serve_until_ended(self._handle, self._tool_handle)
+            assert self._launch.handle is not None
+            serve_until_ended(self._launch.handle, self._tool_handle)
             self._write_tool_output()
-        if self._gang is not None:
-            self._gang.cleanup()  # ends every rank's session, reaps its process
+        self._launch.cleanup()  # ends the rank's session, reaps its process
         # Stage outputs only after the tool finished writing its traces.
-        if self.failure is None:
+        # A worker rank's files stay on its host: every rank's tool output
+        # has the same name, so they would collide on the submit host.
+        if self.failure is None and not self.rank:
             self._stage_out()
-        if self._shadow_channel is not None:
-            self._shadow_channel.close()
+        self._shadow_channel.close()

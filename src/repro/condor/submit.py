@@ -116,6 +116,12 @@ class SubmitDescription:
         """Is this a Parador-style monitored job?"""
         return self.tool_daemon is not None
 
+    @property
+    def ranks(self) -> int:
+        """How many processes the job runs: one per claimed machine in the
+        MPI universe, else one."""
+        return self.machine_count if self.universe == "mpi" else 1
+
 
 def _parse_bool(raw: str, key: str) -> bool:
     lowered = raw.strip().lower()

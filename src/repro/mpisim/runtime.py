@@ -17,10 +17,12 @@ the moment real daemon threads share the interpreter a virtual-time
 poll is a real-time spin that holds the GIL against the launch it is
 waiting for.  Parked, the scheduler is idle until the peer arrives.
 
-The runtime also exposes a *master-arrival hook* per job: the Condor
-MPI-universe coordinator registers a callback that fires when rank 0
-calls ``mpi.init``, which is the moment the remaining ranks should be
-created (paper Section 4.3).
+The runtime also exposes a *master-arrival hook* per job: rank 0's
+Condor starter registers a callback that fires when rank 0 calls
+``mpi.init``, which is the moment the remaining ranks should be created
+(paper Section 4.3).  Each rank's starter holds the job's table from its
+launch to its cleanup (rank 0's creates it, a worker's joins it), and
+the last one to let go drops it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class RankInfo:
 class _JobTable:
     def __init__(self, size: int):
         self.size = size
+        #: the ranks' RMs holding the table: the last to let go drops it
+        # tdp-guard: holders -> mpisim.runtime.MpiRuntime._lock
+        self.holders = 1
         self.ranks: dict[int, RankInfo] = {}
         self.master_hooks: list[Callable[[RankInfo], None]] = []
         #: rank -> processes parked in ``RecvMsg("mpi.up.<rank>")`` until
@@ -80,7 +85,7 @@ class MpiRuntime:
         cluster.register_service("mpi.lookup", self._svc_lookup)
         cluster.register_service("mpi.size", self._svc_size)
 
-    # -- coordinator-facing API ---------------------------------------------------
+    # -- starter-facing API -------------------------------------------------------
 
     def create_job(self, job_id: str, size: int) -> None:
         if size < 1:
@@ -90,13 +95,23 @@ class MpiRuntime:
                 raise MpiError(f"MPI job {job_id!r} already exists")
             self._jobs[job_id] = _JobTable(size)
 
+    def join_job(self, job_id: str) -> None:
+        """Hold an existing job's table until a matching :meth:`end_job`."""
+        with self._lock:
+            self._require(job_id).holders += 1
+
     def end_job(self, job_id: str) -> None:
-        """Forget a finished job: its rank table, hooks and waiters.
+        """Let go of a job's table (its creator's hold, or a join's); the
+        last holder forgets the job: its rank table, hooks and waiters.
 
         Unknown ids are a no-op, so teardown paths may call it freely.
         """
         with self._lock:
-            self._jobs.pop(job_id, None)
+            table = self._jobs.get(job_id)
+            if table is not None:
+                table.holders -= 1
+                if table.holders == 0:
+                    del self._jobs[job_id]
 
     def on_master_init(self, job_id: str, hook: Callable[[RankInfo], None]) -> None:
         """Register a callback for rank 0's ``mpi.init`` (fires once).

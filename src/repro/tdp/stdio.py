@@ -31,8 +31,9 @@ class StdioCollector:
     """Front-end side: listens for one job's stdio relay and collects lines.
 
     The paper's scenario: the user's desktop shows the application's
-    output "at the same location as the RT's front-end".  The first
-    relay to dial in is the job's; any later one is refused.
+    output "at the same location as the RT's front-end".  Every relay of
+    the job (one per MPI rank) ships its stdout here; the first to dial
+    in, rank 0's, is the one stdin goes to, as in MPI.
     """
 
     def __init__(self, transport: Transport, host: str, port: int = 0):
@@ -44,7 +45,7 @@ class StdioCollector:
         self._loop = self._listener.serve_loop(
             on_channel=self._on_relay,
             on_message=self._on_frame,
-            on_closed=lambda channel: self._line_queue.close(),
+            on_closed=self._on_closed,
             name=f"stdio-collect-{host}",
         )
 
@@ -56,7 +57,7 @@ class StdioCollector:
     def _on_relay(self, channel: Channel) -> Channel | None:
         with self._lock:
             if self._channel is not None:
-                return None
+                return channel  # another rank's relay: stdout only
             self._channel = channel
             backlog, self._stdin_pending = self._stdin_pending, []
         try:
@@ -65,6 +66,12 @@ class StdioCollector:
         except errors.TdpError:
             pass  # the relay is already gone: its on_closed follows
         return channel
+
+    def _on_closed(self, channel: Channel) -> None:
+        with self._lock:
+            stdin_relay = channel is self._channel
+        if stdin_relay:
+            self._line_queue.close()
 
     def _on_frame(self, channel: Channel, frame: dict) -> None:
         if frame.get("stream") == "stdout":
@@ -78,8 +85,8 @@ class StdioCollector:
     def wait_line(self, timeout: float | None = 10.0) -> str:
         """Block for the next stdout line from the job.
 
-        The queue closes however the relay's connection ends — it hung
-        up, or the collector was closed before one dialled in — so a
+        The queue closes however the first relay's connection ends — it
+        hung up, or the collector was closed before one dialled in — so a
         reader parked here always wakes."""
         return self._line_queue.get(timeout=timeout)
 
@@ -114,7 +121,9 @@ class StdioRelay:
     ``attach_stdout`` registers a sink with the process (the sim backend
     exposes per-process stdout sinks; the POSIX backend pumps pipes into
     the same call), and inbound stdin frames are pushed through
-    ``feed_stdin``/``close_stdin`` callables supplied by the backend.
+    ``feed_stdin``/``close_stdin`` callables supplied by the backend.  A
+    relay with no ``feed_stdin`` (an MPI worker rank's) only ships
+    stdout, and starts no thread.
     """
 
     def __init__(
@@ -131,7 +140,8 @@ class StdioRelay:
         self._feed_stdin = feed_stdin
         self._close_stdin = close_stdin
         self._send_lock = tracked_lock("tdp.stdio.StdioRelay._send_lock")
-        spawn(self._stdin_pump, name=f"stdio-relay-{src_host}")
+        if feed_stdin is not None:
+            spawn(self._stdin_pump, name=f"stdio-relay-{src_host}")
 
     def forward_stdout(self, line: str) -> None:
         """Ship one application stdout line to the collector."""
@@ -153,8 +163,8 @@ class StdioRelay:
                     if self._close_stdin is not None:
                         self._close_stdin()
                     continue
-                if self._feed_stdin is not None:
-                    self._feed_stdin(str(frame.get("line", "")))
+                assert self._feed_stdin is not None
+                self._feed_stdin(str(frame.get("line", "")))
         except errors.TdpError:
             pass
 

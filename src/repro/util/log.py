@@ -77,6 +77,9 @@ class TraceRecorder:
         self._clock = clock if clock is not None else WallClock()
         self._events: collections.deque[TraceEvent] = collections.deque(maxlen=capacity)
         self._lock = tracked_lock("util.log.TraceRecorder._lock")
+        # (every daemon thread records: declared, as the static pass sees
+        # too few of them to infer it)
+        # tdp-guard: _seq -> util.log.TraceRecorder._lock
         self._seq = 0
 
     def record(self, actor: str, action: str, /, **details: Any) -> TraceEvent:

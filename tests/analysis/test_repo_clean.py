@@ -171,6 +171,37 @@ def test_one_rank_launch():
     }, calls
 
 
+def test_a_starter_runs_one_rank():
+    """One starter per claimed machine: each rank's starter is spawned by
+    its own machine's startd, so the rank launch starts no thread of its
+    own and nothing hands a starter other machines or a CASS reader."""
+    import ast
+
+    gone = {"MachineSlot", "extra_machines", "machine_slots_from_wire",
+            "read_cass", "_read_cass"}
+    found, spawns, starters = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {
+                getattr(node, field, None)
+                for field in ("id", "attr", "name", "arg")
+            }
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            found.extend(f"{rel}:{node.lineno}" for name in names & gone)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if called == "spawn" and rel == "condor/mpi_universe.py":
+                    spawns.append(f"{rel}:{node.lineno}")
+                if called == "Starter":
+                    starters.append(rel)
+    assert found == [], found
+    assert spawns == [], spawns
+    assert starters == ["condor/startd.py"], starters
+
+
 def test_only_the_session_layer_touches_the_channel():
     """One session layer: above ``_Session`` nothing sends or receives on
     a channel or reads the outage flags, and a request enters the one
@@ -472,7 +503,7 @@ def test_handoffs_block_in_c():
 
 #: Ceiling on the test suite's sleeps and polls, which load can outrun.
 #: Only falls: a change that replaces polls with event waits lowers it.
-TEST_POLL_CEILING = 195
+TEST_POLL_CEILING = 184
 
 
 def test_test_polls_only_fall():

@@ -12,6 +12,7 @@ class _FakeDaemon:
     def __init__(self):
         self.alive_flag = True
         self.restarted = 0
+        self.restarted_event = threading.Event()
 
     def alive(self) -> bool:
         return self.alive_flag
@@ -19,6 +20,7 @@ class _FakeDaemon:
     def restart(self) -> None:
         self.restarted += 1
         self.alive_flag = True
+        self.restarted_event.set()
 
 
 class TestMaster:
@@ -35,9 +37,7 @@ class TestMaster:
         daemon = _FakeDaemon()
         master.supervise("d", alive=daemon.alive, restart=daemon.restart)
         daemon.alive_flag = False
-        deadline = time.monotonic() + 5.0
-        while daemon.restarted == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert daemon.restarted_event.wait(timeout=5.0)
         master.stop()
         assert daemon.restarted >= 1
         assert "restart:d" in master.events
@@ -45,10 +45,14 @@ class TestMaster:
     def test_gives_up_after_max_restarts(self):
         master = Master(check_interval=0.01, max_restarts=2)
 
+        given_up = threading.Event()
+
         class Hopeless:
             restarts = 0
 
             def alive(self):
+                if self.restarts == 2:
+                    given_up.set()  # the master's next look gives up
                 return False
 
             def restart(self):
@@ -56,10 +60,8 @@ class TestMaster:
 
         daemon = Hopeless()
         master.supervise("h", alive=daemon.alive, restart=daemon.restart)
-        deadline = time.monotonic() + 5.0
-        while "gave-up:h" not in master.events and time.monotonic() < deadline:
-            time.sleep(0.01)
-        master.stop()
+        assert given_up.wait(timeout=5.0)
+        master.stop()  # joins the watch thread: its pass has ended
         assert daemon.restarts == 2
         assert "gave-up:h" in master.events
 
@@ -77,15 +79,16 @@ class TestMaster:
     def test_failed_restart_does_not_kill_master(self):
         master = Master(check_interval=0.01, max_restarts=3)
         attempts = []
+        third = threading.Event()
 
         def failing_restart():
             attempts.append(1)
+            if len(attempts) == 3:
+                third.set()
             raise RuntimeError("cannot restart")
 
         master.supervise("f", alive=lambda: False, restart=failing_restart)
-        deadline = time.monotonic() + 5.0
-        while len(attempts) < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert third.wait(timeout=5.0)
         master.stop()
         assert len(attempts) == 3
 
@@ -108,15 +111,18 @@ class TestPoolSupervision:
                 job = pool.submit_description(SubmitDescription(executable="hello"))
                 assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
 
+                readvertised = threading.Event()
+                advertise = pool._advertise
+
+                def tapped(startd):
+                    advertise(startd)
+                    readvertised.set()
+
+                pool._advertise = tapped
                 # Murder the startd.
                 pool.startds["node1"].stop()
-                deadline = time.monotonic() + 10.0
-                while (
-                    pool.startds["node1"]._stopped
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
-                assert not pool.startds["node1"]._stopped, "master did not restart it"
+                assert readvertised.wait(timeout=10.0), "master did not restart it"
+                assert not pool.startds["node1"]._stopped
                 assert any(e.startswith("restart:startd") for e in pool.master.events)
 
                 # The pool still runs jobs through the resurrected startd.
@@ -124,5 +130,60 @@ class TestPoolSupervision:
                     SubmitDescription(executable="hello")
                 )
                 assert job2.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+            finally:
+                pool.stop()
+
+    def test_a_restarted_startd_keeps_the_pools_proxy(self, monkeypatch):
+        """A monitored job on a machine whose startd the master restarted
+        still names the RM's proxy in its launch record."""
+        from repro.condor import mpi_universe
+        from repro.condor.job import JobStatus
+        from repro.condor.pool import CondorPool
+        from repro.condor.submit import SubmitDescription, ToolDaemonSpec
+        from repro.condor.tools import ThreadToolHandle, ToolRegistry
+        from repro.net.address import Endpoint
+        from repro.sim.cluster import SimCluster
+        from repro.tdp.wellknown import Attr
+
+        class IdleTool:
+            def run(self, stop_event):
+                pass
+
+            def wake(self):
+                pass
+
+        tools = ToolRegistry()
+        tools.register("idle", lambda ctx: ThreadToolHandle("idle", IdleTool()))
+        records = []
+        put_many = mpi_universe.tdp_put_many
+
+        def recorded(handle, items):
+            records.append(dict(items))
+            return put_many(handle, items)
+
+        monkeypatch.setattr(mpi_universe, "tdp_put_many", recorded)
+        proxy = Endpoint("submit", 9000)
+        with SimCluster.flat(["submit", "node1"]) as cluster:
+            pool = CondorPool(
+                cluster, submit_host="submit", execute_hosts=["node1"],
+                tool_registry=tools, proxy=proxy, supervise=True,
+            )
+            try:
+                readvertised = threading.Event()
+                advertise = pool._advertise
+
+                def tapped(startd):
+                    advertise(startd)
+                    readvertised.set()
+
+                pool._advertise = tapped
+                pool.startds["node1"].stop()
+                assert readvertised.wait(timeout=10.0), "master did not restart it"
+                job = pool.submit_description(SubmitDescription(
+                    executable="hello", tool_daemon=ToolDaemonSpec(cmd="idle"),
+                ))
+                assert job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+                [record] = records
+                assert record[Attr.RM_PROXY] == str(proxy)
             finally:
                 pool.stop()

@@ -2,7 +2,7 @@
 
 An exited process stays findable by pid, and its exit code readable,
 until the RM that created it cleans up the job and reaps it — the
-starter for a job's application, the MPI coordinator for a gang's ranks.
+starter of the job's application, or of the gang's rank on that machine.
 From then on its pid is unknown to the host.
 """
 
@@ -10,8 +10,7 @@ import threading
 
 import pytest
 
-from repro.condor.job import TERMINAL, JobStatus
-from repro.condor.mpi_universe import MpiUniverseCoordinator
+from repro.condor.job import JobStatus
 from repro.condor.pool import CondorPool
 from repro.condor.starter import Starter
 from repro.condor.submit import SubmitDescription
@@ -67,38 +66,38 @@ def test_a_job_process_lives_until_its_job_is_cleaned_up(monkeypatch):
 
 
 def test_gang_ranks_live_until_the_job_is_cleaned_up(monkeypatch):
+    """Each rank's own starter holds its process until it cleans up."""
     size = 4
     hosts = [f"node{i}" for i in range(size)]
-    found = []  # per rank: (host, pid, process), read once all ranks exited
-    jobs = []
-    cleaned = threading.Event()
-    wait_all_exited = MpiUniverseCoordinator.wait_all_exited
-    cleanup = MpiUniverseCoordinator.cleanup
+    seen = []  # per rank: (starter, process, its exit code) read as cleanup begins
+    cleaned = []
+    all_cleaned = threading.Event()
+    cleanup = Starter._cleanup
 
-    def checked_wait(self, handle, timeout=None):
-        code = wait_all_exited(self, handle, timeout=timeout)
-        assert jobs[0].status not in TERMINAL
-        for host, pid in self._rank_pids.values():
-            found.append((host, pid, self._cluster.host(host).get_process(pid)))
-        return code
-
-    def recorded_cleanup(self):
+    def checked_cleanup(self):
+        backend = SimHostBackend(self._host)
+        seen.append((self, self._host.get_process(self.app_pid),
+                     backend.wait_exit(self.app_pid, timeout=1.0)))
         cleanup(self)
-        cleaned.set()
+        cleaned.append(self)
+        if len(cleaned) == size:
+            all_cleaned.set()
 
-    monkeypatch.setattr(MpiUniverseCoordinator, "wait_all_exited", checked_wait)
-    monkeypatch.setattr(MpiUniverseCoordinator, "cleanup", recorded_cleanup)
+    monkeypatch.setattr(Starter, "_cleanup", checked_cleanup)
     with ParadorScenario(execute_hosts=hosts) as scenario:
-        jobs.extend(scenario.pool.submit_file(
+        job = scenario.pool.submit_file(
             f"universe = MPI\nexecutable = mpi_ring\narguments = 1\n"
             f"machine_count = {size}\n+SuspendJobAtExec = True\n"
             f'+ToolDaemonCmd = "paradynd"\n'
             f'+ToolDaemonArgs = "-zunix -l3 -m{scenario.submit_host} '
             f'-p{scenario.port1} -P{scenario.port2} -a%pid"\nqueue\n'
-        ))
-        assert jobs[0].wait_terminal(timeout=60.0) is JobStatus.COMPLETED
-        assert sorted(host for host, _pid, _proc in found) == hosts
-        assert not [proc for _h, _p, proc in found if proc.alive]
-        assert cleaned.wait(timeout=30.0)
-        for host, pid, _proc in found:
-            assert not scenario.cluster.host(host).has_process(pid)
+        )[0]
+        assert job.wait_terminal(timeout=60.0) is JobStatus.COMPLETED
+        assert all_cleaned.wait(timeout=30.0)
+        assert sorted(starter.rank for starter, _proc, _code in seen) == list(range(size))
+        for starter, proc, code in seen:
+            assert starter._host.name == hosts[starter.rank]
+            assert not proc.alive and code == 0
+            assert not starter._host.has_process(proc.pid)
+        (master,) = [proc for starter, proc, _code in seen if starter.rank == 0]
+        assert master.pid == job.app_pid

@@ -1,6 +1,8 @@
 """Simulated-MPI tests: runtime, collectives, workloads."""
 
 import math
+import sys
+import threading
 import time
 
 import pytest
@@ -144,6 +146,44 @@ class TestRuntime:
         with pytest.raises(MpiError):
             runtime.ranks("done")
         runtime.create_job("done", 2)  # the id is free again
+
+    def test_the_last_holder_drops_the_table(self, world):
+        """Each rank's starter holds the gang's table from its launch to
+        its cleanup, in any order; the table goes with the last, and not
+        before.  Stressed: 16 threads join and let go 500 times each under
+        a 10 µs switch interval, beside the creator's hold."""
+        _cluster, runtime = world
+        runtime.create_job("held", 17)
+        errors = []
+        together = threading.Barrier(16)
+
+        def churn():
+            together.wait(timeout=10.0)
+            try:
+                for _ in range(500):
+                    runtime.join_job("held")
+                    runtime.ranks("held")  # still there while held
+                    runtime.end_job("held")
+            except MpiError as e:  # a lost update dropped it early
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, daemon=True) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert "held" in runtime._jobs  # the creator still holds it
+        runtime.end_job("held")
+        assert runtime._jobs == {}
+        with pytest.raises(MpiError):
+            runtime.join_job("held")
 
 
 class TestLatePeer:

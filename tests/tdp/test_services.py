@@ -1,6 +1,7 @@
 """Tests for TDP's supporting services: stdio, staging, proxy config,
 auxiliary services, and the fault model."""
 
+import threading
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from repro.tdp.proxycfg import (
 from repro.tdp.stdio import StdioCollector, StdioRelay
 from repro.tdp.wellknown import Attr
 from repro.transport.proxy import ProxyServer
+from repro.util.sync import WaitableQueue
 from tests.served import ServedListener
 
 
@@ -76,18 +78,55 @@ class TestStdio:
         # Lines sent before the relay dials in must not be lost.
         collector = StdioCollector(cluster.transport, "submit")
         collector.send_stdin("early")
-        lines = []
-        relay_holder = {}
-
-        relay_holder["r"] = StdioRelay(
+        lines = WaitableQueue()
+        relay = StdioRelay(
             cluster.transport, "node1", collector.endpoint,
-            feed_stdin=lines.append, close_stdin=lambda: None,
+            feed_stdin=lines.put, close_stdin=lambda: None,
         )
-        deadline = time.monotonic() + 5.0
-        while not lines and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert lines == ["early"]
-        relay_holder["r"].close()
+        assert lines.get(timeout=5.0) == "early"
+        relay.close()
+        collector.close()
+
+
+    def test_a_relay_that_feeds_no_stdin_starts_no_thread(self, cluster, monkeypatch):
+        collector = StdioCollector(cluster.transport, "submit")
+        started = []
+        start = threading.Thread.start
+
+        def tapped(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        with monkeypatch.context() as tap:
+            tap.setattr(threading.Thread, "start", tapped)
+            relay = StdioRelay(cluster.transport, "node1", collector.endpoint)
+        assert started == []
+        relay.forward_stdout("out only")
+        assert collector.wait_line(timeout=10.0) == "out only"
+        relay.close()
+        collector.close()
+
+    def test_every_relay_ships_stdout_and_the_first_takes_stdin(self, cluster):
+        """An MPI job's ranks each relay their stdout; stdin goes to rank
+        0's relay, the first to dial in."""
+        collector = StdioCollector(cluster.transport, "submit")
+        fed = WaitableQueue()
+        first = StdioRelay(
+            cluster.transport, "node1", collector.endpoint,
+            feed_stdin=fed.put, close_stdin=lambda: None,
+        )
+        second = StdioRelay(cluster.transport, "node1", collector.endpoint)
+        second.forward_stdout("from the second")
+        first.forward_stdout("from the first")
+        assert {collector.wait_line(timeout=10.0) for _ in range(2)} == {
+            "from the first", "from the second",
+        }
+        collector.send_stdin("to rank 0")
+        assert fed.get(timeout=10.0) == "to rank 0"
+        second.close()  # a worker's relay ending leaves the stream open
+        first.forward_stdout("still here")
+        assert collector.wait_line(timeout=10.0) == "still here"
+        first.close()
         collector.close()
 
 
