@@ -155,8 +155,6 @@ DEFAULT = LockHierarchy([
     LockDecl("sim.loader.ProgramRegistry._lock", 22, note="registered programs"),
     LockDecl("tdp.aux.AuxServiceManager._lock", 22, note="aux service state"),
     LockDecl("tdp.files.FileStager._lock", 22, note="staging table"),
-    LockDecl("tdp.faults.FaultMonitor._lock", 22,
-             note="presence watches + fault records; never held across an RPC"),
     LockDecl("paradyn.metrics.MetricCollector._lock", 24, note="metric samples"),
     LockDecl("paradyn.dyninst.DyninstEngine._lock", 24, note="probe bookkeeping"),
 

@@ -46,9 +46,8 @@ class StoredValue:
 
     ``ephemeral`` values are tied to their writer's session: the server
     purges them when the writer detaches, its unleased connection
-    closes or its lease expires (the presence attributes of
-    :mod:`repro.tdp.faults` use this so a dead daemon cannot claim to
-    be alive).
+    closes or its lease expires (a daemon's ``presence.<entity>``
+    attribute uses this, so a dead daemon cannot claim to be alive).
     """
 
     value: str

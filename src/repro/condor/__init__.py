@@ -24,7 +24,6 @@ The daemons and their responsibilities mirror Figure 4:
 from repro.condor.classad import ClassAd, evaluate, matches
 from repro.condor.submit import SubmitDescription, parse_submit_file, ToolDaemonSpec
 from repro.condor.pool import CondorPool
-from repro.condor.universe import Universe
 
 __all__ = [
     "ClassAd",
@@ -34,5 +33,4 @@ __all__ = [
     "parse_submit_file",
     "ToolDaemonSpec",
     "CondorPool",
-    "Universe",
 ]

@@ -110,11 +110,7 @@ class CondorPool:
             self._advertise(fresh)
             self._supervise_startd(hostname, fresh)
 
-        self.master.supervise(
-            f"startd@{hostname}",
-            alive=lambda: not self.startds[hostname]._stopped,
-            restart=restart,
-        )
+        self.master.supervise(f"startd@{hostname}", startd, restart)
 
     # -- submission --------------------------------------------------------------
 

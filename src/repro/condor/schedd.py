@@ -124,7 +124,6 @@ class Schedd:
         *,
         submit_fs: dict[str, str] | None = None,
         trace: TraceRecorder | None = None,
-        start_cass: bool = True,
         clock: Clock | None = None,
     ):
         self._transport = transport
@@ -139,13 +138,9 @@ class Schedd:
         # "There is also a central attribute space server (CASS) process
         # on the host running the tool front-end", started by the RM
         # front-end (paper Section 2.1) — which is this daemon.
-        self.cass: AttributeSpaceServer | None = (
-            AttributeSpaceServer(
-                transport, submit_host, role=ServerRole.CASS,
-                name=f"cass@{submit_host}", clock=self._clock,
-            )
-            if start_cass
-            else None
+        self.cass = AttributeSpaceServer(
+            transport, submit_host, role=ServerRole.CASS,
+            name=f"cass@{submit_host}", clock=self._clock,
         )
         self._submit_fs = submit_fs if submit_fs is not None else {}
         self._trace = trace
@@ -376,7 +371,7 @@ class Schedd:
     def _disseminated(self) -> list[list[str]]:
         """Those of :data:`DISSEMINATED` the schedd's CASS holds, read
         from its store for each activation."""
-        held = self.cass.store.snapshot() if self.cass is not None else {}
+        held = self.cass.store.snapshot()
         return [[attribute, held[attribute]] for attribute in DISSEMINATED if attribute in held]
 
     # -- release: what a job held goes back when it ends ---------------------------
@@ -530,5 +525,4 @@ class Schedd:
             peer.close()
         for shadow in list(self._shadows.values()):
             shadow.stop()
-        if self.cass is not None:
-            self.cass.stop()
+        self.cass.stop()

@@ -24,6 +24,8 @@ Wire protocol (schedd -> startd):
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro import errors
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.condor.classad import ClassAd, matches
@@ -87,9 +89,11 @@ class Startd:
         self._claims: dict[str, dict] = {}  # claim_id -> {"job_ad", "starter", "killed"}
         self._lock = tracked_lock("condor.startd.Startd._lock")
         # tdp-guard: _stopped -> volatile
-        # (monotonic stop latch: set once by stop(), read by the master's
-        # liveness probe)
+        # (monotonic stop latch: set by the first stop() under _lock,
+        # where on_exit reads it)
         self._stopped = False
+        #: called once, at the first stop(): the master's exit notice
+        self._exit_callbacks: list[Callable[[], None]] = []
         self._loop = self._listener.serve_loop(
             on_channel=lambda channel: channel,
             on_message=self._serve,
@@ -102,10 +106,23 @@ class Startd:
         return self._listener.endpoint
 
     def stop(self) -> None:
-        self._stopped = True
+        with self._lock:
+            self._stopped = True
+            callbacks, self._exit_callbacks = self._exit_callbacks, []
         self._loop.stop()  # closes the schedd connections it serves
         self._listener.close()
         self.lass.stop()
+        for callback in callbacks:
+            callback()
+
+    def on_exit(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once this daemon has stopped (at once if it
+        has): the exit notice a daemon's parent gets."""
+        with self._lock:
+            if not self._stopped:
+                self._exit_callbacks.append(callback)
+                return
+        callback()
 
     def _record(self, action: str, **details) -> None:
         record_event(self._trace, f"startd@{self.host.name}", action, **details)

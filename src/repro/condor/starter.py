@@ -14,6 +14,11 @@ is the daemon that speaks TDP (Figure 6):
   status to the shadow and, when the job completes, stages files out and
   tears the context down.
 
+The starter created its rank's tool daemon, so, like the parent of a
+process, it learns of the tool's end without watching for it: a tool
+that ends before its rank lets the rank run on under the RM
+(:meth:`Starter._tool_ended`).
+
 One starter runs one rank of one job: each claimed machine's startd
 spawns the starter of its rank.  Steps 1-3 are the one rank launch of
 :class:`~repro.condor.mpi_universe.RankLaunch`, which starts every rank
@@ -25,6 +30,7 @@ starter's.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 from repro import errors
@@ -40,6 +46,7 @@ from repro.mpisim.runtime import RankInfo
 from repro.net.address import Endpoint
 from repro.sim.host import SimHost
 from repro.tdp.files import FileStager
+from repro.tdp.wellknown import Attr, ProcStatus
 from repro.transport.base import Channel, Transport
 from repro.util.log import TraceRecorder, get_logger, record_event
 from repro.util.sync import Latch
@@ -99,6 +106,10 @@ class Starter:
         #: or one attached later
         # tdp-guard: _tool -> volatile
         self._tool: ToolDaemonSpec | None = None
+        # tdp-guard: _held -> volatile
+        # (condor_hold's mark, written by the startd's serving thread and
+        # read by the run thread when the tool ends)
+        self._held = False
         #: every line the tool daemon writes, appended to its
         #: +ToolDaemonOutput file once the tool has ended (a buffered
         #: file, flushed on close)
@@ -152,6 +163,7 @@ class Starter:
             handle.control.pause(pid)
         except errors.TdpError:
             return False
+        self._held = True
         self._launch.record("job_suspended", pid=pid)
         self._report({"op": "job_suspended"})
         return True
@@ -170,6 +182,7 @@ class Starter:
             pass
         except errors.TdpError:
             return False
+        self._held = False
         self._launch.record("job_resumed", pid=pid)
         self._report({"op": "job_resumed"})
         return True
@@ -198,14 +211,19 @@ class Starter:
         spec = ToolDaemonSpec(cmd=cmd, args_template=args_template, output=output)
         self._launch.record("attach_tool", cmd=cmd, pid=pid)
         try:
-            self._tool_handle = self._launch.launch_tool(
-                spec, self._tool_output.append, disseminated
-            )
+            tool = self._launch.launch_tool(spec, self._tool_output.append, disseminated)
         except errors.TdpError as e:
             self._launch.record("attach_tool_failed", error=str(e))
             return False
-        self._tool = spec
+        self._adopt_tool(tool, spec)
         return True
+
+    def _adopt_tool(self, tool: ThreadToolHandle, spec: ToolDaemonSpec) -> None:
+        """Keep the rank's tool; its end wakes the rank's handle, whose
+        serving thread answers it: the SIGCHLD of a tool the RM created."""
+        self._tool, self._tool_handle = spec, tool
+        assert self._launch.handle is not None
+        tool.on_end(self._launch.handle.attrs.wake)
 
     def kill_job(self) -> None:
         """Kill the rank (condor_rm, a failed gang, the claim's release);
@@ -256,17 +274,65 @@ class Starter:
                 f"rank {self.rank} could not be started: {e}"
             ) from e
         if tool is not None:
-            self._tool_handle, self._tool = tool, self._desc.tool_daemon
+            assert self._desc.tool_daemon is not None
+            self._adopt_tool(tool, self._desc.tool_daemon)
         if not self.rank:
             self._report({"op": "job_started", "pid": pid})
 
         # Step 4: the job runs (under tool control when monitored); the
         # starter answers its rank's tool requests until the rank has
-        # exited, then reports the exit to the shadow, which keeps the gang.
-        assert launch.handle is not None
-        self.exit_code = launch.handle.serve_until_exit(pid)
+        # exited, and its tool's end if that comes first, then reports
+        # the exit to the shadow, which keeps the gang.
+        handle = launch.handle
+        assert handle is not None and handle.control is not None
+        control = handle.control
+
+        def tool_ended() -> bool:
+            tool = self._tool_handle
+            return tool is not None and tool.ended
+
+        handle.serve(until=lambda: tool_ended() or control.status(pid).exit_code is not None)
+        if tool_ended():
+            self._tool_ended(pid)
+        self.exit_code = handle.serve_until_exit(pid)
         launch.record("job_exited", pid=pid, code=self.exit_code)
         self._report({"op": "job_exited", "code": self.exit_code})
+
+    def _tool_ended(self, pid: int) -> None:
+        """The rank's tool has ended; if the rank still runs, it runs on
+        under the RM.
+
+        A process the tool still traces is detached and resumed, as
+        ptrace does to a dead tracer's tracees, and its probes go with
+        the tracer; one created paused for a tool that never attached is
+        continued.  A process the RM holds itself (condor_hold) stays
+        stopped.  A tool that ended with an error, or still tracing, has
+        failed: ``fault.<cmd>/<context>`` says so to every participant.
+        A tool that ends cleanly without tracing is not a fault.
+        """
+        tool, spec, handle = self._tool_handle, self._tool, self._launch.handle
+        assert tool is not None and spec is not None and handle is not None
+        control = handle.control
+        assert control is not None
+        if control.status(pid).exit_code is not None:
+            return  # the rank ended first: its exit is reported as usual
+        resume = not self._held
+        traced = True
+        try:
+            control.detach(pid, resume=resume)
+        except errors.AttachError:
+            traced = False
+            if resume and control.status(pid).status == ProcStatus.CREATED:
+                with contextlib.suppress(errors.ProcessError):  # exited since
+                    control.continue_process(pid)
+        if tool.error is None and not traced:
+            return
+        reason = str(tool.error) if tool.error is not None else "ended still tracing"
+        entity = f"{spec.cmd}/{self._launch.context}"
+        self._launch.record("tool_failed", tool=entity, pid=pid, reason=reason)
+        _log.warning("starter %s: tool %s failed: %s", self.job_id, entity, reason)
+        with contextlib.suppress(errors.TdpError):
+            handle.attrs.put(Attr.fault(entity), f"rt:{reason}")
 
     def _master_running(self, master: RankInfo) -> None:
         """Rank 0 reached mpi.init: tell the shadow, which starts the other

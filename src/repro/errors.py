@@ -108,10 +108,6 @@ class HandleError(TdpError):
     """Invalid, closed, or foreign TDP handle."""
 
 
-class AlreadyInitializedError(HandleError):
-    """``tdp_init`` called twice for the same daemon/context pair."""
-
-
 # ---------------------------------------------------------------------------
 # Process management errors (paper Section 2.2, 2.3, 3.1)
 # ---------------------------------------------------------------------------
@@ -181,10 +177,6 @@ class NoSuchHostError(SimulationError):
         super().__init__(f"no such host {hostname!r}")
 
 
-class ProgramFault(SimulationError):
-    """A simulated program raised an uncaught fault (crash)."""
-
-
 # ---------------------------------------------------------------------------
 # Resource manager (Condor-like) errors
 # ---------------------------------------------------------------------------
@@ -199,10 +191,6 @@ class SubmitError(ResourceManagerError):
 
 class MatchmakingError(ResourceManagerError):
     """No machine matched the job's requirements."""
-
-
-class ClaimError(ResourceManagerError):
-    """The claiming protocol between schedd and startd failed."""
 
 
 class UniverseError(ResourceManagerError):
@@ -235,20 +223,6 @@ class MpiError(TdpError):
 
 class RankError(MpiError):
     """Invalid rank in a communicator operation."""
-
-
-# ---------------------------------------------------------------------------
-# Fault model (extension; the paper calls fault modeling ongoing work)
-# ---------------------------------------------------------------------------
-
-class FaultDetected(TdpError):
-    """Raised/reported when a monitored entity (AP, RT, AS) fails."""
-
-    def __init__(self, entity_kind: str, entity_id: str, reason: str):
-        self.entity_kind = entity_kind
-        self.entity_id = entity_id
-        self.reason = reason
-        super().__init__(f"{entity_kind} {entity_id} failed: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.condor.job import JobRecord, JobStatus
+from repro.condor.job import JobRecord
 from repro.condor.pool import CondorPool
 from repro.condor.submit import SubmitDescription, ToolDaemonSpec
 from repro.mpisim.programs import register_mpi_programs
@@ -119,7 +119,6 @@ class ParadorScenario:
             from repro.tdp.wellknown import Attr
 
             cass = self.pool.schedd.cass
-            assert cass is not None, "CASS mode requires the schedd's CASS"
             channel = self.cluster.transport.connect(submit_host, cass.endpoint)
             self._cass_client = AttributeSpaceClient(
                 channel, member="paradyn-frontend"
@@ -187,6 +186,3 @@ def run_monitored_job(
         run.session.wait_state("exited", timeout=timeout)
         return run
 
-
-def job_completed(run: MonitoredRun) -> bool:
-    return run.job.status is JobStatus.COMPLETED

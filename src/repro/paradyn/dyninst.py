@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.errors import InstrumentationError, InvalidProcessStateError
-from repro.sim.process import ProbePoint, ProcessState, SimProcess, StopReason
+from repro.sim.process import ProbePoint, ProcessState, SimProcess
 from repro.util.ids import IdAllocator
 
 
@@ -174,7 +174,7 @@ class DyninstEngine:
         def action(proc: SimProcess, _func: str, _where: str) -> None:
             handle.hits += 1
             handle.hit_event.set()
-            proc.request_stop(StopReason.BREAKPOINT)
+            proc.stop_at_probe(handle.probe_id)
 
         self._insert(ProbePoint(handle.probe_id, function, where, action))
         # A process killed short of the breakpoint releases the waiter

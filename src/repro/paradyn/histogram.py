@@ -16,19 +16,6 @@ Two accumulation modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BinView:
-    """One bin of a histogram snapshot."""
-
-    start: float
-    width: float
-    value: float
-    samples: int
-
-
 class TimeHistogram:
     """Fixed-bin-count, folding time histogram.
 
@@ -122,19 +109,6 @@ class TimeHistogram:
         if index >= self.bins:
             return 0.0
         return self._values[index]
-
-    def nonempty_bins(self) -> list[BinView]:
-        """Snapshot of bins that received at least one sample."""
-        return [
-            BinView(
-                start=i * self.bin_width,
-                width=self.bin_width,
-                value=self._values[i],
-                samples=self._counts[i],
-            )
-            for i in range(self.bins)
-            if self._counts[i]
-        ]
 
     def series(self) -> list[float]:
         """All bin values, oldest first (for rendering)."""

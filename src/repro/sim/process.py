@@ -54,7 +54,7 @@ class ProbePoint:
     """A dynamic-instrumentation probe at a function entry or exit.
 
     ``action(process, function, where)`` runs on the scheduler thread;
-    it may call :meth:`SimProcess.request_stop` (a breakpoint) but must
+    it may call :meth:`SimProcess.stop_at_probe` (a breakpoint) but must
     not block.  Probes are inserted/removed by the tool at run time —
     the Dyninst capability the pilot relies on.
     """
@@ -290,15 +290,19 @@ class SimProcess:
         self.request_stop(StopReason.TRACER)
 
     def detach(self, *, resume: bool = True) -> None:
-        """Drop the tracer; by default let the process run on."""
+        """Drop the tracer and the probes it inserted; by default let the
+        process run on, past any stop the tracer asked for."""
         with self.state_changed:
             if self.tracer is None:
                 raise AttachError(f"{self!r} has no tracer")
             self.tracer = None
+            self.probes.clear()
             if resume and self.state is ProcessState.STOPPED:
                 self._stop_requested = None
                 self.stop_reason = None
                 self._set_state(ProcessState.RUNNABLE, None)
+            elif resume and self._stop_requested in (StopReason.TRACER, StopReason.BREAKPOINT):
+                self._stop_requested = None
         self.host.scheduler_notify()
 
     def terminate(self, signal: int = 15) -> None:
@@ -331,6 +335,13 @@ class SimProcess:
             if self.state is ProcessState.EXITED:
                 raise InvalidProcessStateError(f"{self!r} has exited")
             self.probes.setdefault((probe.function, probe.where), []).append(probe)
+
+    def stop_at_probe(self, probe_id: int) -> None:
+        """A breakpoint's stop, unless its probe went (its tracer
+        detached) between the probe's firing and this request."""
+        with self.lock:
+            if any(p.probe_id == probe_id for ps in self.probes.values() for p in ps):
+                self.request_stop(StopReason.BREAKPOINT)
 
     def remove_probe(self, probe_id: int) -> bool:
         with self.lock:

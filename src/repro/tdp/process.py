@@ -159,10 +159,6 @@ class SimHostBackend(ProcessBackend):
         proc = self._host.get_process(pid)
         proc.on_exit(lambda p: listener(self._info(p)))
 
-    # Extra (sim-only) surface used by the dyninst engine.
-    def raw_process(self, pid: int):
-        return self._host.get_process(pid)
-
 
 # ---------------------------------------------------------------------------
 # The RM-side control service (ownership + status publication + RT requests)

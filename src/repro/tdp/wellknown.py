@@ -84,19 +84,19 @@ class Attr:
 
     METRIC_SAMPLE_PATTERN = "paradyn.sample.*"
 
-    # -- presence / fault detection (extension; paper defers fault model) ------
+    # -- presence / faults (extension; paper defers fault model) ---------------
     @staticmethod
     def presence(entity: str) -> str:
         """An ephemeral claim that ``entity``'s session is alive: its
-        removal (detach, closed connection, lease expiry) is the fault
-        signal :class:`~repro.tdp.faults.FaultMonitor` subscribes to."""
+        removal (detach, closed connection, lease expiry) is the liveness
+        signal of a daemon the RM did not start, for whoever subscribes."""
         return f"presence.{entity}"
 
     @staticmethod
     def fault(entity: str) -> str:
+        """Put by the RM when a daemon it started failed (a starter's
+        tool: ``fault.<cmd>/<context>`` = ``rt:<reason>``)."""
         return f"fault.{entity}"
-
-    FAULT_PATTERN = "fault.*"
 
     # -- server statistics (observability; extension) ---------------------------
     #: prefix of the attributes a server publishes its own metrics under

@@ -446,12 +446,6 @@ def arm_guard_witness(lock_path: Any = None) -> list[str]:
     return armed
 
 
-def disarm_guard_witness() -> None:
-    """Uninstall every witness installed this process (test teardown)."""
-    for cls in list(_witnessed_classes):
-        uninstall_guard_witness(cls)
-
-
 def _acquire(gate: Any, timeout: float | None) -> bool:
     """One C-level wait on ``gate``, a held raw lock, until another
     thread releases it; True if it did.  A timeout of zero or less

@@ -349,7 +349,6 @@ TIMED_WAIT_ALLOWED = {
     ("paradyn.daemon", "_sample_until_exit"): (
         "sampling period: a tool's metric period is its work, not a re-check"
     ),
-    ("condor.master", "_watch"): "The RM answers failures",
 }
 
 
@@ -420,6 +419,33 @@ def test_no_timed_poll_loops():
     ]
     assert not unlisted, "\n".join(unlisted)
     assert not set(TIMED_WAIT_ALLOWED) - set(found), "stale allow-list entries"
+
+
+def test_failures_are_pushed():
+    """A failure reaches the RM from the daemon's parent, which already
+    knows of it: no fault watcher module, a master configured by nothing
+    and waiting on nothing but its daemons' exit notices."""
+    import ast
+
+    assert not (SRC / "tdp" / "faults.py").exists()
+    watchers = [
+        str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+        if "FaultMonitor" in path.read_text()
+    ]
+    assert not watchers, watchers
+    master = (SRC / "condor" / "master.py").read_text()
+    [init] = [
+        node for node in ast.walk(ast.parse(master))
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    params = init.args
+    assert [a.arg for a in params.posonlyargs + params.args] == ["self"]
+    assert not (params.kwonlyargs or params.vararg or params.kwarg)
+    timed = [
+        f"{function}:{line}: {call}"
+        for function, line, call in timed_waits(master)
+    ]
+    assert not timed, timed
 
 
 def test_timed_poll_gate_is_not_vacuous():
@@ -503,7 +529,7 @@ def test_handoffs_block_in_c():
 
 #: Ceiling on the test suite's sleeps and polls, which load can outrun.
 #: Only falls: a change that replaces polls with event waits lowers it.
-TEST_POLL_CEILING = 184
+TEST_POLL_CEILING = 180
 
 
 def test_test_polls_only_fall():

@@ -1,7 +1,7 @@
-"""condor_master supervision tests."""
+"""condor_master supervision tests: a daemon's exit notice, and only
+that, makes the master restart it."""
 
 import threading
-import time
 
 import pytest
 
@@ -9,88 +9,82 @@ from repro.condor.master import Master
 
 
 class _FakeDaemon:
+    """Posts its exit notice when the test says it exited."""
+
     def __init__(self):
-        self.alive_flag = True
-        self.restarted = 0
-        self.restarted_event = threading.Event()
+        self._exit_callbacks = []
 
-    def alive(self) -> bool:
-        return self.alive_flag
+    def on_exit(self, callback):
+        self._exit_callbacks.append(callback)
 
-    def restart(self) -> None:
-        self.restarted += 1
-        self.alive_flag = True
-        self.restarted_event.set()
+    def exit(self):
+        for callback in self._exit_callbacks:
+            callback()
+
+
+class _Restarts:
+    """A restart factory that fails its first ``failures`` calls."""
+
+    def __init__(self, failures=0):
+        self.failures = failures
+        self.calls = 0
+        self.done = threading.Event()
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise RuntimeError("cannot restart")
+        self.done.set()
+
+
+@pytest.fixture
+def master():
+    master = Master()
+    yield master
+    master.stop()
 
 
 class TestMaster:
-    def test_healthy_daemon_untouched(self):
-        master = Master(check_interval=0.01)
-        daemon = _FakeDaemon()
-        master.supervise("d", alive=daemon.alive, restart=daemon.restart)
-        time.sleep(0.1)
+    def test_dead_daemon_restarted(self, master):
+        daemon, restart = _FakeDaemon(), _Restarts()
+        master.supervise("d", daemon, restart)
+        daemon.exit()
+        assert restart.done.wait(timeout=5.0)
+        assert master.events == ["restart:d"]
+
+    def test_healthy_daemon_untouched(self, master):
+        restart = _Restarts()
+        master.supervise("d", _FakeDaemon(), restart)
+        master.stop()  # joins the master's thread: nothing was pending
+        assert restart.calls == 0 and master.events == []
+
+    def test_failed_restart_does_not_kill_master(self, master):
+        daemon, restart = _FakeDaemon(), _Restarts(failures=2)
+        master.supervise("f", daemon, restart)
+        daemon.exit()
+        assert restart.done.wait(timeout=5.0)
+        assert restart.calls == 3
+        assert master.events == ["restart:f"] * 3
+
+    def test_gives_up_after_max_restarts(self, master, monkeypatch):
+        monkeypatch.setattr(Master, "MAX_RESTARTS", 2)
+        daemon, restart = _FakeDaemon(), _Restarts(failures=10)
+        master.supervise("h", daemon, restart)
+        daemon.exit()
+        daemon.exit()  # a later notice for a daemon given up on is dropped
+        marker, marked = _FakeDaemon(), _Restarts()
+        master.supervise("m", marker, marked)
+        marker.exit()
+        assert marked.done.wait(timeout=5.0)  # notices are handled in order
+        assert restart.calls == 2
+        assert master.events == ["restart:h", "restart:h", "gave-up:h", "restart:m"]
+
+    def test_nothing_restarts_after_stop(self, master):
+        daemon, restart = _FakeDaemon(), _Restarts()
+        master.supervise("d", daemon, restart)
         master.stop()
-        assert daemon.restarted == 0
-
-    def test_dead_daemon_restarted(self):
-        master = Master(check_interval=0.01)
-        daemon = _FakeDaemon()
-        master.supervise("d", alive=daemon.alive, restart=daemon.restart)
-        daemon.alive_flag = False
-        assert daemon.restarted_event.wait(timeout=5.0)
-        master.stop()
-        assert daemon.restarted >= 1
-        assert "restart:d" in master.events
-
-    def test_gives_up_after_max_restarts(self):
-        master = Master(check_interval=0.01, max_restarts=2)
-
-        given_up = threading.Event()
-
-        class Hopeless:
-            restarts = 0
-
-            def alive(self):
-                if self.restarts == 2:
-                    given_up.set()  # the master's next look gives up
-                return False
-
-            def restart(self):
-                self.restarts += 1
-
-        daemon = Hopeless()
-        master.supervise("h", alive=daemon.alive, restart=daemon.restart)
-        assert given_up.wait(timeout=5.0)
-        master.stop()  # joins the watch thread: its pass has ended
-        assert daemon.restarts == 2
-        assert "gave-up:h" in master.events
-
-    def test_broken_probe_counts_as_dead(self):
-        master = Master(check_interval=0.01)
-        restarted = threading.Event()
-
-        def bad_probe():
-            raise RuntimeError("probe broke")
-
-        master.supervise("b", alive=bad_probe, restart=restarted.set)
-        assert restarted.wait(timeout=5.0)
-        master.stop()
-
-    def test_failed_restart_does_not_kill_master(self):
-        master = Master(check_interval=0.01, max_restarts=3)
-        attempts = []
-        third = threading.Event()
-
-        def failing_restart():
-            attempts.append(1)
-            if len(attempts) == 3:
-                third.set()
-            raise RuntimeError("cannot restart")
-
-        master.supervise("f", alive=lambda: False, restart=failing_restart)
-        assert third.wait(timeout=5.0)
-        master.stop()
-        assert len(attempts) == 3
+        daemon.exit()  # pool.stop() stops every startd after the master
+        assert restart.calls == 0 and master.events == []
 
 
 class TestPoolSupervision:

@@ -1,26 +1,16 @@
-"""Tests for TDP's supporting services: stdio, staging, proxy config,
-auxiliary services, and the fault model."""
+"""Tests for TDP's supporting services: stdio, staging, proxy config
+and auxiliary services."""
 
 import threading
-import time
 
 import pytest
 
-from repro.attrspace.client import ReconnectPolicy
-from repro.errors import FirewallBlockedError, NoSuchAttributeError, StagingError
+from repro.errors import FirewallBlockedError, StagingError
 from repro.attrspace.server import AttributeSpaceServer, ServerRole
 from repro.net.address import Endpoint
 from repro.sim.cluster import SimCluster
-from repro.tdp.api import (
-    tdp_create_process,
-    tdp_exit,
-    tdp_init,
-    tdp_put,
-    tdp_service_events,
-    tdp_try_get,
-)
+from repro.tdp.api import tdp_create_process, tdp_init
 from repro.tdp.files import FileStager
-from repro.tdp.faults import FaultMonitor
 from repro.tdp.handle import Role
 from repro.tdp.process import SimHostBackend
 from repro.tdp.proxycfg import (
@@ -249,117 +239,3 @@ class TestAuxServices:
             assert total == pytest.approx(21.0)
             net.stop()
 
-
-class TestFaultModel:
-    def test_abnormal_exit_declared(self, cluster, lass, rm_handle, rt_handle):
-        monitor = FaultMonitor(rm_handle)
-        notes = []
-        rt_handle.attrs.subscribe(Attr.FAULT_PATTERN, lambda n, a: notes.append(n), None)
-        info = tdp_create_process(rm_handle, "crasher")
-        monitor.watch_process(info.pid)
-        deadline = time.monotonic() + 10.0
-        while not monitor.faults and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert monitor.faults and monitor.faults[0].entity_kind == "ap"
-        assert rt_handle.poll(timeout=5.0)
-        rt_handle.service_events()
-        assert notes and notes[0].attribute == Attr.fault(str(info.pid))
-        monitor.stop()
-
-    def test_clean_exit_not_a_fault(self, cluster, lass, rm_handle):
-        monitor = FaultMonitor(rm_handle)
-        info = tdp_create_process(rm_handle, "hello")
-        monitor.watch_process(info.pid)
-        cluster.host("node1").get_process(info.pid).wait_for_exit(timeout=10.0)
-        time.sleep(0.1)
-        assert monitor.faults == []
-        monitor.stop()
-
-    @staticmethod
-    def _daemon(cluster, lass, **session):
-        """A paradynd-like handle that has announced its presence."""
-        handle = tdp_init(
-            cluster.transport, lass.endpoint,
-            member="paradynd/0", role=Role.RT, src_host="node1", **session,
-        )
-        tdp_put(handle, Attr.presence("paradynd/0"), "node1", ephemeral=True)
-        return handle
-
-    @staticmethod
-    def _serviced_faults(rm_handle, monitor, within):
-        deadline = time.monotonic() + within
-        while not monitor.faults and rm_handle.poll(
-            max(0.0, deadline - time.monotonic())
-        ):
-            tdp_service_events(rm_handle)
-        return monitor.faults
-
-    def test_crashed_daemon_declared_within_a_second(self, cluster, lass, rm_handle):
-        monitor = FaultMonitor(rm_handle)
-        daemon = self._daemon(cluster, lass)
-        monitor.watch("rt", "paradynd/0")
-        start = time.monotonic()
-        daemon.lass.close(detach=False)  # the crash: no tdp_exit
-        faults = self._serviced_faults(rm_handle, monitor, within=1.0)
-        assert time.monotonic() - start < 1.0
-        assert [(f.entity_kind, f.entity_id) for f in faults] == [("rt", "paradynd/0")]
-        assert tdp_try_get(rm_handle, Attr.fault("paradynd/0")).startswith("rt:")
-
-    def test_declaration_runs_in_service_events(self, cluster, lass, rm_handle):
-        monitor = FaultMonitor(rm_handle)
-        daemon = self._daemon(cluster, lass)
-        monitor.watch("rt", "paradynd/0")
-        daemon.lass.close(detach=False)
-        assert rm_handle.poll(5.0)  # the removal has arrived ...
-        assert monitor.faults == []  # ... and waits for the safe point
-        tdp_service_events(rm_handle)
-        assert [f.entity_id for f in monitor.faults] == ["paradynd/0"]
-
-    def test_unwatched_clean_exit_not_a_fault(self, cluster, lass, rm_handle):
-        monitor = FaultMonitor(rm_handle)
-        daemon = self._daemon(cluster, lass)
-        monitor.watch("rt", "paradynd/0")
-        monitor.unwatch("paradynd/0")
-        tdp_exit(daemon)
-        with pytest.raises(NoSuchAttributeError):
-            tdp_try_get(rm_handle, Attr.presence("paradynd/0"))
-        assert self._serviced_faults(rm_handle, monitor, within=0.2) == []
-
-    def test_leased_daemon_resuming_inside_its_ttl_not_a_fault(
-        self, cluster, lass, rm_handle
-    ):
-        monitor = FaultMonitor(rm_handle)
-        daemon = self._daemon(
-            cluster, lass, reconnect=ReconnectPolicy(base_delay=0.01, seed=3),
-            lease_ttl=5.0,
-        )
-        monitor.watch("rt", "paradynd/0")
-        session = daemon.lass._session
-        with session._lock:
-            channel = session._channel
-        channel.close()  # the cut
-        def resumed():
-            return any(
-                r["event"] == "session.reestablished" for r in daemon.lass.session_log
-            )
-
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and not resumed():
-            time.sleep(0.01)
-        assert resumed()
-        assert tdp_try_get(rm_handle, Attr.presence("paradynd/0")) == "node1"
-        assert self._serviced_faults(rm_handle, monitor, within=0.2) == []
-        monitor.unwatch("paradynd/0")
-        tdp_exit(daemon)
-
-    def test_leased_daemon_declared_after_its_ttl(self, cluster, lass, rm_handle):
-        monitor = FaultMonitor(rm_handle)
-        daemon = self._daemon(
-            cluster, lass, reconnect=ReconnectPolicy(base_delay=0.01, seed=3),
-            lease_ttl=0.3,
-        )
-        monitor.watch("rt", "paradynd/0")
-        cut = time.monotonic()
-        daemon.lass.close(detach=False)
-        assert self._serviced_faults(rm_handle, monitor, within=5.0)
-        assert time.monotonic() - cut >= 0.3
