@@ -217,7 +217,13 @@ DEFAULT = LockHierarchy([
                   "itself is one thread on one SimpleQueue"),
     LockDecl("transport.inmem._InMemChannel._lock", 62,
              note="queue pair state; a served end's lock is held across "
-                  "the post onto the dispatcher's ready-queue"),
+                  "the post onto the dispatcher's ready-queue, and a "
+                  "delivering end's across its sink (a session's _route "
+                  "on the sender's thread, which takes session, store and "
+                  "queue locks).  A plain lock, outside the witness: a "
+                  "sink only sends downstream (a LASS's upstream end to "
+                  "its local clients' ends), and no sender holds a lock "
+                  "the receiving end's sink takes"),
     LockDecl("transport.inmem.InMemoryTransport._lock", 62, note="listener table"),
     LockDecl("transport.tcp.TcpTransport._lock", 62, note="listener table"),
     LockDecl("transport.proxy.ProxyServer._lock", 62, note="tunnel table"),

@@ -3,8 +3,12 @@
 Two layers, one of everything in each:
 
 * the **session layer** (:class:`_Session`) owns the channel, the
-  receive thread, the reconnect/lease machine, the one table of
-  in-flight requests and the subscribe ledger.  Everything that crosses
+  reconnect/lease machine, the one table of in-flight requests and the
+  subscribe ledger.  It owns no thread: the channel ``deliver``s each
+  frame to :meth:`_Session._route`, on the sender's thread wherever the
+  transport can (in memory, the server's reply opens the caller's latch
+  directly), so a route only completes, queues or applies — never
+  waits.  Everything that crosses
   the wire — a blocking RPC, an async send, the reconnect handshake,
   the detach of a closing session — is one :meth:`_Session.submit`
   (register, send) and, when the caller waits, one
@@ -15,12 +19,13 @@ Two layers, one of everything in each:
   the "descriptor" a daemon polls (Section 3.3), and callbacks run only
   inside :meth:`AttributeSpaceClient.service_events`, never from
   internal threads — except a LASS's own ``subscribe_agg`` callbacks,
-  which run on the receive thread.
+  which run where the frame is routed.
 
 Sessions can be **reconnecting**: constructed with a ``dial`` callable
 (or via :meth:`AttributeSpaceClient.connect`), the session treats a dead
-channel as an outage rather than the end of the world.  The receive
-thread re-dials under a :class:`ReconnectPolicy` (seeded exponential
+channel as an outage rather than the end of the world.  A recovery
+thread, started by the outage and gone with it, re-dials under a
+:class:`ReconnectPolicy` (seeded exponential
 backoff with jitter and a deadline), re-runs the attach handshake
 presenting its session token so the server resumes the lease,
 re-establishes every subscription in the ledger, and replays in-flight
@@ -198,7 +203,7 @@ class _Session:
         # on_session_event may deliver to the previous callback)
         self.session_cb: SessionCallback | None = None
         self._events = events
-        self._receiver = spawn(self._recv_loop, name=f"attr-client-{member}")
+        channel.deliver(self._route, self._lost, name=f"attr-client-{member}")
         reply = self.call(
             self._attach_frame(),
             redone=lambda: {"ok": True, "context": context},
@@ -221,9 +226,9 @@ class _Session:
         The only way a request enters the table.  During an outage the
         frame stays parked there — the reconnector replays it once the
         session is back — and a send failure on a reconnecting session
-        is likewise left to the receive thread, which is about to notice
-        the dead channel.  Any other send failure takes the entry back
-        out and raises: the caller hears of it here and nowhere else.
+        is likewise left to the recovery that the channel's close starts.
+        Any other send failure takes the entry back out and raises: the
+        caller hears of it here and nowhere else.
 
         ``via`` names the channel to use instead of the session's live
         one; only the session's own lifecycle traffic (handshake, detach)
@@ -266,10 +271,10 @@ class _Session:
     ) -> dict[str, Any]:
         """Submit ``request`` and block for the frame that answers it.
 
-        Normally the receive thread routes the reply here.  A channel
-        that thread is not reading (``via`` a freshly dialed one: the
-        handshake, an out-of-band detach) is read by the caller until the
-        reply turns up, everything else on it routed as usual.
+        Normally the live channel routes the reply here.  A channel that
+        is not delivering (``via`` a freshly dialed one: the handshake,
+        an out-of-band detach) is read by the caller until the reply
+        turns up, everything else on it routed as usual.
         """
         served = via is None
         if not served:
@@ -428,26 +433,29 @@ class _Session:
 
     # -- receive / recovery ----------------------------------------------------
 
-    def _recv_loop(self) -> None:
-        while True:
-            with self._lock:
-                channel = self._channel
-            try:
-                while True:
-                    self._route(channel.recv())
-            except errors.TdpError:
-                pass
-            with self._lock:
-                done = self._closed
-            if done or self._dial is None:
-                self._fail_pending("space_closed", "connection lost")
-                return
-            if not self._reestablish():
-                self._fail_pending(
-                    "reconnect_failed",
-                    "session re-establishment abandoned (policy exhausted)",
-                )
-                return
+    def _lost(self) -> None:
+        """The live channel closed (its ``on_closed`` sink): a closed or
+        non-reconnecting session fails what is in flight at once; a
+        reconnecting one recovers on a thread that lives as long as the
+        outage."""
+        with self._lock:
+            done = self._closed
+        if done or self._dial is None:
+            self._fail_pending("space_closed", "connection lost")
+            return
+        spawn(self._recover, name=f"attr-client-{self.member}")
+
+    def _recover(self) -> None:
+        """Re-establish, then hand the new channel its sinks and end."""
+        if not self._reestablish():
+            self._fail_pending(
+                "reconnect_failed",
+                "session re-establishment abandoned (policy exhausted)",
+            )
+            return
+        with self._lock:
+            channel = self._channel
+        channel.deliver(self._route, self._lost, name=f"attr-client-{self.member}")
 
     def _reestablish(self) -> bool:
         """Dial + handshake until one takes or the policy gives up."""
@@ -496,10 +504,11 @@ class _Session:
     def _handshake(self, channel: Channel) -> bool:
         """Attach, re-establish the ledger, swap ``channel`` in, replay.
 
-        Runs on the receive thread, which reads ``channel`` itself while
+        Runs on the recovery thread, which reads ``channel`` itself while
         it waits (:meth:`call`), so a notification from a subscription
-        just re-created is routed in order.  Returns whether the server
-        resumed the lease.
+        just re-created is routed in order; what arrives after the last
+        read waits in the channel until :meth:`_recover` hands it to
+        ``deliver``.  Returns whether the server resumed the lease.
 
         The ledger is walked, then the pending table replayed in request
         order, until a lock hold finds nothing left to cover or resend;
@@ -562,8 +571,9 @@ class _Session:
                     channel.send(frame)
             except errors.TdpError:
                 # The new channel died already.  Swap it in all the same:
-                # nothing overtakes on a dead channel, the receive loop
-                # goes around again, and the next recovery replays the rest.
+                # nothing overtakes on a dead channel, its ``deliver``
+                # reports the close at once, and the next recovery
+                # replays the rest.
                 with self._lock:
                     self._channel = channel
                     self._reconnecting = False
@@ -577,14 +587,20 @@ class _Session:
         _log.info("%s: %s", self.member, record)
         callback = self.session_cb
         if callback is not None:
-            try:
-                self._events.put(
-                    _Event(invoke=lambda: callback(record), description=kind)
-                )
-            except errors.ChannelClosedError:
-                pass
+            self._queue(_Event(invoke=lambda: callback(record), description=kind))
+
+    def _queue(self, event: _Event) -> None:
+        """Queue ``event``; one for a queue closed under it is dropped."""
+        try:
+            self._events.put(event)
+        except errors.ChannelClosedError:
+            pass
 
     def _route(self, message: dict[str, Any]) -> None:
+        """The channel's frame sink, on the sender's thread: it completes
+        a latch, queues an event or, for an aggregated notification,
+        applies the change to the LASS's store (which never waits on its
+        upstream) — and never raises into the sender."""
         if message.get("op") == protocol.OP_NOTIFY:
             sub_id = message.get("sub")
             notification = Notification.from_wire(message)
@@ -625,10 +641,10 @@ class _Session:
                     # point rule does not hold it back, and it runs here.
                     try:
                         invoke()
-                    except Exception:  # noqa: BLE001 — the receive loop outlives a bad callback
+                    except Exception:  # noqa: BLE001 — never raise into the sender
                         _log.exception("%s: aggregated notify failed", self.member)
                 else:
-                    self._events.put(
+                    self._queue(
                         _Event(
                             invoke=invoke,
                             description=f"notify {notification.attribute}",
@@ -994,9 +1010,10 @@ class AttributeSpaceClient:
                 value = _ok(reply, None).get("value")
             except Exception as e:  # noqa: BLE001 — captured for callback delivery
                 error = e
-            self.events.put(
-                _Event(lambda: callback(value, error, callback_arg), description)
-            )
+            with contextlib.suppress(errors.ChannelClosedError):  # a sink never raises
+                self.events.put(
+                    _Event(lambda: callback(value, error, callback_arg), description)
+                )
 
         self._session.submit(request, complete)
 
@@ -1032,8 +1049,9 @@ class AttributeSpaceClient:
         the subscription to ``origin``'s fan-out dedup group — all of
         this host's aggregated subscriptions cost the upstream server one
         egress frame per event — and suppresses notifications whose
-        change originated on ``origin`` itself.  ``callback`` runs on the
-        receive thread, not from :meth:`service_events`.
+        change originated on ``origin`` itself.  ``callback`` runs where
+        the frame is routed (on the upstream's sending thread in memory),
+        not from :meth:`service_events`, so it must never block.
         """
         local_id = self._sub_ids.next()
         return self._session.establish(

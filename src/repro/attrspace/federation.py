@@ -32,8 +32,10 @@ Threading: the federation has no thread of its own.  A forward, a
 forwarded get, a dial and an aggregated subscribe run on the caller's
 thread (the serving loop, or the wall-timer thread for expiry purges);
 a forward is one non-blocking submit onto the session, whose reply —
-like every aggregated notification — is handled on that session's
-receive thread.  ``_lock`` (rank 22) guards the interests, the session
+like every aggregated notification — is routed on the thread that sent
+it (in memory, the CASS's serving thread; over TCP, the session's
+reader), so it only counts, fills or applies and never waits.  ``_lock``
+(rank 22) guards the interests, the session
 table and the aggregate ledger; it is held across a non-blocking
 submit, never across a dial or a blocking RPC.
 
@@ -121,7 +123,7 @@ class LassFederation:
     entry point runs on its caller's thread — the server's serving loop,
     or the wall-timer thread for expiry purges.  A forward never waits
     for its answer: it is one submit onto the context's session,
-    completed on that session's receive thread.
+    completed where that session routes the reply.
     """
 
     def __init__(
@@ -195,7 +197,7 @@ class LassFederation:
 
     def _forward(self, context: str, ops: list[dict[str, Any]]) -> None:
         """Submit writes that applied locally, in apply order; the reply
-        (on the receive thread) counts them as ``forwards`` or
+        (where the session routes it) counts them as ``forwards`` or
         ``forward_failures``."""
         count = len(ops)
 
@@ -245,7 +247,7 @@ class LassFederation:
 
         The answer lands in the local store via ``fill`` — which wakes
         the waiter — and stays cached; ``failed(error)`` runs instead
-        when upstream says no (both on the session's receive thread).
+        when upstream says no (both where the session routes the reply).
         ``timeout`` is the *originating client's* deadline, carried
         upstream verbatim so the CASS arms the timer.  A severed upstream
         session replays the parked get after re-attach (the session's
@@ -354,7 +356,8 @@ class LassFederation:
         )
 
     def _on_upstream_notify(self, notification: Notification, _arg: Any) -> None:
-        """Apply a CASS-fanned change to the local store (receive thread).
+        """Apply a CASS-fanned change to the local store (a session sink:
+        it runs on the CASS's sending thread in memory and must not wait).
 
         The local publish re-fans it to every matching local subscriber —
         this is the second hop of the two-hop fan-out that keeps CASS

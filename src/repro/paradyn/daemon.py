@@ -39,6 +39,7 @@ from repro.tdp.api import (
     tdp_exit,
     tdp_get,
     tdp_init,
+    tdp_kill,
     tdp_subscribe,
 )
 from repro.tdp.handle import Role, TdpHandle
@@ -47,7 +48,6 @@ from repro.tdp.wellknown import Attr, ProcStatus
 from repro.transport.base import Channel
 from repro.transport.proxy import connect_maybe_proxied
 from repro.util.log import get_logger, record_event
-from repro.util.threads import spawn
 
 _log = get_logger("paradyn.daemon")
 
@@ -126,8 +126,8 @@ class ParadynDaemon:
         self.auto_run = auto_run
         self.base_metrics = base_metrics
         # Startup-sequenced publishes: the tool main thread writes each
-        # once during initialization; the command loop is only spawned
-        # after frontend/handle/app_pid are in place.
+        # once during initialization; the front end's commands are only
+        # delivered after frontend/handle/app_pid are in place.
         # tdp-guard: handle -> volatile
         self.handle: TdpHandle | None = None
         self.engine: DyninstEngine | None = None
@@ -142,6 +142,7 @@ class ParadynDaemon:
         self._status = ProcStatus.RUNNING
         self.run_command = threading.Event()
         self._enable_requests: list[tuple[Metric, str | None]] = []
+        self._kill_requested = False
         self._req_lock = threading.Lock()
         self.samples_sent = 0
 
@@ -263,11 +264,13 @@ class ParadynDaemon:
         if not self.auto_run:
             # The pilot's interactive window: the application is stopped
             # at main; the front-end may set up instrumentation before
-            # issuing the run command.  A stop ends the window as well.
+            # issuing the run command.  A stop or a kill ends the window
+            # as well; the kill is carried out here, and the continue
+            # after it is refused.
             self.run_command.wait()
             if stop_event.is_set():
                 return
-            self._apply_enable_requests()
+            self._apply_commands()
         self._record("tdp_continue_process", pid=pid, until="completion")
         self._continue_to_completion(handle, pid, stop_event)
         self._sample_until_exit(handle, stop_event)
@@ -276,7 +279,7 @@ class ParadynDaemon:
         """Sample each period, servicing events between, until the exit."""
         while not stop_event.is_set():
             handle.service_events()
-            self._apply_enable_requests()
+            self._apply_commands()
             self._emit_samples()
             if ProcStatus.is_exited(self._status):
                 code = ProcStatus.exit_code(self._status)
@@ -386,34 +389,40 @@ class ParadynDaemon:
             self.frontend = None
             return
         self._record("frontend_connected", endpoint=str(self.frontend.remote_host))
-        spawn(self._command_loop, name=f"paradynd-cmd-{self.ctx.job_id}")
+        self.frontend.deliver(
+            self._on_command, lambda: None, name=f"paradynd-cmd-{self.ctx.job_id}"
+        )
 
-    def _command_loop(self) -> None:
-        channel = self.frontend
-        if channel is None:
-            return
-        try:
-            while True:
-                message = channel.recv()
-                op = message.get("op")
-                if op == "cmd_run":
-                    self.run_command.set()
-                elif op == "cmd_enable_metric":
-                    metric = Metric(str(message.get("metric")))
-                    function = message.get("function")
-                    with self._req_lock:
-                        self._enable_requests.append((metric, function))
-                elif op == "cmd_kill":
-                    if self.handle is not None and self.app_pid is not None:
-                        from repro.tdp.api import tdp_kill
+    def _on_command(self, message: dict) -> None:
+        """The front end's channel sink, on the front end's sending
+        thread: it only records the command.  A kill needs an RPC, so
+        the sample loop (or the end of the at-main window) carries it out."""
+        op = message.get("op")
+        if op == "cmd_run":
+            self.run_command.set()
+        elif op == "cmd_enable_metric":
+            try:
+                metric = Metric(str(message.get("metric")))
+            except ValueError:
+                return  # never raise into the sender
+            with self._req_lock:
+                self._enable_requests.append((metric, message.get("function")))
+        elif op == "cmd_kill":
+            with self._req_lock:
+                self._kill_requested = True
+            self.run_command.set()  # a kill ends the at-main window too
+            if self.handle is not None:
+                self.handle.attrs.wake()  # the sample loop's poll
 
-                        tdp_kill(self.handle, self.app_pid)
-        except errors.TdpError:
-            return
-
-    def _apply_enable_requests(self) -> None:
+    def _apply_commands(self) -> None:
         with self._req_lock:
             requests, self._enable_requests = self._enable_requests, []
+            kill, self._kill_requested = self._kill_requested, False
+        if kill and self.handle is not None and self.app_pid is not None:
+            try:
+                tdp_kill(self.handle, self.app_pid)
+            except errors.TdpError as e:
+                self._send_frontend({"op": "error", "error": str(e)})
         assert self.collector is not None
         for metric, function in requests:
             try:

@@ -5,6 +5,13 @@ ordered (TCP-like), and ``close()`` from either side eventually surfaces
 as :class:`~repro.errors.ChannelClosedError` at the peer once queued
 messages drain — the graceful-drain semantics both the attribute space
 server and the proxy forwarder rely on.
+
+Both ends can be push-mode: a listener's ``serve_loop`` and a dialled
+channel's ``deliver`` hand each frame to a *sink*.  Where the transport
+can, a sink runs on the sender's thread (in memory, the peer's ``send``
+calls it), so the sink rule holds for both: **a sink never blocks and
+never raises into the sender** — it completes a latch, queues an event,
+or applies a change that waits on nobody.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable
 
+from repro import errors
 from repro.net.address import Endpoint
+from repro.util.threads import spawn
 
 Message = dict[str, Any]
 
@@ -50,6 +59,33 @@ class Channel(ABC):
     @abstractmethod
     def remote_host(self) -> str:
         """Host name of the peer (as known at connect/accept time)."""
+
+    def deliver(
+        self,
+        on_message: Callable[[Message], None],
+        on_closed: Callable[[], None],
+        *,
+        name: str,
+    ) -> None:
+        """Go push-mode: every frame from now on goes to ``on_message``,
+        in send order (frames already received first), and
+        ``on_closed()`` runs exactly once, after the last frame, however
+        the channel closed.  ``recv`` is the sink's from here on.
+
+        The sinks obey the sink rule (module docstring).  This default
+        runs them on one reader thread called ``name``; a transport that
+        can call them on the sender's thread overrides it.
+        """
+
+        def read() -> None:
+            try:
+                while True:
+                    on_message(self.recv())
+            except errors.TdpError:
+                pass
+            on_closed()
+
+        spawn(read, name=name)
 
     # Convenience request/response helper used by thin RPC clients.
     def request(self, message: Message, timeout: float | None = None) -> Message:
@@ -94,7 +130,9 @@ class Listener(ABC):
 
         Returns a handle whose idempotent ``stop()`` closes every served
         connection and joins the thread.  The callbacks run on that
-        thread, and while one runs no other connection is served: a
+        thread, and while one runs no other connection is served (so
+        anything a callback sends to a channel in ``deliver`` mode may
+        run the peer's sink right there, under the sink rule): a
         callback must never wait on anything that in turn waits on this
         listener, and one that waits on another daemon says so and why
         that is safe.  The channels handed up are

@@ -210,9 +210,9 @@ class FaultInjectChannel(Channel):
     def codec(self) -> str | None:
         return self._inner.codec
 
-    def _perturbed(self, deliver, message: Message | bytes) -> bool:
-        """Run ``deliver(message)`` as the plan dictates; False only
-        when ``deliver`` itself refused the frame (a full ``offer``)."""
+    def _perturbed(self, transmit, message: Message | bytes) -> bool:
+        """Run ``transmit(message)`` as the plan dictates; False only
+        when ``transmit`` itself refused the frame (a full ``offer``)."""
         action, index = self._decide_indexed()
         if action is not None:
             self._count(action)
@@ -232,13 +232,17 @@ class FaultInjectChannel(Channel):
                 )
             if action == "delay":
                 time.sleep(self._plan.delay_seconds)
-        accepted = deliver(message) is not False
+        accepted = transmit(message) is not False
         if action == "dup":
-            deliver(message)  # a retransmission the receiver must absorb
+            transmit(message)  # a retransmission the receiver must absorb
         return accepted
 
     def recv(self, timeout: float | None = None) -> Message:
         return self._inner.recv(timeout=timeout)
+
+    def deliver(self, on_message, on_closed, *, name: str) -> None:
+        """The inner channel's push mode, unperturbed (faults are sends)."""
+        self._inner.deliver(on_message, on_closed, name=name)
 
     def close(self) -> None:
         self._inner.close()

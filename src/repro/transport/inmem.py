@@ -7,14 +7,17 @@ wire-serializability (see :mod:`repro.transport.framing`).
 
 Under ``serve_loop`` the listener-side ends are push-mode: their inbound
 traffic lands on one shared ready-queue drained by one dispatcher
-thread, so N idle connections cost no threads.
+thread, so N idle connections cost no threads.  A dialled end in
+``deliver`` mode costs none either: the peer's ``send`` runs its sink
+on the sending thread, so a server's reply opens its caller's latch
+without a hop through a queue and a reader.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.errors import (
@@ -38,7 +41,9 @@ class _InMemChannel(Channel):
     """One end of a queue-pair channel.
 
     What the peer of a served end sends goes to the dispatcher's
-    ready-queue instead of ``_rx``; ``recv`` is unsupported there.
+    ready-queue instead of ``_rx``; ``recv`` is unsupported there.  What
+    the peer of a delivering end sends goes to its sink, on the peer's
+    thread.
     """
 
     def __init__(self, local_host: str, remote_host: str):
@@ -51,6 +56,10 @@ class _InMemChannel(Channel):
         # dispatcher has retired the closed end; the send path reads it
         # under _lock, recv and close tolerate either value — see close())
         self._served_by: _InMemDispatcher | None = None
+        # tdp-guard: _sink -> transport.inmem._InMemChannel._lock
+        # ((on_message, on_closed) once ``deliver``ed, until closed; set,
+        # run and taken out under _lock, which orders it against frames)
+        self._sink: tuple[Callable[[Message], None], Callable[[], None]] | None = None
         self._closed = False
         self._lock = threading.Lock()
 
@@ -81,7 +90,12 @@ class _InMemChannel(Channel):
         peer = self._peer
         assert peer is not None
         try:
-            with peer._lock:  # orders this frame against peer._serve
+            # Orders this frame against peer._serve, peer.deliver and
+            # every other frame sent to the peer.
+            with peer._lock:
+                if peer._sink is not None:
+                    peer._sink[0](message)
+                    return True
                 if peer._served_by is None:
                     return peer._rx.offer(message, maxsize)
                 peer._served_by.post(_FRAME, peer, message)
@@ -101,6 +115,19 @@ class _InMemChannel(Channel):
             if self._closed:
                 dispatcher.post(_CLOSE, self)
 
+    def deliver(self, on_message, on_closed, *, name: str) -> None:
+        """Run the sinks on the sender's thread (``name`` names no
+        thread here): the peer's ``send`` calls ``on_message`` under this
+        end's ``_lock``, after the frames that were already queued, and
+        ``close`` from either side calls ``on_closed``."""
+        with self._lock:
+            for message in self._rx.drain():
+                on_message(message)
+            if not self._closed:
+                self._sink = (on_message, on_closed)
+                return
+        on_closed()
+
     def recv(self, timeout: float | None = None) -> Message:
         if self._served_by is not None:
             raise ProtocolError("served channel delivers via on_message")
@@ -119,6 +146,8 @@ class _InMemChannel(Channel):
                 return
             self._closed = True
             peer = self._peer
+            sinks = [self._sink]
+            self._sink = None
         # Close our receive side immediately and the peer's receive side so
         # its blocked readers wake after draining in-flight messages.
         self._rx.close()
@@ -126,6 +155,13 @@ class _InMemChannel(Channel):
             peer._rx.close()
             with peer._lock:
                 peer._closed = True
+                sinks.append(peer._sink)
+                peer._sink = None
+        # Taken out under the lock that orders the frames: exactly once,
+        # after the last one.
+        for sink in sinks:
+            if sink is not None:
+                sink[1]()
         # Lock-free reads: _serve posts the close itself when it adopts
         # an end that is already closed, so one of the two always posts.
         for end in (self, peer):

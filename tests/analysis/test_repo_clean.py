@@ -245,6 +245,39 @@ def test_only_the_session_layer_touches_the_channel():
     assert registrations == ["submit"]
 
 
+def test_sessions_route_on_the_senders_thread():
+    """A session owns no thread: its channel delivers each frame to it
+    (in memory, on the sender's thread), and paradynd's front-end
+    channel likewise.  No receive loop is left, and the one ``spawn`` in
+    the client is the outage's recovery thread."""
+    import ast
+
+    def functions(rel):
+        return {
+            node.name: node
+            for node in ast.walk(ast.parse((SRC / rel).read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    def spawns(node):
+        return [
+            call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", "")) == "spawn"
+        ]
+
+    client = ast.parse((SRC / "attrspace" / "client.py").read_text())
+    session = next(
+        n for n in client.body
+        if isinstance(n, ast.ClassDef) and n.name == "_Session"
+    )
+    methods = {n.name: n for n in session.body if isinstance(n, ast.FunctionDef)}
+    assert spawns(methods["__init__"]) == []
+    assert "_recv_loop" not in functions("attrspace/client.py")
+    assert "_command_loop" not in functions("paradyn/daemon.py")
+    assert spawns(client) == spawns(methods["_lost"]) != []
+
+
 def test_one_cass_no_sharded_tier():
     """One CASS: outside ``ShardMap`` and its two helpers — importable
     only because ``benchmarks/tdpbench/layers.py`` still times ``owner``
@@ -529,7 +562,7 @@ def test_handoffs_block_in_c():
 
 #: Ceiling on the test suite's sleeps and polls, which load can outrun.
 #: Only falls: a change that replaces polls with event waits lowers it.
-TEST_POLL_CEILING = 180
+TEST_POLL_CEILING = 179
 
 
 def test_test_polls_only_fall():

@@ -464,8 +464,8 @@ class TestSessionTable:
     ):
         """An upstream whose sessions end 20 times (each outage outlasts
         the reconnect policy, so the next forward dials a fresh session)
-        leaves one live session and its one receive thread — nothing of
-        the 20 dropped ones."""
+        leaves one live session and no thread — nothing of the 20
+        dropped ones, whose recovery threads end with their outages."""
         ROUNDS = 20
         gate = threading.Event()
         gate.set()
@@ -499,21 +499,19 @@ class TestSessionTable:
             assert wait_until(lambda: _has(cass.store, "after", "job"))
             assert fed.counters["sessions_dropped"].value >= ROUNDS
             assert len(fed._sessions) == 1
-            (live,) = fed._sessions.values()
-            assert wait_until(
-                lambda: _upstream_threads("hostA") == [live._session._receiver]
-            )
+            assert wait_until(lambda: not _upstream_threads("hostA"))
             a.close()
         finally:
             lass.stop()
         assert wait_until(lambda: not _upstream_threads("hostA"))
 
-    def test_one_receive_thread_per_context_and_no_federation_thread(
+    def test_no_upstream_thread_and_no_federation_thread(
         self, transport, cass
     ):
         """The thread census: a LASS with upstream sessions for K contexts
-        runs K upstream threads — the sessions' receive threads — and
-        the federation has no thread of its own."""
+        runs no upstream thread — in memory the CASS's sends route each
+        reply and notification — and the federation has no thread of its
+        own."""
         K = 3
         lass = make_lass(transport, "hostA", cass.endpoint)
         clients = []
@@ -530,9 +528,10 @@ class TestSessionTable:
             lass.federation.settle()
             sessions = lass.federation._sessions
             assert sorted(sessions) == [f"ctx{k}" for k in range(K)]
-            receivers = {s._session._receiver for s in sessions.values()}
-            assert set(_upstream_threads("hostA")) == receivers
-            assert len(receivers) == K
+            # an outage's recovery thread (seeded chaos) ends with it
+            for thread in _upstream_threads("hostA"):
+                thread.join(timeout=10.0)
+            assert _upstream_threads("hostA") == []
             assert not [
                 t.name for t in threading.enumerate()
                 if t.name.startswith("federation-")
@@ -544,7 +543,7 @@ class TestSessionTable:
 
 
 def _upstream_threads(host):
-    """The live receive threads of ``host``'s upstream sessions."""
+    """The live threads of ``host``'s upstream sessions (recovery only)."""
     return [
         t for t in threading.enumerate()
         if t.name == f"attr-client-lass:{host}" and t.is_alive()

@@ -38,6 +38,9 @@ PER_JOB_DAEMON_THREADS = (
     "matchmaker-conn", "startd-conn-", "schedd-release-",
     "attr-client-disseminate", "paradyn-frontend-conn", "shadow-stdout-",
 )
+#: An in-memory session and paradynd's front-end link route each frame
+#: on the thread that sent it: neither starts a receive thread.
+RECEIVE_THREADS = ("attr-client-", "paradynd-cmd-")
 
 
 class Ledger:
@@ -234,10 +237,11 @@ class TestWarmMonitoredLaunch:
         # the cluster clock's timer service starts once, with the first
         # blocking get that has to park: whichever job that falls in
         started = [name for name in ledger.threads if name != "vclock-timers"]
-        assert len(started) <= 8, ", ".join(started)
+        assert len(started) <= 5, ", ".join(started)
         assert not [
             name for name in started if name.startswith(PER_JOB_DAEMON_THREADS)
         ]
+        assert not [name for name in started if name.startswith(RECEIVE_THREADS)]
 
     def test_tool_requests_are_answered_on_the_starter_thread(self, cycle):
         """The starter is the RM's poll loop: the thread that waits for
@@ -295,17 +299,18 @@ class TestWarmGangLaunch:
 
     def test_threads_started_per_warm_gang(self, ledger):
         """Each worker rank's thread starts the rank and answers its
-        tools; no service thread per rank, no thread to spawn the ranks."""
+        tools; no service thread per rank, no thread to spawn the ranks,
+        no receive thread per session."""
         hosts = [f"node{i}" for i in range(self.SIZE)]
         with ParadorScenario(execute_hosts=hosts) as scenario:
             self.submit_gang(scenario)
             with ledger.recording():
                 job, _sessions = self.submit_gang(scenario)
         started = [name for name in ledger.threads if name != "vclock-timers"]
-        assert len(started) <= 44, ", ".join(started)
+        assert len(started) <= 19, ", ".join(started)
         assert not [
             name for name in started
-            if name.startswith(("tdp-service-", "mpi-workers-"))
+            if name.startswith(("tdp-service-", "mpi-workers-") + RECEIVE_THREADS)
         ]
         ranks = sorted(n for n in started if n.startswith(f"mpi-rank-{job.job_id}-"))
         assert ranks == [f"mpi-rank-{job.job_id}-{r}" for r in range(1, self.SIZE)]

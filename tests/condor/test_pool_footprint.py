@@ -34,8 +34,6 @@ COUNTED = (
 )
 PER_JOB_THREADS = (
     "shadow-", "stdio-collect-", "stdio-relay-", "starter-", "paradynd-", "mpi-",
-    # the receive threads of the job's sessions end after their close
-    "attr-client-starter/", "attr-client-paradynd/",
 )
 
 

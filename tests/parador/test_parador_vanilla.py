@@ -126,6 +126,18 @@ class TestPerformanceConsultant:
         text = result.format()
         assert "CPUBound" in text and "bottleneck" in text
 
+    def test_a_kill_at_main_ends_the_job_and_the_window(self, interactive):
+        """The front end's kill reaches paradynd's channel sink on the
+        front end's thread; paradynd carries it out itself and leaves the
+        at-main window, so the tool too sees the exit."""
+        run = interactive.submit_monitored("foo", "8 0.1")
+        run.session.wait_state("at_main", timeout=30.0)
+        run.session.cmd_kill()
+        assert run.job.wait_terminal(timeout=30.0) is JobStatus.COMPLETED
+        assert run.job.exit_code == 143
+        assert run.session.wait_state("exited", timeout=30.0) == "exited"
+        assert run.session.exit_code == 143
+
 
 class TestUnmonitoredStillWorks:
     def test_plain_job_unaffected_by_parador(self, scenario):

@@ -5,6 +5,7 @@ backend-agnostic, so these tests are parametrized over the in-memory
 and real-TCP implementations.
 """
 
+import sys
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from repro.net.address import Endpoint
 from repro.net.topology import Network, flat_network
 from repro.transport.inmem import InMemoryTransport, _InMemChannel, loopback_transport
 from repro.transport.tcp import TcpTransport
+from repro.util.sync import Latch
 from tests.served import ServedListener
 
 
@@ -136,6 +138,41 @@ class TestCloseSemantics:
         listener.close()
 
 
+class TestDeliver:
+    """A dialled channel's push mode: every frame goes to the sink in send
+    order, those received before ``deliver`` first, then ``on_closed``
+    once, however the channel closed."""
+
+    def test_frames_in_order_then_one_close(self, transport):
+        client, server, listener = connect_pair(transport)
+        for i in range(3):
+            server.send({"i": i})
+        got, closes = [], []
+        closed: Latch[bool] = Latch()
+
+        def on_closed():
+            closes.append(len(got))
+            closed.open(True)
+
+        client.deliver(lambda m: got.append(m["i"]), on_closed, name="test-deliver")
+        for i in range(3, 6):
+            server.send({"i": i})
+        server.close()
+        assert closed.wait(timeout=5.0)
+        client.close()
+        assert got == list(range(6))
+        assert closes == [6]
+        listener.close()
+
+    def test_own_close_ends_delivery(self, transport):
+        client, _server, listener = connect_pair(transport)
+        closed: Latch[bool] = Latch()
+        client.deliver(lambda m: None, lambda: closed.open(True), name="test-deliver")
+        client.close()
+        assert closed.wait(timeout=5.0)
+        listener.close()
+
+
 class TestConnectFailures:
     def test_connect_to_nothing(self, transport):
         with pytest.raises(ConnectError):
@@ -186,6 +223,51 @@ class TestTcpSpecifics:
 
 
 class TestInMemorySpecifics:
+    def test_concurrent_senders_keep_order_and_the_close_comes_last(self):
+        """Four threads send on one end while a fifth closes the other,
+        which delivers: each frame is routed on its sender's thread, each
+        sender's frames in order, and ``on_closed`` once, after the last."""
+        a, b = _InMemChannel.pair("alpha", "beta")
+        got, closes = [], []
+        busy: Latch[bool] = Latch()
+
+        def sink(message):
+            got.append((message["t"], message["n"], threading.current_thread().name))
+            if len(got) == 400:
+                busy.open(True)
+
+        b.deliver(sink, lambda: closes.append(len(got)), name="unused")
+
+        def send(t):
+            for n in range(100_000):
+                try:
+                    a.send({"t": t, "n": n})
+                except ChannelClosedError:
+                    return
+
+        senders = [
+            threading.Thread(target=send, args=(t,), name=f"sender-{t}")
+            for t in range(4)
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in senders:
+                thread.start()
+            assert busy.wait(timeout=30.0)
+            closer = threading.Thread(target=b.close, name="closer")
+            closer.start()
+            for thread in [closer, *senders]:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert closes == [len(got)]
+        for t in range(4):
+            mine = [(n, name) for tt, n, name in got if tt == t]
+            assert [n for n, _name in mine] == list(range(len(mine)))
+            assert {name for _n, name in mine} <= {f"sender-{t}"}
+
     def test_firewall_blocks_connect(self):
         net = Network()
         net.add_zone("campus")
