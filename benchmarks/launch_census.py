@@ -1,12 +1,15 @@
-"""SENDER — what one warm launch costs in threads, hand-offs and memory.
+"""SENDER, COPY — what one warm launch costs in threads, hand-offs, codec
+and memory.
 
 Builds a tdpbench launch workload in this process, runs its warm-up, then
 counts over ``N`` measured launches: the attribute-space frames routed per
 launch and on which kind of thread (an ``attr-client-*`` receive thread,
-or the sender's own), thread starts by name, voluntary and involuntary
-context switches, process CPU, the peak of live threads and the process's
-peak RSS, and at the end a breakdown of resident memory by mapping kind
-(Linux ``/proc/self/smaps``).
+or the sender's own), the in-memory channels' messages by codec path
+(flat copy, JSON pass, pre-encoded decode, or a checkout's framed round
+trip through bytes) with the thread CPU spent in them, thread starts by
+name, voluntary and involuntary context switches, process CPU, the peak
+of live threads and the process's peak RSS, and at the end a breakdown of
+resident memory by mapping kind (Linux ``/proc/self/smaps``).
 
     taskset -c 0 python benchmarks/launch_census.py [CHECKOUT] [WORKLOAD] [N]
 
@@ -53,6 +56,49 @@ def smaps_mb() -> dict:
     return {kind: (maps[kind], round(rss[kind] / 1024, 2)) for kind in sorted(rss)}
 
 
+def tap_inmem_codec(recording):
+    """Count what ``_InMemChannel.offer`` asks of the codec, by path, and
+    the thread CPU ns it spends there, while ``recording()`` is true.  A
+    checkout without ``framing.copy_frame`` frames every message: its
+    ``encode_frame`` then ``decode_frame`` is one framed round trip."""
+    from repro.transport import framing
+
+    paths, spent, framed = Counter(), [0], threading.local()
+
+    def tap(name, classify):
+        real = getattr(framing, name)
+
+        def tapped(*args):
+            if not recording() or sys._getframe(1).f_globals.get(
+                    "__name__") != "repro.transport.inmem":
+                return real(*args)
+            start = time.thread_time_ns()
+            result = real(*args)
+            spent[0] += time.thread_time_ns() - start
+            path = classify(result)
+            if path:
+                paths[path] += 1
+            return result
+
+        setattr(framing, name, tapped)
+
+    def encoded(_frame):
+        framed.pending = True
+
+    def decoded(_message):
+        if getattr(framed, "pending", False):
+            framed.pending = False
+            return "framed round trip"
+        return "pre-encoded decode"
+
+    if hasattr(framing, "copy_frame"):
+        tap("copy_frame", lambda r: "flat copy" if r[1] is None else "JSON pass")
+    else:
+        tap("encode_frame", encoded)
+    tap("decode_frame", decoded)
+    return paths, spent
+
+
 def main() -> None:
     checkout = os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else REPO
     workload = sys.argv[2] if len(sys.argv) > 2 else "mpi_gang8"
@@ -85,6 +131,7 @@ def main() -> None:
 
     _Session._route = counted_route
     threading.Thread.start = counted_start
+    paths, codec_ns = tap_inmem_codec(lambda: on)
     cls = workloads.WORKLOADS[workload]
     launch = cls(workloads.Inputs(1), False)
     launch.build()
@@ -101,6 +148,11 @@ def main() -> None:
     print(f"{workload}: {n} warm launches, p50 {latencies[n // 2]:.2f} ms")
     print("frames routed per launch:",
           {f"{k[1]} on {k[0]}": round(v / n, 1) for k, v in sorted(routes.items())})
+    frames = sum(paths.values())
+    print("in-memory messages per launch by codec path:",
+          {k: round(v / n, 1) for k, v in sorted(paths.items())},
+          f"codec CPU per launch {codec_ns[0] / n / 1e3:.0f} us"
+          f" ({codec_ns[0] / max(frames, 1) / 1e3:.2f} us per message)")
     print(f"thread starts per launch: {sum(starts.values()) / n:.2f}",
           {k: round(v / n, 2) for k, v in sorted(starts.items())})
     print(f"context switches per launch: voluntary "

@@ -20,9 +20,11 @@ invocation, and all stay silent when the protocol/client/server trio is
 not part of the linted set (fixture trees, partial lints).
 
 ``raw-wire-codec`` is the odd one out: a per-module rule confining
-``json.dumps``/``json.loads`` to the sanctioned codec module
-(``attrspace/protocol.py``) inside the wire-facing packages, so the
-roadmap's binary codec can later swap in behind a single seam.
+``json.dumps``/``json.loads`` and json's encoder and scanner
+(``JSONEncoder``, ``JSONDecoder``, ``json.encoder``, ``json.decoder``,
+``json.scanner``) to the sanctioned codec module
+(``attrspace/protocol.py``) inside the wire-facing packages, so a codec
+swaps in behind a single seam.
 """
 
 from __future__ import annotations
@@ -349,8 +351,9 @@ class RawWireCodecRule(Rule):
     name = "raw-wire-codec"
     description = (
         "encode/decode in wire-facing packages is confined to the "
-        "sanctioned codec sites: json.dumps/loads to attrspace/protocol, "
-        "struct packing to attrspace/bincodec + transport/framing"
+        "sanctioned codec sites: json.dumps/loads and json's encoder and "
+        "scanner to attrspace/protocol, struct packing to "
+        "attrspace/bincodec + transport/framing"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -379,6 +382,37 @@ class RawWireCodecRule(Rule):
                     module, node,
                     f"{offender} on the wire path: route through the "
                     f"codec in {CODEC_MODULE} instead",
+                )
+        yield from self._check_json_machinery(module)
+
+    #: json's own encoder and scanner, which only the codec may drive
+    _JSON_MACHINERY = ("JSONEncoder", "JSONDecoder", "encoder", "decoder", "scanner")
+
+    def _check_json_machinery(self, module: ModuleSource) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            offender: str | None = None
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in self._JSON_MACHINERY \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "json":
+                offender = f"json.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                if node.module.startswith("json."):
+                    offender = f"from {node.module} import"
+                elif node.module == "json":
+                    names = [a.name for a in node.names
+                             if a.name in self._JSON_MACHINERY]
+                    if names:
+                        offender = f"from json import {', '.join(names)}"
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name.startswith("json.")]
+                if names:
+                    offender = f"import {', '.join(names)}"
+            if offender is not None:
+                yield self.finding(
+                    module, node,
+                    f"{offender} on the wire path: json's encoder and "
+                    f"scanner belong to the codec in {CODEC_MODULE}",
                 )
 
     _STRUCT_CALLS = ("pack", "unpack", "pack_into", "unpack_from", "Struct")

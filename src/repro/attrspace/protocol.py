@@ -8,17 +8,21 @@ subscriptions.  Errors travel as ``{"ok": false, "error_type": ...,
 from :mod:`repro.errors`.
 
 This module is also the **sanctioned wire codec**: the only place that
-may call ``json.dumps``/``json.loads`` on protocol data (enforced by the
-``raw-wire-codec`` lint rule).  The transport framing layer delegates
-its body serialization here, so the roadmap's binary codec can later
-swap in behind :func:`encode_body`/:func:`decode_body` without touching
-any other module.  The inferred per-op field schema lives in the
-committed ``protocol.lock.json`` (see ``python -m repro protocol``).
+may touch ``json`` (``dumps``/``loads``, its encoder and its scanner) on
+protocol data (enforced by the ``raw-wire-codec`` lint rule).  The
+transport framing layer delegates its body serialization here, so a
+codec swaps in behind :func:`encode_body`/:func:`decode_body` without
+touching any other module.  The in-memory transport sends no bytes: it
+delivers :func:`copy_body`'s copy, which is what the JSON round trip
+would return, made in one C-level pass (or a dict copy for a flat
+message) with the same refusals.  The inferred per-op field schema lives
+in the committed ``protocol.lock.json`` (see ``python -m repro protocol``).
 """
 
 from __future__ import annotations
 
 import json
+import json.encoder
 from typing import Any
 
 from repro import errors, obs
@@ -167,6 +171,28 @@ def negotiate_codec(offered: Any) -> str:
     return CODEC_JSON
 
 
+# The JSON codec is json's own C encoder and scanner with the settings of
+# ``json.dumps(m, separators=(",", ":"))``: ASCII-only text (so its length
+# is the body's byte count), NaN and infinities allowed, and
+# ``JSONEncoder.default``'s error text.  An encoder is built per call
+# because its ``markers`` dict (the circular-reference check) is state
+# that a failed encode leaves behind.  The decoder's scanner is
+# ``json.scanner.c_make_scanner``'s and clears its own state after every
+# call, which is how ``json.loads`` shares one across threads too.
+_json_default = json.JSONEncoder().default
+_json_escape = json.encoder.encode_basestring_ascii
+_json_decoder = json.JSONDecoder()
+_json_scan = _json_decoder.scan_once
+
+
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, separators=(",", ":"))`` in one C-level pass;
+    raises what it raises (TypeError, ValueError)."""
+    return "".join(json.encoder.c_make_encoder(
+        {}, _json_default, _json_escape, None, ":", ",", False, False, True,
+    )(obj, 0))
+
+
 def encode_body(message: dict[str, Any], codec: str = CODEC_JSON) -> bytes:
     """Serialize one frame body to bytes (no transport length prefix)."""
     if codec == CODEC_BINARY:
@@ -174,9 +200,71 @@ def encode_body(message: dict[str, Any], codec: str = CODEC_JSON) -> bytes:
     if codec != CODEC_JSON:
         raise errors.ProtocolError(f"unknown wire codec {codec!r}")
     try:
-        return json.dumps(message, separators=(",", ":")).encode("utf-8")
+        return _json_text(message).encode("utf-8")
     except (TypeError, ValueError) as e:
         raise errors.ProtocolError(f"unserializable message: {e}") from e
+
+
+#: A flat message's value types besides ``str`` and ``int``: each one's
+#: JSON text reads back as an equal value of the same type.
+_FLAT_SCALARS = frozenset({bool, float, type(None)})
+#: A flat ``int`` lies within this bound, far inside the 4 300-digit
+#: limit on integer strings, so its text is at most 20 characters.
+_FLAT_INT_BOUND = 1 << 63
+#: JSON characters per field besides its strings' contents: two pairs
+#: of quotes, the colon and the comma, and a scalar's text (a float's
+#: ``repr`` is at most 24 characters); an ASCII character escapes to at
+#: most 6 (``\u001f``).
+_FLAT_FIELD_CHARS = 30
+_FLAT_CHAR_CHARS = 6
+
+
+def copy_body(
+    message: dict[str, Any], limit: int, sized: bool = False
+) -> tuple[dict[str, Any], int | None]:
+    """What ``decode_body(encode_body(message))`` returns, made without
+    the bytes, and the length of those bytes.
+
+    Refuses what :func:`encode_body` refuses, with the same
+    :class:`~repro.errors.ProtocolError`, and a body over ``limit`` bytes.
+    A *flat* message (exactly a ``dict`` of ASCII ``str`` keys to ASCII
+    ``str``, ``bool``, ``None``, ``float`` or ``int`` values within
+    ±2⁶³, provably under ``limit``) is its own round trip: it comes back
+    as ``dict(message)``, with the length ``None`` unless ``sized``.
+    Anything else takes one C-level JSON pass: encode to text, scan it
+    back.
+    """
+    if not sized and type(message) is dict:
+        chars = 0
+        for key, value in message.items():
+            if type(key) is not str or not key.isascii():
+                break
+            kind = type(value)
+            if kind is str:
+                if not value.isascii():
+                    break
+                chars += len(value)
+            elif kind is int:
+                if not -_FLAT_INT_BOUND <= value <= _FLAT_INT_BOUND:
+                    break
+            elif kind not in _FLAT_SCALARS:
+                break
+            chars += len(key)
+        else:
+            if (_FLAT_CHAR_CHARS * chars + _FLAT_FIELD_CHARS * len(message)
+                    + 2 <= limit):
+                return dict(message), None
+    if not isinstance(message, dict):
+        raise errors.ProtocolError(
+            f"message must be a dict, got {type(message).__name__}"
+        )
+    try:
+        text = _json_text(message)
+    except (TypeError, ValueError) as e:
+        raise errors.ProtocolError(f"unserializable message: {e}") from e
+    if len(text) > limit:
+        raise errors.ProtocolError(f"frame too large: {len(text)} bytes")
+    return _json_scan(text, 0)[0], len(text)
 
 
 def encode_field(key: str, value: Any, codec: str = CODEC_JSON) -> bytes:
@@ -186,7 +274,7 @@ def encode_field(key: str, value: Any, codec: str = CODEC_JSON) -> bytes:
     if codec == CODEC_BINARY:
         return bincodec.encode_field(key, value)
     try:
-        return (json.dumps({key: value}, separators=(",", ":"))[1:-1] + ",").encode("utf-8")
+        return (_json_text({key: value})[1:-1] + ",").encode("utf-8")
     except (TypeError, ValueError) as e:
         raise errors.ProtocolError(f"unserializable field {key!r}: {e}") from e
 
@@ -198,7 +286,7 @@ def op_header_size(body: bytes, op: str, codec: str = CODEC_JSON) -> int:
     field count already counts the field that follows it."""
     if codec == CODEC_BINARY:
         return bincodec.op_header_size(body)
-    header = ('{"op":' + json.dumps(op) + ",").encode("utf-8")
+    header = ('{"op":' + _json_text(op) + ",").encode("utf-8")
     if not body.startswith(header):
         raise errors.ProtocolError(f"JSON body does not open with op {op!r}")
     return len(header)
@@ -218,7 +306,7 @@ def decode_body(data: bytes, binary: bool = False) -> dict[str, Any]:
         except errors.ProtocolError as e:
             raise frame_error(str(e)) from e
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = _json_decoder.decode(data.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as e:
         raise frame_error(f"malformed frame body: {e}") from e
     if not isinstance(obj, dict):

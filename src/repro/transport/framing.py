@@ -10,10 +10,11 @@ can be replayed on the other:
 * The body must decode to an object (mapping), mirroring the
   :data:`~repro.transport.base.Message` type.
 
-The in-memory transport also round-trips every message through this
-codec.  That costs a little copying but guarantees that anything that
-works on the simulated network is actually serializable — a class of bug
-that otherwise only shows up when switching to real sockets.
+The in-memory transport sends no frame for a message: it delivers
+:func:`copy_frame`'s copy, which is what :func:`decode_frame` of
+:func:`encode_frame` returns, refused where that would be.  So anything
+that works on the simulated network is actually serializable — a class
+of bug that otherwise only shows up when switching to real sockets.
 
 Body serialization is delegated to the sanctioned codec in
 ``repro.attrspace.protocol`` (imported lazily — the attrspace package
@@ -137,8 +138,20 @@ def decode_frame(frame: bytes) -> dict[str, Any]:
 
 
 def roundtrip(message: dict[str, Any]) -> dict[str, Any]:
-    """Encode+decode a message (serializability check for in-mem channels)."""
+    """Encode+decode a message through the bytes: what
+    :func:`copy_frame` makes without them."""
     return decode_frame(encode_frame(message))
+
+
+def copy_frame(
+    message: dict[str, Any], sized: bool = False
+) -> tuple[dict[str, Any], int | None]:
+    """What ``decode_frame(encode_frame(message))`` returns, with the same
+    refusals, and that frame's length — ``None`` when a flat message
+    was copied without encoding it and ``sized`` was not asked for (see
+    ``protocol.copy_body``)."""
+    copy, size = _body_codec().copy_body(message, MAX_FRAME_BYTES, sized)
+    return copy, None if size is None else _LEN.size + size
 
 
 class FrameReader:

@@ -1,9 +1,10 @@
 """In-memory transport over the simulated network.
 
 Channels are queue pairs; ``connect`` consults the
-:class:`~repro.net.topology.Network` firewall rules.  Every message
-round-trips through the JSON frame codec to guarantee
-wire-serializability (see :mod:`repro.transport.framing`).
+:class:`~repro.net.topology.Network` firewall rules.  A message crosses
+as the copy the JSON frame codec's round trip would give
+(:func:`~repro.transport.framing.copy_frame`), which refuses what is not
+wire-serializable; a pre-encoded frame is decoded.
 
 Under ``serve_loop`` the listener-side ends are push-mode: their inbound
 traffic lands on one shared ready-queue drained by one dispatcher
@@ -77,13 +78,18 @@ class _InMemChannel(Channel):
 
     def offer(self, message: Message | bytes, maxsize: int | None) -> bool:
         """``send`` unless the peer has ``maxsize`` frames unread."""
-        # Encode, which enforces serializability, unless the sender did.
-        frame = message if type(message) is bytes else framing.encode_frame(message)
-        if obs.enabled():
+        # Copy as the wire would, which enforces serializability, or
+        # decode what the sender encoded.
+        observed = obs.enabled()
+        if type(message) is bytes:
+            size = len(message)
+            message = framing.decode_frame(message)
+        else:
+            message, size = framing.copy_frame(message, observed)
+        if observed:
             reg = obs.registry()
             reg.counter("transport.inmem.frames").increment()
-            reg.counter("transport.inmem.bytes").increment(len(frame))
-        message = framing.decode_frame(frame)
+            reg.counter("transport.inmem.bytes").increment(size)
         with self._lock:
             if self._closed:
                 raise ChannelClosedError(f"send on closed channel {self._local}->{self._remote}")
@@ -184,7 +190,8 @@ class _InMemChannel(Channel):
 
     @property
     def codec(self) -> str:
-        """Every in-memory frame is JSON."""
+        """JSON: a message arrives as JSON's round trip would leave it,
+        and a pre-encoded frame for this end is a JSON one."""
         return framing.json_codec()
 
     @property

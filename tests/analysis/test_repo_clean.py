@@ -560,6 +560,48 @@ def test_handoffs_block_in_c():
     assert not found, "\n".join(found)
 
 
+def test_inmem_frames_are_copied_not_framed():
+    """An in-memory dict message is copied as its round trip would leave
+    it (``framing.copy_frame``), not encoded to a frame and parsed back:
+    ``_InMemChannel.offer`` calls no ``encode_frame`` or ``roundtrip``,
+    and ``decode_frame`` only in the branch that takes a pre-encoded
+    ``bytes`` frame."""
+    import ast
+
+    tree = ast.parse((SRC / "transport" / "inmem.py").read_text())
+    (offer,) = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "_InMemChannel"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "offer"
+    ]
+
+    def calls(node):
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                yield name, call
+
+    on_bytes = {
+        id(call)
+        for branch in ast.walk(offer)
+        if isinstance(branch, ast.If) and "bytes" in ast.unparse(branch.test)
+        for stmt in branch.body
+        for _name, call in calls(stmt)
+    }
+    names = [name for name, _call in calls(offer)]
+    framed = [
+        f"{offer.lineno}+: {ast.unparse(call)}"
+        for name, call in calls(offer)
+        if name in ("encode_frame", "roundtrip")
+        or (name == "decode_frame" and id(call) not in on_bytes)
+    ]
+    assert not framed, "\n".join(framed)
+    assert "copy_frame" in names and "decode_frame" in names
+
+
 #: Ceiling on the test suite's sleeps and polls, which load can outrun.
 #: Only falls: a change that replaces polls with event waits lowers it.
 TEST_POLL_CEILING = 179

@@ -345,6 +345,53 @@ def test_from_import_alias_fires(tmp_path):
     assert "jloads" in findings[0].message
 
 
+def test_json_encoder_and_scanner_outside_codec_fire(tmp_path):
+    mod = parse(
+        tmp_path, "inmem",
+        """
+        import json
+        import json.scanner
+        from json import JSONDecoder
+        from json.encoder import c_make_encoder
+
+        _scan = json.scanner.c_make_scanner(JSONDecoder())
+
+        def copy(message):
+            encode = c_make_encoder({}, json.JSONEncoder().default,
+                                    json.encoder.encode_basestring_ascii,
+                                    None, ":", ",", False, False, True)
+            return _scan("".join(encode(message, 0)), 0)[0]
+        """,
+        modname="repro.transport.inmem",
+    )
+    findings = lint_codec([mod])
+    offenders = sorted(f.message.split(" on the wire path")[0] for f in findings)
+    assert offenders == [
+        "from json import JSONDecoder",
+        "from json.encoder import",
+        "import json.scanner",
+        "json.JSONEncoder",
+        "json.encoder",
+        "json.scanner",
+    ]
+    assert all("repro.attrspace.protocol" in f.message for f in findings)
+
+
+def test_json_machinery_in_codec_module_is_exempt(tmp_path):
+    mod = parse(
+        tmp_path, "protocol",
+        """
+        import json
+        import json.encoder
+
+        _scan = json.JSONDecoder().scan_once
+        _escape = json.encoder.encode_basestring_ascii
+        """,
+        modname="repro.attrspace.protocol",
+    )
+    assert lint_codec([mod]) == []
+
+
 def test_codec_module_is_exempt(tmp_path):
     mod = parse(
         tmp_path, "protocol",

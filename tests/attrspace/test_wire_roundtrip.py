@@ -80,15 +80,25 @@ class FrameLog:
 
 @pytest.fixture
 def capture(monkeypatch):
+    """Record every frame at the codec's two seams: ``encode_body`` (the
+    bytes of TCP frames and of shared notify bodies) and ``copy_body``
+    (an in-memory message, copied as its round trip would leave it)."""
     log = FrameLog()
     original = protocol.encode_body
+    original_copy = protocol.copy_body
 
     def recording_encode(message):
         data = original(message)
         log.frames.append(json.loads(data))
         return data
 
+    def recording_copy(message, *args):
+        copied = original_copy(message, *args)
+        log.frames.append(json.loads(original(message)))
+        return copied
+
     monkeypatch.setattr(protocol, "encode_body", recording_encode)
+    monkeypatch.setattr(protocol, "copy_body", recording_copy)
     return log
 
 

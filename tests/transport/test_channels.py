@@ -290,19 +290,21 @@ class TestInMemorySpecifics:
         server.close()
 
     def test_a_send_encodes_its_frame_once_with_obs_on(self, monkeypatch):
-        """The frame counted for ``transport.inmem.bytes`` is the frame
-        the serializability check decodes: one encode per send."""
+        """The frame counted for ``transport.inmem.bytes`` is the JSON
+        text the copy scans back: one encode per send, the length of the
+        frame ``encode_frame`` would build."""
         from repro import obs
+        from repro.attrspace import protocol
         from repro.transport import framing
 
         encodes = []
-        encode_frame = framing.encode_frame
+        json_text = protocol._json_text
 
-        def counted(message, codec=None):
+        def counted(message):
             encodes.append(message)
-            return encode_frame(message, codec)
+            return json_text(message)
 
-        monkeypatch.setattr(framing, "encode_frame", counted)
+        monkeypatch.setattr(protocol, "_json_text", counted)
         was = obs.enabled()
         obs.set_enabled(True)
         obs.reset()
@@ -312,7 +314,7 @@ class TestInMemorySpecifics:
             assert server.recv(timeout=1.0) == {"n": 1}
             assert len(encodes) == 1
             bytes_sent = obs.registry().counter("transport.inmem.bytes").value
-            assert bytes_sent == len(encode_frame({"n": 1}))
+            assert bytes_sent == len(framing.encode_frame({"n": 1}))
         finally:
             client.close()
             server.close()
