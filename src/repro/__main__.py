@@ -9,9 +9,8 @@ writing code:
   bottleneck workload;
 * ``info`` — version, registered executables, standard attributes;
 * ``lint`` — AST linter for TDP invariants (``lint --list-rules``);
-* ``protocol dump|check`` — regenerate / verify the committed wire
-  schema lock file (``protocol.lock.json``);
-* ``guards dump|check`` — regenerate / verify the committed guarded-by
+* ``manifests dump|check`` — regenerate / verify the committed lock
+  files: the wire schema (``protocol.lock.json``) and the guarded-by
   manifest (``guards.lock.json``);
 * ``obs dump`` — print the flight recorder + metrics, export traces
   (``TDP_OBS=1`` enables recording; ``--run-pilot`` generates a run).
@@ -107,97 +106,46 @@ def cmd_consultant(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
+def _manifests():
+    """The committed lock files: (file name, inference, lock payload,
+    the payload's table to count in the summary)."""
+    from repro.analysis import guards, wireschema
 
-    return lint_main(args.lint_args)
-
-
-def _default_lock_path():
-    """``protocol.lock.json`` at the repo root (two levels above ``repro``)."""
-    from pathlib import Path
-
-    from repro.analysis import wireschema
-
-    src_root = Path(__file__).resolve().parents[1]
-    return src_root.parent / wireschema.LOCK_FILENAME
-
-
-def cmd_protocol(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import wireschema
-
-    lock_path = Path(args.lock) if args.lock else _default_lock_path()
-    schema = wireschema.infer_from_tree()
-    current = wireschema.to_lock(schema)
-    if args.protocol_command == "dump":
-        lock_path.write_text(wireschema.render_lock(current), encoding="utf-8")
-        print(f"wrote {lock_path} ({len(schema.ops)} ops, "
-              f"{len(schema.sub_ops)} batch sub-ops)")
-        return 0
-    # check
-    if not lock_path.exists():
-        print(f"missing lock file: {lock_path} "
-              "(run `python -m repro protocol dump`)", file=sys.stderr)
-        return 1
-    committed = wireschema.load_lock(lock_path)
-    drift = wireschema.lock_drift(committed, current)
-    if drift:
-        print(f"wire schema drift against {lock_path}:", file=sys.stderr)
-        for line in drift:
-            print(f"  {line}", file=sys.stderr)
-        print("run `python -m repro protocol dump` and review the diff",
-              file=sys.stderr)
-        return 1
-    print(f"{lock_path} matches the source tree "
-          f"({len(schema.ops)} ops, {len(schema.sub_ops)} batch sub-ops)")
-    return 0
-
-
-def _guards_lock_path():
-    """``guards.lock.json`` at the repo root (two levels above ``repro``)."""
-    from pathlib import Path
-
-    from repro.analysis import guards
-
-    src_root = Path(__file__).resolve().parents[1]
-    return src_root.parent / guards.LOCK_FILENAME
-
-
-def cmd_guards(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import guards
-
-    lock_path = Path(args.lock) if args.lock else _guards_lock_path()
-    report = guards.infer_from_tree()
-    current = guards.to_lock(report)
-    witnessed = sum(1 for f in current["fields"].values() if f["witness"])
-    summary = (
-        f"{len(current['fields'])} guarded fields, {witnessed} witnessed, "
-        f"{len(current['waivers'])} waivers"
+    return (
+        (wireschema.LOCK_FILENAME, wireschema.infer_from_tree,
+         wireschema.to_lock, "ops"),
+        (guards.LOCK_FILENAME, guards.infer_from_tree, guards.to_lock, "fields"),
     )
-    if args.guards_command == "dump":
-        lock_path.write_text(guards.render_lock(current), encoding="utf-8")
-        print(f"wrote {lock_path} ({summary})")
-        return 0
-    # check
-    if not lock_path.exists():
-        print(f"missing lock file: {lock_path} "
-              "(run `python -m repro guards dump`)", file=sys.stderr)
-        return 1
-    committed = guards.load_lock(lock_path)
-    drift = guards.lock_drift(committed, current)
-    if drift:
-        print(f"guard manifest drift against {lock_path}:", file=sys.stderr)
-        for line in drift:
-            print(f"  {line}", file=sys.stderr)
-        print("run `python -m repro guards dump` and review the diff",
+
+
+def cmd_manifests(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.analysis.core import load_lock, lock_drift, render_lock
+
+    root = Path(args.root) if args.root else Path(__file__).resolve().parents[2]
+    failed = False
+    for filename, infer, to_lock, counted in _manifests():
+        path = root / filename
+        current = to_lock(infer())
+        summary = f"{len(current[counted])} {counted}"
+        if args.manifests_command == "dump":
+            path.write_text(render_lock(current), encoding="utf-8")
+            print(f"wrote {path} ({summary})")
+        elif not path.exists():
+            print(f"missing lock file: {path}", file=sys.stderr)
+            failed = True
+        elif drift := lock_drift(load_lock(path), current):
+            print(f"drift against {path}:", file=sys.stderr)
+            for line in drift:
+                print(f"  {line}", file=sys.stderr)
+            failed = True
+        else:
+            print(f"{path} matches the source tree ({summary})")
+    if failed:
+        print("run `python -m repro manifests dump` and review the diff",
               file=sys.stderr)
-        return 1
-    print(f"{lock_path} matches the source tree ({summary})")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_obs_dump(args: argparse.Namespace) -> int:
@@ -263,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="TDP (SC 2003) reproduction — exploration commands",
+        epilog="lint [PATH ...]: the TDP invariant linter (see `lint --help`)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("quickstart", help="run the monitored-job pilot").set_defaults(
@@ -291,37 +240,19 @@ def main(argv: list[str] | None = None) -> int:
     dump.add_argument("--run-pilot", action="store_true",
                       help="run the monitored-job pilot first, obs enabled")
     dump.set_defaults(func=cmd_obs_dump)
-    proto = sub.add_parser(
-        "protocol", help="wire schema lock file: regenerate or verify"
+    manifests = sub.add_parser(
+        "manifests",
+        help="protocol.lock.json and guards.lock.json: regenerate or verify",
     )
-    proto_sub = proto.add_subparsers(dest="protocol_command", required=True)
-    for name, help_text in (
-        ("dump", "re-infer the wire schema and rewrite protocol.lock.json"),
-        ("check", "verify protocol.lock.json matches the source tree"),
-    ):
-        p = proto_sub.add_parser(name, help=help_text)
-        p.add_argument("--lock", metavar="PATH",
-                       help="lock file location (default: repo root)")
-        p.set_defaults(func=cmd_protocol)
-    guards_parser = sub.add_parser(
-        "guards", help="guarded-by manifest: regenerate or verify"
+    manifests.add_argument(
+        "manifests_command", choices=("dump", "check"),
+        help="dump: re-infer both and rewrite them; check: verify both "
+        "match the source tree",
     )
-    guards_sub = guards_parser.add_subparsers(dest="guards_command", required=True)
-    for name, help_text in (
-        ("dump", "re-infer field guards and rewrite guards.lock.json"),
-        ("check", "verify guards.lock.json matches the source tree"),
-    ):
-        p = guards_sub.add_parser(name, help=help_text)
-        p.add_argument("--lock", metavar="PATH",
-                       help="lock file location (default: repo root)")
-        p.set_defaults(func=cmd_guards)
-    lint = sub.add_parser(
-        "lint",
-        help="run the TDP invariant linter (see `lint --help`)",
-        add_help=False,
-    )
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    lint.set_defaults(func=cmd_lint)
+    manifests.add_argument("--root", metavar="DIR",
+                           help="directory holding both files "
+                           "(default: the repo root)")
+    manifests.set_defaults(func=cmd_manifests)
     args = parser.parse_args(argv)
     return args.func(args)
 

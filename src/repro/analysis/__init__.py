@@ -12,13 +12,14 @@ The wire contract gets the same treatment: :mod:`.wireschema` infers the
 full per-op frame schema from both sides of the protocol (client
 encoders, server handlers, batch sub-op application, notify delivery),
 the rules in :mod:`.rules.wire` check the two views for symmetry, and
-``python -m repro protocol dump|check`` pins the result as the committed
-``protocol.lock.json``.
+``python -m repro manifests dump|check`` pins the result as the committed
+``protocol.lock.json``, beside the guarded-by manifest ``guards.lock.json``.
 
 Usage::
 
     python -m repro lint src/repro            # text report, exit 1 on findings
-    python -m repro lint --format json src    # machine-readable report
+    python -m repro lint --list-rules         # the registered rules
+    python -m repro manifests check           # both lock files match the tree
 
 or programmatically::
 
@@ -41,7 +42,7 @@ from repro.analysis.core import (
     all_rules,
     get_rule,
 )
-from repro.analysis.engine import lint_modules, lint_paths, lint_source
+from repro.analysis.engine import lint_modules, lint_paths
 
 __all__ = [
     "Finding",
@@ -52,5 +53,4 @@ __all__ = [
     "get_rule",
     "lint_modules",
     "lint_paths",
-    "lint_source",
 ]

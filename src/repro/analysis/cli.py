@@ -6,13 +6,11 @@ Exit status: 0 when clean, 1 when findings exist, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.core import all_rules, get_rule
+from repro.analysis.core import Finding, all_rules, get_rule
 from repro.analysis.engine import lint_paths
-from repro.analysis.report import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,73 +24,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--rules", metavar="NAME[,NAME...]", nargs="?", const=_LIST_SENTINEL,
-        help="run only the named rules (comma-separated); with no value, "
-        "list the registered rules and exit",
+        "--rules", metavar="NAME[,NAME...]",
+        help="run only the named rules (comma-separated)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="scope file-level rules to files git reports as changed "
-        "(diff against HEAD, plus untracked); whole-program rules still "
-        "analyze every file under the given paths",
-    )
     return parser
 
 
-#: value of ``--rules`` when given bare (no rule names): list and exit 0
-_LIST_SENTINEL = "\0list"
-
-
-def _print_rules() -> int:
-    for rule in all_rules():
-        print(f"{rule.name:26s} {rule.description}")
-    return 0
-
-
-def _git_changed_files() -> set[str] | None:
-    """Resolved paths of .py files git reports as changed, or None when
-    not inside a git work tree.
-
-    Changed = different from HEAD (staged or not) plus untracked: the
-    union a reviewer would call "what this checkout touches".
-    """
-
-    def run(*argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            ["git", *argv], capture_output=True, text=True
-        )
-
-    top = run("rev-parse", "--show-toplevel")
-    if top.returncode != 0:
-        return None
-    root = Path(top.stdout.strip())
-    listed = run("diff", "--name-only", "HEAD", "--", "*.py")
-    untracked = run(
-        "ls-files", "--others", "--exclude-standard", "--", "*.py"
-    )
-    out: set[str] = set()
-    for proc in (listed, untracked):
-        if proc.returncode != 0:
-            continue
-        for rel in proc.stdout.splitlines():
-            if rel.strip():
-                out.add(str((root / rel.strip()).resolve()))
-    return out
+def render_text(findings: list[Finding]) -> str:
+    """GCC-style one-line-per-finding report plus a summary tail."""
+    lines = [f.format() for f in findings]
+    if findings:
+        by_rule: dict[str, int] = {}
+        for f in findings:
+            by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
+        breakdown = ", ".join(f"{n} {rule}" for rule, n in sorted(by_rule.items()))
+        lines.append("")
+        lines.append(f"{len(findings)} finding(s): {breakdown}")
+    else:
+        lines.append("0 findings")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.list_rules or args.rules == _LIST_SENTINEL:
-        return _print_rules()
+    if args.list_rules:
+        for rule in all_rules():
+            print(f"{rule.name:26s} {rule.description}")
+        return 0
 
     rules = None
     if args.rules:
@@ -109,18 +72,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: no such file or directory: {p}", file=sys.stderr)
         return 2
 
-    scope = None
-    if args.changed:
-        scope = _git_changed_files()
-        if scope is None:
-            print("error: --changed requires a git work tree", file=sys.stderr)
-            return 2
-
-    findings = lint_paths(args.paths, rules=rules, scope=scope)
-    if args.format == "json":
-        print(render_json(findings))
-    else:
-        print(render_text(findings))
+    findings = lint_paths(args.paths, rules=rules)
+    print(render_text(findings))
     return 1 if findings else 0
 
 

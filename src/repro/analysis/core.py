@@ -13,7 +13,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -28,15 +28,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
 
 @dataclass
@@ -192,11 +183,6 @@ def all_rules() -> list[Rule | ProgramRule]:
     return [merged[name] for name in sorted(merged)]
 
 
-def all_program_rules() -> list[ProgramRule]:
-    _ensure_rules_loaded()
-    return [_PROGRAM_REGISTRY[name] for name in sorted(_PROGRAM_REGISTRY)]
-
-
 def get_rule(name: str) -> Rule | ProgramRule:
     _ensure_rules_loaded()
     if name in _REGISTRY:
@@ -240,7 +226,34 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-WalkFilter = Callable[[ast.AST], bool]
+def import_origins(tree: ast.AST) -> dict[str, str]:
+    """Each local name an absolute import binds, mapped to the dotted
+    name it stands for: ``import a.b`` binds ``a`` -> ``a``, ``import
+    a.b as c`` binds ``c`` -> ``a.b``, ``from a import b as c`` binds
+    ``c`` -> ``a.b``."""
+    origins: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    origins[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    origins[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return origins
+
+
+def resolve_name(node: ast.AST, origins: dict[str, str]) -> str | None:
+    """A Name/Attribute chain's dotted origin through ``origins`` (see
+    :func:`import_origins`); a head no import binds stays as written."""
+    name = dotted_name(node)
+    if name is None:
+        return None
+    head, dot, rest = name.partition(".")
+    return origins.get(head, head) + dot + rest
 
 
 # ---------------------------------------------------------------------------

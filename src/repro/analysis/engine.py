@@ -10,7 +10,6 @@ from repro.analysis.core import (
     ModuleSource,
     ProgramRule,
     Rule,
-    all_program_rules,
     all_rules,
 )
 from repro.analysis.suppress import SuppressionIndex
@@ -42,61 +41,20 @@ def discover_files(paths: Iterable[str | Path]) -> list[Path]:
     return out
 
 
-def _split_rules(
-    rules: Sequence[Rule | ProgramRule] | None,
-) -> tuple[list[Rule], list[ProgramRule]]:
-    """Partition a mixed selection into (per-module, program) rules.
-
-    ``None`` means the full registered battery of both kinds.
-    """
-    if rules is None:
-        per_module = [r for r in all_rules() if isinstance(r, Rule)]
-        return per_module, all_program_rules()
-    per_module = [r for r in rules if isinstance(r, Rule)]
-    program = [r for r in rules if isinstance(r, ProgramRule)]
-    return per_module, program
-
-
-def lint_source(
-    module: ModuleSource, rules: Sequence[Rule | ProgramRule] | None = None
-) -> list[Finding]:
-    """Run per-module rules over one parsed module, honoring suppressions.
-
-    Program rules in ``rules`` are ignored here — a single module is not
-    a program; use :func:`lint_modules` to run them.
-    """
-    active, _ = _split_rules(rules)
-    index = SuppressionIndex.parse(module.text)
-    findings: list[Finding] = []
-    for rule in active:
-        for finding in rule.check(module):
-            if not index.is_suppressed(finding.rule, finding.line):
-                findings.append(finding)
-    return sorted(findings)
-
-
 def lint_modules(
     modules: Sequence[ModuleSource],
     rules: Sequence[Rule | ProgramRule] | None = None,
-    *,
-    scope: set[str] | None = None,
 ) -> list[Finding]:
     """Run the full battery — per-module then whole-program — over a
-    parsed module set, honoring suppressions in every file.
-
-    ``scope`` (resolved path strings) restricts the *per-module* rules
-    to the named files — the ``lint --changed`` mode.  Whole-program
-    rules always see the full module set: a lock graph or guard
-    inference built from a file subset would be wrong, not just
-    incomplete.
-    """
-    per_module, program = _split_rules(rules)
+    parsed module set, honoring suppressions in every file."""
+    if rules is None:
+        rules = all_rules()
+    per_module = [r for r in rules if isinstance(r, Rule)]
+    program = [r for r in rules if isinstance(r, ProgramRule)]
     findings: list[Finding] = []
     indexes: dict[str, SuppressionIndex] = {}
     for module in modules:
         indexes[module.path] = SuppressionIndex.parse(module.text)
-        if scope is not None and str(Path(module.path).resolve()) not in scope:
-            continue
         for rule in per_module:
             for finding in rule.check(module):
                 if not indexes[module.path].is_suppressed(finding.rule, finding.line):
@@ -114,15 +72,13 @@ def lint_paths(
     paths: Iterable[str | Path],
     *,
     rules: Sequence[Rule | ProgramRule] | None = None,
-    scope: set[str] | None = None,
 ) -> list[Finding]:
     """Lint every .py file reachable from ``paths``; returns all findings.
 
     Unparseable files surface as a synthetic ``parse-error`` finding
     rather than an exception — a syntax error must fail the lint gate,
     not crash it.  Parsed modules additionally feed the whole-program
-    passes (lock-order graph, protocol exhaustiveness).  ``scope``
-    restricts per-module rules as in :func:`lint_modules`.
+    passes (lock-order graph, protocol exhaustiveness).
     """
     findings: list[Finding] = []
     modules: list[ModuleSource] = []
@@ -139,5 +95,5 @@ def lint_paths(
                     message=f"could not parse: {e}",
                 )
             )
-    findings.extend(lint_modules(modules, rules, scope=scope))
+    findings.extend(lint_modules(modules, rules))
     return sorted(findings)

@@ -136,12 +136,6 @@ WAIVERS: dict[str, str] = {
     ),
 }
 
-#: Fields carrying a lock guard in the manifest that the runtime witness
-#: deliberately does not wrap, with the justification (e.g. hot-path
-#: fields whose descriptor overhead would distort sanitizer runs, or
-#: fields with sanctioned lock-free fast-path reads).
-WITNESS_EXEMPT: dict[str, str] = {}
-
 
 # ---------------------------------------------------------------------------
 # Result model
@@ -757,14 +751,12 @@ def to_lock(report: GuardReport) -> dict:
                 and not fg.waived
                 and fg.guard in report.tracked_lock_keys
                 and fg.owner not in report.slotted_owners
-                and key not in WITNESS_EXEMPT
             ),
         }
     return {
         "schema_version": LOCK_SCHEMA_VERSION,
         "fields": fields,
         "waivers": dict(sorted(WAIVERS.items())),
-        "witness_exempt": dict(sorted(WITNESS_EXEMPT.items())),
     }
 
 

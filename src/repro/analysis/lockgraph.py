@@ -229,68 +229,6 @@ class LockGraph:
     acquisitions: list[tuple[str, str, int]]
     #: (held, acquired) -> first-witness edge
     edges: dict[tuple[str, str], Edge]
-    #: key -> kind as declared by the code (threading factory used)
-    kinds: dict[str, str]
-
-    def successors(self, key: str) -> list[str]:
-        return sorted({b for (a, b) in self.edges if a == key})
-
-    def cycles(self) -> list[list[str]]:
-        """Strongly connected components with at least one edge inside
-        (multi-node SCCs, plus self-loops), as sorted key lists."""
-        adj: dict[str, set[str]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set())
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        sccs: list[list[str]] = []
-        counter = [0]
-
-        def strongconnect(v: str) -> None:
-            # Iterative Tarjan: (node, successor iterator) work stack.
-            work = [(v, iter(sorted(adj[v])))]
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            while work:
-                node, succs = work[-1]
-                advanced = False
-                for w in succs:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(sorted(adj[w]))))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[node] = min(low[node], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    if len(comp) > 1 or node in adj.get(node, ()):
-                        sccs.append(sorted(comp))
-
-        for v in sorted(adj):
-            if v not in index:
-                strongconnect(v)
-        return sccs
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +612,7 @@ class Program:
                             line=line, via=callee,
                         ))
         acquisitions.sort()
-        self._graph = LockGraph(
-            acquisitions=acquisitions, edges=edges, kinds=kinds
-        )
+        self._graph = LockGraph(acquisitions=acquisitions, edges=edges)
         return self._graph
 
 

@@ -4,8 +4,8 @@ This manifest is the single source of truth shared by the two halves of
 the concurrency sanitizer:
 
 * the **static** whole-program pass (:mod:`repro.analysis.lockgraph` and
-  the ``lock-order-cycle`` / ``undeclared-lock-edge`` rules) checks every
-  acquisition edge it can prove from the AST against it;
+  the ``undeclared-lock-edge`` rule) checks every acquisition edge it can
+  prove from the AST against it;
 * the **runtime** lockset witness (:mod:`repro.util.sync`, enabled with
   ``TDP_SANITIZE=1``) checks every acquisition it actually observes.
 
@@ -13,7 +13,9 @@ Locks are named ``module.Class.attr`` (module path without the leading
 ``repro.``), e.g. ``attrspace.store.AttributeStore._lock``.  Each lock
 gets a **rank**; acquiring a lock is legal only while every held lock has
 a *strictly smaller* rank.  Strict ranking makes declared deadlock
-impossible: any cycle would need a rank smaller than itself.  Locks of
+impossible: any cycle would need a rank smaller than itself, so every
+cycle in the lock graph holds an edge ``undeclared-lock-edge`` reports,
+and no separate cycle search is needed.  Locks of
 the same rank therefore may never nest — give a lock its own rank the
 moment it legitimately nests with a sibling.
 
@@ -189,8 +191,6 @@ DEFAULT = LockHierarchy([
                   "serializes and ranks below every transport lock"),
     LockDecl("tdp.stdio.StdioCollector._lock", 60, blocking_ok=True,
              note="stdin backlog + channel handoff"),
-    LockDecl("tdp.stdio.StdioRelay._send_lock", 60, blocking_ok=True,
-             note="serializes stdout frames onto the collector channel"),
     LockDecl("transport.tcp._TcpChannel._recv_lock", 61, blocking_ok=True,
              note="frame reads on one socket (threadless recv: the lock "
                   "serializes misuse, the select wait inside it is the "

@@ -9,7 +9,6 @@ from repro.analysis.rules import (
     handles,
     locks,
     obsrules,
-    protocol,
     simclock,
     threads,
     wire,
@@ -22,7 +21,6 @@ __all__ = [
     "handles",
     "locks",
     "obsrules",
-    "protocol",
     "simclock",
     "threads",
     "wire",

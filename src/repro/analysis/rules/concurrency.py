@@ -7,8 +7,6 @@ hierarchy in :func:`repro.analysis.lockorder.active`:
 * ``undeclared-lock-edge`` — an acquisition the manifest does not
   sanction: an undeclared lock key, a rank inversion, or a
   non-reentrant self-edge.
-* ``lock-order-cycle`` — a strongly connected component in the graph:
-  two threads walking the component in different orders can deadlock.
 * ``lock-manifest-stale`` — the reverse direction of non-vacuity: a
   manifest key that matches no acquisition site found by the lock
   graph.  A renamed or deleted lock must take its declaration with it,
@@ -25,7 +23,7 @@ from typing import Iterator
 
 from repro.analysis import lockorder
 from repro.analysis.core import Finding, ModuleSource, ProgramRule, register_program
-from repro.analysis.lockgraph import LockGraph, build_lock_graph
+from repro.analysis.lockgraph import build_lock_graph
 
 
 @register_program
@@ -67,34 +65,6 @@ class UndeclaredLockEdgeRule(ProgramRule):
             yield self.finding_at(
                 edge.path, edge.line, f"{edge.describe()}: {detail}"
             )
-
-
-@register_program
-class LockOrderCycleRule(ProgramRule):
-    name = "lock-order-cycle"
-    description = (
-        "cycle in the whole-program lock-acquisition graph — a potential "
-        "deadlock between threads taking the locks in different orders"
-    )
-
-    def check_program(self, modules: list[ModuleSource]) -> Iterator[Finding]:
-        graph = build_lock_graph(modules)
-        for component in graph.cycles():
-            witness = self._witness(graph, component)
-            ring = " -> ".join(component + [component[0]])
-            yield self.finding_at(
-                witness.path, witness.line,
-                f"lock-order cycle {ring}; witness: {witness.describe()}",
-            )
-
-    @staticmethod
-    def _witness(graph: LockGraph, component: list[str]):
-        members = set(component)
-        edges = [
-            e for (a, b), e in graph.edges.items()
-            if a in members and b in members
-        ]
-        return min(edges, key=lambda e: (e.path, e.line, e.acquired))
 
 
 @register_program

@@ -12,7 +12,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleSource, Rule, dotted_name, register
+from repro.analysis.core import (
+    Finding,
+    ModuleSource,
+    Rule,
+    import_origins,
+    register,
+    resolve_name,
+)
 
 _SCOPED_PACKAGES = ("repro.sim", "repro.condor")
 _BANNED = {"time", "sleep", "monotonic", "perf_counter"}
@@ -29,15 +36,16 @@ class WallClockInSim(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if not module.in_package(*_SCOPED_PACKAGES):
             return
+        origins = import_origins(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):
-                dn = dotted_name(node)
-                if dn is not None and dn.startswith("time.") \
-                        and dn.split(".", 1)[1] in _BANNED:
+                origin = resolve_name(node, origins)
+                if origin is not None and origin.startswith("time.") \
+                        and origin.split(".", 1)[1] in _BANNED:
                     yield self.finding(
                         module,
                         node,
-                        f"{dn} in simulated-cluster code; use "
+                        f"{origin} in simulated-cluster code; use "
                         "repro.util.clock (the sim runs on virtual time)",
                     )
             elif isinstance(node, ast.ImportFrom) and node.module == "time":

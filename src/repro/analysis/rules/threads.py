@@ -20,68 +20,55 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleSource, Rule, dotted_name, register
+from repro.analysis.core import (
+    Finding,
+    ModuleSource,
+    Rule,
+    import_origins,
+    register,
+    resolve_name,
+)
 
-_SANCTIONED_MODULES = {"repro.util.threads"}
+
+class _FunnelledCall(Rule):
+    """A call of ``origin``, under any import alias, outside the
+    ``sanctioned`` modules."""
+
+    origin = ""
+    sanctioned: tuple[str, ...] = ()
+    message = ""
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        if module.modname in self.sanctioned:
+            return
+        origins = import_origins(module.tree)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call) \
+                    and resolve_name(node.func, origins) == self.origin:
+                yield self.finding(module, node, self.message)
 
 
 @register
-class BareThread(Rule):
+class BareThread(_FunnelledCall):
     name = "bare-thread"
     description = (
         "threading.Thread() outside repro.util.threads; use "
         "repro.util.threads.spawn (named, daemon, accounted)"
     )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if module.modname in _SANCTIONED_MODULES:
-            return
-        imported_thread_directly = any(
-            isinstance(node, ast.ImportFrom)
-            and node.module == "threading"
-            and any(alias.name == "Thread" for alias in node.names)
-            for node in ast.walk(module.tree)
-        )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dn = dotted_name(node.func)
-            if dn == "threading.Thread" or (
-                imported_thread_directly and dn == "Thread"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "bare threading.Thread() creation; use "
-                    "repro.util.threads.spawn",
-                )
+    origin = "threading.Thread"
+    sanctioned = ("repro.util.threads",)
+    message = "bare threading.Thread() creation; use repro.util.threads.spawn"
 
 
 @register
-class RawTimer(Rule):
+class RawTimer(_FunnelledCall):
     name = "raw-timer"
     description = (
         "threading.Timer(); use Clock.call_later so timeouts follow "
         "the scenario clock and cost a heap entry, not a thread"
     )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        imported_timer_directly = any(
-            isinstance(node, ast.ImportFrom)
-            and node.module == "threading"
-            and any(alias.name == "Timer" for alias in node.names)
-            for node in ast.walk(module.tree)
-        )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dn = dotted_name(node.func)
-            if dn == "threading.Timer" or (
-                imported_timer_directly and dn == "Timer"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "raw threading.Timer() creation; route delayed "
-                    "callbacks through repro.util.clock.Clock.call_later",
-                )
+    origin = "threading.Timer"
+    message = (
+        "raw threading.Timer() creation; route delayed "
+        "callbacks through repro.util.clock.Clock.call_later"
+    )

@@ -15,7 +15,12 @@ rules here compare the two views:
   to the same class (and the encode/decode maps must be a bijection with
   subclasses listed before their bases).
 
-All four are :class:`ProgramRule`s sharing one cached inference per lint
+* ``protocol-exhaustiveness`` — every ``OP_*`` constant of the protocol
+  module has a server handler (``_op_<value>``) or push site, and a
+  frame the client builds (for a push, a branch on it): a constant
+  without one is a request answered ``unknown op``, or dead surface.
+
+All five are :class:`ProgramRule`s sharing one cached inference per lint
 invocation, and all stay silent when the protocol/client/server trio is
 not part of the linted set (fixture trees, partial lints).
 
@@ -37,8 +42,11 @@ from repro.analysis.core import (
     ModuleSource,
     ProgramRule,
     Rule,
+    dotted_name,
+    import_origins,
     register,
     register_program,
+    resolve_name,
 )
 from repro.analysis import wireschema
 from repro.analysis.wireschema import (
@@ -108,6 +116,42 @@ class _WireRule(ProgramRule):
 
     def check_schema(self, schema: WireSchema) -> Iterator[Finding]:
         raise NotImplementedError
+
+
+@register_program
+class ProtocolExhaustivenessRule(ProgramRule):
+    name = "protocol-exhaustiveness"
+    description = (
+        "every OP_* constant in attrspace/protocol.py has a server "
+        "dispatch branch and a client encoder"
+    )
+
+    def check_program(self, modules: list[ModuleSource]) -> Iterator[Finding]:
+        schema = wireschema.infer_cached(modules)
+        if schema is None:
+            return
+        proto = next(m for m in modules if m.modname == wireschema.PROTOCOL_MODULE)
+        for stmt in proto.tree.body:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            name = dotted_name(stmt.targets[0])
+            value = schema.op_constants.get(name or "")
+            if value is None:
+                continue
+            entry = schema.notify if name == "OP_NOTIFY" \
+                else schema.ops.get(value, OpSchema(value))
+            if not entry.on_server:
+                yield self.finding_at(
+                    proto.path, stmt.lineno,
+                    f"{name} ({value!r}) has no dispatch branch "
+                    f"(_op_{value}) or push site in attrspace/server.py",
+                )
+            if not entry.on_client:
+                yield self.finding_at(
+                    proto.path, stmt.lineno,
+                    f"{name} ({value!r}) has no frame built by "
+                    f"attrspace/client.py",
+                )
 
 
 @register_program
@@ -346,6 +390,12 @@ BINARY_CODEC_MODULES = (
 )
 
 
+def _as_written(node: ast.AST, origin: str) -> str:
+    """``node``'s dotted name, and its origin when an alias renamed it."""
+    written = dotted_name(node)
+    return origin if written == origin else f"{written} ({origin})"
+
+
 @register
 class RawWireCodecRule(Rule):
     name = "raw-wire-codec"
@@ -359,43 +409,48 @@ class RawWireCodecRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if not module.in_package(*WIRE_PACKAGES):
             return
+        origins = import_origins(module.tree)
         if module.modname != CODEC_MODULE:
-            yield from self._check_json(module)
+            yield from self._check_json(module, origins)
         if module.modname not in BINARY_CODEC_MODULES:
-            yield from self._check_struct(module)
+            yield from self._check_struct(module, origins)
 
-    def _check_json(self, module: ModuleSource) -> Iterator[Finding]:
-        json_names = self._imported_names(module, "json", ("dumps", "loads"))
+    @staticmethod
+    def _calls_of(
+        module: ModuleSource, origins: dict[str, str], banned: set[str]
+    ) -> Iterator[tuple[ast.Call, str]]:
+        """Calls of a ``banned`` dotted name, under any import alias."""
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            offender: str | None = None
-            if isinstance(func, ast.Attribute) and func.attr in ("dumps", "loads") \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id == "json":
-                offender = f"json.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in json_names:
-                offender = func.id
-            if offender is not None:
-                yield self.finding(
-                    module, node,
-                    f"{offender} on the wire path: route through the "
-                    f"codec in {CODEC_MODULE} instead",
-                )
-        yield from self._check_json_machinery(module)
+            if isinstance(node, ast.Call):
+                origin = resolve_name(node.func, origins)
+                if origin in banned:
+                    yield node, _as_written(node.func, origin)
+
+    def _check_json(
+        self, module: ModuleSource, origins: dict[str, str]
+    ) -> Iterator[Finding]:
+        banned = {"json.dumps", "json.loads"}
+        for node, offender in self._calls_of(module, origins, banned):
+            yield self.finding(
+                module, node,
+                f"{offender} on the wire path: route through the "
+                f"codec in {CODEC_MODULE} instead",
+            )
+        yield from self._check_json_machinery(module, origins)
 
     #: json's own encoder and scanner, which only the codec may drive
     _JSON_MACHINERY = ("JSONEncoder", "JSONDecoder", "encoder", "decoder", "scanner")
 
-    def _check_json_machinery(self, module: ModuleSource) -> Iterator[Finding]:
+    def _check_json_machinery(
+        self, module: ModuleSource, origins: dict[str, str]
+    ) -> Iterator[Finding]:
+        machinery = {f"json.{name}" for name in self._JSON_MACHINERY}
         for node in ast.walk(module.tree):
             offender: str | None = None
-            if isinstance(node, ast.Attribute) \
-                    and node.attr in self._JSON_MACHINERY \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "json":
-                offender = f"json.{node.attr}"
+            if isinstance(node, ast.Attribute):
+                origin = resolve_name(node, origins)
+                if origin in machinery:
+                    offender = _as_written(node, origin)
             elif isinstance(node, ast.ImportFrom) and node.module is not None:
                 if node.module.startswith("json."):
                     offender = f"from {node.module} import"
@@ -417,36 +472,14 @@ class RawWireCodecRule(Rule):
 
     _STRUCT_CALLS = ("pack", "unpack", "pack_into", "unpack_from", "Struct")
 
-    def _check_struct(self, module: ModuleSource) -> Iterator[Finding]:
-        struct_names = self._imported_names(module, "struct", self._STRUCT_CALLS)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            offender: str | None = None
-            if isinstance(func, ast.Attribute) \
-                    and func.attr in self._STRUCT_CALLS \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id == "struct":
-                offender = f"struct.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in struct_names:
-                offender = func.id
-            if offender is not None:
-                sanctioned = " or ".join(BINARY_CODEC_MODULES)
-                yield self.finding(
-                    module, node,
-                    f"{offender} on the wire path: byte packing belongs "
-                    f"in {sanctioned}",
-                )
-
-    @staticmethod
-    def _imported_names(
-        module: ModuleSource, source: str, wanted: tuple[str, ...]
-    ) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == source:
-                for alias in node.names:
-                    if alias.name in wanted:
-                        names.add(alias.asname or alias.name)
-        return names
+    def _check_struct(
+        self, module: ModuleSource, origins: dict[str, str]
+    ) -> Iterator[Finding]:
+        banned = {f"struct.{name}" for name in self._STRUCT_CALLS}
+        sanctioned = " or ".join(BINARY_CODEC_MODULES)
+        for node, offender in self._calls_of(module, origins, banned):
+            yield self.finding(
+                module, node,
+                f"{offender} on the wire path: byte packing belongs "
+                f"in {sanctioned}",
+            )

@@ -76,7 +76,7 @@ STORE_MODULE = "repro.attrspace.store"
 NOTIFY_MODULE = "repro.attrspace.notify"
 
 #: The one module allowed to call ``json.dumps``/``json.loads`` on wire
-#: data — the seam behind which the item-2 binary codec will swap in.
+#: data: the JSON body codec's seam.
 CODEC_MODULE = PROTOCOL_MODULE
 
 #: Fields the client plumbing stamps on every request after the encoder
@@ -131,9 +131,6 @@ class FieldUse:
         self.types |= other.types
         self.sites.extend(other.sites)
 
-    def lock_types(self) -> list[str]:
-        return sorted(self.types) if self.types else ["any"]
-
 
 @dataclass
 class SideView:
@@ -157,6 +154,10 @@ class OpSchema:
     request_reads: SideView = field(default_factory=SideView)
     reply_writes: SideView = field(default_factory=SideView)
     reply_reads: SideView = field(default_factory=SideView)
+    #: the server has an ``_op_<op>`` handler or builds the frame as a
+    #: push; the client builds the frame (a push: branches on it)
+    on_server: bool = False
+    on_client: bool = False
 
 
 @dataclass
@@ -194,20 +195,6 @@ class WireSchema:
     #: (sub-op and notify symmetry checks are skipped otherwise)
     has_store: bool = False
     has_notify: bool = False
-
-    def schema_for(self, key: str) -> OpSchema | None:
-        if key == "notify":
-            return self.notify
-        if key.startswith("batch:"):
-            return self.sub_ops.get(key.split(":", 1)[1])
-        return self.ops.get(key)
-
-    def all_keyed(self) -> Iterator[tuple[str, OpSchema]]:
-        for op in sorted(self.ops):
-            yield op, self.ops[op]
-        for kind in sorted(self.sub_ops):
-            yield f"batch:{kind}", self.sub_ops[kind]
-        yield "notify", self.notify
 
 
 def waived(schema_key: str, direction: str, name: str) -> bool:
@@ -447,29 +434,17 @@ def _collect_dict_reads(
     """
     assigned_from: dict[str, str] = {}  # local var -> field it was read into
     for node in ast.walk(scope):
-        read_name: str | None = None
-        required = False
-        default: Any = _MISSING
-        types: set[str] = set()
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-                and node.value.id == var and isinstance(node.ctx, ast.Load) \
-                and isinstance(node.slice, ast.Constant) \
-                and isinstance(node.slice.value, str):
-            read_name = node.slice.value
-            required = True
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "get" \
-                and isinstance(node.func.value, ast.Name) \
-                and node.func.value.id == var and node.args \
-                and isinstance(node.args[0], ast.Constant) \
-                and isinstance(node.args[0].value, str):
-            read_name = node.args[0].value
-            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
-                default = node.args[1].value
-                if default is not None:
-                    types.add(_const_type(default))
+        read_name = _read_field_name(node, var)
         if read_name is None:
             continue
+        required = isinstance(node, ast.Subscript)
+        default: Any = _MISSING
+        types: set[str] = set()
+        if not required and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant):
+            default = node.args[1].value
+            if default is not None:
+                types.add(_const_type(default))
         use = view.fields.get(read_name)
         if use is None:
             use = view.fields[read_name] = FieldUse(
@@ -501,19 +476,27 @@ def _collect_dict_reads(
             cast_env.setdefault(local, set()).update(view.fields[fname].types)
 
 
-def _read_field_name(node: ast.AST, var: str) -> str | None:
-    """The field name if ``node`` is ``var["k"]`` or ``var.get("k", ...)``."""
+def _dict_read(node: ast.AST) -> tuple[str, str] | None:
+    """(variable, field) when ``node`` is a ``var["k"]`` load or a
+    ``var.get("k", ...)`` call."""
     if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-            and node.value.id == var and isinstance(node.slice, ast.Constant) \
-            and isinstance(node.slice.value, str):
-        return node.slice.value
+            and isinstance(node.slice, ast.Constant) \
+            and isinstance(node.slice.value, str) \
+            and isinstance(node.ctx, ast.Load):
+        return node.value.id, node.slice.value
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "get" and isinstance(node.func.value, ast.Name) \
-            and node.func.value.id == var and node.args \
+            and node.func.attr == "get" \
+            and isinstance(node.func.value, ast.Name) and node.args \
             and isinstance(node.args[0], ast.Constant) \
             and isinstance(node.args[0].value, str):
-        return node.args[0].value
+        return node.func.value.id, node.args[0].value
     return None
+
+
+def _read_field_name(node: ast.AST, var: str) -> str | None:
+    """The field name if ``node`` is ``var["k"]`` or ``var.get("k", ...)``."""
+    read = _dict_read(node)
+    return read[1] if read is not None and read[0] == var else None
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +746,7 @@ def _client_frames_and_reads(
             entry = table.get(site.op)
             if entry is None:
                 entry = table[site.op] = OpSchema(site.op)
+            entry.on_client = entry.on_client or not site.sub_op
             if site.counts:
                 _merge_write_site(entry.request_writes, site)
             else:
@@ -797,7 +781,6 @@ def _client_frames_and_reads(
             if entry is None:
                 entry = schema.ops[op] = OpSchema(op)
             _collect_dict_reads(fn, var, entry.reply_reads, client.path, {})
-            _wrap_cast_types(fn, var, entry.reply_reads)
 
         # one-level helper propagation: a reply (or the result of a call
         # that was passed a frame) handed to a local helper counts the
@@ -850,8 +833,6 @@ def _client_frames_and_reads(
                 entry = schema.sub_ops.setdefault(kind, OpSchema(kind))
                 for name, use in sub_view.fields.items():
                     _merge_read(entry.reply_reads, use)
-            for var in {v for v in (_lambda_read_vars(fn)) if v not in bound}:
-                pass  # lambda params handled by the generic walk above
 
         # (f) notify reads: branch on message.get("op") == OP_NOTIFY
         for node in ast.walk(fn):
@@ -869,6 +850,7 @@ def _client_frames_and_reads(
             )
             if var is None or rhs_op != consts.get("OP_NOTIFY", "notify"):
                 continue
+            schema.notify.on_client = True
             branch = ast.Module(body=node.body, type_ignores=[])
             _collect_dict_reads(branch, var, schema.notify.reply_reads, client.path, {})
             for call in ast.walk(branch):
@@ -879,42 +861,22 @@ def _client_frames_and_reads(
                             _merge_read(schema.notify.reply_reads, use)
 
 
-def _lambda_read_vars(fn: ast.AST) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Lambda):
-            out.update(a.arg for a in node.args.args)
-    return out
-
-
 def _any_dict_read_var(node: ast.AST) -> str | None:
     """The variable a ``var["k"]``/``var.get("k")`` expression reads."""
-    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-            and isinstance(node.slice, ast.Constant) \
-            and isinstance(node.slice.value, str) \
-            and isinstance(node.ctx, ast.Load):
-        return node.value.id
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "get" \
-            and isinstance(node.func.value, ast.Name) and node.args \
-            and isinstance(node.args[0], ast.Constant) \
-            and isinstance(node.args[0].value, str):
-        return node.func.value.id
-    return None
+    read = _dict_read(node)
+    return read[0] if read is not None else None
 
 
 def _collect_dict_reads_single(node: ast.AST, view: SideView, path: str) -> None:
-    var = _any_dict_read_var(node)
-    if var is None:
+    read = _dict_read(node)
+    if read is None:
         return
-    if isinstance(node, ast.Subscript):
-        name, required, default = node.slice.value, True, _MISSING  # type: ignore[union-attr]
-    else:
-        name = node.args[0].value  # type: ignore[union-attr]
-        required = False
-        default = _MISSING
-        if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):  # type: ignore[union-attr]
-            default = node.args[1].value  # type: ignore[union-attr]
+    name = read[1]
+    required = isinstance(node, ast.Subscript)
+    default: Any = _MISSING
+    if not required and len(node.args) > 1 \
+            and isinstance(node.args[1], ast.Constant):
+        default = node.args[1].value
     use = view.fields.get(name)
     if use is None:
         use = view.fields[name] = FieldUse(name, required=required, types=set(),
@@ -922,17 +884,6 @@ def _collect_dict_reads_single(node: ast.AST, view: SideView, path: str) -> None
     else:
         use.required = use.required or required
     use.sites.append((path, node.lineno))
-
-
-def _wrap_cast_types(fn: ast.AST, var: str, view: SideView) -> None:
-    """``int(reply["version"])``-style casts refine reply field types."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            dn = dotted_name(node.func)
-            if dn is not None and dn.split(".")[-1] in _CAST_CALLS and node.args:
-                fname = _read_field_name(node.args[0], var)
-                if fname and fname in view.fields:
-                    view.fields[fname].types.add(_CAST_CALLS[dn.split(".")[-1]])
 
 
 def _builder_call_op(call: ast.Call, builders: dict[str, str]) -> str | None:
@@ -1047,7 +998,6 @@ def _frame_param_reply_reads(module: ModuleSource) -> dict[str, dict[int, SideVi
                 if isinstance(arg, ast.Name) and arg.id in params:
                     view = SideView()
                     _collect_dict_reads(fn, node.targets[0].id, view, module.path, {})
-                    _wrap_cast_types(fn, node.targets[0].id, view)
                     if view.fields:
                         out.setdefault(fn.name, {})[params.index(arg.id)] = view
     return out
@@ -1068,6 +1018,7 @@ def _server_handlers(
         if op not in values:
             continue
         entry = schema.ops.setdefault(op, OpSchema(op))
+        entry.on_server = True
         params = [a.arg for a in fn.args.args]
         request_param = params[-1] if params else None
         ann = _param_annotations(fn)
@@ -1137,6 +1088,7 @@ def _server_handlers(
     for node in ast.walk(server.tree):
         if isinstance(node, ast.Dict) \
                 and _op_of_dict(node, consts) == consts.get("OP_NOTIFY", "notify"):
+            schema.notify.on_server = True
             site = _FrameSite("notify", {}, node.lineno, set())
             for k, v in zip(node.keys, node.values):
                 if k is None:
@@ -1168,11 +1120,7 @@ def _store_sub_ops(store: ModuleSource, schema: WireSchema) -> None:
             continue
         params = [a.arg for a in fn.args.args]
         # the sub-op dict is the first non-self parameter
-        sub_param = None
-        for p in params:
-            if p not in ("self",):
-                sub_param = p
-                break
+        sub_param = next((p for p in params if p != "self"), None)
         if sub_param is None:
             continue
 
@@ -1197,17 +1145,10 @@ def _store_sub_ops(store: ModuleSource, schema: WireSchema) -> None:
 
         # common reads: everything outside any op branch
         common = SideView()
-        common_scope = ast.Module(
-            body=[s for s in fn.body if not any(
-                id(n) in branched_ids for n in ast.walk(s)
-            ) or True],  # structure preserved; filtering happens below
-            type_ignores=[],
-        )
         for node in ast.walk(fn):
-            if id(node) in branched_ids:
-                continue
-            _collect_dict_reads_single_for(node, sub_param, common, store.path)
-        del common_scope
+            if id(node) not in branched_ids \
+                    and _any_dict_read_var(node) == sub_param:
+                _collect_dict_reads_single(node, common, store.path)
 
         for kind, body in branch_bodies.items():
             entry = schema.sub_ops.setdefault(kind, OpSchema(kind))
@@ -1227,13 +1168,6 @@ def _store_sub_ops(store: ModuleSource, schema: WireSchema) -> None:
                                 sites=[(store.path, node.lineno)],
                             )
                     _merge_write_site(entry.reply_writes, site)
-
-
-def _collect_dict_reads_single_for(
-    node: ast.AST, var: str, view: SideView, path: str
-) -> None:
-    if _any_dict_read_var(node) == var:
-        _collect_dict_reads_single(node, view, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1294,8 +1228,7 @@ def infer(modules: Iterable[ModuleSource]) -> WireSchema | None:
     """Infer the wire schema from a parsed module set.
 
     Returns ``None`` when the protocol/client/server trio is not part of
-    the set (fixture trees, partial lints) — callers should stay silent,
-    matching the protocol-exhaustiveness rule's behavior.
+    the set (fixture trees, partial lints) — callers should stay silent.
     """
     by_name = {m.modname: m for m in modules}
     proto = by_name.get(PROTOCOL_MODULE)

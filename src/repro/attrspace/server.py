@@ -839,7 +839,7 @@ class AttributeSpaceServer:
         ``origin`` (aggregated subscriptions) names the subscribing host:
         deliveries of its own changes are suppressed and all its
         subscriptions share one fan-out dedup group."""
-        codec = conn.channel.codec
+        codec = conn.channel.codec  # None: in memory, nothing is encoded
         # this subscription's encoded ``sub``, set once its id is known
         sub_field = b""
 
@@ -847,11 +847,17 @@ class AttributeSpaceServer:
             if origin is not None and notification.origin == origin:
                 return  # echo suppression: the origin host already has it
             self.stats["notifications"].increment()
-            if obs.enabled():
+            traced = obs.enabled()
+            if traced or codec is None:
+                # A frame of its own: in memory nothing is encoded, and a
+                # traced push carries its own context.
+                frame = _notify_frame(sub_id, notification)
+                if not traced:
+                    conn.push(frame)
+                    return
                 # Delivery runs on the putter's thread under its span, so
                 # this span (and the context injected into the push) hangs
                 # off the originating put's trace.
-                frame = _notify_frame(sub_id, notification)
                 with obs.span(
                     span,
                     actor=self.name,
@@ -874,7 +880,8 @@ class AttributeSpaceServer:
         sub_id = self.store.subscriptions.subscribe(
             context, pattern, deliver, group=origin
         )
-        sub_field = protocol.encode_field("sub", sub_id, codec)
+        if codec is not None:
+            sub_field = protocol.encode_field("sub", sub_id, codec)
         conn.subscriptions[sub_id] = (context, pattern)
         if self.federation is not None:
             self.federation.note_subscribe(context, pattern)

@@ -236,8 +236,8 @@ class LockOrderError(TdpError):
     (``TDP_SANITIZE=1``): acquiring a lock out of rank order, acquiring
     an undeclared lock, or blocking while holding a lock the hierarchy
     does not sanction holding across blocking calls.  The same hierarchy
-    (``repro.analysis.lockorder``) backs the static ``lock-order-cycle``
-    / ``undeclared-lock-edge`` lint passes, so a witness report should
+    (``repro.analysis.lockorder``) backs the static
+    ``undeclared-lock-edge`` lint pass, so a witness report should
     always correspond to a fixable ordering bug, not test noise.
     """
 

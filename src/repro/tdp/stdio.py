@@ -139,17 +139,19 @@ class StdioRelay:
         self._channel = connect_maybe_proxied(transport, src_host, endpoint, proxy)
         self._feed_stdin = feed_stdin
         self._close_stdin = close_stdin
-        self._send_lock = tracked_lock("tdp.stdio.StdioRelay._send_lock")
         if feed_stdin is not None:
             spawn(self._stdin_pump, name=f"stdio-relay-{src_host}")
 
     def forward_stdout(self, line: str) -> None:
-        """Ship one application stdout line to the collector."""
+        """Ship one application stdout line to the collector.
+
+        Holds no lock: a process's lines already arrive one at a time (a
+        sim process calls its sinks under its own lock, the POSIX
+        backend from one pump thread per process), and a channel's
+        ``send`` is thread-safe on its own.
+        """
         try:
-            # _send_lock only serializes frames onto the collector channel;
-            # no other state is guarded by it.
-            with self._send_lock:
-                self._channel.send({"stream": "stdout", "line": line})  # tdp-lint: off(blocking-call-under-lock)
+            self._channel.send({"stream": "stdout", "line": line})
         except errors.TdpError:
             _log.warning("stdio relay lost its collector; dropping output")
 

@@ -139,8 +139,9 @@ class Listener(ABC):
         push-mode: ``send`` and the bounded ``offer(message, maxsize)``
         (``False`` = the peer is ``maxsize`` frames behind; the caller
         decides its fate) enqueue from any thread, ``recv`` is unsupported.
-        ``offer`` also takes a frame already encoded, length prefix
-        included, in the channel's body ``codec``.
+        On a wire transport ``offer`` also takes a frame already encoded,
+        length prefix included, in the channel's body ``codec``; an
+        in-memory channel's ``codec`` is ``None`` and it takes dicts only.
 
         * ``on_channel(channel) -> token | None`` — a peer connected;
           the token is passed back below, ``None`` refuses (and closes).

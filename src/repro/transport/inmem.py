@@ -4,7 +4,7 @@ Channels are queue pairs; ``connect`` consults the
 :class:`~repro.net.topology.Network` firewall rules.  A message crosses
 as the copy the JSON frame codec's round trip would give
 (:func:`~repro.transport.framing.copy_frame`), which refuses what is not
-wire-serializable; a pre-encoded frame is decoded.
+wire-serializable; nothing crosses as bytes (the ``codec`` is ``None``).
 
 Under ``serve_loop`` the listener-side ends are push-mode: their inbound
 traffic lands on one shared ready-queue drained by one dispatcher
@@ -76,16 +76,11 @@ class _InMemChannel(Channel):
     def send(self, message: Message) -> None:
         self.offer(message, None)
 
-    def offer(self, message: Message | bytes, maxsize: int | None) -> bool:
+    def offer(self, message: Message, maxsize: int | None) -> bool:
         """``send`` unless the peer has ``maxsize`` frames unread."""
-        # Copy as the wire would, which enforces serializability, or
-        # decode what the sender encoded.
+        # Copy as the wire would, which enforces serializability.
         observed = obs.enabled()
-        if type(message) is bytes:
-            size = len(message)
-            message = framing.decode_frame(message)
-        else:
-            message, size = framing.copy_frame(message, observed)
+        message, size = framing.copy_frame(message, observed)
         if observed:
             reg = obs.registry()
             reg.counter("transport.inmem.frames").increment()
@@ -189,10 +184,10 @@ class _InMemChannel(Channel):
             return self._closed
 
     @property
-    def codec(self) -> str:
-        """JSON: a message arrives as JSON's round trip would leave it,
-        and a pre-encoded frame for this end is a JSON one."""
-        return framing.json_codec()
+    def codec(self) -> None:
+        """None: nothing is encoded.  A message arrives as JSON's round
+        trip would leave it, and no pre-encoded frame is offered."""
+        return None
 
     @property
     def local_host(self) -> str:

@@ -277,7 +277,7 @@ class TestLockManifestStale:
         assert findings == []
 
     def test_quiet_without_manifest_module_in_scope(self, tmp_path):
-        # A scoped lint (e.g. --changed on one daemon) must not conclude
+        # A scoped lint (e.g. `lint src/repro/attrspace`) must not conclude
         # every other daemon's lock is gone.
         path = tmp_path / "acq.py"
         path.write_text(textwrap.dedent(self.ACQ), encoding="utf-8")

@@ -1,7 +1,7 @@
 """The committed guards.lock.json drift gate, its CLI, and non-vacuity pins.
 
 Tier-1: a source change that alters the guard discipline without
-regenerating the manifest (``python -m repro guards dump``) fails here,
+regenerating the manifest (``python -m repro manifests dump``) fails here,
 and the pins guard against the inference silently collapsing — a
 guarded-by checker that infers nothing passes trivially.
 """
@@ -19,7 +19,7 @@ LOCK_PATH = REPO_ROOT / guards.LOCK_FILENAME
 
 def run_cli(*argv, cwd=REPO_ROOT):
     return subprocess.run(
-        [sys.executable, "-m", "repro", "guards", *argv],
+        [sys.executable, "-m", "repro", "manifests", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -29,7 +29,7 @@ def run_cli(*argv, cwd=REPO_ROOT):
 
 def test_lock_file_is_committed():
     assert LOCK_PATH.exists(), \
-        "guards.lock.json missing — run `python -m repro guards dump`"
+        "guards.lock.json missing — run `python -m repro manifests dump`"
 
 
 def test_committed_lock_matches_source_tree():
@@ -37,7 +37,7 @@ def test_committed_lock_matches_source_tree():
     current = guards.to_lock(guards.infer_from_tree())
     drift = guards.lock_drift(committed, current)
     assert not drift, (
-        "guard manifest drift — run `python -m repro guards dump` and "
+        "guard manifest drift — run `python -m repro manifests dump` and "
         "review the diff:\n" + "\n".join(drift)
     )
 
@@ -111,21 +111,24 @@ def test_cli_check_detects_drift(tmp_path):
     tampered["fields"]["sim.process.SimProcess.stop_reason"]["witness"] = False
     alt = tmp_path / "guards.lock.json"
     alt.write_text(guards.render_lock(tampered), encoding="utf-8")
-    proc = run_cli("check", "--lock", str(alt))
+    other = "protocol.lock.json"
+    (tmp_path / other).write_bytes((REPO_ROOT / other).read_bytes())
+    proc = run_cli("check", "--root", str(tmp_path))
     assert proc.returncode == 1
     assert "drift" in proc.stderr
+    assert f"{tmp_path / other} matches the source tree" in proc.stdout
     assert "sim.process.SimProcess.stop_reason" in proc.stderr
 
 
 def test_cli_check_reports_missing_lock(tmp_path):
-    proc = run_cli("check", "--lock", str(tmp_path / "nope.json"))
+    proc = run_cli("check", "--root", str(tmp_path))
     assert proc.returncode == 1
     assert "missing lock file" in proc.stderr
 
 
 def test_cli_dump_writes_lock(tmp_path):
     target = tmp_path / "guards.lock.json"
-    proc = run_cli("dump", "--lock", str(target))
+    proc = run_cli("dump", "--root", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(target.read_text(encoding="utf-8")) == \
         guards.load_lock(LOCK_PATH)

@@ -1,4 +1,6 @@
-"""Seeded fixtures for the protocol-exhaustiveness program rule."""
+"""Seeded fixtures for the protocol-exhaustiveness program rule, which
+reads the wire-schema inference: a server handler or push site, and a
+frame the client builds, for every ``OP_*`` constant."""
 
 import textwrap
 
@@ -31,10 +33,10 @@ CLIENT_COMPLETE = """
 
     class Client:
         def get(self):
-            self._send(protocol.OP_GET)
+            self._send({"op": protocol.OP_GET})
 
         def put(self):
-            self._send(protocol.OP_PUT)
+            self._send({"op": protocol.OP_PUT})
 
         def _on_frame(self, frame):
             if frame["op"] == protocol.OP_NOTIFY:
@@ -81,7 +83,7 @@ def test_server_push_reference_counts_as_dispatch(tmp_path):
 
 
 def test_missing_client_encoder_fires(tmp_path):
-    client = CLIENT_COMPLETE.replace("protocol.OP_PUT", "'put'")
+    client = CLIENT_COMPLETE.replace('self._send({"op": protocol.OP_PUT})', "pass")
     findings = lint_protocol(fixture_set(tmp_path, client=client))
     assert len(findings) == 1
     assert "OP_PUT" in findings[0].message

@@ -5,17 +5,18 @@ import textwrap
 
 import pytest
 
-from repro.analysis import lint_source
-from repro.analysis.core import ModuleSource, all_rules, get_rule
+from repro.analysis import lint_modules
+from repro.analysis.core import ModuleSource, Rule, all_rules, get_rule
 
 
 def lint_snippet(tmp_path, code, *, modname=None, rule=None):
-    """Write ``code`` to a temp module and lint it (optionally one rule)."""
+    """Write ``code`` to a temp module and lint it with one rule, or
+    with every per-module rule (one module is not a program)."""
     path = tmp_path / "fixture.py"
     path.write_text(textwrap.dedent(code), encoding="utf-8")
     module = ModuleSource.parse(path, modname=modname)
-    rules = [get_rule(rule)] if rule else None
-    return lint_source(module, rules)
+    rules = [get_rule(rule)] if rule else [r for r in all_rules() if isinstance(r, Rule)]
+    return lint_modules([module], rules)
 
 
 class TestCallbackUnderLock:
@@ -342,6 +343,41 @@ class TestBareThread:
             import threading
             t = threading.Thread(target=f)  # tdp-lint: off(bare-thread)
             """
+        assert lint_snippet(tmp_path, code, rule="bare-thread") == []
+
+
+class TestCallSiteAliases:
+    """Every import alias of a funnelled or banned name resolves to its
+    origin, so renaming it at the import does not hide the call."""
+
+    @pytest.mark.parametrize("rule,code", [
+        ("bare-thread", "from threading import Thread as T\nT(target=f)\n"),
+        ("bare-thread", "import threading as th\nth.Thread(target=f)\n"),
+        ("raw-timer", "from threading import Timer as Tm\nTm(1.0, f)\n"),
+        ("raw-timer", "import threading as th\nth.Timer(1.0, f)\n"),
+    ])
+    def test_aliased_thread_and_timer_fire(self, tmp_path, rule, code):
+        findings = lint_snippet(tmp_path, code, rule=rule)
+        assert [f.line for f in findings] == [2]
+
+    def test_aliased_time_module_fires_in_sim(self, tmp_path):
+        code = "import time as t\nt.sleep(1)\n"
+        findings = lint_snippet(
+            tmp_path, code, modname="repro.sim.fake", rule="wall-clock-in-sim"
+        )
+        assert len(findings) == 1
+        assert "time.sleep" in findings[0].message
+
+    def test_a_local_named_like_the_module_is_not_the_module(self, tmp_path):
+        code = """
+            from repro.util import clock as time
+            time.monotonic()
+            from repro.util.threads import spawn as Thread
+            Thread(f)
+            """
+        assert lint_snippet(
+            tmp_path, code, modname="repro.sim.fake", rule="wall-clock-in-sim"
+        ) == []
         assert lint_snippet(tmp_path, code, rule="bare-thread") == []
 
 

@@ -1,7 +1,7 @@
 """The committed protocol.lock.json drift gate and its CLI.
 
 Tier-1: a source change that alters the wire contract without
-regenerating the lock (``python -m repro protocol dump``) fails here,
+regenerating the lock (``python -m repro manifests dump``) fails here,
 and the non-vacuity pins guard against the inference silently
 collapsing to an empty schema.
 """
@@ -20,7 +20,7 @@ LOCK_PATH = REPO_ROOT / "protocol.lock.json"
 
 def run_cli(*argv, cwd=REPO_ROOT):
     return subprocess.run(
-        [sys.executable, "-m", "repro", "protocol", *argv],
+        [sys.executable, "-m", "repro", "manifests", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -30,7 +30,7 @@ def run_cli(*argv, cwd=REPO_ROOT):
 
 def test_lock_file_is_committed():
     assert LOCK_PATH.exists(), \
-        "protocol.lock.json missing — run `python -m repro protocol dump`"
+        "protocol.lock.json missing — run `python -m repro manifests dump`"
 
 
 def test_committed_lock_matches_source_tree():
@@ -38,7 +38,7 @@ def test_committed_lock_matches_source_tree():
     current = wireschema.to_lock(wireschema.infer_from_tree())
     drift = wireschema.lock_drift(committed, current)
     assert not drift, (
-        "wire schema drift — run `python -m repro protocol dump` and "
+        "wire schema drift — run `python -m repro manifests dump` and "
         "review the diff:\n" + "\n".join(drift)
     )
 
@@ -92,21 +92,24 @@ def test_cli_check_detects_drift(tmp_path):
     tampered["ops"]["put"]["request"]["attribute"]["required"] = False
     alt = tmp_path / "protocol.lock.json"
     alt.write_text(wireschema.render_lock(tampered), encoding="utf-8")
-    proc = run_cli("check", "--lock", str(alt))
+    other = "guards.lock.json"
+    (tmp_path / other).write_bytes((REPO_ROOT / other).read_bytes())
+    proc = run_cli("check", "--root", str(tmp_path))
     assert proc.returncode == 1
     assert "drift" in proc.stderr
+    assert f"{tmp_path / other} matches the source tree" in proc.stdout
     assert "ops.put.request.attribute.required" in proc.stderr
 
 
 def test_cli_check_reports_missing_lock(tmp_path):
-    proc = run_cli("check", "--lock", str(tmp_path / "nope.json"))
+    proc = run_cli("check", "--root", str(tmp_path))
     assert proc.returncode == 1
     assert "missing lock file" in proc.stderr
 
 
 def test_cli_dump_writes_lock(tmp_path):
     target = tmp_path / "protocol.lock.json"
-    proc = run_cli("dump", "--lock", str(target))
+    proc = run_cli("dump", "--root", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(target.read_text(encoding="utf-8")) == \
         wireschema.load_lock(LOCK_PATH)

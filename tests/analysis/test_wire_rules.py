@@ -7,6 +7,8 @@ replacement and asserts the matching rule (and only that rule) fires.
 
 import textwrap
 
+import pytest
+
 from repro.analysis.core import ModuleSource, get_rule
 from repro.analysis.engine import lint_modules
 
@@ -343,6 +345,18 @@ def test_from_import_alias_fires(tmp_path):
     findings = lint_codec([mod])
     assert len(findings) == 1
     assert "jloads" in findings[0].message
+
+
+@pytest.mark.parametrize("code,offender", [
+    ("import json as j\nj.dumps(m)\n", "j.dumps (json.dumps)"),
+    ("import json as j\nj.loads(b)\n", "j.loads (json.loads)"),
+    ("import struct as s\ns.pack('>I', 0)\n", "s.pack (struct.pack)"),
+    ("import json as j\nj.JSONEncoder()\n", "j.JSONEncoder (json.JSONEncoder)"),
+])
+def test_module_alias_fires(tmp_path, code, offender):
+    mod = parse(tmp_path, "store", code, modname="repro.attrspace.store")
+    findings = lint_codec([mod])
+    assert [f.message.split(" on the wire path")[0] for f in findings] == [offender]
 
 
 def test_json_encoder_and_scanner_outside_codec_fire(tmp_path):

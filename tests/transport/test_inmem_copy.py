@@ -3,11 +3,11 @@
 ``framing.copy_frame`` must return exactly what
 ``framing.decode_frame(framing.encode_frame(m))`` returns, refuse exactly
 what that refuses, and share no mutable container with ``m``.  The cases:
-every dict frame a warm monitored launch and a warm 2-rank gang offer to
-an in-memory channel, an edge-case table, the refusals (each flat
-oversized case is one that only the flat shortcut's size bound keeps
-from being copied), and the JSON body codec's bytes against
-``json.dumps``.
+every frame a warm monitored launch and a warm 2-rank gang offer to an
+in-memory channel (each a dict: none arrives pre-encoded as bytes), an
+edge-case table, the refusals (each flat oversized case is one that only
+the flat shortcut's size bound keeps from being copied), and the JSON
+body codec's bytes against ``json.dumps``.
 """
 
 import collections
@@ -72,6 +72,7 @@ class Offered:
     def __init__(self):
         self.on = False
         self.checked = []
+        self.encoded = 0  # offers of a pre-encoded ``bytes`` frame
 
 
 @pytest.fixture
@@ -80,7 +81,9 @@ def offered(monkeypatch):
     offer = _InMemChannel.offer
 
     def tapped(self, message, maxsize):
-        if book.on and type(message) is not bytes:
+        if book.on and type(message) is bytes:
+            book.encoded += 1
+        elif book.on:
             frame = framing.encode_frame(message)
             book.checked.append((
                 json.loads(json.dumps(message)), copied(message),
@@ -110,7 +113,10 @@ def submit_gang(scenario, size):
     assert settled(scenario.pool)
 
 
-def assert_copies_match(checked):
+def assert_copies_match(book):
+    """Every frame was a dict, copied as it would have been framed."""
+    assert book.encoded == 0
+    checked = book.checked
     assert checked
     for message, copy, framed, sized, frame_len, shared in checked:
         assert same(copy, framed), message
@@ -126,7 +132,7 @@ def test_a_warm_monitored_launch_copies_every_frame_as_framed(offered):
         offered.on = True
         run_monitored(scenario)
         offered.on = False
-    assert_copies_match(offered.checked)
+    assert_copies_match(offered)
 
 
 def test_a_warm_two_rank_gang_copies_every_frame_as_framed(offered):
@@ -135,7 +141,7 @@ def test_a_warm_two_rank_gang_copies_every_frame_as_framed(offered):
         offered.on = True
         submit_gang(scenario, 2)
         offered.on = False
-    assert_copies_match(offered.checked)
+    assert_copies_match(offered)
 
 
 # -- edge cases -------------------------------------------------------------
